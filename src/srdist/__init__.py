@@ -1,6 +1,5 @@
 """Exact sub-Riemannian distances, geodesics and cut loci on SU(2) and SO(3)."""
 
-from ._kernels import BACKEND
 from .algebra import (
     AlgebraVector,
     InvalidElementError,
@@ -60,6 +59,9 @@ from .su2_distance import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle's grid scan has one implementation, in numpy.
+BACKEND = "python"
 
 __all__ = [
     "AlgebraVector",

@@ -157,33 +157,31 @@ def so3_mul(c1: SO3Element, c2: SO3Element) -> SO3Element:
     return SO3Element(c1.m @ c2.m)
 
 
-def klein_omega(g: SU2Element) -> SO3Element:
-    """Covering epimorphism SU(2) -> SO(3).
+def klein_entries(a1: float, a2: float, b1: float, b2: float) -> tuple:
+    """Row-major entries of the rotation covering the unit pair (a1 + i a2, b1 + i b2).
 
     Every entry is quadratic in (A1, A2, B1, B2), hence invariant under
     the simultaneous sign flip (A, B) -> (-A, -B).
     """
-    a1, a2, b1, b2 = g.a_re, g.a_im, g.b_re, g.b_im
-    m = np.array(
-        [
-            [
-                a1 * a1 + a2 * a2 - b1 * b1 - b2 * b2,
-                2.0 * (a2 * b1 - b2 * a1),
-                2.0 * (a2 * b2 + b1 * a1),
-            ],
-            [
-                2.0 * (a2 * b1 + b2 * a1),
-                a1 * a1 - a2 * a2 + b1 * b1 - b2 * b2,
-                2.0 * (b1 * b2 - a1 * a2),
-            ],
-            [
-                2.0 * (a2 * b2 - b1 * a1),
-                2.0 * (b2 * b1 + a2 * a1),
-                a1 * a1 - a2 * a2 - b1 * b1 + b2 * b2,
-            ],
-        ]
+    a11, a22, a12 = a1 * a1, a2 * a2, a1 * a2
+    b11, b22, b12 = b1 * b1, b2 * b2, b1 * b2
+    return (
+        a11 + a22 - b11 - b22,
+        2.0 * (a2 * b1 - a1 * b2),
+        2.0 * (a2 * b2 + a1 * b1),
+        2.0 * (a2 * b1 + a1 * b2),
+        a11 - a22 + b11 - b22,
+        2.0 * (b12 - a12),
+        2.0 * (a2 * b2 - a1 * b1),
+        2.0 * (b12 + a12),
+        a11 - a22 - b11 + b22,
     )
-    return SO3Element(m)
+
+
+def klein_omega(g: SU2Element) -> SO3Element:
+    """Covering epimorphism SU(2) -> SO(3) (entries from `klein_entries`)."""
+    m = klein_entries(g.a_re, g.a_im, g.b_re, g.b_im)
+    return SO3Element(np.array(m).reshape(3, 3))
 
 
 def lift_so3(c: SO3Element) -> tuple[SU2Element, SU2Element]:

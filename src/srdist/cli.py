@@ -221,13 +221,7 @@ def cmd_verify(args) -> int:
     names = (
         list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     )
-    # The shooting oracle is minutes-scale per batch of targets; cap its
-    # sample count so `verify --suite all` stays interactive.
-    n_oracle = min(args.n, 10)
-    results = []
-    for name in names:
-        n = n_oracle if name == "oracle" else args.n
-        results.extend(verify_mod.run_suites([name], n, args.seed))
+    results = verify_mod.run_suites(names, args.n, args.seed)
     all_ok = True
     for suite, check in results:
         status = "PASS" if check.passed else "FAIL"

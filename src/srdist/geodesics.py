@@ -29,29 +29,36 @@ class GeodesicParams:
         object.__setattr__(self, "phi0", self.phi0 % TWO_PI)
 
 
-def geodesic_point(p: GeodesicParams, t: float) -> SU2Element:
-    """Closed-form geodesic endpoint at time t >= 0.
+def endpoint_coords(phi0: float, beta: float, t: float) -> tuple[float, float, float, float]:
+    """(Re A, Im A, Re B, Im B) of the geodesic endpoint at time t.
 
     With s = sqrt(1 + beta^2), u = t*s/2 and h = beta*t/2:
 
         Re(A) = (beta/s) sin(u) sin(h) + cos(u) cos(h)
         Im(A) = (beta/s) sin(u) cos(h) - cos(u) sin(h)
         B     = (sin(u)/s) * exp(i*(h + phi0))
+
+    Plain floats, unvalidated, for callers that evaluate it many times.
     """
-    if t < 0:
-        raise ValueError("geodesic parameter t must be nonnegative")
-    beta = p.beta
     s = math.sqrt(1.0 + beta * beta)
     u = t * s / 2.0
     h = beta * t / 2.0
     su, cu = math.sin(u), math.cos(u)
     sh, ch = math.sin(h), math.cos(h)
-    a_re = (beta / s) * su * sh + cu * ch
-    a_im = (beta / s) * su * ch - cu * sh
     bmag = su / s
-    b_re = bmag * math.cos(h + p.phi0)
-    b_im = bmag * math.sin(h + p.phi0)
-    return SU2Element(a_re, a_im, b_re, b_im)
+    return (
+        (beta / s) * su * sh + cu * ch,
+        (beta / s) * su * ch - cu * sh,
+        bmag * math.cos(h + phi0),
+        bmag * math.sin(h + phi0),
+    )
+
+
+def geodesic_point(p: GeodesicParams, t: float) -> SU2Element:
+    """Closed-form geodesic endpoint at time t >= 0 (see `endpoint_coords`)."""
+    if t < 0:
+        raise ValueError("geodesic parameter t must be nonnegative")
+    return SU2Element(*endpoint_coords(p.phi0, p.beta, t))
 
 
 def geodesic_point_exp(p: GeodesicParams, t: float) -> SU2Element:

@@ -1,12 +1,13 @@
 """Brute-force geodesic-shooting oracle and the flawed-system demonstration.
 
-`shoot_min_time` scans the whole (phi0, beta, t) parameter box of
-geodesics from the identity, keeps the cells whose endpoint comes
-closest to the target, polishes each candidate by coordinate descent
-with step halving, and reports the least arrival time together with all
-parameter-distinct minimizers.  It shares only the geodesic formulas
-with the production distance code, never its case analysis, so it serves
-as an independent check.
+`shoot_min_time` scans a (beta, t) grid of geodesics from the identity,
+with phi0 at each cell set in closed form to match the phase of the
+target's B (see `_kernels.scan_su2`), keeps the beta rows whose endpoint
+comes closest to the target, polishes each candidate in (phi0, beta, t)
+by coordinate descent with step halving, and reports the least arrival
+time together with all parameter-distinct minimizers.  It shares only
+the geodesic formulas with the production distance code, never its case
+analysis, so it serves as an independent check.
 
 `br_system_residual` / `demonstrate_br_nonuniqueness` evaluate the
 distance system published in earlier literature and exhibit two distinct
@@ -15,13 +16,15 @@ solutions for the same target, refuting its uniqueness claim.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _kernels
-from .algebra import SO3Element, SU2Element
+from .algebra import SO3Element, SU2Element, klein_entries, lift_so3
+from .geodesics import endpoint_coords
 from .su2_distance import DistanceCase, distance_su2
 
 TWO_PI = 2.0 * math.pi
@@ -39,6 +42,10 @@ DEDUP_RADIUS = 0.1
 
 _CANDIDATE_CAP = 512
 
+# Functions of (phi0, beta, t).
+Residual = Callable[[float, float, float], tuple]
+Objective = Callable[[float, float, float], float]
+
 
 class ShootNoMatchError(RuntimeError):
     """No grid candidate reached the target: the grid is too coarse for it."""
@@ -46,6 +53,12 @@ class ShootNoMatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Scan grid of n_beta x n_t cells over beta in [-beta_max, beta_max].
+
+    The scan has no phi0 axis (phi0 is solved in closed form per cell);
+    n_phi sets the phi0 step 2*pi/n_phi that refinement starts from.
+    """
+
     n_phi: int = 256
     n_beta: int = 256
     beta_max: float = 8.0
@@ -72,90 +85,38 @@ def _target_vector_su2(g: SU2Element) -> np.ndarray:
     return np.array([g.a_re, g.a_im, g.b_re, g.b_im])
 
 
-def _endpoint_dev_su2(target: np.ndarray) -> Callable[[float, float, float], float]:
-    t0, t1, t2, t3 = target
+def _residual_su2(target: SU2Element) -> Residual:
+    """Endpoint minus target, componentwise in (Re A, Im A, Re B, Im B)."""
+    t0, t1, t2, t3 = target.a_re, target.a_im, target.b_re, target.b_im
+
+    def residual(phi0: float, beta: float, t: float) -> tuple:
+        e0, e1, e2, e3 = endpoint_coords(phi0, beta, t)
+        return e0 - t0, e1 - t1, e2 - t2, e3 - t3
+
+    return residual
+
+
+def _residual_so3(target: SO3Element) -> Residual:
+    """Covering image of the endpoint minus the target rotation, row-major."""
+    tr = target.m.ravel().tolist()
+
+    def residual(phi0: float, beta: float, t: float) -> tuple:
+        return tuple(map(operator.sub, klein_entries(*endpoint_coords(phi0, beta, t)), tr))
+
+    return residual
+
+
+def _objectives(residual: Residual) -> tuple[Objective, Objective]:
+    """(max-norm deviation, squared error) of a residual."""
 
     def dev(phi0: float, beta: float, t: float) -> float:
-        s = math.sqrt(1.0 + beta * beta)
-        u = t * s / 2.0
-        h = t * beta / 2.0
-        su, cu = math.sin(u), math.cos(u)
-        sh, ch = math.sin(h), math.cos(h)
-        bmag = su / s
-        return max(
-            abs((beta / s) * su * sh + cu * ch - t0),
-            abs((beta / s) * su * ch - cu * sh - t1),
-            abs(bmag * math.cos(h + phi0) - t2),
-            abs(bmag * math.sin(h + phi0) - t3),
-        )
-
-    return dev
-
-
-def _endpoint_sq_su2(target: np.ndarray) -> Callable[[float, float, float], float]:
-    t0, t1, t2, t3 = target
+        return max(map(abs, residual(phi0, beta, t)))
 
     def sq(phi0: float, beta: float, t: float) -> float:
-        s = math.sqrt(1.0 + beta * beta)
-        u = t * s / 2.0
-        h = t * beta / 2.0
-        su, cu = math.sin(u), math.cos(u)
-        sh, ch = math.sin(h), math.cos(h)
-        bmag = su / s
-        d0 = (beta / s) * su * sh + cu * ch - t0
-        d1 = (beta / s) * su * ch - cu * sh - t1
-        d2 = bmag * math.cos(h + phi0) - t2
-        d3 = bmag * math.sin(h + phi0) - t3
-        return d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+        r = residual(phi0, beta, t)
+        return sum(map(operator.mul, r, r))
 
-    return sq
-
-
-def _rotation_entries(phi0: float, beta: float, t: float) -> tuple:
-    """The nine entries of the covering image of the geodesic endpoint."""
-    s = math.sqrt(1.0 + beta * beta)
-    u = t * s / 2.0
-    h = t * beta / 2.0
-    su, cu = math.sin(u), math.cos(u)
-    sh, ch = math.sin(h), math.cos(h)
-    a1 = (beta / s) * su * sh + cu * ch
-    a2 = (beta / s) * su * ch - cu * sh
-    bmag = su / s
-    b1 = bmag * math.cos(h + phi0)
-    b2 = bmag * math.sin(h + phi0)
-    a11, a22, a12 = a1 * a1, a2 * a2, a1 * a2
-    b11, b22, b12 = b1 * b1, b2 * b2, b1 * b2
-    return (
-        a11 + a22 - b11 - b22,
-        2.0 * (a2 * b1 - a1 * b2),
-        2.0 * (a2 * b2 + a1 * b1),
-        2.0 * (a2 * b1 + a1 * b2),
-        a11 - a22 + b11 - b22,
-        2.0 * (b12 - a12),
-        2.0 * (a2 * b2 - a1 * b1),
-        2.0 * (b12 + a12),
-        a11 - a22 - b11 + b22,
-    )
-
-
-def _endpoint_dev_so3(target: np.ndarray) -> Callable[[float, float, float], float]:
-    tr = tuple(target.reshape(9))
-
-    def dev(phi0: float, beta: float, t: float) -> float:
-        m = _rotation_entries(phi0, beta, max(t, 0.0))
-        return max(abs(a - b) for a, b in zip(m, tr))
-
-    return dev
-
-
-def _endpoint_sq_so3(target: np.ndarray) -> Callable[[float, float, float], float]:
-    tr = tuple(target.reshape(9))
-
-    def sq(phi0: float, beta: float, t: float) -> float:
-        m = _rotation_entries(phi0, beta, max(t, 0.0))
-        return sum((a - b) * (a - b) for a, b in zip(m, tr))
-
-    return sq
+    return dev, sq
 
 
 def _refine(
@@ -225,11 +186,9 @@ def _dedup(
 
 
 def _shoot(
-    scan,
-    dev_fn: Callable[[float, float, float], float],
-    sq_fn: Callable[[float, float, float], float],
+    lifts: list[np.ndarray],
+    residual: Residual,
     grid: GridSpec,
-    target_vec: np.ndarray,
     beta_hint: Optional[float],
 ) -> ShootResult:
     beta_max = grid.beta_max
@@ -239,15 +198,18 @@ def _shoot(
     if beta_hint is not None and abs(beta_hint) >= 0.9 * beta_max:
         beta_max = 1.25 * abs(beta_hint)
 
-    phis = np.arange(grid.n_phi) * (TWO_PI / grid.n_phi)
     betas = np.linspace(-beta_max, beta_max, grid.n_beta)
-    dev, t_best = scan(target_vec, phis, betas, grid.n_t)
+    # One row per (SU(2) lift, beta); an SO(3) target is reached through
+    # either of its two lifts.
+    scans = [_kernels.scan_su2(vec, betas, grid.n_t) for vec in lifts]
+    dev, t_best, phis = (np.concatenate(col) for col in zip(*scans))
+    beta_rows = np.tile(betas, len(lifts))
 
     min_dev = float(dev.min())
     threshold = max(MATCH_TOL, 4.0 * min_dev, min_dev + 2e-3)
-    cand_idx = np.argwhere(dev <= threshold)
+    cand_idx = np.flatnonzero(dev <= threshold)
     if len(cand_idx) > _CANDIDATE_CAP:
-        order = np.argsort(dev[cand_idx[:, 0], cand_idx[:, 1]], kind="stable")
+        order = np.argsort(dev[cand_idx], kind="stable")
         cand_idx = cand_idx[order[:_CANDIDATE_CAP]]
 
     steps = (
@@ -255,14 +217,15 @@ def _shoot(
         2.0 * beta_max / (grid.n_beta - 1),
         TWO_PI / grid.n_t,
     )
+    dev_fn, sq_fn = _objectives(residual)
     refined: list[tuple[float, float, float, float]] = []
-    for ip, ib in cand_idx:
+    for i in cand_idx:
         r = _refine(
             dev_fn,
             sq_fn,
-            float(phis[ip]),
-            float(betas[ib]),
-            float(t_best[ip, ib]),
+            float(phis[i]),
+            float(beta_rows[i]),
+            float(t_best[i]),
             steps,
             grid.refine_steps,
         )
@@ -283,33 +246,28 @@ def _shoot(
 
 
 def shoot_min_time(target: SU2Element, grid: GridSpec = GridSpec()) -> ShootResult:
-    """Minimal geodesic arrival time at an SU(2) target, by exhaustive scan."""
+    """Minimal geodesic arrival time at an SU(2) target, by exhaustive scan.
+
+    When B = 0 (A on the unit circle, the Loc stratum) the endpoint does
+    not depend on phi0, so every phi0 is minimizing; only the
+    representatives the scan seeds are listed, not the whole circle.
+    """
     ref = distance_su2(target)
-    vec = _target_vector_su2(target)
-    return _shoot(
-        _kernels.scan_su2,
-        _endpoint_dev_su2(vec),
-        _endpoint_sq_su2(vec),
-        grid,
-        vec,
-        ref.beta,
-    )
+    return _shoot([_target_vector_su2(target)], _residual_su2(target), grid, ref.beta)
 
 
 def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> ShootResult:
-    """Minimal arrival time at an SO(3) target, endpoint matched after covering."""
+    """Minimal arrival time at an SO(3) target, endpoint matched after covering.
+
+    Both SU(2) lifts are scanned; refinement matches the rotation itself.
+    As in `shoot_min_time`, phi0 is free when the lifts have B = 0 (axis-1
+    rotations) and only representatives are listed.
+    """
     from .so3_distance import distance_so3
 
     ref = distance_so3(target)
-    vec = np.ascontiguousarray(target.m, dtype=float).reshape(9)
-    return _shoot(
-        _kernels.scan_so3,
-        _endpoint_dev_so3(vec),
-        _endpoint_sq_so3(vec),
-        grid,
-        vec,
-        ref.beta,
-    )
+    lifts = [_target_vector_su2(g) for g in lift_so3(target)]
+    return _shoot(lifts, _residual_so3(target), grid, ref.beta)
 
 
 def br_system_residual(

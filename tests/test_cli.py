@@ -155,6 +155,12 @@ def test_verify_suite_exit_zero(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_oracle_uses_requested_count(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--n", "12")
+    assert code == 0
+    assert "(12 targets)" in out
+
+
 def test_entry_point_subprocess(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "srdist.cli", "dist", "su2",

@@ -1,18 +1,12 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from srdist._kernels import BACKEND, _grid_py, scan_so3, scan_su2
-from srdist.algebra import klein_omega, random_su2
+from srdist import BACKEND
+from srdist._kernels import scan_su2
+from srdist.algebra import random_su2
 from srdist.geodesics import GeodesicParams, geodesic_point
-
-try:
-    from srdist._kernels import _grid_cy
-except ImportError:
-    _grid_cy = None
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,98 +15,83 @@ BETAS = np.linspace(-6.0, 6.0, 49)
 N_T = 96
 
 
+def _vec(g):
+    return np.array([g.a_re, g.a_im, g.b_re, g.b_im])
+
+
+def _max_dev(end, target):
+    return float(np.max(np.abs(_vec(end) - target)))
+
+
+def _t_grid(beta):
+    return TWO_PI / math.sqrt(1.0 + beta * beta) * np.arange(1, N_T + 1) / N_T
+
+
+def _phase_phi0(target, beta, t):
+    # phi0 giving B = (sin(u)/s) exp(i(beta*t/2 + phi0)) the target's phase
+    return math.atan2(target[3], target[2]) - beta * t / 2.0
+
+
+def _phi_gap(a, b):
+    d = (a - b) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
 def test_backend_name_reported():
-    assert BACKEND in ("cython", "python")
+    assert BACKEND == "python"
 
 
 def test_python_scan_matches_direct_evaluation():
+    # Four targets, so that some beta rows have B, not A, setting the
+    # deviation at the best t.
     rng = np.random.default_rng(61)
-    g = random_su2(rng)
-    target = np.array([g.a_re, g.a_im, g.b_re, g.b_im])
-    dev, t_best = _grid_py.scan_su2(target, PHIS, BETAS, N_T)
-    assert dev.shape == (len(PHIS), len(BETAS))
-    for i, j in [(0, 0), (11, 7), (40, 48)]:
-        phi0, beta = PHIS[i], BETAS[j]
-        t_bound = TWO_PI / math.sqrt(1.0 + beta * beta)
-        best = math.inf
-        best_t = 0.0
-        for k in range(N_T):
-            t = t_bound * (k + 1) / N_T
-            end = geodesic_point(GeodesicParams(phi0, beta), t)
-            d = max(
-                abs(end.a_re - g.a_re),
-                abs(end.a_im - g.a_im),
-                abs(end.b_re - g.b_re),
-                abs(end.b_im - g.b_im),
-            )
-            if d < best:
-                best, best_t = d, t
-        assert dev[i, j] == pytest.approx(best, abs=1e-12)
-        assert t_best[i, j] == pytest.approx(best_t, abs=1e-12)
-
-
-@pytest.mark.skipif(_grid_cy is None, reason="compiled kernel unavailable")
-def test_cython_matches_python_su2():
-    rng = np.random.default_rng(62)
-    for _ in range(3):
-        g = random_su2(rng)
-        target = np.array([g.a_re, g.a_im, g.b_re, g.b_im])
-        dev_c, t_c = _grid_cy.scan_su2(target, PHIS, BETAS, N_T)
-        dev_p, t_p = _grid_py.scan_su2(target, PHIS, BETAS, N_T)
-        assert np.max(np.abs(dev_c - dev_p)) < 1e-12
-        assert np.max(np.abs(t_c - t_p)) < 1e-12
-
-
-@pytest.mark.skipif(_grid_cy is None, reason="compiled kernel unavailable")
-def test_cython_matches_python_so3():
-    rng = np.random.default_rng(63)
-    c = klein_omega(random_su2(rng))
-    target = np.ascontiguousarray(c.m, dtype=float).reshape(9)
-    dev_c, t_c = _grid_cy.scan_so3(target, PHIS, BETAS, N_T)
-    dev_p, t_p = _grid_py.scan_so3(target, PHIS, BETAS, N_T)
-    assert np.max(np.abs(dev_c - dev_p)) < 1e-12
-    assert np.max(np.abs(t_c - t_p)) < 1e-12
-
-
-def _child_backend(env):
-    proc = subprocess.run(
-        [sys.executable, "-c", "from srdist._kernels import BACKEND; print(BACKEND)"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-def test_env_var_forces_python_backend(child_env):
-    forced = dict(child_env, SRDIST_PURE_PYTHON="1")
-    assert _child_backend(forced) == "python"
-    # Without the variable the compiled kernel wins whenever it imports,
-    # so the two children differ exactly when the switch has work to do.
-    child_env.pop("SRDIST_PURE_PYTHON", None)
-    expected = "python" if _grid_cy is None else "cython"
-    assert _child_backend(child_env) == expected
+    for _ in range(4):
+        target = _vec(random_su2(rng))
+        dev, t_best, phi0 = scan_su2(target, BETAS, N_T)
+        assert dev.shape == t_best.shape == phi0.shape == (len(BETAS),)
+        assert np.all((0.0 <= phi0) & (phi0 < TWO_PI))
+        for j, beta in enumerate(BETAS):
+            devs = []
+            for t in _t_grid(beta):
+                end = geodesic_point(GeodesicParams(_phase_phi0(target, beta, t), beta), t)
+                devs.append(_max_dev(end, target))
+            k = int(np.argmin(devs))
+            assert dev[j] == pytest.approx(devs[k], abs=1e-12)
+            assert t_best[j] == pytest.approx(_t_grid(beta)[k], abs=1e-12)
+            end = geodesic_point(GeodesicParams(phi0[j], beta), t_best[j])
+            assert _max_dev(end, target) == pytest.approx(dev[j], abs=1e-12)
 
 
 def test_scan_finds_exact_grid_point():
     # put the target exactly on a grid node; the scan must report ~0 there
     phi0, beta = PHIS[5], BETAS[30]
-    t_bound = TWO_PI / math.sqrt(1.0 + beta * beta)
-    t = t_bound * 50 / N_T
-    g = geodesic_point(GeodesicParams(phi0, beta), t)
-    target = np.array([g.a_re, g.a_im, g.b_re, g.b_im])
-    dev, t_best = scan_su2(target, PHIS, BETAS, N_T)
-    assert dev[5, 30] < 1e-12
-    assert t_best[5, 30] == pytest.approx(t, abs=1e-12)
-    assert np.min(dev) < 1e-12
+    t = _t_grid(beta)[49]
+    target = _vec(geodesic_point(GeodesicParams(phi0, beta), t))
+    dev, t_best, phi_best = scan_su2(target, BETAS, N_T)
+    assert dev[30] < 1e-12
+    assert t_best[30] == pytest.approx(t, abs=1e-12)
+    assert _phi_gap(phi_best[30], phi0) < 1e-12
 
 
-def test_so3_scan_consistent_with_covering():
+def test_scan_within_sqrt2_of_phi0_grid_scan():
+    # Phase alignment minimizes |B - B_target|, and a max-norm deviation
+    # is at least |z|/sqrt(2) of any complex difference z, so dropping
+    # the phi0 axis loses at most a factor sqrt(2) per beta.
     rng = np.random.default_rng(64)
-    g = random_su2(rng)
-    c = klein_omega(g)
-    target9 = np.ascontiguousarray(c.m, dtype=float).reshape(9)
-    dev9, _ = scan_so3(target9, PHIS, BETAS, N_T)
-    # SO(3) deviation can only be smaller: both lifts project onto c
-    target4 = np.array([g.a_re, g.a_im, g.b_re, g.b_im])
-    dev4, _ = scan_su2(target4, PHIS, BETAS, N_T)
-    assert np.min(dev9) <= np.min(dev4) * 2.0 + 1e-9
+    for _ in range(3):
+        target = _vec(random_su2(rng))
+        dev, _, _ = scan_su2(target, BETAS, N_T)
+        for j, beta in enumerate(BETAS):
+            ts = _t_grid(beta)
+            s = math.sqrt(1.0 + beta * beta)
+            u, h = ts * s / 2.0, ts * beta / 2.0
+            dev_a = np.maximum(
+                np.abs((beta / s) * np.sin(u) * np.sin(h) + np.cos(u) * np.cos(h) - target[0]),
+                np.abs((beta / s) * np.sin(u) * np.cos(h) - np.cos(u) * np.sin(h) - target[1]),
+            )
+            b = (np.sin(u) / s)[None, :] * np.exp(1j * (h[None, :] + PHIS[:, None]))
+            dev_b = np.maximum(
+                np.abs(b.real - target[2]), np.abs(b.imag - target[3])
+            )
+            dev3 = float(np.min(np.maximum(dev_b, dev_a[None, :])))
+            assert dev[j] <= math.sqrt(2.0) * dev3 + 1e-12

@@ -5,7 +5,7 @@ import pytest
 
 from srdist.algebra import SO3Element, SU2Element, klein_omega, random_su2
 from srdist.cutlocus import CutTag, classify_cut_locus_so3
-from srdist.geodesics import GeodesicParams, geodesic_point
+from srdist.geodesics import GeodesicParams, geodesic_point, geodesic_point_so3
 from srdist.oracle import (
     GridSpec,
     REFINED_TOL,
@@ -91,6 +91,36 @@ class TestShootSO3:
         res = shoot_min_time_so3(c, SMALL)
         assert abs(res.t_min - distance_so3(c).t) < TIME_TOL
         assert len(res.minimizers) >= 2
+
+
+class TestAxis1Targets:
+    # B = 0: the endpoint does not depend on phi0, so every phi0 is
+    # minimizing and the oracle lists representatives only.
+    PSI = 2.0
+
+    def test_su2(self):
+        g = SU2Element(math.cos(self.PSI), math.sin(self.PSI), 0.0, 0.0)
+        res = shoot_min_time(g, SMALL)
+        assert abs(res.t_min - distance_su2(g).t) < TIME_TOL
+        assert res.minimizers
+        for phi0, beta, t in res.minimizers:
+            end = geodesic_point(GeodesicParams(phi0, beta), t)
+            assert max(
+                abs(end.a_re - g.a_re),
+                abs(end.a_im - g.a_im),
+                abs(end.b_re - g.b_re),
+                abs(end.b_im - g.b_im),
+            ) <= REFINED_TOL
+
+    def test_so3(self):
+        c = klein_omega(SU2Element(math.cos(self.PSI), math.sin(self.PSI), 0.0, 0.0))
+        assert classify_cut_locus_so3(c).tag is CutTag.LOC
+        res = shoot_min_time_so3(c, SMALL)
+        assert abs(res.t_min - distance_so3(c).t) < TIME_TOL
+        assert res.minimizers
+        for phi0, beta, t in res.minimizers:
+            end = geodesic_point_so3(GeodesicParams(phi0, beta), t)
+            assert np.max(np.abs(end.m - c.m)) <= REFINED_TOL
 
 
 class TestFlawedSystem:
