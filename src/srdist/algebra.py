@@ -185,35 +185,28 @@ def klein_omega(g: SU2Element) -> SO3Element:
 
 
 def lift_so3(c: SO3Element) -> tuple[SU2Element, SU2Element]:
-    """Both SU(2) preimages of a rotation, canonical lift (Re(A) >= 0) first.
+    """Both SU(2) preimages of a rotation, canonical lift first.
 
-    A is fixed by the trace/first-entry identities of the covering map;
-    B is recovered from the first row and column, dividing by whichever of
-    |Re(A)|, |Im(A)| is larger for stability.  With A = 0 (c11 = -1), B
-    follows from the lower-right 2x2 block instead.
+    Shepperd's extraction (J. Guidance & Control 1(3), 1978).  With
+    q = (Re A, Im A, Re B, Im B), the covering map gives 4*q_k*q_j for
+    every pair k, j as a sum or difference of entries, e.g. 4*A1^2 = 1 + tr.
+    The row k with the largest 4*q_k^2 is 4*q_k*q, so q is that row over
+    its norm; dividing by the largest component keeps it accurate near
+    every half turn.  The canonical lift has the first nonzero component
+    of q positive, so Re(A) >= 0.
     """
-    m = c.m
-    c11, c22, c33 = m[0, 0], m[1, 1], m[2, 2]
-    a1 = math.sqrt(max(0.0, 1.0 + c11 + c22 + c33)) / 2.0
-    a2 = sgn(m[2, 1] - m[1, 2]) * math.sqrt(max(0.0, 1.0 + c11 - c22 - c33)) / 2.0
-    abs_a2 = a1 * a1 + a2 * a2
-    if abs_a2 > 1e-24:
-        # c12 = 2(A2 B1 - B2 A1), c21 = 2(A2 B1 + B2 A1),
-        # c13 = 2(A2 B2 + B1 A1), c31 = 2(A2 B2 - B1 A1)
-        if abs(a1) >= abs(a2):
-            b1 = (m[0, 2] - m[2, 0]) / (4.0 * a1)
-            b2 = (m[1, 0] - m[0, 1]) / (4.0 * a1)
-        else:
-            b1 = (m[0, 1] + m[1, 0]) / (4.0 * a2)
-            b2 = (m[0, 2] + m[2, 0]) / (4.0 * a2)
-    else:
-        # A = 0: c22 = B1^2 - B2^2, c23 = 2 B1 B2, B1^2 + B2^2 = 1.
-        a1 = a2 = 0.0
-        b1 = math.sqrt(max(0.0, (1.0 + c22) / 2.0))
-        b2 = sgn(m[1, 2]) * math.sqrt(max(0.0, (1.0 - c22) / 2.0))
-        if b1 == 0.0:
-            b2 = abs(b2)
-    lift = SU2Element(a1, a2, b1, b2)
+    (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = c.m.tolist()
+    rows = (
+        (1.0 + c11 + c22 + c33, c32 - c23, c13 - c31, c21 - c12),
+        (c32 - c23, 1.0 + c11 - c22 - c33, c21 + c12, c13 + c31),
+        (c13 - c31, c21 + c12, 1.0 - c11 + c22 - c33, c32 + c23),
+        (c21 - c12, c13 + c31, c32 + c23, 1.0 - c11 - c22 + c33),
+    )
+    q0, q1, q2, q3 = rows[max(range(4), key=lambda k: rows[k][k])]
+    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    if (q0 or q1 or q2 or q3) < 0.0:  # the first nonzero component
+        norm = -norm
+    lift = SU2Element(q0 / norm, q1 / norm, q2 / norm, q3 / norm)
     return lift, lift.negate()
 
 

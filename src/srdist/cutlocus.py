@@ -36,6 +36,13 @@ class CutLocusClass:
     witness: Optional[str] = None
 
 
+def _axis1_residual(m: np.ndarray) -> Optional[float]:
+    """Max-norm residual of m from the axis-1 rotations block-diag(1, R); None at the identity."""
+    if np.max(np.abs(m - np.eye(3))) <= MEMBERSHIP_TOL:
+        return None
+    return max(abs(m[0, 0] - 1.0), abs(m[0, 1]), abs(m[0, 2]), abs(m[1, 0]), abs(m[2, 0]))
+
+
 def classify_cut_locus_so3(c: SO3Element) -> CutLocusClass:
     """Stratum of a rotation: Sym before Loc, identity is NotCut.
 
@@ -43,18 +50,12 @@ def classify_cut_locus_so3(c: SO3Element) -> CutLocusClass:
     its multiple minimizing geodesics stay visible in the classification.
     """
     m = c.m
-    if np.max(np.abs(m - np.eye(3))) <= MEMBERSHIP_TOL:
+    axis_res = _axis1_residual(m)
+    if axis_res is None:
         return CutLocusClass(CutTag.NOT_CUT, "identity")
     invol_res = np.max(np.abs(m @ m - np.eye(3)))
     if invol_res <= MEMBERSHIP_TOL:
         return CutLocusClass(CutTag.SYM, f"max |M^2 - E| = {invol_res:.3e}")
-    axis_res = max(
-        abs(m[0, 0] - 1.0),
-        abs(m[0, 1]),
-        abs(m[0, 2]),
-        abs(m[1, 0]),
-        abs(m[2, 0]),
-    )
     if axis_res <= MEMBERSHIP_TOL:
         return CutLocusClass(CutTag.LOC, f"axis-1 block residual = {axis_res:.3e}")
     return CutLocusClass(CutTag.NOT_CUT)
@@ -79,14 +80,5 @@ def in_cut_locus_su2_l2(g: SU2Element) -> CutTag:
 
 def conjugate_locus_so3(c: SO3Element) -> bool:
     """True iff c is a nontrivial rotation about axis 1 (the conjugate locus)."""
-    m = c.m
-    if np.max(np.abs(m - np.eye(3))) <= MEMBERSHIP_TOL:
-        return False
-    axis_res = max(
-        abs(m[0, 0] - 1.0),
-        abs(m[0, 1]),
-        abs(m[0, 2]),
-        abs(m[1, 0]),
-        abs(m[2, 0]),
-    )
-    return axis_res <= MEMBERSHIP_TOL
+    axis_res = _axis1_residual(c.m)
+    return axis_res is not None and axis_res <= MEMBERSHIP_TOL

@@ -29,11 +29,12 @@ from .su2_distance import DistanceCase, distance_su2
 
 TWO_PI = 2.0 * math.pi
 
-# Endpoint deviation (max-norm) a refined candidate must reach to count
-# as hitting the target; grid cells are preselected adaptively because
-# the raw grid resolution cannot reach this directly.
+# Floor of the scan-deviation threshold that selects grid cells for
+# refinement; the threshold adapts to the best cell because the raw grid
+# resolution cannot reach REFINED_TOL directly.
 MATCH_TOL = 1e-3
-# Accuracy of the refined endpoint match required of listed minimizers.
+# Endpoint deviation (max-norm) a refined candidate must reach to count
+# as hitting the target; t_min and the minimizers are taken over these.
 REFINED_TOL = 1e-6
 # Arrival-time tolerance: minimizers within t_min + TIME_TOL are listed.
 TIME_TOL = 2e-2
@@ -231,17 +232,18 @@ def _shoot(
         )
         refined.append(r)
 
-    hits = [r for r in refined if r[3] <= MATCH_TOL]
-    if not hits:
+    exact = sorted(
+        (r for r in refined if r[3] <= REFINED_TOL),
+        key=lambda r: (r[2], r[0] % TWO_PI, r[1]),
+    )
+    if not exact:
         raise ShootNoMatchError(
-            f"no refined candidate within {MATCH_TOL} of the target "
+            f"no refined candidate within {REFINED_TOL} of the target "
             f"(best deviation {min(r[3] for r in refined) if refined else min_dev:.3e})"
         )
-    t_min = min(r[2] for r in hits)
-
-    exact = [r for r in refined if r[3] <= REFINED_TOL and r[2] <= t_min + TIME_TOL]
-    exact.sort(key=lambda r: (r[2], r[0] % TWO_PI, r[1]))
-    minimizers = _dedup([(r[0], r[1], r[2]) for r in exact])
+    # The first minimizer's time, so t_min never undercuts the minimizers.
+    t_min = exact[0][2]
+    minimizers = _dedup([(r[0], r[1], r[2]) for r in exact if r[2] <= t_min + TIME_TOL])
     return ShootResult(t_min=t_min, minimizers=minimizers, grid_spec=grid)
 
 

@@ -1,227 +1,195 @@
-"""Self-check suites behind the `verify` CLI command.
+"""Self-checks shared by `srdist verify` and the acceptance gate.
 
-Each suite returns a list of CheckResult records; a suite passes when
-every record does.  All randomness flows through one seeded generator,
-so runs are reproducible.
+Each check function takes its samples, or a `np.random.Generator` to draw
+them from, and returns `CheckResult` records.  The `verify` suites call
+them with `(np.random.default_rng(seed), n)`; `tests/test_acceptance.py`
+calls them with each criterion's own seed, count, grid and tolerance:
+
+    suite               check function         acceptance criterion
+    submetry            check_submetry         2
+    oracle              check_oracle           3
+    geodesics           check_geodesics        4
+    lemmas              check_lemmas           5
+    br-counterexample   check_flawed_system    7
+    cutlocus            check_cover            8 (cover consistency)
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .algebra import SU2Element, klein_omega, random_so3, random_su2
-from .cutlocus import CutTag, classify_cut_locus_so3, in_cut_locus_su2_l2
+from .cutlocus import classify_cut_locus_so3, in_cut_locus_su2_l2
 from .geodesics import GeodesicParams, cut_time_bound, geodesic_point, geodesic_point_exp
 from .oracle import GridSpec, demonstrate_br_nonuniqueness, shoot_min_time
-from .so3_distance import distance_so3, distance_so3_via_lifts, lift_distance_results
-from .su2_distance import (
-    DistanceCase,
-    arg_long,
-    arg_short,
-    beta_domain_max,
-    distance_su2,
-    time_long,
-    time_short,
-)
+from .so3_distance import distance_so3, distance_so3_via_lifts
+from .su2_distance import arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check: the worst measured value, or a violation count, against `tol`."""
+
     name: str
-    passed: bool
-    detail: str
+    value: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tol
+
+    @property
+    def detail(self) -> str:
+        value = str(self.value) if isinstance(self.value, int) else f"{self.value:.3e}"
+        return f"{value} (tol {self.tol:g})"
 
 
-def _check(name: str, residual: float, tol: float) -> CheckResult:
-    return CheckResult(name, residual <= tol, f"max residual {residual:.3e} (tol {tol:.0e})")
+def _worst(values) -> float:
+    """Largest absolute value, 0 when empty; NaN if any is NaN, so it fails."""
+    return float(np.max(np.abs(np.asarray(values, dtype=float)), initial=0.0))
 
 
-def suite_submetry(n: int, seed: int) -> list[CheckResult]:
+def check_submetry(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Direct SO(3) distances against the minimum over the two lifts."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    comparison_ok = True
-    for _ in range(n):
-        c = random_so3(rng)
-        direct = distance_so3(c)
-        via = distance_so3_via_lifts(c)
-        worst = max(worst, abs(direct.t - via))
-        r_lift, r_neg = lift_distance_results(c)
-        if direct.case in (DistanceCase.SHORT, DistanceCase.LONG, DistanceCase.ABS_A_ONE):
-            winner, loser = (
-                (r_lift, r_neg) if r_lift.t <= r_neg.t else (r_neg, r_lift)
-            )
-            if loser.t < winner.t - 1e-9 or abs(direct.t - winner.t) > 1e-9:
-                comparison_ok = False
-    out = [_check(f"direct vs lift-minimum agreement ({n} rotations)", worst, 1e-9)]
-    out.append(
-        CheckResult(
-            "winning lift matches the direct branch value",
-            comparison_ok,
-            "selection claim held on every sample" if comparison_ok else "selection claim violated",
-        )
-    )
-    return out
+    rotations = [random_so3(rng) for _ in range(n)]
+    gaps = [distance_so3(c).t - distance_so3_via_lifts(c) for c in rotations]
+    return [CheckResult(f"|direct - lift-minimum| ({n} rotations)", _worst(gaps), 1e-9)]
 
 
-def suite_lemmas(n: int, seed: int) -> list[CheckResult]:
-    """Monotonicity, parity, range and identity checks of the four branch functions."""
-    rng = np.random.default_rng(seed)
-    n_abs = max(4, int(math.sqrt(n)))
-    n_beta = max(4, n // n_abs)
-    abs_as = rng.uniform(0.05, 0.95, n_abs)
-    worst_odd = worst_ident = worst_range = 0.0
-    monotone_ok = True
+def check_lemmas(abs_as: Iterable[float], n_beta: int) -> list[CheckResult]:
+    """Monotonicity, parity, identities and range endpoints of the branch functions.
+
+    `time_short`, `time_long`, `arg_short` and `arg_long` are evaluated at
+    n_beta points of [0, b*] (and their negatives) for each |A| in abs_as.
+    """
+    fns = (time_short, time_long, arg_short, arg_long)
+    # Per function: the sign of its slope in beta, and its parity
+    # (times are even, phases odd).
+    slope = np.array([[1.0], [-1.0], [1.0], [1.0]])
+    parity_sign = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+    violations, parity, ident, ends = 0, [], [], []
     for a in abs_as:
-        bmax = beta_domain_max(a)
-        betas = np.linspace(0.0, bmax, n_beta)
-        ts1 = [time_short(b, a) for b in betas]
-        ts2 = [time_long(b, a) for b in betas]
-        fs1 = [arg_short(b, a) for b in betas]
-        fs2 = [arg_long(b, a) for b in betas]
-        if any(x >= y for x, y in zip(ts1, ts1[1:])):
-            monotone_ok = False
-        if any(x <= y for x, y in zip(ts2, ts2[1:])):
-            monotone_ok = False
-        if any(x >= y for x, y in zip(fs1, fs1[1:])):
-            monotone_ok = False
-        if any(x >= y for x, y in zip(fs2, fs2[1:])):
-            monotone_ok = False
-        for b in betas:
-            worst_odd = max(
-                worst_odd,
-                abs(arg_short(-b, a) + arg_short(b, a)),
-                abs(arg_long(-b, a) + arg_long(b, a)),
-                abs(time_short(-b, a) - time_short(b, a)),
-                abs(time_long(-b, a) - time_long(b, a)),
-            )
-            s = math.sqrt(1.0 + b * b)
-            worst_ident = max(
-                worst_ident,
-                abs(time_short(b, a) + time_long(b, a) - TWO_PI / s),
-                abs(arg_long(b, a) - arg_short(b, a) - math.pi * b / s),
-            )
-        one_m = math.sqrt(1.0 - a * a)
-        worst_range = max(
-            worst_range,
-            abs(ts1[0] - 2.0 * math.asin(one_m)),
-            abs(ts1[-1] - math.pi * one_m),
-            abs(ts2[0] - 2.0 * (math.pi - math.asin(one_m))),
-            abs(ts2[-1] - math.pi * one_m),
-            abs(fs1[-1] - math.pi * (1.0 - a) / 2.0),
-            abs(fs2[-1] - math.pi * (1.0 + a) / 2.0),
-        )
+        bs = np.linspace(0.0, beta_domain_max(a), n_beta)
+        pos, neg = (np.array([[f(b, a) for b in xs] for f in fns]) for xs in (bs, -bs))
+        t1, t2, f1, f2 = pos
+        violations += int(np.sum(slope * np.diff(pos, axis=1) <= 0.0))
+        parity.append(_worst(neg - parity_sign * pos))
+        s = np.sqrt(1.0 + bs * bs)
+        ident.append(_worst([t1 + t2 - TWO_PI / s, f2 - f1 - math.pi * bs / s]))
+        root = math.sqrt(1.0 - a * a)
+        ends.append(_worst([
+            t1[0] - 2.0 * math.asin(root),
+            t1[-1] - math.pi * root,
+            t2[0] - 2.0 * (math.pi - math.asin(root)),
+            t2[-1] - math.pi * root,
+            f1[-1] - math.pi * (1.0 - a) / 2.0,
+            f2[-1] - math.pi * (1.0 + a) / 2.0,
+        ]))
     return [
-        CheckResult(
-            "strict monotonicity on [0, b*]",
-            monotone_ok,
-            "all four functions strictly monotone" if monotone_ok else "monotonicity violated",
-        ),
-        _check("parity (odd phases, even times)", worst_odd, 1e-14),
-        _check("defining identities", worst_ident, 1e-12),
-        _check("range endpoints", worst_range, 1e-9),
+        CheckResult(f"monotonicity violations on [0, b*] ({len(ends)}x{n_beta} grid)", violations, 0),
+        CheckResult("parity (odd phases, even times)", _worst(parity), 1e-14),
+        CheckResult("defining identities", _worst(ident), 1e-12),
+        CheckResult("range endpoints", _worst(ends), 1e-9),
     ]
 
 
-def suite_oracle(n: int, seed: int, grid: GridSpec = GridSpec()) -> list[CheckResult]:
+def check_oracle(
+    rng: np.random.Generator, n: int, grid: GridSpec = GridSpec()
+) -> list[CheckResult]:
     """Shooting-oracle minimal times against the case-analysis distances."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        g = random_su2(rng)
-        res = shoot_min_time(g, grid)
-        worst = max(worst, abs(res.t_min - distance_su2(g).t))
-    return [_check(f"oracle vs case analysis ({n} targets)", worst, 2e-2)]
+    targets = [random_su2(rng) for _ in range(n)]
+    gaps = [shoot_min_time(g, grid).t_min - distance_su2(g).t for g in targets]
+    return [CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 2e-2)]
 
 
-def suite_br_counterexample() -> list[CheckResult]:
-    report = demonstrate_br_nonuniqueness(0.6)
-    worst = max(
-        abs(report.residuals_small[0]),
-        abs(report.residuals_small[1]),
-        abs(report.residuals_large[0]),
-        abs(report.residuals_large[1]),
-    )
-    out = [_check("two residual-zero solutions of the flawed system", worst, 1e-10)]
-    out.append(
-        _check(
+def check_flawed_system() -> list[CheckResult]:
+    """Flawed system at |A| = 0.6: two residual-zero roots; the case analysis returns the smaller."""
+    rep = demonstrate_br_nonuniqueness(0.6)
+    return [
+        CheckResult(
+            "two residual-zero solutions of the flawed system",
+            _worst(rep.residuals_small + rep.residuals_large),
+            1e-10,
+        ),
+        CheckResult(
             "case analysis returns the smaller solution uniquely",
-            abs(report.true_distance - report.t_small),
+            abs(rep.true_distance - rep.t_small),
             1e-12,
-        )
-    )
-    return out
+        ),
+    ]
 
 
-def suite_cutlocus(n: int, seed: int) -> list[CheckResult]:
-    """Stratum classification consistency across the double cover."""
-    rng = np.random.default_rng(seed)
-    ok = True
+def check_cover(rng: np.random.Generator, n: int) -> list[CheckResult]:
+    """Cut-locus tags agree across the covering map.
+
+    Random elements almost never land on a stratum, so every third sample
+    is forced onto Sym (Re A = 0) and every seventh of the rest onto Loc
+    (an axis-1 rotation).
+    """
+    mismatches = 0
     for i in range(n):
         if i % 3 == 0:
-            # Force symmetric-stratum samples; random elements almost never land there.
             v = rng.standard_normal(3)
             v /= np.linalg.norm(v)
             g = SU2Element(0.0, v[0], v[1], v[2])
+        elif i % 7 == 0:
+            psi = rng.uniform(0.1, math.pi - 0.1)
+            g = SU2Element(math.cos(psi), math.sin(psi), 0.0, 0.0)
         else:
             g = random_su2(rng)
-        down = classify_cut_locus_so3(klein_omega(g))
-        up = in_cut_locus_su2_l2(g)
-        if (down.tag == CutTag.SYM) != (up == CutTag.SYM):
-            ok = False
+        mismatches += in_cut_locus_su2_l2(g) is not classify_cut_locus_so3(klein_omega(g)).tag
+    return [CheckResult(f"cut-locus tag mismatches across the cover ({n} samples)", mismatches, 0)]
+
+
+def check_geodesics(samples: Iterable[tuple[float, float, float]]) -> list[CheckResult]:
+    """Closed form vs exponential product, and the |A|^2 identity, at (phi0, beta, t) samples."""
+    route, ident = [], []
+    for phi0, beta, t in samples:
+        p = GeodesicParams(phi0, beta)
+        g1, g2 = geodesic_point(p, t), geodesic_point_exp(p, t)
+        route.append(max(
+            abs(g1.a_re - g2.a_re), abs(g1.a_im - g2.a_im),
+            abs(g1.b_re - g2.b_re), abs(g1.b_im - g2.b_im),
+        ))
+        s2 = 1.0 + beta * beta
+        expected = (beta * beta + math.cos(t * math.sqrt(s2) / 2.0) ** 2) / s2
+        ident.append(g1.a_re ** 2 + g1.a_im ** 2 - expected)
     return [
-        CheckResult(
-            f"Sym agreement across the covering map ({n} samples)",
-            ok,
-            "consistent" if ok else "mismatch found",
-        )
+        CheckResult(f"closed form vs exponential product ({len(route)} points)", _worst(route), 1e-10),
+        CheckResult("|A|^2 identity along geodesics", _worst(ident), 1e-12),
     ]
 
 
-def suite_geodesics(n: int, seed: int) -> list[CheckResult]:
-    """Cross-route geodesic agreement and the |A|^2 identity on random samples."""
-    rng = np.random.default_rng(seed)
-    worst_route = worst_ident = 0.0
+def _lemma_suite(rng: np.random.Generator, n: int) -> list[CheckResult]:
+    n_abs = max(4, math.isqrt(n))
+    return check_lemmas(rng.uniform(0.05, 0.95, n_abs), max(4, n // n_abs))
+
+
+def _random_geodesics(rng: np.random.Generator, n: int) -> Iterator[tuple[float, float, float]]:
     for _ in range(n):
-        p = GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-5.0, 5.0))
-        t = rng.uniform(0.0, cut_time_bound(p.beta))
-        g1 = geodesic_point(p, t)
-        g2 = geodesic_point_exp(p, t)
-        worst_route = max(
-            worst_route,
-            abs(g1.a_re - g2.a_re),
-            abs(g1.a_im - g2.a_im),
-            abs(g1.b_re - g2.b_re),
-            abs(g1.b_im - g2.b_im),
-        )
-        s2 = 1.0 + p.beta * p.beta
-        expected = (p.beta * p.beta + math.cos(t * math.sqrt(s2) / 2.0) ** 2) / s2
-        worst_ident = max(
-            worst_ident, abs(g1.a_re ** 2 + g1.a_im ** 2 - expected)
-        )
-    return [
-        _check("closed form vs exponential product", worst_route, 1e-10),
-        _check("|A|^2 identity along geodesics", worst_ident, 1e-12),
-    ]
+        phi0, beta = rng.uniform(0.0, TWO_PI), rng.uniform(-5.0, 5.0)
+        yield phi0, beta, rng.uniform(0.0, cut_time_bound(beta))
 
 
-SUITES = {
-    "submetry": lambda n, seed: suite_submetry(n, seed),
-    "lemmas": lambda n, seed: suite_lemmas(n, seed),
-    "oracle": lambda n, seed: suite_oracle(n, seed),
-    "br-counterexample": lambda n, seed: suite_br_counterexample(),
-    "cutlocus": lambda n, seed: suite_cutlocus(n, seed),
-    "geodesics": lambda n, seed: suite_geodesics(n, seed),
+SUITES: dict[str, Callable[[np.random.Generator, int], list[CheckResult]]] = {
+    "submetry": check_submetry,
+    "lemmas": _lemma_suite,
+    "oracle": check_oracle,
+    "br-counterexample": lambda rng, n: check_flawed_system(),
+    "cutlocus": check_cover,
+    "geodesics": lambda rng, n: check_geodesics(_random_geodesics(rng, n)),
 }
 
 
 def run_suites(names: list[str], n: int, seed: int) -> list[tuple[str, CheckResult]]:
-    results = []
-    for name in names:
-        for check in SUITES[name](n, seed):
-            results.append((name, check))
-    return results
+    """Run each named suite on its own generator seeded with `seed`."""
+    return [
+        (name, check)
+        for name in names
+        for check in SUITES[name](np.random.default_rng(seed), n)
+    ]

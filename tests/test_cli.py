@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from srdist import verify
 from srdist.cli import main
 
 
@@ -49,6 +50,18 @@ def test_dist_so3(capsys):
     rec = json.loads(out)["records"][0]
     assert rec["t"] == pytest.approx(math.pi * math.sqrt(3.0), abs=1e-12)
     assert rec["case"] == "Case2_AbsAone"
+
+
+def test_dist_so3_near_involution(capsys):
+    # A half turn about axis 2 short of pi by 2e-5: the lift must not
+    # divide by the cancelled sqrt(1 + trace).
+    code, out, _ = run_cli(
+        capsys, "dist", "so3", "--json",
+        "--matrix=-0.9999999998,0,1.9999999998920157e-05,0,1,0,"
+        "-1.9999999998920157e-05,0,-0.9999999998",
+    )
+    assert code == 0
+    assert json.loads(out)["records"][0]["t"] == pytest.approx(math.pi - 2e-5, abs=1e-9)
 
 
 def test_dist_rejects_non_unit(capsys):
@@ -159,6 +172,30 @@ def test_verify_oracle_uses_requested_count(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--n", "12")
     assert code == 0
     assert "(12 targets)" in out
+
+
+def test_verify_all_passes_one_line_per_record(capsys, monkeypatch):
+    recorded, run_suites = [], verify.run_suites
+
+    def recording_run_suites(*args):
+        recorded.extend(run_suites(*args))
+        return recorded
+
+    monkeypatch.setattr(verify, "run_suites", recording_run_suites)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "20", "--seed", "0")
+    assert code == 0
+    assert {suite for suite, _ in recorded} == set(verify.SUITES)
+    assert out.splitlines() == [
+        f"[PASS] {suite}: {check.name} - {check.detail}" for suite, check in recorded
+    ]
+
+
+def test_verify_failing_check_exits_1(capsys, monkeypatch):
+    failing = lambda rng, n: [verify.CheckResult("x", 1.0, 0.0)]
+    monkeypatch.setitem(verify.SUITES, "always-fails", failing)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "always-fails")
+    assert code == 1
+    assert out.startswith("[FAIL] always-fails: x")
 
 
 def test_entry_point_subprocess(child_env):

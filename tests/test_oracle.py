@@ -61,6 +61,7 @@ class TestShootSU2:
             )
             assert dev <= REFINED_TOL
             assert t <= res.t_min + TIME_TOL
+        assert res.t_min == res.minimizers[0][2]
 
     def test_a_zero_target(self):
         res = shoot_min_time(SU2Element(0.0, 0.0, 1.0, 0.0), SMALL)
@@ -72,6 +73,19 @@ class TestShootSU2:
     def test_known_short_arc(self):
         res = shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0), SMALL)
         assert res.t_min == pytest.approx(2 * math.asin(0.8), abs=TIME_TOL)
+
+
+class TestHighMomentumTargets:
+    # Endpoints of steep geodesics: candidates within MATCH_TOL of these
+    # arrive earlier than any refined minimizer, so t_min must be taken
+    # over the refined minimizers.  Default grid: coarser ones refine to
+    # no candidate within REFINED_TOL here.
+    @pytest.mark.parametrize("beta, t", [(20.0, 0.25), (30.0, 0.1)])
+    def test_t_min_is_first_minimizer(self, beta, t):
+        g = geodesic_point(GeodesicParams(1.0, beta), t)
+        res = shoot_min_time(g)
+        assert res.t_min == res.minimizers[0][2]
+        assert abs(res.t_min - distance_su2(g).t) <= TIME_TOL
 
 
 class TestShootSO3:

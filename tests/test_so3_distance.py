@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from srdist.algebra import SO3Element, klein_omega, lift_so3, random_so3, so3_mul
+from srdist.algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, so3_mul
 from srdist.geodesics import GeodesicParams, geodesic_point_so3
 from srdist.so3_distance import (
     SO3_DIAMETER_BOUND,
@@ -132,3 +132,22 @@ def test_so3_never_exceeds_lift_distance():
     for _ in range(200):
         g = random_su2(rng)
         assert distance_so3(klein_omega(g)).t <= distance_su2(g).t + 1e-9
+
+
+@pytest.mark.parametrize("abs_a", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_near_involutions_lift_and_distance(abs_a):
+    # Rotations within about 2|A| of a half turn about an axis orthogonal
+    # to axis 1, where sqrt(1 + trace) cancels.  Route
+    # agreement is not asserted here: below |A| = 1e-5 the direct route
+    # loses digits to its own 1 + c11 cancellation.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        a_phase, b_phase = rng.uniform(0.0, TWO_PI, 2)
+        b = math.sqrt(1.0 - abs_a * abs_a)
+        c = klein_omega(SU2Element(
+            abs_a * math.cos(a_phase), abs_a * math.sin(a_phase),
+            b * math.cos(b_phase), b * math.sin(b_phase),
+        ))
+        lift, _ = lift_so3(c)
+        assert np.max(np.abs(klein_omega(lift).m - c.m)) <= 1e-12
+        assert 0.0 <= distance_so3(c).t <= SO3_DIAMETER_BOUND
