@@ -79,6 +79,22 @@ class SU2Element:
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
 
 
+def mat3_mul(x, y) -> list:
+    """Product of two 3x3 matrices given as rows, in scalar float arithmetic."""
+    cols = tuple(zip(*y))
+    return [[a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in cols] for a0, a1, a2 in x]
+
+
+def identity_residual(rows) -> float:
+    """max |M - I| over the entries of a 3x3 matrix given as rows."""
+    (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = rows
+    return max(
+        abs(c11 - 1.0), abs(c12), abs(c13),
+        abs(c21), abs(c22 - 1.0), abs(c23),
+        abs(c31), abs(c32), abs(c33 - 1.0),
+    )
+
+
 @dataclass(frozen=True)
 class SO3Element:
     """3x3 rotation matrix (orthogonal, determinant 1)."""
@@ -89,14 +105,19 @@ class SO3Element:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise InvalidElementError(f"rotation matrix must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        rows = m.tolist()
+        if not all(math.isfinite(v) for row in rows for v in row):
             raise InvalidElementError("rotation matrix entries must be finite")
-        ortho_res = np.max(np.abs(m.T @ m - np.eye(3)))
+        ortho_res = identity_residual(mat3_mul(zip(*rows), rows))
         if ortho_res > CONSTRUCTION_TOL:
             raise InvalidElementError(
                 f"orthogonality violation: max |M^T M - I| = {ortho_res:.3e}"
             )
-        det_res = abs(np.linalg.det(m) - 1.0)
+        (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = rows
+        det = c11 * (c22 * c33 - c23 * c32) - c12 * (c21 * c33 - c23 * c31) + c13 * (
+            c21 * c32 - c22 * c31
+        )
+        det_res = abs(det - 1.0)
         if det_res > CONSTRUCTION_TOL:
             raise InvalidElementError(f"determinant violation: |det - 1| = {det_res:.3e}")
         m = m.copy()

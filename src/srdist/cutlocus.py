@@ -15,9 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .algebra import SO3Element, SU2Element
+from .algebra import SO3Element, SU2Element, identity_residual, mat3_mul
 
 # Max-norm residual tolerance for stratum membership; inputs typically
 # come out of covering-map chains carrying ~1e-12 noise.
@@ -36,11 +34,12 @@ class CutLocusClass:
     witness: Optional[str] = None
 
 
-def _axis1_residual(m: np.ndarray) -> Optional[float]:
-    """Max-norm residual of m from the axis-1 rotations block-diag(1, R); None at the identity."""
-    if np.max(np.abs(m - np.eye(3))) <= MEMBERSHIP_TOL:
+def _axis1_residual(rows) -> Optional[float]:
+    """Max-norm residual from the axis-1 rotations block-diag(1, R); None at the identity."""
+    if identity_residual(rows) <= MEMBERSHIP_TOL:
         return None
-    return max(abs(m[0, 0] - 1.0), abs(m[0, 1]), abs(m[0, 2]), abs(m[1, 0]), abs(m[2, 0]))
+    (c11, c12, c13), (c21, _, _), (c31, _, _) = rows
+    return max(abs(c11 - 1.0), abs(c12), abs(c13), abs(c21), abs(c31))
 
 
 def classify_cut_locus_so3(c: SO3Element) -> CutLocusClass:
@@ -49,11 +48,11 @@ def classify_cut_locus_so3(c: SO3Element) -> CutLocusClass:
     The half turn about axis 1 satisfies both descriptions; Sym wins, so
     its multiple minimizing geodesics stay visible in the classification.
     """
-    m = c.m
-    axis_res = _axis1_residual(m)
+    rows = c.m.tolist()
+    axis_res = _axis1_residual(rows)
     if axis_res is None:
         return CutLocusClass(CutTag.NOT_CUT, "identity")
-    invol_res = np.max(np.abs(m @ m - np.eye(3)))
+    invol_res = identity_residual(mat3_mul(rows, rows))
     if invol_res <= MEMBERSHIP_TOL:
         return CutLocusClass(CutTag.SYM, f"max |M^2 - E| = {invol_res:.3e}")
     if axis_res <= MEMBERSHIP_TOL:
@@ -80,5 +79,5 @@ def in_cut_locus_su2_l2(g: SU2Element) -> CutTag:
 
 def conjugate_locus_so3(c: SO3Element) -> bool:
     """True iff c is a nontrivial rotation about axis 1 (the conjugate locus)."""
-    axis_res = _axis1_residual(c.m)
+    axis_res = _axis1_residual(c.m.tolist())
     return axis_res is not None and axis_res <= MEMBERSHIP_TOL

@@ -12,20 +12,13 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
-from .algebra import SO3Element, SU2Element, lift_so3, sgn, so3_mul
+from .algebra import SO3Element, SU2Element, identity_residual, lift_so3, sgn, so3_mul
 from .su2_distance import (
     EPS_CASE,
     DistanceCase,
     DistanceResult,
-    arg_long,
-    arg_short,
-    beta_domain_max,
     distance_su2,
-    solve_monotone,
-    time_long,
-    time_short,
+    solve_arc,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -45,23 +38,12 @@ def _phi0_from_lift(lift: SU2Element, beta: float, t: float) -> Optional[float]:
     return (math.atan2(lift.b_im, lift.b_re) - beta * t / 2.0) % TWO_PI
 
 
-def _phase_rhs(m) -> tuple[float, float]:
-    """Cosine/sine right-hand sides of the branch-4 system, normalized by 1+c11."""
-    c11 = m[0, 0]
-    denom = 2.0 * (1.0 + c11)
-    cos_rhs = math.sqrt(max(0.0, (1.0 + c11 + m[1, 1] + m[2, 2]) / denom))
-    sin_rhs = sgn(m[2, 1] - m[1, 2]) * math.sqrt(
-        max(0.0, (1.0 + c11 - m[1, 1] - m[2, 2]) / denom)
-    )
-    return cos_rhs, sin_rhs
-
-
 def distance_so3(c: SO3Element) -> DistanceResult:
     """Distance from the rotation c to the identity by direct case analysis."""
-    m = c.m
-    c11 = m[0, 0]
+    rows = c.m.tolist()
+    (c11, _, _), (_, c22, c23), (_, c32, c33) = rows
 
-    if np.max(np.abs(m - np.eye(3))) < _C11_EDGE:
+    if identity_residual(rows) < _C11_EDGE:
         return DistanceResult(0.0, DistanceCase.ABS_A_ONE, None, None)
 
     if c11 <= -1.0 + _C11_EDGE:
@@ -71,10 +53,8 @@ def distance_so3(c: SO3Element) -> DistanceResult:
 
     if c11 >= 1.0 - _C11_EDGE:
         # Rotation about axis 1; solve pi*beta/sqrt(1+beta^2) = target angle.
-        cos_rhs = -math.sqrt(max(0.0, 1.0 + c11 + m[1, 1] + m[2, 2])) / 2.0
-        sin_rhs = sgn(m[2, 1] - m[1, 2]) * math.sqrt(
-            max(0.0, 1.0 + c11 - m[1, 1] - m[2, 2])
-        ) / 2.0
+        cos_rhs = -math.sqrt(max(0.0, 1.0 + c11 + c22 + c33)) / 2.0
+        sin_rhs = sgn(c32 - c23) * math.sqrt(max(0.0, 1.0 + c11 - c22 - c33)) / 2.0
         u = math.atan2(sin_rhs, cos_rhs)
         r = u / math.pi  # beta/sqrt(1+beta^2); |r| < 1 for c != identity
         beta = r / math.sqrt(max(1e-300, 1.0 - r * r))
@@ -82,31 +62,29 @@ def distance_so3(c: SO3Element) -> DistanceResult:
         return DistanceResult(t, DistanceCase.ABS_A_ONE, beta, None)
 
     abs_a = math.sqrt((1.0 + c11) / 2.0)
-    disc = math.cos(math.pi * abs_a) + (m[1, 1] + m[2, 2]) / (1.0 + c11)
-    cos_rhs, sin_rhs = _phase_rhs(m)
+    k2 = (1.0 - c11) / 2.0  # 1 - |A|^2, without the cancellation near |A| = 1
+    disc = math.cos(math.pi * abs_a) + (c22 + c33) / (1.0 + c11)
+    # Cosine/sine right-hand sides of the branch-4 system, normalized by 1+c11.
+    denom = 2.0 * (1.0 + c11)
+    cos_rhs = math.sqrt(max(0.0, (1.0 + c11 + c22 + c33) / denom))
+    sin_rhs = sgn(c32 - c23) * math.sqrt(max(0.0, (1.0 + c11 - c22 - c33) / denom))
     theta = math.atan2(sin_rhs, cos_rhs)  # phase of the canonical lift's A
 
     if abs(disc) <= EPS_CASE:
         # Boundary branch; delegate the beta sign choice to the lift.
         lift, _ = lift_so3(c)
         res = distance_su2(lift)
-        t = math.pi * math.sqrt((1.0 - c11) / 2.0)
+        t = math.pi * math.sqrt(k2)
         return DistanceResult(t, DistanceCase.BOUNDARY, res.beta, res.phi0)
 
     if disc > 0.0:
         # Short arc: monotone target is theta itself.
-        beta = solve_monotone(
-            lambda b: arg_short(b, abs_a), beta_domain_max(abs_a), theta
-        )
-        t = time_short(beta, abs_a)
+        beta, t = solve_arc(abs_a, k2, theta, long=False)
         case = DistanceCase.SHORT
     else:
         # Long arc: phase target pi - theta (theta >= 0) or -pi - theta.
         target = math.pi - theta if theta >= 0.0 else -math.pi - theta
-        beta = solve_monotone(
-            lambda b: arg_long(b, abs_a), beta_domain_max(abs_a), target
-        )
-        t = time_long(beta, abs_a)
+        beta, t = solve_arc(abs_a, k2, target, long=True)
         case = DistanceCase.LONG
 
     lift, _ = lift_so3(c)

@@ -10,24 +10,33 @@ theta = arg(A), the five branches are:
   5. |theta| > pi*(1 - |A|)/2      -> long arc: solve arg_long(beta) = +-pi - theta
 
 Branches 4 and 5 reduce to a single monotone transcendental equation in
-the vertical momentum beta (solved by bisection); the travel times
-`time_short` / `time_long` then follow in closed form.
+the vertical momentum beta.  `solve_arc` solves it in psi = asin(beta/b*),
+where b* = |A|/sqrt(1 - |A|^2) is the domain endpoint: in psi the phase
+is smooth up to the endpoints and has a closed-form slope, so a
+safeguarded Newton iteration (`solve_monotone`) converges in a few steps.
+beta and the travel time then follow from psi in closed form.  The
+beta-form functions `arg_short`, `arg_long`, `time_short` and `time_long`
+state the paper's equations; the tests check the psi form against them.
 """
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .algebra import SU2Element, sgn, su2_inv, su2_mul
 
 TWO_PI = 2.0 * math.pi
+HALF_PI = 0.5 * math.pi
+_EPS = 2.0 * sys.float_info.epsilon
 
 # Half-width of the classification band around the branch-3 boundary,
-# applied to theta.  The distance is continuous across the boundary, so
-# the band contributes error well below the other tolerances.
-EPS_CASE = 1e-9
+# applied to theta (to the boundary discriminant on SO(3)).  The psi
+# solve is accurate up to the boundary, so the band only has to catch
+# inputs that sit on it to within rounding.
+EPS_CASE = 1e-15
 
 # |A| closer than this to 0 or 1 is routed to branches 1 / 2.
 ABS_A_EDGE = 1e-12
@@ -135,17 +144,26 @@ def arg_long(beta: float, abs_a: float) -> float:
 
 
 def solve_monotone(
-    f: Callable[[float], float], beta_max: float, target: float
+    f: Callable[[float], tuple[float, float]],
+    half_width: float,
+    target: float,
+    start: Optional[float] = None,
 ) -> float:
-    """Solve f(beta) = target for a strictly increasing f on [-beta_max, beta_max].
+    """Solve f(x) = target for a strictly increasing f on [-half_width, half_width].
 
-    Plain bisection, 200 iterations: the final interval width is far below
-    1e-12 and no derivative is needed.  Raises DomainError when the target
-    exceeds the range by more than 1e-10 (signals misclassification
-    upstream); targets within 1e-10 of an endpoint clamp to it.
+    f returns (value, slope).  Safeguarded Newton from `start` (when it lies
+    inside the range; else from the secant point of the endpoints): the
+    Newton step is taken when it lands inside the current bracket and is
+    shorter than half the step before last; otherwise the bracket is
+    bisected.  Stops when the step is at the rounding level of x, or the
+    residual at that of f, taken as eps*(|x| + |target|): f is meant to be
+    x plus a term of comparable size, as the branch phases of `arc_phase`
+    are.  Raises DomainError when the target exceeds the range by more than
+    1e-10 (signals misclassification upstream); targets within 1e-10 of an
+    endpoint clamp to it.
     """
-    lo, hi = -beta_max, beta_max
-    flo, fhi = f(lo), f(hi)
+    lo, hi = -half_width, half_width
+    flo, fhi = f(lo)[0], f(hi)[0]
     if target < flo - 1e-10 or target > fhi + 1e-10:
         raise DomainError(
             f"target {target} outside monotone range [{flo}, {fhi}]"
@@ -154,15 +172,86 @@ def solve_monotone(
         return lo
     if target >= fhi:
         return hi
+    x = start if start is not None and lo < start < hi else (
+        lo + (hi - lo) * (target - flo) / (fhi - flo)
+    )
+    step = prev = hi - lo
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 4e-16 * (1.0 + abs(mid)):
-            break
-        if f(mid) < target:
-            lo = mid
+        value, slope = f(x)
+        if abs(value - target) <= _EPS * (abs(x) + abs(target)):
+            return x
+        if value < target:
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        newton = (value - target) / slope if slope > 0.0 else math.inf
+        prev, step = step, newton
+        if lo < x - newton < hi and abs(newton) < 0.5 * abs(prev):
+            x -= newton
+        else:
+            step = 0.5 * (hi - lo)
+            x = lo + step
+        if abs(step) <= _EPS * abs(x):
+            break
+    return x
+
+
+def _long_arc_start(abs_a: float, k: float, target: float) -> float:
+    """Starting psi of the long-arc solve for |A| >= 1/2.
+
+    The long-arc phase is pi*sin(chi) plus the short-arc phase, with
+    tan(chi) = beta = |A| sin(psi)/k.  As |A| -> 1 it climbs from 0 to
+    nearly pi within |psi| ~ k, so the secant start is far off.  Two
+    fixed-point steps on the model pi*sin(chi) + (1 - |A|)*psi land within
+    a few percent of the root for |A| >= 1/2, closer as |A| -> 1.
+    """
+    psi = target / (1.0 + abs_a)
+    for _ in range(2):
+        r = (target - (1.0 - abs_a) * psi) / math.pi
+        root = abs_a * math.sqrt(max(0.0, (1.0 - r) * (1.0 + r)))
+        psi = math.asin(k * r / root) if k * abs(r) < root else math.copysign(HALF_PI, r)
+    return psi
+
+
+def arc_phase(abs_a: float, k2: float, long: bool) -> Callable[[float], tuple[float, float]]:
+    """(phase, slope) of the short or long arc as a function of psi = asin(beta/b*).
+
+    arg_short(beta) (arg_long for the long arc) is smooth in psi on
+    [-pi/2, pi/2] up to the endpoints.  With k^2 = 1 - |A|^2,
+    Q = k^2 + |A|^2 sin^2(psi), w = atan2(sqrt(Q), |A| cos(psi)) and
+    v = w (short) or w - pi (long):
+
+        phase(psi)  = psi - |A| sin(psi) v/sqrt(Q)
+        phase'(psi) = k^2/Q - |A| k^2 cos(psi) v/Q^(3/2)
+
+    k2 is passed in because callers can read it off the input more
+    accurately than 1 - |A|^2 (as |B|^2, or (1 - c11)/2 on SO(3)).
+    """
+    shift = math.pi if long else 0.0
+
+    def phase(psi: float) -> tuple[float, float]:
+        s, c = math.sin(psi), math.cos(psi)
+        q = k2 + abs_a * abs_a * s * s
+        rq = math.sqrt(q)
+        v = math.atan2(rq, abs_a * c) - shift
+        return psi - abs_a * s * v / rq, k2 / q * (1.0 - abs_a * c * v / rq)
+
+    return phase
+
+
+def solve_arc(abs_a: float, k2: float, target: float, long: bool) -> tuple[float, float]:
+    """(beta, t) of the short or long arc whose phase reaches `target`.
+
+    Solves arc_phase(psi) = target, then beta = |A| sin(psi)/k and
+    t = 2k |v|/sqrt(Q) (see `arc_phase`).
+    """
+    k = math.sqrt(k2)
+    start = _long_arc_start(abs_a, k, target) if long and abs_a >= 0.5 else None
+    psi = solve_monotone(arc_phase(abs_a, k2, long), HALF_PI, target, start)
+    s = math.sin(psi)
+    rq = math.sqrt(k2 + abs_a * abs_a * s * s)
+    v = math.atan2(rq, abs_a * math.cos(psi)) - (math.pi if long else 0.0)
+    return abs_a * s / k, 2.0 * k * abs(v) / rq
 
 
 def _boundary_beta(theta: float, abs_a: float, t: float) -> float:
@@ -208,19 +297,13 @@ def distance_su2(g: SU2Element) -> DistanceResult:
         case = DistanceCase.BOUNDARY
     elif abs(theta) < boundary:
         # Branch 4: short arc, monotone target theta.
-        beta = solve_monotone(
-            lambda b: arg_short(b, abs_a), beta_domain_max(abs_a), theta
-        )
-        t = time_short(beta, abs_a)
+        beta, t = solve_arc(abs_a, abs_b * abs_b, theta, long=False)
         case = DistanceCase.SHORT
     else:
         # Branch 5: long arc; the system's phase target is pi - theta for
         # theta >= 0 and -pi - theta otherwise.
         target = math.pi - theta if theta >= 0.0 else -math.pi - theta
-        beta = solve_monotone(
-            lambda b: arg_long(b, abs_a), beta_domain_max(abs_a), target
-        )
-        t = time_long(beta, abs_a)
+        beta, t = solve_arc(abs_a, abs_b * abs_b, target, long=True)
         case = DistanceCase.LONG
 
     phi0 = None

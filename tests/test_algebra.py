@@ -10,8 +10,10 @@ from srdist.algebra import (
     InvalidElementError,
     SO3Element,
     SU2Element,
+    identity_residual,
     klein_omega,
     lift_so3,
+    mat3_mul,
     random_so3,
     random_su2,
     su2_exp,
@@ -41,6 +43,13 @@ def test_so3_rejects_non_rotation():
         SO3Element(np.diag([1.0, 1.0, 2.0]))
     with pytest.raises(InvalidElementError):
         SO3Element(np.diag([1.0, 1.0, -1.0]))  # det = -1
+
+
+def test_scalar_3x3_helpers_match_numpy():
+    rng = np.random.default_rng(41)
+    for x, y in rng.standard_normal((50, 2, 3, 3)):
+        assert np.allclose(mat3_mul(x.tolist(), y.tolist()), x @ y, rtol=0.0, atol=1e-14)
+        assert identity_residual(x.tolist()) == np.max(np.abs(x - np.eye(3)))
 
 
 def test_mul_identity():

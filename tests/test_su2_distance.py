@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 from srdist.algebra import SU2Element, random_su2, su2_inv, su2_mul
+from srdist import su2_distance
 from srdist.su2_distance import (
+    HALF_PI,
     DistanceCase,
     DomainError,
+    arc_phase,
     arg_long,
     arg_short,
     beta_domain_max,
     classify_su2,
     distance_su2,
     distance_su2_pair,
+    solve_arc,
     solve_monotone,
     time_long,
     time_short,
@@ -92,22 +96,79 @@ class TestBranchFunctions:
 
 
 class TestSolveMonotone:
+    # |A| = 0.6: k^2 = 0.64, b* = 0.75, beta = b* sin(psi).
+    short = staticmethod(arc_phase(0.6, 0.64, long=False))
+    long = staticmethod(arc_phase(0.6, 0.64, long=True))
+
     def test_zero_target(self):
-        for fn in (arg_short, arg_long):
-            beta = solve_monotone(lambda b: fn(b, 0.6), 0.75, 0.0)
-            assert abs(beta) < 1e-12
+        for f in (self.short, self.long):
+            psi = solve_monotone(f, HALF_PI, 0.0)
+            assert abs(0.75 * math.sin(psi)) < 1e-12
 
     def test_endpoint_target(self):
-        beta = solve_monotone(lambda b: arg_short(b, 0.6), 0.75, 0.2 * math.pi)
-        assert beta == pytest.approx(0.75, abs=1e-9)
+        psi = solve_monotone(self.short, HALF_PI, 0.2 * math.pi)
+        assert 0.75 * math.sin(psi) == pytest.approx(0.75, abs=1e-9)
 
     def test_residual(self):
-        beta = solve_monotone(lambda b: arg_short(b, 0.6), 0.75, 0.3)
-        assert abs(arg_short(beta, 0.6) - 0.3) < 1e-12
+        psi = solve_monotone(self.short, HALF_PI, 0.3)
+        assert abs(arg_short(0.75 * math.sin(psi), 0.6) - 0.3) < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            solve_monotone(lambda b: arg_short(b, 0.6), 0.75, 1.0)
+            solve_monotone(self.short, HALF_PI, 1.0)
+
+    def test_psi_form_matches_beta_form(self):
+        # Away from the endpoints, where the beta form loses digits to
+        # its asin near 1.
+        psis = np.linspace(-1.4, 1.4, 29)
+        for abs_a in (0.05, 0.3, 0.6, 0.9, 0.99):
+            k2 = (1.0 - abs_a) * (1.0 + abs_a)
+            bmax = beta_domain_max(abs_a)
+            for long, arg, time in ((False, arg_short, time_short), (True, arg_long, time_long)):
+                f = arc_phase(abs_a, k2, long)
+                for psi in psis:
+                    beta = bmax * math.sin(psi)
+                    value, slope = f(psi)
+                    assert value == pytest.approx(arg(beta, abs_a), abs=1e-12)
+                    h = 1e-6
+                    diff = (f(psi + h)[0] - f(psi - h)[0]) / (2.0 * h)
+                    assert slope == pytest.approx(diff, rel=1e-6)
+                    got_beta, t = solve_arc(abs_a, k2, value, long)
+                    assert got_beta == pytest.approx(beta, rel=1e-9, abs=1e-12)
+                    assert t == pytest.approx(time(beta, abs_a), abs=1e-12)
+
+    def test_evaluation_count(self, monkeypatch):
+        # Mean per Haar draws and per edge band |A| = 1e-k, 1 - |A| = 1e-k;
+        # 55 is the count of the bisection this solve replaced.
+        counts = []
+
+        def counting(f, *args):
+            n = 0
+
+            def g(x):
+                nonlocal n
+                n += 1
+                return f(x)
+
+            result = solve_monotone(g, *args)
+            counts.append(n)
+            return result
+
+        monkeypatch.setattr(su2_distance, "solve_monotone", counting)
+        rng = np.random.default_rng(27)
+        for _ in range(2000):
+            distance_su2(random_su2(rng))
+        means = [np.mean(counts)]
+        worst = max(counts)
+        for k in range(2, 12):
+            for abs_a in (10.0**-k, 1.0 - 10.0**-k):
+                counts.clear()
+                for theta, phase in rng.uniform(-math.pi, math.pi, (100, 2)):
+                    distance_su2(from_polar(abs_a, theta, phase))
+                means.append(np.mean(counts))
+                worst = max(worst, max(counts))
+        assert max(means) <= 12
+        assert worst <= 55
 
 
 class TestDistance:
