@@ -1,30 +1,44 @@
 """Exact sub-Riemannian distance from the identity on SO(3).
 
-The production route is a direct five-branch analysis of the rotation
-matrix C; the quantities entering the monotone systems are read off the
-matrix entries (abs_a = sqrt((1+c11)/2) and a phase target built from
-c22 + c33 and c32 - c23).  An independent route takes the minimum of the
-SU(2) distances of the two lifts of C; both routes must agree, which the
-test suite checks on random rotations.
+The production route reads the covering pair (A, B) of the rotation C,
+with Re A >= 0, off three covering identities, each linear in the
+matrix entries:
+
+    A^2       = (c22 + c33 + i(c32 - c23))/2
+    B^2       = (c22 - c33 + i(c32 + c23))/2
+    A conj(B) = (c13 + i c12)/2
+
+When c11 = |A|^2 - |B|^2 >= 0, A is the principal root of A^2 and B
+follows from A conj(B); otherwise B is a root of B^2 and A follows.  Each
+path divides only by the larger of |A| and |B|, so no digits are lost
+near half turns or axis-1 rotations.  With theta = arg A in
+[-pi/2, pi/2], the paper's SO(3) theorem routes on the pair: branches 1
+and 2 on |A| (the predicate `distance_su2` uses), short, long and
+boundary arcs on the sign of cos(pi |A|) + cos(2 theta).  phi0 is read
+off the same B.
+
+An independent route takes the minimum of the SU(2) distances of the two
+lifts of C (`lift_so3`).  Both routes are within 1e-13 of a 40-digit
+reference on the accuracy bands, and the test suite checks that they
+agree.
 """
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Optional
 
-from .algebra import SO3Element, SU2Element, identity_residual, lift_so3, sgn, so3_mul
+from .algebra import SO3Element, lift_so3, so3_mul
 from .su2_distance import (
+    ABS_A_EDGE,
     EPS_CASE,
     DistanceCase,
     DistanceResult,
+    _boundary_beta,
     distance_su2,
     solve_arc,
 )
 
 TWO_PI = 2.0 * math.pi
-
-# c11 thresholds routing to the degenerate branches.
-_C11_EDGE = 1e-12
 
 # Largest distance observed on SO(3): attained at diag(1, -1, -1), the
 # half turn about axis 1 (checked by dense scans over (|A|, arg A) of the
@@ -32,63 +46,63 @@ _C11_EDGE = 1e-12
 SO3_DIAMETER_BOUND = math.pi * math.sqrt(3.0)
 
 
-def _phi0_from_lift(lift: SU2Element, beta: float, t: float) -> Optional[float]:
-    if math.hypot(lift.b_re, lift.b_im) <= 1e-12:
-        return None
-    return (math.atan2(lift.b_im, lift.b_re) - beta * t / 2.0) % TWO_PI
+def _cover_pair(rows) -> tuple[complex, complex]:
+    """Unit covering pair (A, B) with Re A >= 0 of a rotation given as rows."""
+    (c11, c12, c13), (_, c22, c23), (_, c32, c33) = rows
+    a_conj_b = complex(0.5 * c13, 0.5 * c12)
+    # "+ 0.0" turns a signed zero into +0, so that the root of a negative
+    # real square is +i|.|, as sgn(0) = +1 has it.
+    if c11 >= 0.0:
+        a = cmath.sqrt(complex(0.5 * (c22 + c33), 0.5 * (c32 - c23) + 0.0))
+        b = (a_conj_b / a).conjugate()
+    else:
+        b = cmath.sqrt(complex(0.5 * (c22 - c33), 0.5 * (c32 + c23) + 0.0))
+        a = a_conj_b * b / (b.real * b.real + b.imag * b.imag)
+        if a.real < 0.0:
+            a, b = -a, -b
+    # Normalizing keeps the pair on the unit sphere when the entries are
+    # noisy, so that |A| and k^2 = |B|^2 come from the same pair.
+    norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    return a / norm, b / norm
 
 
 def distance_so3(c: SO3Element) -> DistanceResult:
     """Distance from the rotation c to the identity by direct case analysis."""
-    rows = c.m.tolist()
-    (c11, _, _), (_, c22, c23), (_, c32, c33) = rows
+    a, b = _cover_pair(c.m.tolist())
+    abs_a = abs(a)
+    arg_b = math.atan2(b.imag, b.real)
 
-    if identity_residual(rows) < _C11_EDGE:
-        return DistanceResult(0.0, DistanceCase.ABS_A_ONE, None, None)
+    if abs_a <= ABS_A_EDGE:
+        # Branch 1: half turn about an axis orthogonal to axis 1.
+        return DistanceResult(math.pi, DistanceCase.A_ZERO, 0.0, arg_b % TWO_PI)
 
-    if c11 <= -1.0 + _C11_EDGE:
-        # Half turn about an axis orthogonal to axis 1; the lift has A = 0.
-        lift, _ = lift_so3(c)
-        return DistanceResult(math.pi, DistanceCase.A_ZERO, 0.0, _phi0_from_lift(lift, 0.0, math.pi))
+    theta = math.atan2(a.imag, a.real)
 
-    if c11 >= 1.0 - _C11_EDGE:
-        # Rotation about axis 1; solve pi*beta/sqrt(1+beta^2) = target angle.
-        cos_rhs = -math.sqrt(max(0.0, 1.0 + c11 + c22 + c33)) / 2.0
-        sin_rhs = sgn(c32 - c23) * math.sqrt(max(0.0, 1.0 + c11 - c22 - c33)) / 2.0
-        u = math.atan2(sin_rhs, cos_rhs)
-        r = u / math.pi  # beta/sqrt(1+beta^2); |r| < 1 for c != identity
-        beta = r / math.sqrt(max(1e-300, 1.0 - r * r))
-        t = TWO_PI / math.sqrt(1.0 + beta * beta)
-        return DistanceResult(t, DistanceCase.ABS_A_ONE, beta, None)
+    if abs_a >= 1.0 - ABS_A_EDGE:
+        # Branch 2: rotation about axis 1, the identity at theta = 0.  beta
+        # solves pi*beta/sqrt(1 + beta^2) = +-pi - theta; phi0 is free.
+        half_t = math.sqrt(abs(theta) * (TWO_PI - abs(theta)))
+        beta = math.copysign(math.pi - abs(theta), theta) / half_t if half_t else None
+        return DistanceResult(2.0 * half_t, DistanceCase.ABS_A_ONE, beta, None)
 
-    abs_a = math.sqrt((1.0 + c11) / 2.0)
-    k2 = (1.0 - c11) / 2.0  # 1 - |A|^2, without the cancellation near |A| = 1
-    disc = math.cos(math.pi * abs_a) + (c22 + c33) / (1.0 + c11)
-    # Cosine/sine right-hand sides of the branch-4 system, normalized by 1+c11.
-    denom = 2.0 * (1.0 + c11)
-    cos_rhs = math.sqrt(max(0.0, (1.0 + c11 + c22 + c33) / denom))
-    sin_rhs = sgn(c32 - c23) * math.sqrt(max(0.0, (1.0 + c11 - c22 - c33) / denom))
-    theta = math.atan2(sin_rhs, cos_rhs)  # phase of the canonical lift's A
-
+    k2 = b.real * b.real + b.imag * b.imag
+    disc = math.cos(math.pi * abs_a) + math.cos(2.0 * theta)
     if abs(disc) <= EPS_CASE:
-        # Boundary branch; delegate the beta sign choice to the lift.
-        lift, _ = lift_so3(c)
-        res = distance_su2(lift)
+        # Branch 3: boundary between the short- and long-arc regimes.
         t = math.pi * math.sqrt(k2)
-        return DistanceResult(t, DistanceCase.BOUNDARY, res.beta, res.phi0)
-
-    if disc > 0.0:
-        # Short arc: monotone target is theta itself.
+        beta = _boundary_beta(theta, abs_a, t)
+        case = DistanceCase.BOUNDARY
+    elif disc > 0.0:
+        # Branch 4: short arc, monotone target theta.
         beta, t = solve_arc(abs_a, k2, theta, long=False)
         case = DistanceCase.SHORT
     else:
-        # Long arc: phase target pi - theta (theta >= 0) or -pi - theta.
+        # Branch 5: long arc, phase target pi - theta (theta >= 0) or -pi - theta.
         target = math.pi - theta if theta >= 0.0 else -math.pi - theta
         beta, t = solve_arc(abs_a, k2, target, long=True)
         case = DistanceCase.LONG
 
-    lift, _ = lift_so3(c)
-    return DistanceResult(t, case, beta, _phi0_from_lift(lift, beta, t))
+    return DistanceResult(t, case, beta, (arg_b - beta * t / 2.0) % TWO_PI)
 
 
 def distance_so3_via_lifts(c: SO3Element) -> float:

@@ -225,7 +225,7 @@ def arc_phase(abs_a: float, k2: float, long: bool) -> Callable[[float], tuple[fl
         phase'(psi) = k^2/Q - |A| k^2 cos(psi) v/Q^(3/2)
 
     k2 is passed in because callers can read it off the input more
-    accurately than 1 - |A|^2 (as |B|^2, or (1 - c11)/2 on SO(3)).
+    accurately than 1 - |A|^2, as |B|^2 (on SO(3), of the pair read off C).
     """
     shift = math.pi if long else 0.0
 

@@ -9,17 +9,18 @@ draws.  Per band, the first pair, and the SO(3) image of the second
 through both SO(3) routes, are compared with the reference (one
 reference value costs 30-50 ms); every result of the band's PER_BAND
 pairs that names its geodesic (beta and phi0 set) must reach its target
-along it.
+along it.  One more band holds exact half turns 2nn^T - E, built as
+float matrices with area-uniform axes n: the direct route's reading of
+the covering pair must not cancel there.
 
 Tolerances, per band:
 
 * SU(2): 1e-13 everywhere.
-* SO(3) images: 1e-13, except at 1 - |A| = d, where the float matrix's
-  own rounding moves 1 - |A|^2 by about 1e-16 and the distance by about
-  1e-16/sqrt(d): max(1e-13, 3e-16/sqrt(d)).
-* The direct SO(3) route near half turns (the |A| bands): 3|A|.  Its
-  `c11 <= -1 + _C11_EDGE` shortcut returns pi, about 2|A| off, and above
-  the threshold 1 + c11 cancels; the lift route is held to 1e-13 there.
+* SO(3) images, through both routes: 1e-13, except at 1 - |A| = d:
+  max(1e-13, 3e-16/sqrt(d)).  That floor was the error of reading
+  k^2 = (1 - c11)/2 off the matrix; with k^2 = |B|^2 of the covering
+  pair both routes measure within 1e-14 there, so it could tighten.
+* Half turns, through both routes: 1e-13.
 """
 import importlib.util
 import math
@@ -30,8 +31,8 @@ import pytest
 
 pytest.importorskip("mpmath")
 
-from srdist.algebra import SU2Element, klein_omega, random_su2
-from srdist.geodesics import GeodesicParams, geodesic_point_exp
+from srdist.algebra import SO3Element, SU2Element, klein_omega, random_su2
+from srdist.geodesics import GeodesicParams, geodesic_point_exp, geodesic_point_so3
 from srdist.so3_distance import distance_so3, distance_so3_via_lifts
 from srdist.su2_distance import distance_su2
 
@@ -60,24 +61,23 @@ def _eps_case_pair(rng):
     return _pair(rng, abs_a, math.sqrt(1.0 - abs_a * abs_a), theta * rng.choice([-1.0, 1.0]))
 
 
-# (band, generator, SO(3) tolerance, direct-route tolerance or None for the same)
+# (band, generator, SO(3) tolerance)
 BANDS = (
     [
-        (f"abs_a_1e-{k}", lambda rng, a=10.0**-k: _pair(rng, a, math.sqrt((1.0 - a) * (1.0 + a))),
-         1e-13, 3.0 * 10.0**-k)
+        (f"abs_a_1e-{k}", lambda rng, a=10.0**-k: _pair(rng, a, math.sqrt((1.0 - a) * (1.0 + a))), 1e-13)
         for k in range(2, 12)
     ]
     + [
         (f"one_minus_abs_a_1e-{k}", lambda rng, d=10.0**-k: _pair(rng, 1.0 - d, math.sqrt(d * (2.0 - d))),
-         max(1e-13, 3e-16 / math.sqrt(10.0**-k)), None)
+         max(1e-13, 3e-16 / math.sqrt(10.0**-k)))
         for k in range(2, 12)
     ]
-    + [("eps_case_band", _eps_case_pair, 1e-13, None), ("haar", random_su2, 1e-13, None)]
+    + [("eps_case_band", _eps_case_pair, 1e-13), ("haar", random_su2, 1e-13)]
 )
 
 
-@pytest.mark.parametrize("band, draw, so3_tol, direct_tol", BANDS, ids=[b[0] for b in BANDS])
-def test_band_against_reference(band, draw, so3_tol, direct_tol):
+@pytest.mark.parametrize("band, draw, so3_tol", BANDS, ids=[b[0] for b in BANDS])
+def test_band_against_reference(band, draw, so3_tol):
     rng = np.random.default_rng(sum(map(ord, band)))
     pairs = [draw(rng) for _ in range(PER_BAND)]
     results = [distance_su2(g) for g in pairs]
@@ -97,4 +97,21 @@ def test_band_against_reference(band, draw, so3_tol, direct_tol):
     lift_err = distance_so3_via_lifts(c) - ref
     direct_err = distance_so3(c).t - ref
     assert abs(lift_err) <= so3_tol, (band, pairs[1], lift_err)
-    assert abs(direct_err) <= (direct_tol or so3_tol), (band, pairs[1], direct_err)
+    assert abs(direct_err) <= so3_tol, (band, pairs[1], direct_err)
+
+
+def test_half_turns_against_reference():
+    rng = np.random.default_rng(sum(map(ord, "half_turns")))
+    for _ in range(PER_BAND):
+        z, az = rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)
+        rho = math.sqrt(1.0 - z * z)
+        n = np.array([rho * math.cos(az), rho * math.sin(az), z])
+        c = SO3Element(2.0 * np.outer(n, n) - np.eye(3))
+        ref = reference.so3_distance(c.m)
+        res = distance_so3(c)
+        lift_err = distance_so3_via_lifts(c) - ref
+        assert abs(lift_err) <= 1e-13, (n, lift_err)
+        assert abs(res.t - ref) <= 1e-13, (n, res.t - ref)
+        if res.beta is not None and res.phi0 is not None:
+            miss = np.max(np.abs(geodesic_point_so3(GeodesicParams(res.phi0, res.beta), res.t).m - c.m))
+            assert miss <= GEODESIC_TOL, (n, miss)

@@ -1,9 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from srdist.algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, so3_mul
+from srdist import so3_distance
+from srdist.algebra import (
+    InvalidElementError,
+    SO3Element,
+    SU2Element,
+    klein_omega,
+    lift_so3,
+    random_so3,
+    so3_mul,
+)
 from srdist.geodesics import GeodesicParams, geodesic_point_so3
 from srdist.so3_distance import (
     SO3_DIAMETER_BOUND,
@@ -137,9 +147,7 @@ def test_so3_never_exceeds_lift_distance():
 @pytest.mark.parametrize("abs_a", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
 def test_near_involutions_lift_and_distance(abs_a):
     # Rotations within about 2|A| of a half turn about an axis orthogonal
-    # to axis 1, where sqrt(1 + trace) cancels.  Route
-    # agreement is not asserted here: below |A| = 1e-5 the direct route
-    # loses digits to its own 1 + c11 cancellation.
+    # to axis 1, where sqrt(1 + trace) cancels.
     rng = np.random.default_rng(17)
     for _ in range(200):
         a_phase, b_phase = rng.uniform(0.0, TWO_PI, 2)
@@ -150,4 +158,82 @@ def test_near_involutions_lift_and_distance(abs_a):
         ))
         lift, _ = lift_so3(c)
         assert np.max(np.abs(klein_omega(lift).m - c.m)) <= 1e-12
-        assert 0.0 <= distance_so3(c).t <= SO3_DIAMETER_BOUND
+        t = distance_so3(c).t
+        assert 0.0 <= t <= SO3_DIAMETER_BOUND
+        assert abs(t - distance_so3_via_lifts(c)) <= 1e-9
+
+
+def _pair_with_abs_a(rng, abs_a):
+    a_phase, b_phase = rng.uniform(0.0, TWO_PI, 2)
+    b = math.sqrt((1.0 - abs_a) * (1.0 + abs_a))
+    return SU2Element(
+        abs_a * math.cos(a_phase), abs_a * math.sin(a_phase),
+        b * math.cos(b_phase), b * math.sin(b_phase),
+    )
+
+
+def test_routes_agree_on_noisy_rotations():
+    # Entry noise of 1e-10 moves the matrix off SO(3) by less than the
+    # construction tolerance; both routes must still read the same distance.
+    # At 1 - |A| = 1e-11 the noise alone can push an unnormalized |A| past
+    # 1 - ABS_A_EDGE, onto the axis-1 branch.
+    rng = np.random.default_rng(39)
+    samplers = [random_so3] + [
+        lambda rng, a=abs_a: klein_omega(_pair_with_abs_a(rng, a))
+        for abs_a in (1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-11)
+    ]
+    checked = 0
+    for sample in samplers:
+        for _ in range(100):
+            m = sample(rng).m + rng.uniform(-1e-10, 1e-10, (3, 3))
+            try:
+                c = SO3Element(m)
+            except InvalidElementError:
+                continue
+            checked += 1
+            assert abs(distance_so3(c).t - distance_so3_via_lifts(c)) <= 1e-9
+    assert checked >= 300
+
+
+def test_direct_route_is_independent_of_lifts(monkeypatch):
+    boundary = klein_omega(SU2Element(
+        0.5 * math.cos(math.pi / 4), 0.5 * math.sin(math.pi / 4), math.sqrt(0.75), 0.0
+    ))
+    rng = np.random.default_rng(40)
+    haar = [random_so3(rng) for _ in range(50)]
+    via_lifts = [distance_so3_via_lifts(c) for c in haar]
+
+    def forbidden(*args):
+        raise AssertionError("the direct route must not use the lift route")
+
+    monkeypatch.setattr(so3_distance, "lift_so3", forbidden)
+    monkeypatch.setattr(so3_distance, "distance_su2", forbidden)
+
+    assert distance_so3(SO3Element.identity()).t == 0.0
+    assert distance_so3(SO3Element(np.diag([1.0, -1.0, -1.0]))).t == pytest.approx(
+        math.pi * math.sqrt(3.0), abs=1e-15
+    )
+    assert distance_so3(SO3Element(np.diag([-1.0, 1.0, -1.0]))).t == math.pi
+    assert distance_so3(axis1_rotation(math.pi / 2)).t == pytest.approx(
+        math.pi * math.sqrt(7.0) / 2.0, abs=1e-15
+    )
+    res = distance_so3(boundary)
+    assert res.case is DistanceCase.BOUNDARY
+    assert res.t == pytest.approx(math.pi * math.sqrt(0.75), abs=1e-15)
+    end = geodesic_point_so3(GeodesicParams(res.phi0, res.beta), res.t)
+    assert np.max(np.abs(end.m - boundary.m)) < 1e-12
+    for c, t in zip(haar, via_lifts):
+        assert abs(distance_so3(c).t - t) <= 1e-12
+
+
+def test_signed_zeros_keep_beta_sign():
+    # The half turn about axis 1 with every sign pattern of its zero
+    # entries: sgn(0) = +1 fixes the sign of beta whatever the zeros' signs.
+    expected = distance_so3(SO3Element(np.diag([1.0, -1.0, -1.0])))
+    assert expected.t == pytest.approx(math.pi * math.sqrt(3.0), abs=1e-15)
+    off_diagonal = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    for zeros in itertools.product([0.0, -0.0], repeat=6):
+        m = np.diag([1.0, -1.0, -1.0])
+        for (i, j), z in zip(off_diagonal, zeros):
+            m[i, j] = z
+        assert distance_so3(SO3Element(m)) == expected
