@@ -45,13 +45,15 @@ def scan_su2(
     t_best = np.empty_like(dev)
     phi0 = np.empty_like(dev)
     k = np.arange(1, n_t + 1)
+    # u = t*s/2 = k*pi/n_t on every row, so its sin and cos do not
+    # depend on beta.
+    u = k * (math.pi / n_t)
+    su, cu = np.sin(u), np.cos(u)
     for start in range(0, len(betas), _BETA_BLOCK):
         beta = betas[start : start + _BETA_BLOCK, None]
         s = np.sqrt(1.0 + beta * beta)
         ts = k * (TWO_PI / s / n_t)
         h = ts * (beta / 2.0)
-        u = ts * (s / 2.0)
-        su, cu = np.sin(u), np.cos(u)
         sh, ch = np.sin(h), np.cos(h)
         bs = (beta / s) * su
         d = np.abs(bs * sh + cu * ch - a_re)

@@ -54,6 +54,49 @@ def endpoint_coords(phi0: float, beta: float, t: float) -> tuple[float, float, f
     )
 
 
+def endpoint_jacobian(phi0: float, beta: float, t: float) -> tuple[tuple, tuple, tuple]:
+    """Partials of `endpoint_coords` in phi0, beta and t, as three 4-tuples.
+
+    With c = beta/s, m = sin(u)/s and the chain factors du/dbeta =
+    t*beta/(2s), du/dt = s/2, dh/dbeta = t/2, dh/dt = beta/2,
+    dc/dbeta = 1/s^3 and dm/dbeta = cos(u)/s * du/dbeta - m*beta/s^2.
+    A does not depend on phi0, and d(A)/dh = -i*A.
+    """
+    s2 = 1.0 + beta * beta
+    s = math.sqrt(s2)
+    u = t * s / 2.0
+    h = beta * t / 2.0
+    su, cu = math.sin(u), math.cos(u)
+    sh, ch = math.sin(h), math.cos(h)
+    c = beta / s
+    a_re = c * su * sh + cu * ch
+    a_im = c * su * ch - cu * sh
+    # d/du of (Re A, Im A) at fixed c and h
+    a_re_u = c * cu * sh - su * ch
+    a_im_u = c * cu * ch + su * sh
+    u_beta = t * beta / (2.0 * s)
+    c_beta = 1.0 / (s * s2)
+    m = su / s
+    m_beta = cu / s * u_beta - m * beta / s2
+    cp, sp = math.cos(h + phi0), math.sin(h + phi0)
+    b_re, b_im = m * cp, m * sp
+    return (
+        (0.0, 0.0, -b_im, b_re),
+        (
+            c_beta * su * sh + a_re_u * u_beta + a_im * t / 2.0,
+            c_beta * su * ch + a_im_u * u_beta - a_re * t / 2.0,
+            m_beta * cp - b_im * t / 2.0,
+            m_beta * sp + b_re * t / 2.0,
+        ),
+        (
+            a_re_u * s / 2.0 + a_im * beta / 2.0,
+            a_im_u * s / 2.0 - a_re * beta / 2.0,
+            cu / 2.0 * cp - b_im * beta / 2.0,
+            cu / 2.0 * sp + b_re * beta / 2.0,
+        ),
+    )
+
+
 def geodesic_point(p: GeodesicParams, t: float) -> SU2Element:
     """Closed-form geodesic endpoint at time t >= 0 (see `endpoint_coords`)."""
     if t < 0:

@@ -3,11 +3,12 @@
 `shoot_min_time` scans a (beta, t) grid of geodesics from the identity,
 with phi0 at each cell set in closed form to match the phase of the
 target's B (see `_kernels.scan_su2`), keeps the beta rows whose endpoint
-comes closest to the target, polishes each candidate in (phi0, beta, t)
-by coordinate descent with step halving, and reports the least arrival
-time together with all parameter-distinct minimizers.  It shares only
-the geodesic formulas with the production distance code, never its case
-analysis, so it serves as an independent check.
+comes closest to the target (per SU(2) lift), polishes each candidate in
+(phi0, beta, t) by Levenberg-Marquardt on the endpoint residual with the
+closed-form Jacobian `geodesics.endpoint_jacobian`, and reports the
+least arrival time together with all parameter-distinct minimizers.  It
+shares only the geodesic formulas with the production distance code,
+never its case analysis, so it serves as an independent check.
 
 `br_system_residual` / `demonstrate_br_nonuniqueness` evaluate the
 distance system published in earlier literature and exhibit two distinct
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .algebra import SO3Element, SU2Element, klein_entries, lift_so3
-from .geodesics import endpoint_coords
+from .geodesics import endpoint_coords, endpoint_jacobian
 from .su2_distance import DistanceCase, distance_su2
 
 TWO_PI = 2.0 * math.pi
@@ -41,11 +42,20 @@ TIME_TOL = 2e-2
 # Parameter-space radius for deduplicating minimizers.
 DEDUP_RADIUS = 0.1
 
+# Rows refined per SU(2) lift at most.
 _CANDIDATE_CAP = 512
+# Levenberg-Marquardt damping: start, and factors after a taken and a
+# rejected step.
+_MU_START = 1e-3
+_MU_DOWN = 1.0 / 3.0
+_MU_UP = 8.0
+# Damping at which a step is negligible against any x: give up.
+_MU_MAX = 1e30
 
-# Functions of (phi0, beta, t).
+# Functions of (phi0, beta, t): the endpoint residual, and its partials
+# in phi0, beta and t as three tuples of the residual's length.
 Residual = Callable[[float, float, float], tuple]
-Objective = Callable[[float, float, float], float]
+Jacobian = Callable[[float, float, float], tuple]
 
 
 class ShootNoMatchError(RuntimeError):
@@ -56,8 +66,10 @@ class ShootNoMatchError(RuntimeError):
 class GridSpec:
     """Scan grid of n_beta x n_t cells over beta in [-beta_max, beta_max].
 
-    The scan has no phi0 axis (phi0 is solved in closed form per cell);
-    n_phi sets the phi0 step 2*pi/n_phi that refinement starts from.
+    refine_steps caps the Levenberg-Marquardt iterations (Jacobian
+    evaluations) per candidate.  The scan has no phi0 axis (phi0 is
+    solved in closed form per cell), and refinement needs no phi0 step,
+    so n_phi is validated but no longer read.
     """
 
     n_phi: int = 256
@@ -107,64 +119,108 @@ def _residual_so3(target: SO3Element) -> Residual:
     return residual
 
 
-def _objectives(residual: Residual) -> tuple[Objective, Objective]:
-    """(max-norm deviation, squared error) of a residual."""
+def _jacobian_so3(phi0: float, beta: float, t: float) -> tuple[tuple, tuple, tuple]:
+    """Partials of `klein_entries(*endpoint_coords(...))` in phi0, beta and t.
 
-    def dev(phi0: float, beta: float, t: float) -> float:
-        return max(map(abs, residual(phi0, beta, t)))
+    Each `klein_entries` entry is a quadratic form in q = (a1, a2, b1, b2),
+    so its differential along dq is the polarized form, linear in dq.
+    """
+    a1, a2, b1, b2 = endpoint_coords(phi0, beta, t)
+    return tuple(
+        (
+            2.0 * (a1 * d1 + a2 * d2 - b1 * e1 - b2 * e2),
+            2.0 * (a2 * e1 + d2 * b1 - a1 * e2 - d1 * b2),
+            2.0 * (a2 * e2 + d2 * b2 + a1 * e1 + d1 * b1),
+            2.0 * (a2 * e1 + d2 * b1 + a1 * e2 + d1 * b2),
+            2.0 * (a1 * d1 - a2 * d2 + b1 * e1 - b2 * e2),
+            2.0 * (b1 * e2 + e1 * b2 - a1 * d2 - d1 * a2),
+            2.0 * (a2 * e2 + d2 * b2 - a1 * e1 - d1 * b1),
+            2.0 * (b1 * e2 + e1 * b2 + a1 * d2 + d1 * a2),
+            2.0 * (a1 * d1 - a2 * d2 - b1 * e1 + b2 * e2),
+        )
+        for d1, d2, e1, e2 in endpoint_jacobian(phi0, beta, t)
+    )
 
-    def sq(phi0: float, beta: float, t: float) -> float:
-        r = residual(phi0, beta, t)
-        return sum(map(operator.mul, r, r))
 
-    return dev, sq
+def _dot(u: tuple, v: tuple) -> float:
+    return sum(map(operator.mul, u, v))
+
+
+def _damped_step(
+    a: tuple, g: tuple, damp: tuple
+) -> Optional[tuple[float, float, float]]:
+    """Solve (A + diag(damp)) s = -g by Cramer's rule; None unless positive definite.
+
+    A is symmetric, given as its upper triangle (a00, a01, a02, a11, a12, a22).
+    """
+    a00, a01, a02, a11, a12, a22 = a
+    m00, m11, m22 = a00 + damp[0], a11 + damp[1], a22 + damp[2]
+    k00 = m11 * m22 - a12 * a12
+    k01 = a02 * a12 - a01 * m22
+    k02 = a01 * a12 - a02 * m11
+    det = m00 * k00 + a01 * k01 + a02 * k02
+    if not det > 0.0:
+        return None
+    k11 = m00 * m22 - a02 * a02
+    k12 = a01 * a02 - m00 * a12
+    k22 = m00 * m11 - a01 * a01
+    g0, g1, g2 = g
+    return (
+        -(k00 * g0 + k01 * g1 + k02 * g2) / det,
+        -(k01 * g0 + k11 * g1 + k12 * g2) / det,
+        -(k02 * g0 + k12 * g1 + k22 * g2) / det,
+    )
 
 
 def _refine(
-    dev: Callable[[float, float, float], float],
-    sq: Callable[[float, float, float], float],
+    residual: Residual,
+    jacobian: Jacobian,
     phi0: float,
     beta: float,
     t: float,
-    steps: tuple[float, float, float],
-    rounds: int,
+    iterations: int,
 ) -> tuple[float, float, float, float]:
-    """Coordinate descent with step halving on the squared endpoint error.
+    """Levenberg-Marquardt on the squared endpoint residual (Moré 1978).
 
-    Sweeps the three coordinates greedily; when a full sweep brings no
-    improvement the steps are halved.  `rounds` counts the halvings, so
-    the final steps are the grid spacings shrunk by 2^-rounds.  The
-    squared error is the descent objective (the max-norm deviation has
-    ridges that stall single-coordinate moves); the returned deviation is
-    still the max-norm one.
+    Each iteration evaluates the Jacobian J once and solves the damped
+    normal equations (J^T J + mu*D) s = -J^T r in plain floats, D being
+    the running maximum of diag(J^T J), which makes the damping
+    scale-free across the three very differently scaled parameters.  A
+    step is taken only if it lowers the squared error and keeps t > 0;
+    otherwise mu grows and the step is solved again.  The loop ends
+    after `iterations` iterations, or once the residual stops falling:
+    a rejected step no longer moves x.  Returns (phi0, beta, t,
+    max-norm deviation).
     """
-    x = [phi0, beta, t]
-    s = list(steps)
-    best = sq(*x)
-    halvings = 0
-    sweeps = 0
-    max_sweeps = 20 * rounds
-    while halvings < rounds and sweeps < max_sweeps:
-        sweeps += 1
-        moved = False
-        for i in range(3):
-            for direction in (1.0, -1.0):
-                while True:
-                    trial = list(x)
-                    trial[i] = x[i] + direction * s[i]
-                    if i == 2 and trial[i] <= 0.0:
+    x = (phi0, beta, t)
+    r = residual(*x)
+    f = _dot(r, r)
+    mu = _MU_START
+    d0 = d1 = d2 = 0.0
+    for _ in range(iterations):
+        if f == 0.0:
+            break
+        c0, c1, c2 = jacobian(*x)
+        a = (_dot(c0, c0), _dot(c0, c1), _dot(c0, c2), _dot(c1, c1), _dot(c1, c2), _dot(c2, c2))
+        g = (_dot(c0, r), _dot(c1, r), _dot(c2, r))
+        d0, d1, d2 = max(d0, a[0]), max(d1, a[3]), max(d2, a[5])
+        while True:
+            s = _damped_step(a, g, (mu * d0, mu * d1, mu * d2))
+            if s is not None:
+                trial = (x[0] + s[0], x[1] + s[1], x[2] + s[2])
+                if trial == x:
+                    return (*x, max(map(abs, r)))
+                if trial[2] > 0.0:
+                    r_new = residual(*trial)
+                    f_new = _dot(r_new, r_new)
+                    if f_new < f:
                         break
-                    d = sq(*trial)
-                    if d < best:
-                        best = d
-                        x = trial
-                        moved = True
-                    else:
-                        break
-        if not moved:
-            s = [v / 2.0 for v in s]
-            halvings += 1
-    return x[0], x[1], x[2], dev(*x)
+            if mu > _MU_MAX:
+                return (*x, max(map(abs, r)))
+            mu *= _MU_UP
+        x, r, f = trial, r_new, f_new
+        mu *= _MU_DOWN
+    return (*x, max(map(abs, r)))
 
 
 def _dedup(
@@ -186,9 +242,26 @@ def _dedup(
     return kept
 
 
+def _seeds(target: np.ndarray, betas: np.ndarray, n_t: int) -> list[tuple[float, float, float]]:
+    """(phi0, beta, t) of the scan rows close enough to one SU(2) lift to refine.
+
+    The threshold adapts to the lift's best row because the raw grid
+    resolution cannot reach REFINED_TOL directly.
+    """
+    dev, t_best, phis = _kernels.scan_su2(target, betas, n_t)
+    min_dev = float(dev.min())
+    threshold = max(MATCH_TOL, 4.0 * min_dev, min_dev + 2e-3)
+    idx = np.flatnonzero(dev <= threshold)
+    if len(idx) > _CANDIDATE_CAP:
+        order = np.argsort(dev[idx], kind="stable")
+        idx = idx[order[:_CANDIDATE_CAP]]
+    return list(zip(phis[idx].tolist(), betas[idx].tolist(), t_best[idx].tolist()))
+
+
 def _shoot(
     lifts: list[np.ndarray],
     residual: Residual,
+    jacobian: Jacobian,
     grid: GridSpec,
     beta_hint: Optional[float],
 ) -> ShootResult:
@@ -200,37 +273,11 @@ def _shoot(
         beta_max = 1.25 * abs(beta_hint)
 
     betas = np.linspace(-beta_max, beta_max, grid.n_beta)
-    # One row per (SU(2) lift, beta); an SO(3) target is reached through
-    # either of its two lifts.
-    scans = [_kernels.scan_su2(vec, betas, grid.n_t) for vec in lifts]
-    dev, t_best, phis = (np.concatenate(col) for col in zip(*scans))
-    beta_rows = np.tile(betas, len(lifts))
-
-    min_dev = float(dev.min())
-    threshold = max(MATCH_TOL, 4.0 * min_dev, min_dev + 2e-3)
-    cand_idx = np.flatnonzero(dev <= threshold)
-    if len(cand_idx) > _CANDIDATE_CAP:
-        order = np.argsort(dev[cand_idx], kind="stable")
-        cand_idx = cand_idx[order[:_CANDIDATE_CAP]]
-
-    steps = (
-        TWO_PI / grid.n_phi,
-        2.0 * beta_max / (grid.n_beta - 1),
-        TWO_PI / grid.n_t,
-    )
-    dev_fn, sq_fn = _objectives(residual)
-    refined: list[tuple[float, float, float, float]] = []
-    for i in cand_idx:
-        r = _refine(
-            dev_fn,
-            sq_fn,
-            float(phis[i]),
-            float(beta_rows[i]),
-            float(t_best[i]),
-            steps,
-            grid.refine_steps,
-        )
-        refined.append(r)
+    # An SO(3) target is reached through either of its two lifts; each
+    # lift gets its own threshold, so a grid that passes closer to one
+    # lift does not hide the other's rows.
+    seeds = [p for vec in lifts for p in _seeds(vec, betas, grid.n_t)]
+    refined = [_refine(residual, jacobian, *p, grid.refine_steps) for p in seeds]
 
     exact = sorted(
         (r for r in refined if r[3] <= REFINED_TOL),
@@ -239,7 +286,7 @@ def _shoot(
     if not exact:
         raise ShootNoMatchError(
             f"no refined candidate within {REFINED_TOL} of the target "
-            f"(best deviation {min(r[3] for r in refined) if refined else min_dev:.3e})"
+            f"(best deviation {min(r[3] for r in refined):.3e})"
         )
     # The first minimizer's time, so t_min never undercuts the minimizers.
     t_min = exact[0][2]
@@ -255,7 +302,9 @@ def shoot_min_time(target: SU2Element, grid: GridSpec = GridSpec()) -> ShootResu
     representatives the scan seeds are listed, not the whole circle.
     """
     ref = distance_su2(target)
-    return _shoot([_target_vector_su2(target)], _residual_su2(target), grid, ref.beta)
+    return _shoot(
+        [_target_vector_su2(target)], _residual_su2(target), endpoint_jacobian, grid, ref.beta
+    )
 
 
 def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> ShootResult:
@@ -269,7 +318,7 @@ def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> Shoot
 
     ref = distance_so3(target)
     lifts = [_target_vector_su2(g) for g in lift_so3(target)]
-    return _shoot(lifts, _residual_so3(target), grid, ref.beta)
+    return _shoot(lifts, _residual_so3(target), _jacobian_so3, grid, ref.beta)
 
 
 def br_system_residual(

@@ -7,6 +7,8 @@ from srdist.algebra import klein_omega
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
+    endpoint_coords,
+    endpoint_jacobian,
     geodesic_point,
     geodesic_point_exp,
     geodesic_point_so3,
@@ -125,3 +127,18 @@ def test_geodesics_never_beat_the_distance():
         p = GeodesicParams(rng.uniform(0, TWO_PI), rng.uniform(-5, 5))
         t = rng.uniform(0, cut_time_bound(p.beta))
         assert distance_su2(geodesic_point(p, t)).t <= t + 1e-9
+
+
+def test_endpoint_jacobian_matches_central_differences():
+    rng = np.random.default_rng(15)
+    h = 1e-6
+    worst = 0.0
+    for _ in range(300):
+        x = np.array([rng.uniform(0, TWO_PI), rng.uniform(-100, 100), 0.0])
+        x[2] = rng.uniform(0, cut_time_bound(x[1]))
+        for i, col in enumerate(endpoint_jacobian(*x)):
+            step = np.zeros(3)
+            step[i] = h
+            fd = np.subtract(endpoint_coords(*(x + step)), endpoint_coords(*(x - step))) / (2 * h)
+            worst = max(worst, np.max(np.abs(fd - col)))
+    assert worst < 1e-7

@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from srdist.algebra import SO3Element, SU2Element, klein_omega, random_su2
+from srdist.algebra import SO3Element, SU2Element, klein_entries, klein_omega, random_su2
 from srdist.cutlocus import CutTag, classify_cut_locus_so3
-from srdist.geodesics import GeodesicParams, geodesic_point, geodesic_point_so3
+from srdist.geodesics import (
+    GeodesicParams,
+    cut_time_bound,
+    endpoint_coords,
+    geodesic_point,
+    geodesic_point_so3,
+)
 from srdist.oracle import (
     GridSpec,
     REFINED_TOL,
     TIME_TOL,
+    ShootNoMatchError,
+    _jacobian_so3,
     br_system_residual,
     demonstrate_br_nonuniqueness,
     shoot_min_time,
@@ -36,6 +44,29 @@ class TestGridSpec:
             GridSpec(n_phi=32)
         with pytest.raises(ValueError):
             GridSpec(beta_max=1.0)
+
+    def test_positional_and_keyword_forms(self):
+        assert GridSpec(64, 64, 8.0, 64, refine_steps=1).refine_steps == 1
+        assert GridSpec(n_phi=128, n_beta=128, beta_max=8.0, n_t=256).n_t == 256
+
+
+def test_so3_jacobian_matches_central_differences():
+    rng = np.random.default_rng(55)
+    h = 1e-6
+    worst = 0.0
+
+    def entries(x):
+        return np.array(klein_entries(*endpoint_coords(*x)))
+
+    for _ in range(300):
+        x = np.array([rng.uniform(0, TWO_PI), rng.uniform(-100, 100), 0.0])
+        x[2] = rng.uniform(0, cut_time_bound(x[1]))
+        for i, col in enumerate(_jacobian_so3(*x)):
+            step = np.zeros(3)
+            step[i] = h
+            fd = (entries(x + step) - entries(x - step)) / (2 * h)
+            worst = max(worst, np.max(np.abs(fd - col)))
+    assert worst < 1e-7
 
 
 class TestShootSU2:
@@ -76,16 +107,37 @@ class TestShootSU2:
 
 
 class TestHighMomentumTargets:
-    # Endpoints of steep geodesics: candidates within MATCH_TOL of these
+    # Endpoints of steep geodesics: scan cells within MATCH_TOL of these
     # arrive earlier than any refined minimizer, so t_min must be taken
-    # over the refined minimizers.  Default grid: coarser ones refine to
-    # no candidate within REFINED_TOL here.
+    # over the refined minimizers.  The steep valley in (beta, t) needs
+    # the Gauss-Newton steps of the refinement; it converges from the
+    # coarse grid's cells as well.
     @pytest.mark.parametrize("beta, t", [(20.0, 0.25), (30.0, 0.1)])
     def test_t_min_is_first_minimizer(self, beta, t):
         g = geodesic_point(GeodesicParams(1.0, beta), t)
         res = shoot_min_time(g)
         assert res.t_min == res.minimizers[0][2]
-        assert abs(res.t_min - distance_su2(g).t) <= TIME_TOL
+        assert abs(res.t_min - distance_su2(g).t) <= 1e-12
+
+    @pytest.mark.parametrize("beta, t", [(20.0, 0.25), (30.0, 0.1), (100.0, 0.05)])
+    def test_small_grid(self, beta, t):
+        g = geodesic_point(GeodesicParams(1.0, beta), t)
+        res = shoot_min_time(g, SMALL)
+        assert abs(res.t_min - distance_su2(g).t) <= 1e-12
+
+
+class TestNearIdentity:
+    # Within 1e-2 of the identity the first grid cells overshoot the
+    # target; the oracle must hit it or raise, never return a wrong time.
+    @pytest.mark.parametrize("d", [1e-2, 1e-3])
+    @pytest.mark.parametrize("phi0, beta", [(0.3, 0.0), (1.0, 2.0), (4.0, -5.0), (2.0, 20.0)])
+    def test_hit_or_typed_error(self, phi0, beta, d):
+        g = geodesic_point(GeodesicParams(phi0, beta), d)
+        try:
+            res = shoot_min_time(g, SMALL)
+        except ShootNoMatchError:
+            return
+        assert abs(res.t_min - distance_su2(g).t) <= 1e-12
 
 
 class TestShootSO3:
@@ -94,6 +146,15 @@ class TestShootSO3:
         c = klein_omega(random_su2(rng))
         res = shoot_min_time_so3(c, SMALL)
         assert abs(res.t_min - distance_so3(c).t) < TIME_TOL
+
+    def test_haar_rotations_reach_nearer_lift(self):
+        # Each lift is seeded from its own scan rows: a grid that passes
+        # closer to the far lift must not hide the near lift's rows.
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            c = klein_omega(random_su2(rng))
+            res = shoot_min_time_so3(c, SMALL)
+            assert abs(res.t_min - distance_so3(c).t) <= 1e-12
 
     def test_sym_target_has_two_minimizers(self):
         # a half turn about a generic axis is reached by two geodesics
