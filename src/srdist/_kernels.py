@@ -4,6 +4,12 @@ A geodesic's endpoint depends on phi0 only through the phase of B:
 B = (sin(u)/s) * exp(i*(beta*t/2 + phi0)), and A does not involve phi0.
 So for every (beta, t) the phi0 bringing B closest to the target is
 known in closed form, and the scan needs no phi0 axis.
+
+Every beta row is evaluated on its own: a row's result does not depend
+on which other rows are scanned with it, so a caller may scan any subset
+of rows in any order.  `row_bounds` is a per-row lower bound on the
+scan's deviation, computed with the scan's own float operations, which
+lets the caller skip rows that cannot come close to the target.
 """
 from __future__ import annotations
 
@@ -16,6 +22,31 @@ TWO_PI = 2.0 * math.pi
 # Rows of beta evaluated at once; bounds the scan's temporaries to a few
 # (32, n_t) arrays whatever the grid size.
 _BETA_BLOCK = 32
+
+
+def _speed(beta: np.ndarray) -> np.ndarray:
+    """s = sqrt(1 + beta^2), the rate of u = t*s/2."""
+    return np.sqrt(1.0 + beta * beta)
+
+
+def _b_terms(target: np.ndarray) -> tuple[float, float, float]:
+    """(arg B, |B|, max-norm of a unit complex number with B's phase) of a target."""
+    b_re, b_im = float(target[2]), float(target[3])
+    theta = math.atan2(b_im, b_re)
+    return theta, math.hypot(b_re, b_im), max(abs(math.cos(theta)), abs(math.sin(theta)))
+
+
+def row_bounds(target: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Per-beta lower bound on `scan_su2`'s deviation: max(|B| - 1/s, 0) * b_unit.
+
+    On every row |B(t)| = sin(u)/s <= 1/s.  The bound is exact in floats,
+    not only in reals: it uses the scan's s, |B| and b_unit, fl(sin u) <= 1
+    and rounding is monotone, so fl(sin(u)/s) <= fl(1/s) and the scan's B
+    term |sin(u)/s - |B|| * b_unit is at least the bound on every cell.
+    """
+    _, b_abs, b_unit = _b_terms(target)
+    s = _speed(np.asarray(betas, dtype=float))
+    return np.maximum(b_abs - 1.0 / s, 0.0) * b_unit
 
 
 def scan_su2(
@@ -35,11 +66,8 @@ def scan_su2(
     Returns (dev, t_best, phi0), each of shape (len(betas),), phi0 in
     [0, 2*pi).
     """
-    a_re, a_im, b_re, b_im = (float(v) for v in target)
-    theta = math.atan2(b_im, b_re)
-    b_abs = math.hypot(b_re, b_im)
-    # max-norm of a unit complex number with the target's phase
-    b_unit = max(abs(math.cos(theta)), abs(math.sin(theta)))
+    a_re, a_im = float(target[0]), float(target[1])
+    theta, b_abs, b_unit = _b_terms(target)
     betas = np.asarray(betas, dtype=float)
     dev = np.empty(len(betas))
     t_best = np.empty_like(dev)
@@ -51,7 +79,7 @@ def scan_su2(
     su, cu = np.sin(u), np.cos(u)
     for start in range(0, len(betas), _BETA_BLOCK):
         beta = betas[start : start + _BETA_BLOCK, None]
-        s = np.sqrt(1.0 + beta * beta)
+        s = _speed(beta)
         ts = k * (TWO_PI / s / n_t)
         h = ts * (beta / 2.0)
         sh, ch = np.sin(h), np.cos(h)

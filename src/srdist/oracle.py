@@ -6,7 +6,10 @@ target's B (see `_kernels.scan_su2`), keeps the beta rows whose endpoint
 comes closest to the target (per SU(2) lift), polishes each candidate in
 (phi0, beta, t) by Levenberg-Marquardt on the endpoint residual with the
 closed-form Jacobian `geodesics.endpoint_jacobian`, and reports the
-least arrival time together with all parameter-distinct minimizers.  It
+least arrival time together with all parameter-distinct minimizers.
+Rows whose lower bound |B_target| - 1/s on the deviation
+(`_kernels.row_bounds`) already exceeds the candidate threshold are not
+scanned; the seeds, and so the result, equal those of the full scan.  It
 shares only the geodesic formulas with the production distance code,
 never its case analysis, so it serves as an independent check.
 
@@ -79,11 +82,13 @@ class GridSpec:
     refine_steps: int = 60
 
     def __post_init__(self):
-        if min(self.n_phi, self.n_beta, self.n_t) < 64:
+        # operator.index raises TypeError on a non-integer (numpy ints pass)
+        sizes = [operator.index(n) for n in (self.n_phi, self.n_beta, self.n_t)]
+        if min(sizes) < 64:
             raise ValueError("grid sizes must be at least 64 in each dimension")
-        if self.beta_max < 8.0:
-            raise ValueError("beta_max must be at least 8")
-        if self.refine_steps < 1:
+        if not (math.isfinite(self.beta_max) and self.beta_max >= 8.0):
+            raise ValueError("beta_max must be finite and at least 8")
+        if operator.index(self.refine_steps) < 1:
             raise ValueError("refine_steps must be positive")
 
 
@@ -242,15 +247,38 @@ def _dedup(
     return kept
 
 
+def _threshold(min_dev: float) -> float:
+    """Scan deviation at or below which a row is refined, given the best row's.
+
+    It adapts to the best row because the raw grid resolution cannot
+    reach REFINED_TOL directly.  It grows with min_dev, so no threshold
+    is below _threshold(0).
+    """
+    return max(MATCH_TOL, 4.0 * min_dev, min_dev + 2e-3)
+
+
 def _seeds(target: np.ndarray, betas: np.ndarray, n_t: int) -> list[tuple[float, float, float]]:
     """(phi0, beta, t) of the scan rows close enough to one SU(2) lift to refine.
 
-    The threshold adapts to the lift's best row because the raw grid
-    resolution cannot reach REFINED_TOL directly.
+    Only rows whose `_kernels.row_bounds` is at most the threshold are
+    scanned: the others have dev >= bound > threshold >= min_dev, so they
+    could neither be selected nor lower the minimum.  The rows under
+    _threshold(0) go first (those of least bound if there are none),
+    then the rows the threshold of the minimum so far admits, until no
+    row is left under it.  Rows scan independently of each other, so the
+    seeds are those of the full scan, bit for bit.
     """
-    dev, t_best, phis = _kernels.scan_su2(target, betas, n_t)
-    min_dev = float(dev.min())
-    threshold = max(MATCH_TOL, 4.0 * min_dev, min_dev + 2e-3)
+    bound = _kernels.row_bounds(target, betas)
+    dev = np.full(len(betas), np.inf)
+    t_best = np.empty(len(betas))
+    phis = np.empty(len(betas))
+    scanned = np.zeros(len(betas), dtype=bool)
+    threshold = max(_threshold(0.0), float(bound.min()))
+    while (todo := (bound <= threshold) & ~scanned).any():
+        rows = np.flatnonzero(todo)
+        dev[rows], t_best[rows], phis[rows] = _kernels.scan_su2(target, betas[rows], n_t)
+        scanned |= todo
+        threshold = _threshold(float(dev.min()))
     idx = np.flatnonzero(dev <= threshold)
     if len(idx) > _CANDIDATE_CAP:
         order = np.argsort(dev[idx], kind="stable")
@@ -284,9 +312,9 @@ def _shoot(
         key=lambda r: (r[2], r[0] % TWO_PI, r[1]),
     )
     if not exact:
+        best = f"best deviation {min(r[3] for r in refined):.3e}" if refined else "no candidates"
         raise ShootNoMatchError(
-            f"no refined candidate within {REFINED_TOL} of the target "
-            f"(best deviation {min(r[3] for r in refined):.3e})"
+            f"no refined candidate within {REFINED_TOL} of the target ({best})"
         )
     # The first minimizer's time, so t_min never undercuts the minimizers.
     t_min = exact[0][2]
@@ -295,7 +323,10 @@ def _shoot(
 
 
 def shoot_min_time(target: SU2Element, grid: GridSpec = GridSpec()) -> ShootResult:
-    """Minimal geodesic arrival time at an SU(2) target, by exhaustive scan.
+    """Minimal geodesic arrival time at an SU(2) target, by grid scan and refinement.
+
+    The scan skips only beta rows that provably cannot hold a seed (see
+    `_seeds`), so its seeds, and the result, equal the full scan's.
 
     When B = 0 (A on the unit circle, the Loc stratum) the endpoint does
     not depend on phi0, so every phi0 is minimizing; only the

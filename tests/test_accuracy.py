@@ -13,14 +13,10 @@ along it.  One more band holds exact half turns 2nn^T - E, built as
 float matrices with area-uniform axes n: the direct route's reading of
 the covering pair must not cancel there.
 
-Tolerances, per band:
-
-* SU(2): 1e-13 everywhere.
-* SO(3) images, through both routes: 1e-13, except at 1 - |A| = d:
-  max(1e-13, 3e-16/sqrt(d)).  That floor was the error of reading
-  k^2 = (1 - c11)/2 off the matrix; with k^2 = |B|^2 of the covering
-  pair both routes measure within 1e-14 there, so it could tighten.
-* Half turns, through both routes: 1e-13.
+Tolerance: 1e-13 on every band, for SU(2), for the SO(3) images
+through both routes and for the half turns.  At 1 - |A| = d this holds
+for SO(3) because k^2 is |B|^2 of the covering pair, not (1 - c11)/2
+read off the matrix, which would lose 3e-16/sqrt(d) there.
 """
 import importlib.util
 import math
@@ -43,6 +39,8 @@ reference = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reference)
 
 PER_BAND = 16
+# Distance tolerance against the reference, on every band and both groups.
+TOL = 1e-13
 GEODESIC_TOL = 1e-9
 
 
@@ -61,23 +59,22 @@ def _eps_case_pair(rng):
     return _pair(rng, abs_a, math.sqrt(1.0 - abs_a * abs_a), theta * rng.choice([-1.0, 1.0]))
 
 
-# (band, generator, SO(3) tolerance)
+# (band, generator)
 BANDS = (
     [
-        (f"abs_a_1e-{k}", lambda rng, a=10.0**-k: _pair(rng, a, math.sqrt((1.0 - a) * (1.0 + a))), 1e-13)
+        (f"abs_a_1e-{k}", lambda rng, a=10.0**-k: _pair(rng, a, math.sqrt((1.0 - a) * (1.0 + a))))
         for k in range(2, 12)
     ]
     + [
-        (f"one_minus_abs_a_1e-{k}", lambda rng, d=10.0**-k: _pair(rng, 1.0 - d, math.sqrt(d * (2.0 - d))),
-         max(1e-13, 3e-16 / math.sqrt(10.0**-k)))
+        (f"one_minus_abs_a_1e-{k}", lambda rng, d=10.0**-k: _pair(rng, 1.0 - d, math.sqrt(d * (2.0 - d))))
         for k in range(2, 12)
     ]
-    + [("eps_case_band", _eps_case_pair, 1e-13), ("haar", random_su2, 1e-13)]
+    + [("eps_case_band", _eps_case_pair), ("haar", random_su2)]
 )
 
 
-@pytest.mark.parametrize("band, draw, so3_tol", BANDS, ids=[b[0] for b in BANDS])
-def test_band_against_reference(band, draw, so3_tol):
+@pytest.mark.parametrize("band, draw", BANDS, ids=[b[0] for b in BANDS])
+def test_band_against_reference(band, draw):
     rng = np.random.default_rng(sum(map(ord, band)))
     pairs = [draw(rng) for _ in range(PER_BAND)]
     results = [distance_su2(g) for g in pairs]
@@ -90,14 +87,14 @@ def test_band_against_reference(band, draw, so3_tol):
 
     g = pairs[0]
     err = results[0].t - reference.su2_distance((g.a_re, g.a_im, g.b_re, g.b_im))
-    assert abs(err) <= 1e-13, (band, g, err)
+    assert abs(err) <= TOL, (band, g, err)
 
     c = klein_omega(pairs[1])
     ref = reference.so3_distance(c.m)
     lift_err = distance_so3_via_lifts(c) - ref
     direct_err = distance_so3(c).t - ref
-    assert abs(lift_err) <= so3_tol, (band, pairs[1], lift_err)
-    assert abs(direct_err) <= so3_tol, (band, pairs[1], direct_err)
+    assert abs(lift_err) <= TOL, (band, pairs[1], lift_err)
+    assert abs(direct_err) <= TOL, (band, pairs[1], direct_err)
 
 
 def test_half_turns_against_reference():
@@ -110,8 +107,8 @@ def test_half_turns_against_reference():
         ref = reference.so3_distance(c.m)
         res = distance_so3(c)
         lift_err = distance_so3_via_lifts(c) - ref
-        assert abs(lift_err) <= 1e-13, (n, lift_err)
-        assert abs(res.t - ref) <= 1e-13, (n, res.t - ref)
+        assert abs(lift_err) <= TOL, (n, lift_err)
+        assert abs(res.t - ref) <= TOL, (n, res.t - ref)
         if res.beta is not None and res.phi0 is not None:
             miss = np.max(np.abs(geodesic_point_so3(GeodesicParams(res.phi0, res.beta), res.t).m - c.m))
             assert miss <= GEODESIC_TOL, (n, miss)

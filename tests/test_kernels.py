@@ -95,3 +95,18 @@ def test_scan_within_sqrt2_of_phi0_grid_scan():
             )
             dev3 = float(np.min(np.maximum(dev_b, dev_a[None, :])))
             assert dev[j] <= math.sqrt(2.0) * dev3 + 1e-12
+
+
+def test_rows_scan_independently():
+    # Each beta row's result is the same whatever rows are scanned with
+    # it, bit for bit; the oracle's pruned scan relies on this.
+    rng = np.random.default_rng(65)
+    betas = np.linspace(-8.0, 8.0, 256)
+    for _ in range(3):
+        target = _vec(random_su2(rng))
+        full = scan_su2(target, betas, N_T)
+        for size in (1, 7, 33, 100, 256):
+            rows = rng.permutation(len(betas))[:size]
+            part = scan_su2(target, betas[rows], N_T)
+            for got, want in zip(part, full):
+                assert np.array_equal(got, want[rows])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from srdist import _kernels, oracle
+from srdist._kernels import row_bounds, scan_su2
 from srdist.algebra import SO3Element, SU2Element, klein_entries, klein_omega, random_su2
 from srdist.cutlocus import CutTag, classify_cut_locus_so3
 from srdist.geodesics import (
@@ -17,7 +19,10 @@ from srdist.oracle import (
     REFINED_TOL,
     TIME_TOL,
     ShootNoMatchError,
+    _CANDIDATE_CAP,
     _jacobian_so3,
+    _seeds,
+    _threshold,
     br_system_residual,
     demonstrate_br_nonuniqueness,
     shoot_min_time,
@@ -48,6 +53,123 @@ class TestGridSpec:
     def test_positional_and_keyword_forms(self):
         assert GridSpec(64, 64, 8.0, 64, refine_steps=1).refine_steps == 1
         assert GridSpec(n_phi=128, n_beta=128, beta_max=8.0, n_t=256).n_t == 256
+
+    @pytest.mark.parametrize("beta_max", [math.nan, math.inf])
+    def test_rejects_non_finite_beta_max(self, beta_max):
+        with pytest.raises(ValueError):
+            GridSpec(beta_max=beta_max)
+
+    @pytest.mark.parametrize(
+        "field", [{"n_t": 100.5}, {"n_beta": 128.0}, {"n_phi": 64.0}, {"refine_steps": 2.0}]
+    )
+    def test_rejects_non_integer_sizes(self, field):
+        with pytest.raises(TypeError):
+            GridSpec(**field)
+
+    def test_accepts_numpy_integers(self):
+        g = GridSpec(n_phi=np.int64(64), n_beta=np.int32(64), n_t=np.int64(128), refine_steps=np.int64(5))
+        assert g.n_t == 128
+
+
+def _bits(seeds):
+    return [tuple(map(float.hex, p)) for p in seeds]
+
+
+def _full_scan_seeds(target, betas, n_t):
+    """Seeds and per-row deviations of the scan over every row, unpruned."""
+    dev, t_best, phis = scan_su2(target, betas, n_t)
+    idx = np.flatnonzero(dev <= _threshold(float(dev.min())))
+    if len(idx) > _CANDIDATE_CAP:
+        idx = idx[np.argsort(dev[idx], kind="stable")[:_CANDIDATE_CAP]]
+    return list(zip(phis[idx].tolist(), betas[idx].tolist(), t_best[idx].tolist())), dev
+
+
+class TestPrunedScanIsExact:
+    # `_seeds` scans only the rows whose bound admits them; each call the
+    # oracle makes (with its own beta window, per lift) must return the
+    # seeds of the full scan bit for bit, and the bound must hold on every
+    # row.  The spy then hands back no seeds, so the shot skips refinement
+    # and raises.
+    @pytest.fixture(autouse=True)
+    def checked(self, monkeypatch):
+        self.calls = 0
+
+        def spy(target, betas, n_t):
+            full, dev = _full_scan_seeds(target, betas, n_t)
+            assert _bits(_seeds(target, betas, n_t)) == _bits(full)
+            assert np.all(row_bounds(target, betas) <= dev)
+            self.calls += 1
+            return []
+
+        monkeypatch.setattr(oracle, "_seeds", spy)
+
+    @staticmethod
+    def _shoot(shoot, g, grid):
+        with pytest.raises(ShootNoMatchError):
+            shoot(g, grid)
+
+    @pytest.mark.parametrize("grid", [GridSpec(), SMALL], ids=["default", "small"])
+    def test_haar_su2(self, grid):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            self._shoot(shoot_min_time, random_su2(rng), grid)
+        assert self.calls == 20
+
+    def test_haar_rotations_and_half_turns_both_lifts(self):
+        grid = GridSpec(n_phi=128, n_beta=128, beta_max=8.0, n_t=256)
+        rng = np.random.default_rng(72)
+        for _ in range(20):
+            self._shoot(shoot_min_time_so3, klein_omega(random_su2(rng)), grid)
+        for _ in range(10):
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            self._shoot(shoot_min_time_so3, SO3Element(2.0 * np.outer(n, n) - np.eye(3)), grid)
+        assert self.calls == 60
+
+    def test_special_targets(self):
+        targets = [
+            SU2Element(math.cos(2.0), math.sin(2.0), 0.0, 0.0),  # B = 0
+            SU2Element(0.0, 0.0, math.cos(1.0), math.sin(1.0)),  # A = 0
+        ]
+        targets += [
+            geodesic_point(GeodesicParams(phi0, beta), d)
+            for d in (1e-2, 1e-3)
+            for phi0, beta in [(0.3, 0.0), (1.0, 2.0), (4.0, -5.0), (2.0, 20.0)]
+        ]
+        targets += [
+            geodesic_point(GeodesicParams(1.0, beta), t)
+            for beta, t in [(20.0, 0.25), (30.0, 0.1), (100.0, 0.05)]
+        ]
+        for g in targets:
+            for grid in (GridSpec(), SMALL):
+                self._shoot(shoot_min_time, g, grid)
+        assert self.calls == 2 * len(targets)
+
+
+def test_pruning_skips_most_rows(monkeypatch):
+    # |B| >= 0.5 caps the rows that can come near the target at |beta| of
+    # about 2, far inside the default window of 8.
+    rng = np.random.default_rng(73)
+    g = random_su2(rng)
+    while math.hypot(g.b_re, g.b_im) < 0.5:
+        g = random_su2(rng)
+    rows = []
+    real = _kernels.scan_su2
+
+    def counting(target, betas, n_t):
+        rows.append(len(betas))
+        return real(target, betas, n_t)
+
+    monkeypatch.setattr(_kernels, "scan_su2", counting)
+    res = shoot_min_time(g)
+    assert abs(res.t_min - distance_su2(g).t) <= 1e-12
+    assert sum(rows) < GridSpec().n_beta // 2
+
+
+def test_nothing_to_refine_is_typed(monkeypatch):
+    monkeypatch.setattr(oracle, "_seeds", lambda target, betas, n_t: [])
+    with pytest.raises(ShootNoMatchError):
+        shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0), SMALL)
 
 
 def test_so3_jacobian_matches_central_differences():
