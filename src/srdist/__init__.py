@@ -20,6 +20,7 @@ from .cutlocus import (
     conjugate_locus_so3,
     in_cut_locus_su2_l2,
 )
+from .flawed_system import NonuniquenessReport, br_system_residual, demonstrate_br_nonuniqueness
 from .geodesics import (
     GeodesicParams,
     cut_time_bound,
@@ -27,16 +28,7 @@ from .geodesics import (
     geodesic_point_exp,
     geodesic_point_so3,
 )
-from .oracle import (
-    GridSpec,
-    NonuniquenessReport,
-    ShootNoMatchError,
-    ShootResult,
-    br_system_residual,
-    demonstrate_br_nonuniqueness,
-    shoot_min_time,
-    shoot_min_time_so3,
-)
+from .oracle import GridSpec, ShootNoMatchError, ShootResult, shoot_min_time, shoot_min_time_so3
 from .so3_distance import (
     SO3_DIAMETER_BOUND,
     distance_so3,

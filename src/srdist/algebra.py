@@ -26,11 +26,6 @@ class InvalidElementError(ValueError):
     """Input violates a group invariant (non-unit pair, non-rotation matrix)."""
 
 
-def sgn(x: float) -> float:
-    """Sign with the deterministic convention sgn(0) = +1."""
-    return 1.0 if x >= 0.0 else -1.0
-
-
 @dataclass(frozen=True)
 class SU2Element:
     """Unit pair (A, B) with A = a_re + i*a_im, B = b_re + i*b_im."""

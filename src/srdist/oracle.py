@@ -1,4 +1,4 @@
-"""Brute-force geodesic-shooting oracle and the flawed-system demonstration.
+"""Brute-force geodesic-shooting oracle.
 
 `shoot_min_time` scans a (beta, t) grid of geodesics from the identity,
 with phi0 at each cell set in closed form to match the phase of the
@@ -7,21 +7,20 @@ comes closest to the target (per SU(2) lift), polishes each candidate in
 (phi0, beta, t) by Levenberg-Marquardt on the endpoint residual with the
 closed-form Jacobian `geodesics.endpoint_jacobian`, and reports the
 least arrival time together with all parameter-distinct minimizers.
-Rows whose lower bound |B_target| - 1/s on the deviation
-(`_kernels.row_bounds`) already exceeds the candidate threshold are not
-scanned; the seeds, and so the result, equal those of the full scan.  It
-shares only the geodesic formulas with the production distance code,
-never its case analysis, so it serves as an independent check.
-
-`br_system_residual` / `demonstrate_br_nonuniqueness` evaluate the
-distance system published in earlier literature and exhibit two distinct
-solutions for the same target, refuting its uniqueness claim.
+The beta rows are evenly spaced in chi = atan(beta/c) over the whole
+open interval (-pi/2, pi/2), so one grid reaches every momentum and no
+target needs its own window.  Rows whose lower bound |B_target| - 1/s
+on the deviation (`_kernels.row_bounds`) already exceeds the candidate
+threshold are not scanned; the seeds, and so the result, equal those of
+the full scan.  It shares only the geodesic formulas with the
+production distance code, never its case analysis, so it serves as an
+independent check.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from . import _kernels
 from .algebra import SO3Element, SU2Element, klein_entries, lift_so3
 from .geodesics import endpoint_coords, endpoint_jacobian
-from .su2_distance import DistanceCase, distance_su2
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,7 +37,11 @@ TWO_PI = 2.0 * math.pi
 MATCH_TOL = 1e-3
 # Endpoint deviation (max-norm) a refined candidate must reach to count
 # as hitting the target; t_min and the minimizers are taken over these.
-REFINED_TOL = 1e-6
+# Candidates that converge to a minimizer reach a few ulps, while one that
+# stalls in a steep valley of (beta, t) short of the target can arrive
+# early by far more than its deviation, so the bound sits two orders of
+# magnitude above the rounding floor.
+REFINED_TOL = 1e-12
 # Arrival-time tolerance: minimizers within t_min + TIME_TOL are listed.
 TIME_TOL = 2e-2
 # Parameter-space radius for deduplicating minimizers.
@@ -67,12 +69,18 @@ class ShootNoMatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Scan grid of n_beta x n_t cells over beta in [-beta_max, beta_max].
+    """Scan grid of n_beta x n_t cells.
 
-    refine_steps caps the Levenberg-Marquardt iterations (Jacobian
-    evaluations) per candidate.  The scan has no phi0 axis (phi0 is
-    solved in closed form per cell), and refinement needs no phi0 step,
-    so n_phi is validated but no longer read.
+    The beta rows are beta_j = c*tan(chi_j) at the midpoints
+    chi_j = -pi/2 + (j + 1/2)*pi/n_beta of n_beta equal steps over
+    (-pi/2, pi/2), with c = 2*beta_max/pi: near beta = 0 they are
+    2*beta_max/n_beta apart, as on a linear grid over [-beta_max,
+    beta_max], and the outer rows reach |beta| of about
+    4*beta_max*n_beta/pi**2 (830 at the defaults).  refine_steps caps the
+    Levenberg-Marquardt iterations (Jacobian evaluations) per candidate.
+    The scan has no phi0 axis (phi0 is solved in closed form per cell),
+    and refinement needs no phi0 step, so n_phi is validated but no
+    longer read.
     """
 
     n_phi: int = 256
@@ -114,9 +122,14 @@ def _residual_su2(target: SU2Element) -> Residual:
     return residual
 
 
-def _residual_so3(target: SO3Element) -> Residual:
-    """Covering image of the endpoint minus the target rotation, row-major."""
-    tr = target.m.ravel().tolist()
+def _residual_so3(lift: SU2Element) -> Residual:
+    """Covering image of the endpoint minus that of the target's lift, row-major.
+
+    The lift's image is an exact rotation; a target matrix may be off
+    SO(3) by up to the construction tolerance, further than REFINED_TOL,
+    and no geodesic would then match it.
+    """
+    tr = klein_entries(lift.a_re, lift.a_im, lift.b_re, lift.b_im)
 
     def residual(phi0: float, beta: float, t: float) -> tuple:
         return tuple(map(operator.sub, klein_entries(*endpoint_coords(phi0, beta, t)), tr))
@@ -287,20 +300,11 @@ def _seeds(target: np.ndarray, betas: np.ndarray, n_t: int) -> list[tuple[float,
 
 
 def _shoot(
-    lifts: list[np.ndarray],
-    residual: Residual,
-    jacobian: Jacobian,
-    grid: GridSpec,
-    beta_hint: Optional[float],
+    lifts: list[np.ndarray], residual: Residual, jacobian: Jacobian, grid: GridSpec
 ) -> ShootResult:
-    beta_max = grid.beta_max
-    # Widen the search window when the production solver puts the
-    # minimizer's momentum near the window edge (window sizing only; all
-    # values are still computed independently).
-    if beta_hint is not None and abs(beta_hint) >= 0.9 * beta_max:
-        beta_max = 1.25 * abs(beta_hint)
-
-    betas = np.linspace(-beta_max, beta_max, grid.n_beta)
+    # beta = c*tan(chi) at the chi midpoints (see GridSpec).
+    chi = (np.arange(grid.n_beta) + 0.5) * (math.pi / grid.n_beta) - 0.5 * math.pi
+    betas = (2.0 * grid.beta_max / math.pi) * np.tan(chi)
     # An SO(3) target is reached through either of its two lifts; each
     # lift gets its own threshold, so a grid that passes closer to one
     # lift does not hide the other's rows.
@@ -332,92 +336,19 @@ def shoot_min_time(target: SU2Element, grid: GridSpec = GridSpec()) -> ShootResu
     not depend on phi0, so every phi0 is minimizing; only the
     representatives the scan seeds are listed, not the whole circle.
     """
-    ref = distance_su2(target)
-    return _shoot(
-        [_target_vector_su2(target)], _residual_su2(target), endpoint_jacobian, grid, ref.beta
-    )
+    return _shoot([_target_vector_su2(target)], _residual_su2(target), endpoint_jacobian, grid)
 
 
 def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> ShootResult:
     """Minimal arrival time at an SO(3) target, endpoint matched after covering.
 
-    Both SU(2) lifts are scanned; refinement matches the rotation itself.
+    Both SU(2) lifts are scanned; refinement matches the rotation that
+    covers them, so a target whose entries are off SO(3) by rounding is
+    matched as its nearby exact rotation.
     As in `shoot_min_time`, phi0 is free when the lifts have B = 0 (axis-1
     rotations) and only representatives are listed.
     """
-    from .so3_distance import distance_so3
-
-    ref = distance_so3(target)
-    lifts = [_target_vector_su2(g) for g in lift_so3(target)]
-    return _shoot(lifts, _residual_so3(target), _jacobian_so3, grid, ref.beta)
-
-
-def br_system_residual(
-    t: float, beta: float, abs_a: float, arg_a: float
-) -> tuple[float, float]:
-    """Residuals of the previously published two-equation distance system.
-
-    First equation: -beta*t/2 + arctan((beta/s)*tan(t*s/2)) = arg(A),
-    with the principal-branch arctan of the published formula; at the tan
-    pole t*s/2 = pi/2 the one-sided limit sgn(beta*sin(u))*pi/2 is used.
-    Keeping the principal branch is the point: it is what makes the
-    system admit two roots for one target (see
-    demonstrate_br_nonuniqueness).
-    Second equation: sin(t*s/2)/s = sqrt(1 - |A|^2).
-    """
-    s = math.sqrt(1.0 + beta * beta)
-    u = t * s / 2.0
-    su, cu = math.sin(u), math.cos(u)
-    if abs(cu) < 1e-300:
-        branch = math.copysign(math.pi / 2.0, beta * su) if beta != 0.0 else 0.0
-    else:
-        branch = math.atan(beta * su / (s * cu))
-    r1 = -beta * t / 2.0 + branch - arg_a
-    r2 = math.sin(u) / s - math.sqrt(max(0.0, 1.0 - abs_a * abs_a))
-    return r1, r2
-
-
-@dataclass(frozen=True)
-class NonuniquenessReport:
-    """Two distinct solutions of the flawed system for one target."""
-
-    abs_a: float
-    t_small: float
-    t_large: float
-    residuals_small: tuple[float, float]
-    residuals_large: tuple[float, float]
-    true_distance: float
-    true_case: DistanceCase
-    notes: str = field(default="", compare=False)
-
-
-def demonstrate_br_nonuniqueness(abs_a: float) -> NonuniquenessReport:
-    """Exhibit two beta = 0, arg(A) = 0 solutions of the flawed system.
-
-    Both t = 2*arcsin(sqrt(1-|A|^2)) and t = 2*pi - 2*arcsin(sqrt(1-|A|^2))
-    satisfy the system, while the corrected case analysis returns a single
-    value (the smaller one).
-    """
-    if not 0.0 < abs_a < 1.0:
-        raise ValueError("abs_a must lie in (0, 1)")
-    half = math.asin(math.sqrt(1.0 - abs_a * abs_a))
-    t_small = 2.0 * half
-    t_large = TWO_PI - 2.0 * half
-    res_small = br_system_residual(t_small, 0.0, abs_a, 0.0)
-    res_large = br_system_residual(t_large, 0.0, abs_a, 0.0)
-    g = SU2Element(abs_a, 0.0, math.sqrt(1.0 - abs_a * abs_a), 0.0)
-    ref = distance_su2(g)
-    notes = (
-        f"flawed system admits t = {t_small:.9f} and t = {t_large:.9f}; "
-        f"case analysis gives the unique t = {ref.t:.9f} ({ref.case.value})"
-    )
-    return NonuniquenessReport(
-        abs_a=abs_a,
-        t_small=t_small,
-        t_large=t_large,
-        residuals_small=res_small,
-        residuals_large=res_large,
-        true_distance=ref.t,
-        true_case=ref.case,
-        notes=notes,
+    lifts = lift_so3(target)
+    return _shoot(
+        [_target_vector_su2(g) for g in lifts], _residual_so3(lifts[0]), _jacobian_so3, grid
     )

@@ -33,7 +33,7 @@ from .su2_distance import (
     EPS_CASE,
     DistanceCase,
     DistanceResult,
-    _boundary_beta,
+    beta_domain_max,
     distance_su2,
     solve_arc,
 )
@@ -51,7 +51,7 @@ def _cover_pair(rows) -> tuple[complex, complex]:
     (c11, c12, c13), (_, c22, c23), (_, c32, c33) = rows
     a_conj_b = complex(0.5 * c13, 0.5 * c12)
     # "+ 0.0" turns a signed zero into +0, so that the root of a negative
-    # real square is +i|.|, as sgn(0) = +1 has it.
+    # real square is +i|.| whatever the sign of its zero imaginary part.
     if c11 >= 0.0:
         a = cmath.sqrt(complex(0.5 * (c22 + c33), 0.5 * (c32 - c23) + 0.0))
         b = (a_conj_b / a).conjugate()
@@ -89,8 +89,9 @@ def distance_so3(c: SO3Element) -> DistanceResult:
     disc = math.cos(math.pi * abs_a) + math.cos(2.0 * theta)
     if abs(disc) <= EPS_CASE:
         # Branch 3: boundary between the short- and long-arc regimes.
+        # beta = +-b*, with theta's sign, as in `distance_su2`.
         t = math.pi * math.sqrt(k2)
-        beta = _boundary_beta(theta, abs_a, t)
+        beta = math.copysign(beta_domain_max(abs_a), theta)
         case = DistanceCase.BOUNDARY
     elif disc > 0.0:
         # Branch 4: short arc, monotone target theta.

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import SU2Element, sgn, su2_inv, su2_mul
+from .algebra import SU2Element, su2_inv, su2_mul
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -254,24 +254,6 @@ def solve_arc(abs_a: float, k2: float, target: float, long: bool) -> tuple[float
     return abs_a * s / k, 2.0 * k * abs(v) / rq
 
 
-def _boundary_beta(theta: float, abs_a: float, t: float) -> float:
-    """Sign choice for beta = +-b* on the branch-3 boundary.
-
-    The boundary system reads sin(beta*t/2) = sgn(beta)*cos(theta) and
-    cos(beta*t/2) = sgn(beta)*sin(theta); pick the sign with the smaller
-    residual (both satisfy it only at theta = pi*(1-|A|)/2 exactly).
-    """
-    bmax = beta_domain_max(abs_a)
-
-    def residual(beta: float) -> float:
-        return max(
-            abs(math.sin(beta * t / 2.0) - sgn(beta) * math.cos(theta)),
-            abs(math.cos(beta * t / 2.0) - sgn(beta) * math.sin(theta)),
-        )
-
-    return bmax if residual(bmax) <= residual(-bmax) else -bmax
-
-
 def distance_su2(g: SU2Element) -> DistanceResult:
     """Distance from g to the identity, with branch label and geodesic parameters."""
     abs_a = math.hypot(g.a_re, g.a_im)
@@ -292,8 +274,10 @@ def distance_su2(g: SU2Element) -> DistanceResult:
     boundary = math.pi * (1.0 - abs_a) / 2.0
     if abs(abs(theta) - boundary) <= EPS_CASE:
         # Branch 3: boundary between the short- and long-arc regimes.
+        # arg_short is odd and increasing and reaches +-pi*(1 - |A|)/2 at
+        # beta = +-b*, so beta takes theta's sign.
         t = math.pi * math.sqrt(1.0 - abs_a * abs_a)
-        beta = _boundary_beta(theta, abs_a, t)
+        beta = math.copysign(beta_domain_max(abs_a), theta)
         case = DistanceCase.BOUNDARY
     elif abs(theta) < boundary:
         # Branch 4: short arc, monotone target theta.

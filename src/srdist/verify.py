@@ -24,7 +24,8 @@ import numpy as np
 from .algebra import SU2Element, klein_omega, random_so3, random_su2
 from .cutlocus import classify_cut_locus_so3, in_cut_locus_su2_l2
 from .geodesics import GeodesicParams, cut_time_bound, geodesic_point, geodesic_point_exp
-from .oracle import GridSpec, demonstrate_br_nonuniqueness, shoot_min_time
+from .flawed_system import demonstrate_br_nonuniqueness
+from .oracle import GridSpec, shoot_min_time
 from .so3_distance import distance_so3, distance_so3_via_lifts
 from .su2_distance import arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short
 

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from srdist import _kernels, oracle
 from srdist._kernels import row_bounds, scan_su2
 from srdist.algebra import SO3Element, SU2Element, klein_entries, klein_omega, random_su2
 from srdist.cutlocus import CutTag, classify_cut_locus_so3
+from srdist.flawed_system import br_system_residual, demonstrate_br_nonuniqueness
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
@@ -23,8 +26,6 @@ from srdist.oracle import (
     _jacobian_so3,
     _seeds,
     _threshold,
-    br_system_residual,
-    demonstrate_br_nonuniqueness,
     shoot_min_time,
     shoot_min_time_so3,
 )
@@ -86,7 +87,7 @@ def _full_scan_seeds(target, betas, n_t):
 
 class TestPrunedScanIsExact:
     # `_seeds` scans only the rows whose bound admits them; each call the
-    # oracle makes (with its own beta window, per lift) must return the
+    # oracle makes (on the grid's chi rows, per lift) must return the
     # seeds of the full scan bit for bit, and the bound must hold on every
     # row.  The spy then hands back no seeds, so the shot skips refinement
     # and raises.
@@ -148,7 +149,7 @@ class TestPrunedScanIsExact:
 
 def test_pruning_skips_most_rows(monkeypatch):
     # |B| >= 0.5 caps the rows that can come near the target at |beta| of
-    # about 2, far inside the default window of 8.
+    # about 2, where the default grid has fewer than half of its rows.
     rng = np.random.default_rng(73)
     g = random_su2(rng)
     while math.hypot(g.b_re, g.b_im) < 0.5:
@@ -164,6 +165,30 @@ def test_pruning_skips_most_rows(monkeypatch):
     res = shoot_min_time(g)
     assert abs(res.t_min - distance_su2(g).t) <= 1e-12
     assert sum(rows) < GridSpec().n_beta // 2
+
+
+def _imported_modules(path):
+    """Absolute names of the modules a file of the package imports, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level <= 1
+            base = ".".join(filter(None, ["srdist" if node.level else None, node.module]))
+            for alias in node.names:
+                # `from . import x` names the submodule x when there is one,
+                # and otherwise takes x from the package root.
+                submodule = base == "srdist" and (path.parent / f"{alias.name}.py").exists()
+                yield f"{base}.{alias.name}" if submodule else base
+
+
+@pytest.mark.parametrize("name", ["oracle.py", "_kernels.py"])
+def test_oracle_imports_no_distance_code(name):
+    # The oracle checks the case analysis, so it must not run any of it:
+    # not the distance modules, and not the package root, which imports them.
+    path = Path(oracle.__file__).parent / name
+    fenced = {"srdist", "srdist.su2_distance", "srdist.so3_distance"}
+    assert not fenced & set(_imported_modules(path))
 
 
 def test_nothing_to_refine_is_typed(monkeypatch):
@@ -228,13 +253,29 @@ class TestShootSU2:
         assert res.t_min == pytest.approx(2 * math.asin(0.8), abs=TIME_TOL)
 
 
+def _at_cut_fraction(beta, f):
+    """(beta, t) at the share f of beta's cut-time bound, with a readable id."""
+    return pytest.param(beta, f * cut_time_bound(beta), id=f"{beta}-{f}cut")
+
+
 class TestHighMomentumTargets:
-    # Endpoints of steep geodesics: scan cells within MATCH_TOL of these
-    # arrive earlier than any refined minimizer, so t_min must be taken
-    # over the refined minimizers.  The steep valley in (beta, t) needs
-    # the Gauss-Newton steps of the refinement; it converges from the
-    # coarse grid's cells as well.
-    @pytest.mark.parametrize("beta, t", [(20.0, 0.25), (30.0, 0.1)])
+    # Endpoints of steep geodesics: scan cells that pass the candidate
+    # threshold arrive earlier than any refined minimizer, so t_min must
+    # be taken over the refined minimizers.  The steep valley in (beta, t)
+    # needs the Gauss-Newton steps of the refinement; it converges from
+    # the coarse grid's cells as well.  On the last three targets a
+    # candidate that stops short of the target within 1e-6 arrives up to
+    # 6e-4 early.
+    @pytest.mark.parametrize(
+        "beta, t",
+        [
+            (20.0, 0.25),
+            (30.0, 0.1),
+            _at_cut_fraction(-168.0, 0.40),
+            _at_cut_fraction(-294.0, 0.57),
+            _at_cut_fraction(-283.0, 0.27),
+        ],
+    )
     def test_t_min_is_first_minimizer(self, beta, t):
         g = geodesic_point(GeodesicParams(1.0, beta), t)
         res = shoot_min_time(g)
@@ -261,6 +302,15 @@ class TestNearIdentity:
             return
         assert abs(res.t_min - distance_su2(g).t) <= 1e-12
 
+    # A candidate that stalls within 1e-10 of these targets arrives up to
+    # 2.7e-9 early.
+    @pytest.mark.parametrize(
+        "phi0, beta, d", [(6.0, 27.0, 0.0068), (1.1, -30.0, 0.007), (3.0, 15.0, 0.0012)]
+    )
+    def test_no_early_stalled_candidate(self, phi0, beta, d):
+        g = geodesic_point(GeodesicParams(phi0, beta), d)
+        assert abs(shoot_min_time(g, SMALL).t_min - distance_su2(g).t) <= 1e-12
+
 
 class TestShootSO3:
     def test_random_rotation(self):
@@ -277,6 +327,15 @@ class TestShootSO3:
             c = klein_omega(random_su2(rng))
             res = shoot_min_time_so3(c, SMALL)
             assert abs(res.t_min - distance_so3(c).t) <= 1e-12
+
+    def test_target_off_so3_by_rounding(self):
+        # Entries off SO(3) by 1e-10 pass SO3Element's check; the oracle
+        # matches the exact rotation of the target's lift, which moves the
+        # distance by about as much.
+        rng = np.random.default_rng(56)
+        for _ in range(5):
+            c = SO3Element(klein_omega(random_su2(rng)).m + 1e-10 * rng.standard_normal((3, 3)))
+            assert abs(shoot_min_time_so3(c, SMALL).t_min - distance_so3(c).t) <= 1e-8
 
     def test_sym_target_has_two_minimizers(self):
         # a half turn about a generic axis is reached by two geodesics

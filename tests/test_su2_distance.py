@@ -6,6 +6,7 @@ import pytest
 
 from srdist.algebra import SU2Element, random_su2, su2_inv, su2_mul
 from srdist import su2_distance
+from srdist.geodesics import GeodesicParams, geodesic_point
 from srdist.su2_distance import (
     HALF_PI,
     DistanceCase,
@@ -207,12 +208,22 @@ class TestDistance:
         assert res.beta == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_case(self):
+        # On both sides of the boundary beta = +-b* takes theta's sign, and
+        # the geodesic it names reaches the target.
         abs_a = 0.5
-        theta = math.pi * (1 - abs_a) / 2
-        res = distance_su2(from_polar(abs_a, theta))
-        assert res.t == pytest.approx(math.pi * math.sqrt(0.75), abs=1e-12)
-        assert res.case is DistanceCase.BOUNDARY
-        assert abs(res.beta) == pytest.approx(beta_domain_max(abs_a), abs=1e-12)
+        for sign in (1.0, -1.0):
+            g = from_polar(abs_a, sign * math.pi * (1 - abs_a) / 2, 0.7)
+            res = distance_su2(g)
+            assert res.t == pytest.approx(math.pi * math.sqrt(0.75), abs=1e-12)
+            assert res.case is DistanceCase.BOUNDARY
+            assert res.beta == sign * beta_domain_max(abs_a)
+            end = geodesic_point(GeodesicParams(res.phi0, res.beta), res.t)
+            assert max(
+                abs(end.a_re - g.a_re),
+                abs(end.a_im - g.a_im),
+                abs(end.b_re - g.b_re),
+                abs(end.b_im - g.b_im),
+            ) <= 1e-12
 
     def test_depends_only_on_a(self):
         rng = np.random.default_rng(21)
