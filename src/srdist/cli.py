@@ -150,7 +150,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_sphere(args) -> int:
-    if args.radius <= 0:
+    if not args.radius > 0:  # NaN included
         raise UsageError("--radius must be positive")
     diameter = TWO_PI if args.group == "su2" else SO3_DIAMETER_BOUND
     if args.radius > diameter + 1e-9:
@@ -218,6 +218,8 @@ def cmd_cutlocus(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise UsageError("--n must be positive")
     names = (
         list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     )

@@ -12,12 +12,17 @@ open interval (-pi/2, pi/2), so one grid reaches every momentum and no
 target needs its own window.  Rows whose lower bound |B_target| - 1/s
 on the deviation (`_kernels.row_bounds`) already exceeds the candidate
 threshold are not scanned; the seeds, and so the result, equal those of
-the full scan.  It shares only the geodesic formulas with the
+the full scan.  The target-free part of each row, the endpoint's A at
+every t, is computed once per grid and kept in a `_kernels.RowTable`
+(at most 2 * n_beta * n_t * 8 bytes, 2 MiB at the default grid) that
+later shots and the second SO(3) lift reuse; the seeds are bit for bit
+those of a fresh table.  It shares only the geodesic formulas with the
 production distance code, never its case analysis, so it serves as an
 independent check.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -270,7 +275,7 @@ def _threshold(min_dev: float) -> float:
     return max(MATCH_TOL, 4.0 * min_dev, min_dev + 2e-3)
 
 
-def _seeds(target: np.ndarray, betas: np.ndarray, n_t: int) -> list[tuple[float, float, float]]:
+def _seeds(table: _kernels.RowTable, target: np.ndarray) -> list[tuple[float, float, float]]:
     """(phi0, beta, t) of the scan rows close enough to one SU(2) lift to refine.
 
     Only rows whose `_kernels.row_bounds` is at most the threshold are
@@ -278,9 +283,11 @@ def _seeds(target: np.ndarray, betas: np.ndarray, n_t: int) -> list[tuple[float,
     could neither be selected nor lower the minimum.  The rows under
     _threshold(0) go first (those of least bound if there are none),
     then the rows the threshold of the minimum so far admits, until no
-    row is left under it.  Rows scan independently of each other, so the
-    seeds are those of the full scan, bit for bit.
+    row is left under it.  Rows scan independently of each other and of
+    which rows the table already holds, so the seeds are those of the
+    full scan on a fresh table, bit for bit.
     """
+    betas = table.betas
     bound = _kernels.row_bounds(target, betas)
     dev = np.full(len(betas), np.inf)
     t_best = np.empty(len(betas))
@@ -289,7 +296,7 @@ def _seeds(target: np.ndarray, betas: np.ndarray, n_t: int) -> list[tuple[float,
     threshold = max(_threshold(0.0), float(bound.min()))
     while (todo := (bound <= threshold) & ~scanned).any():
         rows = np.flatnonzero(todo)
-        dev[rows], t_best[rows], phis[rows] = _kernels.scan_su2(target, betas[rows], n_t)
+        dev[rows], t_best[rows], phis[rows] = _kernels.scan_su2(table, target, rows)
         scanned |= todo
         threshold = _threshold(float(dev.min()))
     idx = np.flatnonzero(dev <= threshold)
@@ -299,16 +306,24 @@ def _seeds(target: np.ndarray, betas: np.ndarray, n_t: int) -> list[tuple[float,
     return list(zip(phis[idx].tolist(), betas[idx].tolist(), t_best[idx].tolist()))
 
 
+# Row tables of the grids shot last.  A table holds at most
+# 2 * n_beta * n_t * 8 bytes (2 MiB at the default grid), and only the
+# rows some shot has scanned are resident.
+@functools.lru_cache(maxsize=4)
+def _table(n_beta: int, beta_max: float, n_t: int) -> _kernels.RowTable:
+    # beta = c*tan(chi) at the chi midpoints (see GridSpec).
+    chi = (np.arange(n_beta) + 0.5) * (math.pi / n_beta) - 0.5 * math.pi
+    return _kernels.RowTable((2.0 * beta_max / math.pi) * np.tan(chi), n_t)
+
+
 def _shoot(
     lifts: list[np.ndarray], residual: Residual, jacobian: Jacobian, grid: GridSpec
 ) -> ShootResult:
-    # beta = c*tan(chi) at the chi midpoints (see GridSpec).
-    chi = (np.arange(grid.n_beta) + 0.5) * (math.pi / grid.n_beta) - 0.5 * math.pi
-    betas = (2.0 * grid.beta_max / math.pi) * np.tan(chi)
+    table = _table(grid.n_beta, grid.beta_max, grid.n_t)
     # An SO(3) target is reached through either of its two lifts; each
     # lift gets its own threshold, so a grid that passes closer to one
-    # lift does not hide the other's rows.
-    seeds = [p for vec in lifts for p in _seeds(vec, betas, grid.n_t)]
+    # lift does not hide the other's rows.  The lifts share the table.
+    seeds = [p for vec in lifts for p in _seeds(table, vec)]
     refined = [_refine(residual, jacobian, *p, grid.refine_steps) for p in seeds]
 
     exact = sorted(

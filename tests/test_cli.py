@@ -147,6 +147,16 @@ def test_sphere_radius_beyond_diameter(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("radius", ["nan", "-nan", "inf", "-inf", "0", "-1"])
+def test_sphere_rejects_bad_radius(capsys, radius):
+    code, out, err = run_cli(
+        capsys, "sphere", "--group", "su2", f"--radius={radius}", "--samples", "5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --radius ")
+
+
 def test_cutlocus_matrix(capsys):
     code, out, _ = run_cli(capsys, "cutlocus", "--matrix=-1,0,0,0,1,0,0,0,-1")
     assert code == 0
@@ -172,6 +182,15 @@ def test_verify_oracle_uses_requested_count(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--n", "12")
     assert code == 0
     assert "(12 targets)" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("suite", ["all", "oracle", "lemmas"])
+def test_verify_rejects_non_positive_count(capsys, suite, n):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, f"--n={n}")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n must be positive\n"
 
 
 def test_verify_all_passes_one_line_per_record(capsys, monkeypatch):

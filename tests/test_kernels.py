@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from srdist import BACKEND
-from srdist._kernels import scan_su2
+from srdist import BACKEND, _kernels, oracle
+from srdist._kernels import RowTable, scan_su2
 from srdist.algebra import random_su2
 from srdist.geodesics import GeodesicParams, geodesic_point
+from srdist.oracle import GridSpec, shoot_min_time
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,6 +22,11 @@ def _vec(g):
 
 def _max_dev(end, target):
     return float(np.max(np.abs(_vec(end) - target)))
+
+
+def _scan(target, betas, n_t):
+    """The scan over every row, on a fresh table."""
+    return scan_su2(RowTable(betas, n_t), target, np.arange(len(betas)))
 
 
 def _t_grid(beta):
@@ -47,7 +53,7 @@ def test_python_scan_matches_direct_evaluation():
     rng = np.random.default_rng(61)
     for _ in range(4):
         target = _vec(random_su2(rng))
-        dev, t_best, phi0 = scan_su2(target, BETAS, N_T)
+        dev, t_best, phi0 = _scan(target, BETAS, N_T)
         assert dev.shape == t_best.shape == phi0.shape == (len(BETAS),)
         assert np.all((0.0 <= phi0) & (phi0 < TWO_PI))
         for j, beta in enumerate(BETAS):
@@ -67,7 +73,7 @@ def test_scan_finds_exact_grid_point():
     phi0, beta = PHIS[5], BETAS[30]
     t = _t_grid(beta)[49]
     target = _vec(geodesic_point(GeodesicParams(phi0, beta), t))
-    dev, t_best, phi_best = scan_su2(target, BETAS, N_T)
+    dev, t_best, phi_best = _scan(target, BETAS, N_T)
     assert dev[30] < 1e-12
     assert t_best[30] == pytest.approx(t, abs=1e-12)
     assert _phi_gap(phi_best[30], phi0) < 1e-12
@@ -80,7 +86,7 @@ def test_scan_within_sqrt2_of_phi0_grid_scan():
     rng = np.random.default_rng(64)
     for _ in range(3):
         target = _vec(random_su2(rng))
-        dev, _, _ = scan_su2(target, BETAS, N_T)
+        dev, _, _ = _scan(target, BETAS, N_T)
         for j, beta in enumerate(BETAS):
             ts = _t_grid(beta)
             s = math.sqrt(1.0 + beta * beta)
@@ -104,9 +110,62 @@ def test_rows_scan_independently():
     betas = np.linspace(-8.0, 8.0, 256)
     for _ in range(3):
         target = _vec(random_su2(rng))
-        full = scan_su2(target, betas, N_T)
+        full = _scan(target, betas, N_T)
         for size in (1, 7, 33, 100, 256):
             rows = rng.permutation(len(betas))[:size]
-            part = scan_su2(target, betas[rows], N_T)
+            part = _scan(target, betas[rows], N_T)
             for got, want in zip(part, full):
                 assert np.array_equal(got, want[rows])
+
+
+def test_table_rows_filled_in_any_order_match_fresh_scan():
+    # One table shared by many targets, its rows filled in random subsets
+    # and orders: every scan equals the full scan on a fresh table.
+    rng = np.random.default_rng(66)
+    betas = np.linspace(-8.0, 8.0, 256)
+    shared = RowTable(betas, N_T)
+    for _ in range(12):
+        target = _vec(random_su2(rng))
+        full = _scan(target, betas, N_T)
+        rows = rng.permutation(len(betas))[: rng.integers(1, len(betas) + 1)]
+        for got, want in zip(scan_su2(shared, target, rows), full):
+            assert np.array_equal(got, want[rows])
+    fresh = RowTable(betas, N_T)
+    fresh.fill(np.arange(len(betas)))
+    assert shared.filled.any()
+    assert np.array_equal(shared.re_a[shared.filled], fresh.re_a[shared.filled])
+    assert np.array_equal(shared.im_a[shared.filled], fresh.im_a[shared.filled])
+
+
+def test_grids_differing_in_beta_max_or_n_t_have_own_tables():
+    base = oracle._table(64, 8.0, 128)
+    assert oracle._table(64, 8.0, 128) is base
+    wider, finer = oracle._table(64, 16.0, 128), oracle._table(64, 8.0, 256)
+    assert wider is not base and not np.array_equal(wider.betas, base.betas)
+    assert finer is not base and finer.re_a.shape == (64, 256)
+
+
+def test_shot_fills_exactly_the_scanned_rows(monkeypatch):
+    oracle._table.cache_clear()
+    grid = GridSpec()
+    scanned = np.zeros(grid.n_beta, dtype=bool)
+    real = _kernels.scan_su2
+
+    def spy(table, target, rows):
+        scanned[rows] = True
+        return real(table, target, rows)
+
+    monkeypatch.setattr(_kernels, "scan_su2", spy)
+    shoot_min_time(random_su2(np.random.default_rng(67)), grid)
+    table = oracle._table(grid.n_beta, grid.beta_max, grid.n_t)
+    assert 0 < scanned.sum() < len(scanned)
+    assert np.array_equal(table.filled, scanned)
+
+
+def test_table_cache_is_bounded():
+    g = random_su2(np.random.default_rng(68))
+    for n_t in (64, 72, 80, 88, 96, 104):
+        shoot_min_time(g, GridSpec(64, 64, 8.0, n_t))
+    info = oracle._table.cache_info()
+    assert info.maxsize == 4
+    assert info.currsize == info.maxsize

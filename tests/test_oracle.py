@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from srdist import _kernels, oracle
-from srdist._kernels import row_bounds, scan_su2
+from srdist._kernels import RowTable, row_bounds, scan_su2
 from srdist.algebra import SO3Element, SU2Element, klein_entries, klein_omega, random_su2
 from srdist.cutlocus import CutTag, classify_cut_locus_so3
 from srdist.flawed_system import br_system_residual, demonstrate_br_nonuniqueness
@@ -76,9 +76,9 @@ def _bits(seeds):
     return [tuple(map(float.hex, p)) for p in seeds]
 
 
-def _full_scan_seeds(target, betas, n_t):
-    """Seeds and per-row deviations of the scan over every row, unpruned."""
-    dev, t_best, phis = scan_su2(target, betas, n_t)
+def _full_scan_seeds(betas, n_t, target):
+    """Seeds and per-row deviations of the scan over every row of a fresh table."""
+    dev, t_best, phis = scan_su2(RowTable(betas, n_t), target, np.arange(len(betas)))
     idx = np.flatnonzero(dev <= _threshold(float(dev.min())))
     if len(idx) > _CANDIDATE_CAP:
         idx = idx[np.argsort(dev[idx], kind="stable")[:_CANDIDATE_CAP]]
@@ -86,19 +86,19 @@ def _full_scan_seeds(target, betas, n_t):
 
 
 class TestPrunedScanIsExact:
-    # `_seeds` scans only the rows whose bound admits them; each call the
-    # oracle makes (on the grid's chi rows, per lift) must return the
-    # seeds of the full scan bit for bit, and the bound must hold on every
-    # row.  The spy then hands back no seeds, so the shot skips refinement
+    # `_seeds` scans only the rows whose bound admits them, on a table
+    # other shots have partly filled; each call the oracle makes (on the
+    # grid's chi rows, per lift) must return the seeds of the full scan on
+    # a fresh table bit for bit, and the bound must hold on every row.  The spy then hands back no seeds, so the shot skips refinement
     # and raises.
     @pytest.fixture(autouse=True)
     def checked(self, monkeypatch):
         self.calls = 0
 
-        def spy(target, betas, n_t):
-            full, dev = _full_scan_seeds(target, betas, n_t)
-            assert _bits(_seeds(target, betas, n_t)) == _bits(full)
-            assert np.all(row_bounds(target, betas) <= dev)
+        def spy(table, target):
+            full, dev = _full_scan_seeds(table.betas, table.n_t, target)
+            assert _bits(_seeds(table, target)) == _bits(full)
+            assert np.all(row_bounds(target, table.betas) <= dev)
             self.calls += 1
             return []
 
@@ -157,14 +157,14 @@ def test_pruning_skips_most_rows(monkeypatch):
     rows = []
     real = _kernels.scan_su2
 
-    def counting(target, betas, n_t):
-        rows.append(len(betas))
-        return real(target, betas, n_t)
+    def counting(table, target, idx):
+        rows.append(len(idx))
+        return real(table, target, idx)
 
     monkeypatch.setattr(_kernels, "scan_su2", counting)
     res = shoot_min_time(g)
     assert abs(res.t_min - distance_su2(g).t) <= 1e-12
-    assert sum(rows) < GridSpec().n_beta // 2
+    assert 0 < sum(rows) < GridSpec().n_beta // 2
 
 
 def _imported_modules(path):
@@ -192,7 +192,7 @@ def test_oracle_imports_no_distance_code(name):
 
 
 def test_nothing_to_refine_is_typed(monkeypatch):
-    monkeypatch.setattr(oracle, "_seeds", lambda target, betas, n_t: [])
+    monkeypatch.setattr(oracle, "_seeds", lambda table, target: [])
     with pytest.raises(ShootNoMatchError):
         shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0), SMALL)
 
