@@ -5,10 +5,10 @@ B = (sin(u)/s) * exp(i*(beta*t/2 + phi0)), and A does not involve phi0.
 So for every (beta, t) the phi0 bringing B closest to the target is
 known in closed form, and the scan needs no phi0 axis.
 
-Nor does A depend on the target, so the endpoint's A on every (beta, t)
-cell of a grid is kept in a `RowTable`, filled row by row on first use
-and shared by every target scanned on that grid; only the last
-subtract, max and argmin see the target.
+Nor do A and |B| depend on the target, so the endpoint's A and |B| on
+every (beta, t) cell of a grid are kept in a `RowTable`, filled row by
+row on first use and shared by every target scanned on that grid; only
+the last subtract, max and argmin see the target.
 
 Every beta row is evaluated on its own: a row's result does not depend
 on which other rows are scanned with it, nor on which rows the table
@@ -57,14 +57,14 @@ def row_bounds(target: np.ndarray, betas: np.ndarray) -> np.ndarray:
 
 
 class RowTable:
-    """Target-free endpoint (Re A, Im A) of a grid's (beta, t) cells, filled by row.
+    """Target-free endpoint (Re A, Im A, |B|) of a grid's (beta, t) cells, filled by row.
 
     Cell (j, k-1) is the geodesic of momentum betas[j] at
     t = k * 2*pi / (s * n_t), k = 1..n_t, with s = sqrt(1 + beta^2).  Its
-    A does not depend on phi0 nor on the target, so one table serves every
-    shot on the grid.  The arrays come from `np.empty`: a row takes
-    resident memory only once `fill` writes it, and at most
-    2 * len(betas) * n_t * 8 bytes are ever held.  `filled[j]` is set only
+    A and |B| = sin(u)/s do not depend on phi0 nor on the target, so one
+    table serves every shot on the grid.  The arrays come from `np.empty`:
+    a row takes resident memory only once `fill` writes it, and at most
+    3 * len(betas) * n_t * 8 bytes are ever held.  `filled[j]` is set only
     after row j is written.  Two fills of one row write the same bytes
     (a row does not depend on the rows filled with it), so concurrent
     fills need no lock.
@@ -83,6 +83,7 @@ class RowTable:
         self.su, self.cu = np.sin(u), np.cos(u)
         self.re_a = np.empty((len(self.betas), n_t))
         self.im_a = np.empty_like(self.re_a)
+        self.abs_b = np.empty_like(self.re_a)
         self.filled = np.zeros(len(self.betas), dtype=bool)
 
     def fill(self, rows: np.ndarray) -> None:
@@ -96,6 +97,7 @@ class RowTable:
             bs = (beta / self.s[block, None]) * self.su
             self.re_a[block] = bs * sh + self.cu * ch
             self.im_a[block] = bs * ch - self.cu * sh
+            self.abs_b[block] = self.su / self.s[block, None]
             self.filled[block] = True
 
 
@@ -125,7 +127,7 @@ def scan_su2(
         block = rows[start : start + _BETA_BLOCK]
         d = np.abs(table.re_a[block] - a_re)
         np.maximum(d, np.abs(table.im_a[block] - a_im), out=d)
-        np.maximum(d, np.abs(table.su / table.s[block, None] - b_abs) * b_unit, out=d)
+        np.maximum(d, np.abs(table.abs_b[block] - b_abs) * b_unit, out=d)
         idx = np.argmin(d, axis=1)
         dev[start : start + len(idx)] = d[np.arange(len(idx)), idx]
         k_best[start : start + len(idx)] = idx + 1

@@ -119,8 +119,8 @@ def cmd_dist(args) -> int:
 def cmd_geodesic(args) -> int:
     if args.steps <= 0:
         raise UsageError("--steps must be positive")
-    if args.t_max <= 0:
-        raise UsageError("--t-max must be positive")
+    if not 0 < args.t_max < math.inf:  # NaN included
+        raise UsageError("--t-max must be finite and positive")
     p = GeodesicParams(args.phi0, args.beta)
     rows = []
     for i in range(args.steps + 1):

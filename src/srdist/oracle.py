@@ -3,18 +3,20 @@
 `shoot_min_time` scans a (beta, t) grid of geodesics from the identity,
 with phi0 at each cell set in closed form to match the phase of the
 target's B (see `_kernels.scan_su2`), keeps the beta rows whose endpoint
-comes closest to the target (per SU(2) lift), polishes each candidate in
-(phi0, beta, t) by Levenberg-Marquardt on the endpoint residual with the
-closed-form Jacobian `geodesics.endpoint_jacobian`, and reports the
-least arrival time together with all parameter-distinct minimizers.
+comes closest to the target, polishes each candidate in (phi0, beta, t)
+by Levenberg-Marquardt on the endpoint residual with the closed-form
+Jacobian `geodesics.endpoint_jacobian`, and reports the least arrival
+time together with all parameter-distinct minimizers.  An SO(3) target
+is shot as its two SU(2) lifts (`algebra.lift_so3`), each scanned and
+refined in SU(2) coordinates.
 The beta rows are evenly spaced in chi = atan(beta/c) over the whole
 open interval (-pi/2, pi/2), so one grid reaches every momentum and no
 target needs its own window.  Rows whose lower bound |B_target| - 1/s
 on the deviation (`_kernels.row_bounds`) already exceeds the candidate
 threshold are not scanned; the seeds, and so the result, equal those of
-the full scan.  The target-free part of each row, the endpoint's A at
-every t, is computed once per grid and kept in a `_kernels.RowTable`
-(at most 2 * n_beta * n_t * 8 bytes, 2 MiB at the default grid) that
+the full scan.  The target-free part of each row, the endpoint's A and
+|B| at every t, is computed once per grid and kept in a `_kernels.RowTable`
+(at most 3 * n_beta * n_t * 8 bytes, 3 MiB at the default grid) that
 later shots and the second SO(3) lift reuse; the seeds are bit for bit
 those of a fresh table.  It shares only the geodesic formulas with the
 production distance code, never its case analysis, so it serves as an
@@ -26,12 +28,12 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .algebra import SO3Element, SU2Element, klein_entries, lift_so3
+from .algebra import SO3Element, SU2Element, lift_so3
 from .geodesics import endpoint_coords, endpoint_jacobian
 
 TWO_PI = 2.0 * math.pi
@@ -61,11 +63,6 @@ _MU_DOWN = 1.0 / 3.0
 _MU_UP = 8.0
 # Damping at which a step is negligible against any x: give up.
 _MU_MAX = 1e30
-
-# Functions of (phi0, beta, t): the endpoint residual, and its partials
-# in phi0, beta and t as three tuples of the residual's length.
-Residual = Callable[[float, float, float], tuple]
-Jacobian = Callable[[float, float, float], tuple]
 
 
 class ShootNoMatchError(RuntimeError):
@@ -112,59 +109,6 @@ class ShootResult:
     grid_spec: GridSpec
 
 
-def _target_vector_su2(g: SU2Element) -> np.ndarray:
-    return np.array([g.a_re, g.a_im, g.b_re, g.b_im])
-
-
-def _residual_su2(target: SU2Element) -> Residual:
-    """Endpoint minus target, componentwise in (Re A, Im A, Re B, Im B)."""
-    t0, t1, t2, t3 = target.a_re, target.a_im, target.b_re, target.b_im
-
-    def residual(phi0: float, beta: float, t: float) -> tuple:
-        e0, e1, e2, e3 = endpoint_coords(phi0, beta, t)
-        return e0 - t0, e1 - t1, e2 - t2, e3 - t3
-
-    return residual
-
-
-def _residual_so3(lift: SU2Element) -> Residual:
-    """Covering image of the endpoint minus that of the target's lift, row-major.
-
-    The lift's image is an exact rotation; a target matrix may be off
-    SO(3) by up to the construction tolerance, further than REFINED_TOL,
-    and no geodesic would then match it.
-    """
-    tr = klein_entries(lift.a_re, lift.a_im, lift.b_re, lift.b_im)
-
-    def residual(phi0: float, beta: float, t: float) -> tuple:
-        return tuple(map(operator.sub, klein_entries(*endpoint_coords(phi0, beta, t)), tr))
-
-    return residual
-
-
-def _jacobian_so3(phi0: float, beta: float, t: float) -> tuple[tuple, tuple, tuple]:
-    """Partials of `klein_entries(*endpoint_coords(...))` in phi0, beta and t.
-
-    Each `klein_entries` entry is a quadratic form in q = (a1, a2, b1, b2),
-    so its differential along dq is the polarized form, linear in dq.
-    """
-    a1, a2, b1, b2 = endpoint_coords(phi0, beta, t)
-    return tuple(
-        (
-            2.0 * (a1 * d1 + a2 * d2 - b1 * e1 - b2 * e2),
-            2.0 * (a2 * e1 + d2 * b1 - a1 * e2 - d1 * b2),
-            2.0 * (a2 * e2 + d2 * b2 + a1 * e1 + d1 * b1),
-            2.0 * (a2 * e1 + d2 * b1 + a1 * e2 + d1 * b2),
-            2.0 * (a1 * d1 - a2 * d2 + b1 * e1 - b2 * e2),
-            2.0 * (b1 * e2 + e1 * b2 - a1 * d2 - d1 * a2),
-            2.0 * (a2 * e2 + d2 * b2 - a1 * e1 - d1 * b1),
-            2.0 * (b1 * e2 + e1 * b2 + a1 * d2 + d1 * a2),
-            2.0 * (a1 * d1 - a2 * d2 - b1 * e1 + b2 * e2),
-        )
-        for d1, d2, e1, e2 in endpoint_jacobian(phi0, beta, t)
-    )
-
-
 def _dot(u: tuple, v: tuple) -> float:
     return sum(map(operator.mul, u, v))
 
@@ -196,8 +140,7 @@ def _damped_step(
 
 
 def _refine(
-    residual: Residual,
-    jacobian: Jacobian,
+    target: tuple[float, float, float, float],
     phi0: float,
     beta: float,
     t: float,
@@ -205,25 +148,30 @@ def _refine(
 ) -> tuple[float, float, float, float]:
     """Levenberg-Marquardt on the squared endpoint residual (Moré 1978).
 
-    Each iteration evaluates the Jacobian J once and solves the damped
-    normal equations (J^T J + mu*D) s = -J^T r in plain floats, D being
-    the running maximum of diag(J^T J), which makes the damping
-    scale-free across the three very differently scaled parameters.  A
-    step is taken only if it lowers the squared error and keeps t > 0;
-    otherwise mu grows and the step is solved again.  The loop ends
-    after `iterations` iterations, or once the residual stops falling:
-    a rejected step no longer moves x.  Returns (phi0, beta, t,
-    max-norm deviation).
+    The residual is `endpoint_coords` minus the target's (Re A, Im A,
+    Re B, Im B), and J is `endpoint_jacobian`.  Each iteration evaluates
+    J once and solves the damped normal equations
+    (J^T J + mu*D) s = -J^T r in plain floats, D being the running
+    maximum of diag(J^T J), which makes the damping scale-free across the
+    three very differently scaled parameters.  A step is taken only if it
+    lowers the squared error and keeps t > 0; otherwise mu grows and the
+    step is solved again.  The loop ends after `iterations` iterations,
+    or once the residual stops falling: a rejected step no longer moves
+    x.  Returns (phi0, beta, t, max-norm deviation).
     """
+
+    def residual(x: tuple[float, float, float]) -> tuple:
+        return tuple(map(operator.sub, endpoint_coords(*x), target))
+
     x = (phi0, beta, t)
-    r = residual(*x)
+    r = residual(x)
     f = _dot(r, r)
     mu = _MU_START
     d0 = d1 = d2 = 0.0
     for _ in range(iterations):
         if f == 0.0:
             break
-        c0, c1, c2 = jacobian(*x)
+        c0, c1, c2 = endpoint_jacobian(*x)
         a = (_dot(c0, c0), _dot(c0, c1), _dot(c0, c2), _dot(c1, c1), _dot(c1, c2), _dot(c2, c2))
         g = (_dot(c0, r), _dot(c1, r), _dot(c2, r))
         d0, d1, d2 = max(d0, a[0]), max(d1, a[3]), max(d2, a[5])
@@ -234,7 +182,7 @@ def _refine(
                 if trial == x:
                     return (*x, max(map(abs, r)))
                 if trial[2] > 0.0:
-                    r_new = residual(*trial)
+                    r_new = residual(trial)
                     f_new = _dot(r_new, r_new)
                     if f_new < f:
                         break
@@ -275,7 +223,9 @@ def _threshold(min_dev: float) -> float:
     return max(MATCH_TOL, 4.0 * min_dev, min_dev + 2e-3)
 
 
-def _seeds(table: _kernels.RowTable, target: np.ndarray) -> list[tuple[float, float, float]]:
+def _seeds(
+    table: _kernels.RowTable, target: tuple[float, float, float, float]
+) -> list[tuple[float, float, float]]:
     """(phi0, beta, t) of the scan rows close enough to one SU(2) lift to refine.
 
     Only rows whose `_kernels.row_bounds` is at most the threshold are
@@ -307,7 +257,7 @@ def _seeds(table: _kernels.RowTable, target: np.ndarray) -> list[tuple[float, fl
 
 
 # Row tables of the grids shot last.  A table holds at most
-# 2 * n_beta * n_t * 8 bytes (2 MiB at the default grid), and only the
+# 3 * n_beta * n_t * 8 bytes (3 MiB at the default grid), and only the
 # rows some shot has scanned are resident.
 @functools.lru_cache(maxsize=4)
 def _table(n_beta: int, beta_max: float, n_t: int) -> _kernels.RowTable:
@@ -316,15 +266,15 @@ def _table(n_beta: int, beta_max: float, n_t: int) -> _kernels.RowTable:
     return _kernels.RowTable((2.0 * beta_max / math.pi) * np.tan(chi), n_t)
 
 
-def _shoot(
-    lifts: list[np.ndarray], residual: Residual, jacobian: Jacobian, grid: GridSpec
-) -> ShootResult:
+def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
     table = _table(grid.n_beta, grid.beta_max, grid.n_t)
-    # An SO(3) target is reached through either of its two lifts; each
-    # lift gets its own threshold, so a grid that passes closer to one
-    # lift does not hide the other's rows.  The lifts share the table.
-    seeds = [p for vec in lifts for p in _seeds(table, vec)]
-    refined = [_refine(residual, jacobian, *p, grid.refine_steps) for p in seeds]
+    # An SO(3) target is reached through either of its two lifts.  Each
+    # lift gets its own threshold, so a grid passing closer to one lift
+    # does not hide the other's rows; the lifts share the table.
+    refined = []
+    for g in lifts:
+        target = (g.a_re, g.a_im, g.b_re, g.b_im)
+        refined += [_refine(target, *p, grid.refine_steps) for p in _seeds(table, target)]
 
     exact = sorted(
         (r for r in refined if r[3] <= REFINED_TOL),
@@ -351,19 +301,18 @@ def shoot_min_time(target: SU2Element, grid: GridSpec = GridSpec()) -> ShootResu
     not depend on phi0, so every phi0 is minimizing; only the
     representatives the scan seeds are listed, not the whole circle.
     """
-    return _shoot([_target_vector_su2(target)], _residual_su2(target), endpoint_jacobian, grid)
+    return _shoot([target], grid)
 
 
 def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> ShootResult:
-    """Minimal arrival time at an SO(3) target, endpoint matched after covering.
+    """Minimal arrival time at an SO(3) target, the least over its two SU(2) lifts.
 
-    Both SU(2) lifts are scanned; refinement matches the rotation that
-    covers them, so a target whose entries are off SO(3) by rounding is
+    A geodesic's endpoint covers the target exactly when it equals one of
+    the target's lifts, so each lift is scanned and its seeds refined in
+    SU(2) coordinates, as in `shoot_min_time`.  `lift_so3` returns exact
+    unit pairs, so a target whose entries are off SO(3) by rounding is
     matched as its nearby exact rotation.
     As in `shoot_min_time`, phi0 is free when the lifts have B = 0 (axis-1
     rotations) and only representatives are listed.
     """
-    lifts = lift_so3(target)
-    return _shoot(
-        [_target_vector_su2(g) for g in lifts], _residual_so3(lifts[0]), _jacobian_so3, grid
-    )
+    return _shoot(list(lift_so3(target)), grid)

@@ -33,6 +33,7 @@ from .su2_distance import (
     EPS_CASE,
     DistanceCase,
     DistanceResult,
+    abs_a_one,
     beta_domain_max,
     distance_su2,
     solve_arc,
@@ -79,11 +80,8 @@ def distance_so3(c: SO3Element) -> DistanceResult:
     theta = math.atan2(a.imag, a.real)
 
     if abs_a >= 1.0 - ABS_A_EDGE:
-        # Branch 2: rotation about axis 1, the identity at theta = 0.  beta
-        # solves pi*beta/sqrt(1 + beta^2) = +-pi - theta; phi0 is free.
-        half_t = math.sqrt(abs(theta) * (TWO_PI - abs(theta)))
-        beta = math.copysign(math.pi - abs(theta), theta) / half_t if half_t else None
-        return DistanceResult(2.0 * half_t, DistanceCase.ABS_A_ONE, beta, None)
+        # Branch 2: rotation about axis 1, as in `distance_su2`.
+        return abs_a_one(theta)
 
     k2 = b.real * b.real + b.imag * b.imag
     disc = math.cos(math.pi * abs_a) + math.cos(2.0 * theta)

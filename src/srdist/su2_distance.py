@@ -58,8 +58,8 @@ class DistanceCase(enum.Enum):
 class DistanceResult:
     """Distance t, the branch used, and the recovered geodesic parameters.
 
-    `beta` / `phi0` are None when the minimizer's parameter is not unique
-    (e.g. |A| = 1 leaves the sign of beta free, B = 0 leaves phi0 free).
+    `beta` / `phi0` are None when the minimizer's parameter is not unique:
+    B = 0 leaves phi0 free, and the identity (t = 0) leaves beta free.
     """
 
     t: float
@@ -254,6 +254,19 @@ def solve_arc(abs_a: float, k2: float, target: float, long: bool) -> tuple[float
     return abs_a * s / k, 2.0 * k * abs(v) / rq
 
 
+def abs_a_one(theta: float) -> DistanceResult:
+    """Branch 2 (|A| = 1, B = 0) at theta = arg(A); the identity at theta = 0.
+
+    The geodesic reaches B = 0 at u = t*s/2 = pi, where A = -exp(-i*h)
+    with h = beta*t/2.  So pi*beta/s = +-pi - theta, and
+    beta = (pi - |theta|)/(t/2) takes theta's sign; -beta misses the
+    target.  phi0 is free, and at the identity beta is too.
+    """
+    half_t = math.sqrt(abs(theta) * (TWO_PI - abs(theta)))
+    beta = math.copysign(math.pi - abs(theta), theta) / half_t if half_t else None
+    return DistanceResult(2.0 * half_t, DistanceCase.ABS_A_ONE, beta, None)
+
+
 def distance_su2(g: SU2Element) -> DistanceResult:
     """Distance from g to the identity, with branch label and geodesic parameters."""
     abs_a = math.hypot(g.a_re, g.a_im)
@@ -267,9 +280,7 @@ def distance_su2(g: SU2Element) -> DistanceResult:
     theta = math.atan2(g.a_im, g.a_re)
 
     if abs_a >= 1.0 - ABS_A_EDGE:
-        # Branch 2: B = 0; |beta| is fixed by t but its sign is not reported.
-        t = 2.0 * math.sqrt(max(0.0, abs(theta) * (TWO_PI - abs(theta))))
-        return DistanceResult(t, DistanceCase.ABS_A_ONE, None, None)
+        return abs_a_one(theta)
 
     boundary = math.pi * (1.0 - abs_a) / 2.0
     if abs(abs(theta) - boundary) <= EPS_CASE:
@@ -294,20 +305,6 @@ def distance_su2(g: SU2Element) -> DistanceResult:
     if abs_b > ABS_A_EDGE:
         phi0 = (math.atan2(g.b_im, g.b_re) - beta * t / 2.0) % TWO_PI
     return DistanceResult(t, case, beta, phi0)
-
-
-def classify_su2(g: SU2Element) -> DistanceCase:
-    """Re-evaluate the branch predicate alone (used by consistency tests)."""
-    abs_a = math.hypot(g.a_re, g.a_im)
-    if abs_a <= ABS_A_EDGE:
-        return DistanceCase.A_ZERO
-    if abs_a >= 1.0 - ABS_A_EDGE:
-        return DistanceCase.ABS_A_ONE
-    theta = abs(math.atan2(g.a_im, g.a_re))
-    boundary = math.pi * (1.0 - abs_a) / 2.0
-    if abs(theta - boundary) <= EPS_CASE:
-        return DistanceCase.BOUNDARY
-    return DistanceCase.SHORT if theta < boundary else DistanceCase.LONG
 
 
 def distance_su2_pair(g: SU2Element, h: SU2Element) -> float:

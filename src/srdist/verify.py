@@ -25,7 +25,7 @@ from .algebra import SU2Element, klein_omega, random_so3, random_su2
 from .cutlocus import classify_cut_locus_so3, in_cut_locus_su2_l2
 from .geodesics import GeodesicParams, cut_time_bound, geodesic_point, geodesic_point_exp
 from .flawed_system import demonstrate_br_nonuniqueness
-from .oracle import GridSpec, shoot_min_time
+from .oracle import GridSpec, shoot_min_time, shoot_min_time_so3
 from .so3_distance import distance_so3, distance_so3_via_lifts
 from .su2_distance import arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short
 
@@ -102,10 +102,19 @@ def check_lemmas(abs_as: Iterable[float], n_beta: int) -> list[CheckResult]:
 def check_oracle(
     rng: np.random.Generator, n: int, grid: GridSpec = GridSpec()
 ) -> list[CheckResult]:
-    """Shooting-oracle minimal times against the case-analysis distances."""
+    """Shooting-oracle minimal times against the case-analysis distances.
+
+    n Haar SU(2) targets, then n Haar rotations from the same generator,
+    all shot on `grid`.
+    """
     targets = [random_su2(rng) for _ in range(n)]
     gaps = [shoot_min_time(g, grid).t_min - distance_su2(g).t for g in targets]
-    return [CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 2e-2)]
+    rotations = [random_so3(rng) for _ in range(n)]
+    gaps_so3 = [shoot_min_time_so3(c, grid).t_min - distance_so3(c).t for c in rotations]
+    return [
+        CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 2e-2),
+        CheckResult(f"SO(3) oracle vs case analysis ({n} rotations)", _worst(gaps_so3), 2e-2),
+    ]
 
 
 def check_flawed_system() -> list[CheckResult]:

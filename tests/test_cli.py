@@ -126,6 +126,18 @@ def test_geodesic_bad_steps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("t_max", ["nan", "-nan", "inf", "-inf", "0", "-1"])
+def test_geodesic_rejects_bad_t_max(capsys, t_max):
+    code, out, err = run_cli(
+        capsys,
+        "geodesic", "--group", "su2", "--phi0", "0", "--beta", "0",
+        f"--t-max={t_max}", "--steps", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --t-max ")
+
+
 def test_sphere_samples_lie_on_sphere(capsys):
     code, out, err = run_cli(
         capsys,

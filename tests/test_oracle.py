@@ -7,13 +7,12 @@ import pytest
 
 from srdist import _kernels, oracle
 from srdist._kernels import RowTable, row_bounds, scan_su2
-from srdist.algebra import SO3Element, SU2Element, klein_entries, klein_omega, random_su2
+from srdist.algebra import SO3Element, SU2Element, klein_omega, random_su2
 from srdist.cutlocus import CutTag, classify_cut_locus_so3
 from srdist.flawed_system import br_system_residual, demonstrate_br_nonuniqueness
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
-    endpoint_coords,
     geodesic_point,
     geodesic_point_so3,
 )
@@ -23,7 +22,6 @@ from srdist.oracle import (
     TIME_TOL,
     ShootNoMatchError,
     _CANDIDATE_CAP,
-    _jacobian_so3,
     _seeds,
     _threshold,
     shoot_min_time,
@@ -195,25 +193,6 @@ def test_nothing_to_refine_is_typed(monkeypatch):
     monkeypatch.setattr(oracle, "_seeds", lambda table, target: [])
     with pytest.raises(ShootNoMatchError):
         shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0), SMALL)
-
-
-def test_so3_jacobian_matches_central_differences():
-    rng = np.random.default_rng(55)
-    h = 1e-6
-    worst = 0.0
-
-    def entries(x):
-        return np.array(klein_entries(*endpoint_coords(*x)))
-
-    for _ in range(300):
-        x = np.array([rng.uniform(0, TWO_PI), rng.uniform(-100, 100), 0.0])
-        x[2] = rng.uniform(0, cut_time_bound(x[1]))
-        for i, col in enumerate(_jacobian_so3(*x)):
-            step = np.zeros(3)
-            step[i] = h
-            fd = (entries(x + step) - entries(x - step)) / (2 * h)
-            worst = max(worst, np.max(np.abs(fd - col)))
-    assert worst < 1e-7
 
 
 class TestShootSU2:
