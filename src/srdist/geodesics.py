@@ -122,7 +122,13 @@ def geodesic_point_so3(p: GeodesicParams, t: float) -> SO3Element:
 
 
 def cut_time_bound(beta: float) -> float:
-    """Upper bound 2*pi/sqrt(1 + beta^2) on the time a geodesic stays minimizing."""
+    """SU(2) cut time 2*pi/sqrt(1 + beta^2) of the geodesics with momentum beta.
+
+    It is exact, not just an upper bound: on SU(2) a geodesic minimizes
+    up to this time, where it reaches B = 0 at u = t*s/2 = pi, and no
+    longer after it (the paper's theorem; `tests/test_geodesics.py` checks
+    both sides).  On SO(3) a geodesic can stop minimizing earlier.
+    """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     return TWO_PI / math.sqrt(1.0 + beta * beta)

@@ -11,16 +11,22 @@ matrix entries:
 When c11 = |A|^2 - |B|^2 >= 0, A is the principal root of A^2 and B
 follows from A conj(B); otherwise B is a root of B^2 and A follows.  Each
 path divides only by the larger of |A| and |B|, so no digits are lost
-near half turns or axis-1 rotations.  With theta = arg A in
-[-pi/2, pi/2], the paper's SO(3) theorem routes on the pair: branches 1
-and 2 on |A| (the predicate `distance_su2` uses), short, long and
-boundary arcs on the sign of cos(pi |A|) + cos(2 theta).  phi0 is read
-off the same B.
+near half turns or axis-1 rotations.
+
+The pair then goes through the SU(2) case analysis,
+`su2_distance.distance_from_pair`.  The paper's SO(3) theorem routes
+short, long and boundary arcs on the sign of cos(pi |A|) + cos(2 theta),
+theta = arg A.  That sum is 2 cos(pi |A|/2 + theta) cos(pi |A|/2 - theta);
+for theta in [-pi/2, pi/2], which Re A >= 0 gives, the second factor is
+positive, so the sum is positive, zero or negative exactly when
+|theta| is below, at or above pi (1 - |A|)/2: the SU(2) test on the
+canonical lift.  phi0 is read off the same B.
 
 An independent route takes the minimum of the SU(2) distances of the two
 lifts of C (`lift_so3`).  Both routes are within 1e-13 of a 40-digit
 reference on the accuracy bands, and the test suite checks that they
-agree.
+agree, also next to the branch-3 boundary as |A| -> 1
+(`verify.check_submetry`).
 """
 from __future__ import annotations
 
@@ -28,18 +34,7 @@ import cmath
 import math
 
 from .algebra import SO3Element, lift_so3, so3_mul
-from .su2_distance import (
-    ABS_A_EDGE,
-    EPS_CASE,
-    DistanceCase,
-    DistanceResult,
-    abs_a_one,
-    beta_domain_max,
-    distance_su2,
-    solve_arc,
-)
-
-TWO_PI = 2.0 * math.pi
+from .su2_distance import DistanceResult, distance_from_pair, distance_su2
 
 # Largest distance observed on SO(3): attained at diag(1, -1, -1), the
 # half turn about axis 1 (checked by dense scans over (|A|, arg A) of the
@@ -68,40 +63,9 @@ def _cover_pair(rows) -> tuple[complex, complex]:
 
 
 def distance_so3(c: SO3Element) -> DistanceResult:
-    """Distance from the rotation c to the identity by direct case analysis."""
+    """Distance from the rotation c to the identity: its covering pair through the SU(2) branches."""
     a, b = _cover_pair(c.m.tolist())
-    abs_a = abs(a)
-    arg_b = math.atan2(b.imag, b.real)
-
-    if abs_a <= ABS_A_EDGE:
-        # Branch 1: half turn about an axis orthogonal to axis 1.
-        return DistanceResult(math.pi, DistanceCase.A_ZERO, 0.0, arg_b % TWO_PI)
-
-    theta = math.atan2(a.imag, a.real)
-
-    if abs_a >= 1.0 - ABS_A_EDGE:
-        # Branch 2: rotation about axis 1, as in `distance_su2`.
-        return abs_a_one(theta)
-
-    k2 = b.real * b.real + b.imag * b.imag
-    disc = math.cos(math.pi * abs_a) + math.cos(2.0 * theta)
-    if abs(disc) <= EPS_CASE:
-        # Branch 3: boundary between the short- and long-arc regimes.
-        # beta = +-b*, with theta's sign, as in `distance_su2`.
-        t = math.pi * math.sqrt(k2)
-        beta = math.copysign(beta_domain_max(abs_a), theta)
-        case = DistanceCase.BOUNDARY
-    elif disc > 0.0:
-        # Branch 4: short arc, monotone target theta.
-        beta, t = solve_arc(abs_a, k2, theta, long=False)
-        case = DistanceCase.SHORT
-    else:
-        # Branch 5: long arc, phase target pi - theta (theta >= 0) or -pi - theta.
-        target = math.pi - theta if theta >= 0.0 else -math.pi - theta
-        beta, t = solve_arc(abs_a, k2, target, long=True)
-        case = DistanceCase.LONG
-
-    return DistanceResult(t, case, beta, (arg_b - beta * t / 2.0) % TWO_PI)
+    return distance_from_pair(a.real, a.imag, b.real, b.imag)
 
 
 def distance_so3_via_lifts(c: SO3Element) -> float:

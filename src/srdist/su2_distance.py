@@ -17,6 +17,9 @@ safeguarded Newton iteration (`solve_monotone`) converges in a few steps.
 beta and the travel time then follow from psi in closed form.  The
 beta-form functions `arg_short`, `arg_long`, `time_short` and `time_long`
 state the paper's equations; the tests check the psi form against them.
+
+`distance_from_pair` runs the branches on a unit pair (A, B) given as
+four floats; `distance_su2` and `so3_distance.distance_so3` both call it.
 """
 from __future__ import annotations
 
@@ -33,9 +36,8 @@ HALF_PI = 0.5 * math.pi
 _EPS = 2.0 * sys.float_info.epsilon
 
 # Half-width of the classification band around the branch-3 boundary,
-# applied to theta (to the boundary discriminant on SO(3)).  The psi
-# solve is accurate up to the boundary, so the band only has to catch
-# inputs that sit on it to within rounding.
+# applied to theta.  The psi solve is accurate up to the boundary, so the
+# band only has to catch inputs that sit on it to within rounding.
 EPS_CASE = 1e-15
 
 # |A| closer than this to 0 or 1 is routed to branches 1 / 2.
@@ -254,57 +256,61 @@ def solve_arc(abs_a: float, k2: float, target: float, long: bool) -> tuple[float
     return abs_a * s / k, 2.0 * k * abs(v) / rq
 
 
-def abs_a_one(theta: float) -> DistanceResult:
-    """Branch 2 (|A| = 1, B = 0) at theta = arg(A); the identity at theta = 0.
+def distance_from_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> DistanceResult:
+    """Case analysis on the unit pair (A, B); `distance_su2` and `distance_so3` both call it.
 
-    The geodesic reaches B = 0 at u = t*s/2 = pi, where A = -exp(-i*h)
-    with h = beta*t/2.  So pi*beta/s = +-pi - theta, and
-    beta = (pi - |theta|)/(t/2) takes theta's sign; -beta misses the
-    target.  phi0 is free, and at the identity beta is too.
+    On SO(3) the pair is the covering pair with Re A >= 0, so that
+    theta = arg(A) lies in [-pi/2, pi/2]; there the SU(2) test
+    |theta| < pi*(1 - |A|)/2 is the paper's SO(3) test
+    cos(pi |A|) + cos(2 theta) > 0.
     """
-    half_t = math.sqrt(abs(theta) * (TWO_PI - abs(theta)))
-    beta = math.copysign(math.pi - abs(theta), theta) / half_t if half_t else None
-    return DistanceResult(2.0 * half_t, DistanceCase.ABS_A_ONE, beta, None)
-
-
-def distance_su2(g: SU2Element) -> DistanceResult:
-    """Distance from g to the identity, with branch label and geodesic parameters."""
-    abs_a = math.hypot(g.a_re, g.a_im)
-    abs_b = math.hypot(g.b_re, g.b_im)
+    abs_a = math.hypot(a_re, a_im)
+    abs_b = math.hypot(b_re, b_im)
 
     if abs_a <= ABS_A_EDGE:
         # Branch 1: t = pi, beta = 0, phi0 = arg(B).
-        phi0 = math.atan2(g.b_im, g.b_re) % TWO_PI
+        phi0 = math.atan2(b_im, b_re) % TWO_PI
         return DistanceResult(math.pi, DistanceCase.A_ZERO, 0.0, phi0)
 
-    theta = math.atan2(g.a_im, g.a_re)
+    theta = math.atan2(a_im, a_re)
 
     if abs_a >= 1.0 - ABS_A_EDGE:
-        return abs_a_one(theta)
+        # Branch 2 (B = 0): the geodesic reaches B = 0 at u = t*s/2 = pi,
+        # where A = -exp(-i*h) with h = beta*t/2.  So pi*beta/s = +-pi - theta,
+        # and beta = (pi - |theta|)/(t/2) takes theta's sign; -beta misses
+        # the target.  phi0 is free, and at the identity beta is too.
+        half_t = math.sqrt(abs(theta) * (TWO_PI - abs(theta)))
+        beta = math.copysign(math.pi - abs(theta), theta) / half_t if half_t else None
+        return DistanceResult(2.0 * half_t, DistanceCase.ABS_A_ONE, beta, None)
 
+    k2 = abs_b * abs_b
     boundary = math.pi * (1.0 - abs_a) / 2.0
     if abs(abs(theta) - boundary) <= EPS_CASE:
         # Branch 3: boundary between the short- and long-arc regimes.
         # arg_short is odd and increasing and reaches +-pi*(1 - |A|)/2 at
         # beta = +-b*, so beta takes theta's sign.
-        t = math.pi * math.sqrt(1.0 - abs_a * abs_a)
+        t = math.pi * abs_b
         beta = math.copysign(beta_domain_max(abs_a), theta)
         case = DistanceCase.BOUNDARY
     elif abs(theta) < boundary:
         # Branch 4: short arc, monotone target theta.
-        beta, t = solve_arc(abs_a, abs_b * abs_b, theta, long=False)
+        beta, t = solve_arc(abs_a, k2, theta, long=False)
         case = DistanceCase.SHORT
     else:
         # Branch 5: long arc; the system's phase target is pi - theta for
         # theta >= 0 and -pi - theta otherwise.
         target = math.pi - theta if theta >= 0.0 else -math.pi - theta
-        beta, t = solve_arc(abs_a, abs_b * abs_b, target, long=True)
+        beta, t = solve_arc(abs_a, k2, target, long=True)
         case = DistanceCase.LONG
 
-    phi0 = None
-    if abs_b > ABS_A_EDGE:
-        phi0 = (math.atan2(g.b_im, g.b_re) - beta * t / 2.0) % TWO_PI
+    # Past the branch-2 test |B| >= 1.4e-6, so arg(B) is well defined.
+    phi0 = (math.atan2(b_im, b_re) - beta * t / 2.0) % TWO_PI
     return DistanceResult(t, case, beta, phi0)
+
+
+def distance_su2(g: SU2Element) -> DistanceResult:
+    """Distance from g to the identity, with branch label and geodesic parameters."""
+    return distance_from_pair(g.a_re, g.a_im, g.b_re, g.b_im)
 
 
 def distance_su2_pair(g: SU2Element, h: SU2Element) -> float:

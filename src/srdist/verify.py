@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .algebra import SU2Element, klein_omega, random_so3, random_su2
+from .algebra import SO3Element, SU2Element, klein_omega, random_so3, random_su2
 from .cutlocus import classify_cut_locus_so3, in_cut_locus_su2_l2
 from .geodesics import GeodesicParams, cut_time_bound, geodesic_point, geodesic_point_exp
 from .flawed_system import demonstrate_br_nonuniqueness
@@ -55,11 +55,38 @@ def _worst(values) -> float:
     return float(np.max(np.abs(np.asarray(values, dtype=float)), initial=0.0))
 
 
+def _near_boundary_rotations(rng: np.random.Generator, n: int) -> Iterator[SO3Element]:
+    """n rotations near the branch-3 boundary |theta| = pi*(1 - |A|)/2 as |A| -> 1.
+
+    1 - |A| cycles over 1e-7 ... 1e-10, theta = +-pi*(1 - |A|)/2 * U(0.5, 2)
+    and arg(B) is uniform, so the canonical lift has Re A > 0.
+    """
+    for i in range(n):
+        d = 10.0 ** -(7 + i % 4)
+        theta = rng.choice([-1.0, 1.0]) * math.pi * d / 2.0 * rng.uniform(0.5, 2.0)
+        gamma = rng.uniform(0.0, TWO_PI)
+        abs_a, abs_b = 1.0 - d, math.sqrt(d * (2.0 - d))
+        yield klein_omega(SU2Element(
+            abs_a * math.cos(theta), abs_a * math.sin(theta),
+            abs_b * math.cos(gamma), abs_b * math.sin(gamma),
+        ))
+
+
 def check_submetry(rng: np.random.Generator, n: int) -> list[CheckResult]:
-    """Direct SO(3) distances against the minimum over the two lifts."""
-    rotations = [random_so3(rng) for _ in range(n)]
-    gaps = [distance_so3(c).t - distance_so3_via_lifts(c) for c in rotations]
-    return [CheckResult(f"|direct - lift-minimum| ({n} rotations)", _worst(gaps), 1e-9)]
+    """Direct SO(3) distances against the minimum over the two lifts.
+
+    On n Haar rotations, then on n rotations near the branch-3 boundary as
+    |A| -> 1 (`_near_boundary_rotations`), drawn after them.
+    """
+    def gaps(rotations):
+        return [distance_so3(c).t - distance_so3_via_lifts(c) for c in rotations]
+
+    haar = gaps([random_so3(rng) for _ in range(n)])
+    near = gaps(_near_boundary_rotations(rng, n))
+    return [
+        CheckResult(f"|direct - lift-minimum| ({n} rotations)", _worst(haar), 1e-9),
+        CheckResult(f"direct vs lift-minimum near the branch-3 boundary ({n} rotations)", _worst(near), 1e-9),
+    ]
 
 
 def check_lemmas(abs_as: Iterable[float], n_beta: int) -> list[CheckResult]:

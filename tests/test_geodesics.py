@@ -79,6 +79,25 @@ def test_cut_time_bound_values():
     assert cut_time_bound(10.0) < cut_time_bound(5.0) < cut_time_bound(1.0)
 
 
+def test_su2_cut_time_is_exact():
+    # Before 2*pi/s the geodesic is minimizing, so its endpoint is at
+    # distance t; just past it a shorter geodesic reaches the endpoint.
+    rng = np.random.default_rng(3)
+    betas = np.concatenate([rng.normal(0.0, 2.0, 150), rng.uniform(-20.0, 20.0, 150)])
+    phi0s = rng.uniform(0.0, TWO_PI, 300)
+    before, after = 0.0, math.inf
+    for phi0, beta in zip(phi0s, betas):
+        p = GeodesicParams(phi0, beta)
+        cut = cut_time_bound(beta)
+        for frac in (0.5, 0.9, 0.999):
+            t = frac * cut
+            before = max(before, abs(distance_su2(geodesic_point(p, t)).t - t))
+        t = 1.01 * cut
+        after = min(after, t - distance_su2(geodesic_point(p, t)).t)
+    assert before <= 1e-12
+    assert after > 1e-9
+
+
 def test_cross_route_agreement_grid():
     # the acceptance suite runs the full 50^3 grid; this is a faster slice
     rng = np.random.default_rng(11)
