@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: dist, geodesic, sphere, cutlocus, verify.  Exit codes:
-0 success, 1 verification failure, 2 usage or input error.  All numbers
-are printed in shortest round-trip decimal form (<= 17 significant
-digits), so emitted files diff identically across platforms.
+0 success, 1 verification failure, 2 usage, input or output-file error.
+All numbers are printed in shortest round-trip decimal form (<= 17
+significant digits), so emitted files diff identically across platforms.
 """
 from __future__ import annotations
 
@@ -209,11 +209,8 @@ def cmd_cutlocus(args) -> int:
         print(cls.tag.value)
         if cls.witness:
             print(cls.witness)
-    elif args.su2 is not None:
-        tag = in_cut_locus_su2_l2(_parse_su2_csv(args.su2))
-        print(tag.value)
     else:
-        raise UsageError("provide --matrix or --su2")
+        print(in_cut_locus_su2_l2(_parse_su2_csv(args.su2)).value)
     return EXIT_OK
 
 
@@ -279,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sph.set_defaults(func=cmd_sphere)
 
     p_cut = sub.add_parser("cutlocus", help="classify cut-locus membership")
-    p_cut.add_argument("--matrix", type=str, default=None)
-    p_cut.add_argument("--su2", type=str, default=None)
+    target = p_cut.add_mutually_exclusive_group(required=True)
+    target.add_argument("--matrix", type=str, help="m11,...,m33 row-major")
+    target.add_argument("--su2", type=str, help="a_re,a_im,b_re,b_im")
     p_cut.set_defaults(func=cmd_cutlocus)
 
     p_ver = sub.add_parser("verify", help="run self-check suites")
@@ -303,7 +301,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, InvalidElementError, ValueError) as exc:
+    except (UsageError, InvalidElementError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

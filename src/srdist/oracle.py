@@ -2,11 +2,12 @@
 
 `shoot_min_time` scans a (beta, t) grid of geodesics from the identity,
 with phi0 at each cell set in closed form to match the phase of the
-target's B (see `_kernels.scan_su2`), keeps the beta rows whose endpoint
-comes closest to the target, polishes each candidate in (phi0, beta, t)
-by Levenberg-Marquardt on the endpoint residual with the closed-form
-Jacobian `geodesics.endpoint_jacobian`, and reports the least arrival
-time together with all parameter-distinct minimizers.  An SO(3) target
+target's B (see `_kernels.scan_su2`), seeds the beta rows whose deviation
+from the target is under a threshold and a local minimum along beta,
+refines each seed in (phi0, beta, t) to convergence by Levenberg-Marquardt
+on the endpoint residual with the closed-form Jacobian
+`geodesics.endpoint_jacobian`, and reports the least arrival time
+together with all parameter-distinct minimizers.  An SO(3) target
 is shot as its two SU(2) lifts (`algebra.lift_so3`), each scanned and
 refined in SU(2) coordinates.
 The beta rows are evenly spaced in chi = atan(beta/c) over the whole
@@ -44,18 +45,14 @@ TWO_PI = 2.0 * math.pi
 MATCH_TOL = 1e-3
 # Endpoint deviation (max-norm) a refined candidate must reach to count
 # as hitting the target; t_min and the minimizers are taken over these.
-# Candidates that converge to a minimizer reach a few ulps, while one that
-# stalls in a steep valley of (beta, t) short of the target can arrive
-# early by far more than its deviation, so the bound sits two orders of
-# magnitude above the rounding floor.
+# A candidate refined to convergence at a minimizer lands at the rounding
+# floor, well below this bound; one converging elsewhere stays far above.
 REFINED_TOL = 1e-12
 # Arrival-time tolerance: minimizers within t_min + TIME_TOL are listed.
 TIME_TOL = 2e-2
 # Parameter-space radius for deduplicating minimizers.
 DEDUP_RADIUS = 0.1
 
-# Rows refined per SU(2) lift at most.
-_CANDIDATE_CAP = 512
 # Levenberg-Marquardt damping: start, and factors after a taken and a
 # rejected step.
 _MU_START = 1e-3
@@ -78,8 +75,8 @@ class GridSpec:
     (-pi/2, pi/2), with c = 2*beta_max/pi: near beta = 0 they are
     2*beta_max/n_beta apart, as on a linear grid over [-beta_max,
     beta_max], and the outer rows reach |beta| of about
-    4*beta_max*n_beta/pi**2 (830 at the defaults).  refine_steps caps the
-    Levenberg-Marquardt iterations (Jacobian evaluations) per candidate.
+    4*beta_max*n_beta/pi**2 (830 at the defaults).  refine_steps bounds the
+    Levenberg-Marquardt iterations per candidate, as a safety net only.
     The scan has no phi0 axis (phi0 is solved in closed form per cell),
     and refinement needs no phi0 step, so n_phi is validated but no
     longer read.
@@ -89,7 +86,7 @@ class GridSpec:
     n_beta: int = 256
     beta_max: float = 8.0
     n_t: int = 512
-    refine_steps: int = 60
+    refine_steps: int = 200
 
     def __post_init__(self):
         # operator.index raises TypeError on a non-integer (numpy ints pass)
@@ -155,9 +152,9 @@ def _refine(
     maximum of diag(J^T J), which makes the damping scale-free across the
     three very differently scaled parameters.  A step is taken only if it
     lowers the squared error and keeps t > 0; otherwise mu grows and the
-    step is solved again.  The loop ends after `iterations` iterations,
-    or once the residual stops falling: a rejected step no longer moves
-    x.  Returns (phi0, beta, t, max-norm deviation).
+    step is solved again.  The loop ends when f = 0, when a rejected step
+    no longer moves x or when mu passes _MU_MAX; `iterations` is only a
+    safety net.  Returns (phi0, beta, t, max-norm deviation).
     """
 
     def residual(x: tuple[float, float, float]) -> tuple:
@@ -226,11 +223,14 @@ def _threshold(min_dev: float) -> float:
 def _seeds(
     table: _kernels.RowTable, target: tuple[float, float, float, float]
 ) -> list[tuple[float, float, float]]:
-    """(phi0, beta, t) of the scan rows close enough to one SU(2) lift to refine.
+    """(phi0, beta, t) of the scan rows to refine toward one SU(2) lift.
 
-    Only rows whose `_kernels.row_bounds` is at most the threshold are
-    scanned: the others have dev >= bound > threshold >= min_dev, so they
-    could neither be selected nor lower the minimum.  The rows under
+    A row seeds when its dev is at most the threshold and at most both
+    chi-neighbours' (+inf past the ends), so each valley of dev seeds
+    once.  Only rows whose `_kernels.row_bounds` is at most the threshold
+    are scanned: the others have dev >= bound > threshold >= min_dev, so
+    they could neither seed, lower the minimum nor undercut a seed's dev
+    (they keep +inf).  The rows under
     _threshold(0) go first (those of least bound if there are none),
     then the rows the threshold of the minimum so far admits, until no
     row is left under it.  Rows scan independently of each other and of
@@ -249,10 +249,8 @@ def _seeds(
         dev[rows], t_best[rows], phis[rows] = _kernels.scan_su2(table, target, rows)
         scanned |= todo
         threshold = _threshold(float(dev.min()))
-    idx = np.flatnonzero(dev <= threshold)
-    if len(idx) > _CANDIDATE_CAP:
-        order = np.argsort(dev[idx], kind="stable")
-        idx = idx[order[:_CANDIDATE_CAP]]
+    padded = np.concatenate(([np.inf], dev, [np.inf]))
+    idx = np.flatnonzero((dev <= threshold) & (dev <= padded[:-2]) & (dev <= padded[2:]))
     return list(zip(phis[idx].tolist(), betas[idx].tolist(), t_best[idx].tolist()))
 
 

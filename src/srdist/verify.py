@@ -139,8 +139,8 @@ def check_oracle(
     rotations = [random_so3(rng) for _ in range(n)]
     gaps_so3 = [shoot_min_time_so3(c, grid).t_min - distance_so3(c).t for c in rotations]
     return [
-        CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 2e-2),
-        CheckResult(f"SO(3) oracle vs case analysis ({n} rotations)", _worst(gaps_so3), 2e-2),
+        CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 1e-12),
+        CheckResult(f"SO(3) oracle vs case analysis ({n} rotations)", _worst(gaps_so3), 1e-12),
     ]
 
 

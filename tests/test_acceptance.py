@@ -154,7 +154,7 @@ def test_criterion_8_cut_locus():
         missed += len(res.minimizers) < 2
     # The cover samples continue on the same generator, after the 20 half turns.
     report("criterion 8 (cut locus)",
-           CheckResult("20 Sym targets, t_min gap", max(gaps), 2e-2),
+           CheckResult("20 Sym targets, t_min gap", max(gaps), 1e-12),
            CheckResult("Sym targets with < 2 minimizers", missed, 0),
            *check_cover(rng, 1000))
 

@@ -84,6 +84,18 @@ def test_missing_args_exit_2(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
 
 
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "geo.csv"
+    code, out, err = run_cli(
+        capsys,
+        "geodesic", "--group", "su2", "--phi0", "0", "--beta", "0",
+        "--t-max", "1", "--steps", "2", "--out", str(out_file),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(out_file) in err
+
+
 def test_geodesic_csv_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "geo.csv"
     code, _, _ = run_cli(
@@ -179,6 +191,15 @@ def test_cutlocus_matrix(capsys):
 
 def test_cutlocus_requires_input(capsys):
     assert run_cli(capsys, "cutlocus")[0] == 2
+
+
+def test_cutlocus_rejects_both_inputs(capsys):
+    code, out, err = run_cli(
+        capsys, "cutlocus", "--matrix=-1,0,0,0,1,0,0,0,-1", "--su2", "0.6,0,0.8,0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
 
 
 def test_verify_suite_exit_zero(capsys):

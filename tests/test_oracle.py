@@ -21,7 +21,6 @@ from srdist.oracle import (
     REFINED_TOL,
     TIME_TOL,
     ShootNoMatchError,
-    _CANDIDATE_CAP,
     _seeds,
     _threshold,
     shoot_min_time,
@@ -75,11 +74,15 @@ def _bits(seeds):
 
 
 def _full_scan_seeds(betas, n_t, target):
-    """Seeds and per-row deviations of the scan over every row of a fresh table."""
+    """Seeds and per-row deviations of the scan over every row of a fresh table.
+
+    The seeds are the rows under the threshold that are local minima of
+    the deviation along chi, the two ends counting as +inf neighbours.
+    """
     dev, t_best, phis = scan_su2(RowTable(betas, n_t), target, np.arange(len(betas)))
-    idx = np.flatnonzero(dev <= _threshold(float(dev.min())))
-    if len(idx) > _CANDIDATE_CAP:
-        idx = idx[np.argsort(dev[idx], kind="stable")[:_CANDIDATE_CAP]]
+    below = np.append(np.inf, dev[:-1])
+    above = np.append(dev[1:], np.inf)
+    idx = np.flatnonzero((dev <= _threshold(float(dev.min()))) & (dev <= below) & (dev <= above))
     return list(zip(phis[idx].tolist(), betas[idx].tolist(), t_best[idx].tolist())), dev
 
 
@@ -261,6 +264,21 @@ class TestHighMomentumTargets:
         assert res.t_min == res.minimizers[0][2]
         assert abs(res.t_min - distance_su2(g).t) <= 1e-12
 
+    # Refinements cut off after 60 steps while still creeping along the
+    # valley arrived 4.8e-12 to 9.4e-11 early on these targets.
+    @pytest.mark.parametrize(
+        "phi0, beta, t",
+        [
+            (5.30646635951618, -134.0, 0.028258137803553678),
+            (0.07062245953845339, -130.0, 0.028382092463668098),
+            (5.310217244588261, -81.0, 0.015589397006036053),
+            (6.072651710875419, 94.0, 0.04195946198225957),
+        ],
+    )
+    def test_refined_to_convergence(self, phi0, beta, t):
+        g = geodesic_point(GeodesicParams(phi0, beta), t)
+        assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
+
     @pytest.mark.parametrize("beta, t", [(20.0, 0.25), (30.0, 0.1), (100.0, 0.05)])
     def test_small_grid(self, beta, t):
         g = geodesic_point(GeodesicParams(1.0, beta), t)
@@ -289,6 +307,20 @@ class TestNearIdentity:
     def test_no_early_stalled_candidate(self, phi0, beta, d):
         g = geodesic_point(GeodesicParams(phi0, beta), d)
         assert abs(shoot_min_time(g, SMALL).t_min - distance_su2(g).t) <= 1e-12
+
+    # Refinements cut off after 60 steps arrived 1.0e-11 to 1.5e-11 early
+    # on these targets at the default grid.
+    @pytest.mark.parametrize(
+        "phi0, beta, d",
+        [
+            (0.27794863375359086, 29.455770804368697, 0.0034359994231134665),
+            (5.744605465532368, 29.223682278597842, 0.003570881262507604),
+            (0.5528994959544642, -23.880283252201554, 0.003561068327773028),
+        ],
+    )
+    def test_refined_to_convergence(self, phi0, beta, d):
+        g = geodesic_point(GeodesicParams(phi0, beta), d)
+        assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
 
 
 class TestShootSO3:
