@@ -1,33 +1,27 @@
 """Brute-force geodesic-shooting oracle.
 
-`shoot_min_time` scans a (beta, t) grid of geodesics from the identity,
-with phi0 at each cell set in closed form to match the phase of the
-target's B (see `_kernels.scan_su2`), seeds the beta rows whose deviation
-from the target is under a threshold and a local minimum along beta,
-refines each seed in (phi0, beta, t) to convergence by Levenberg-Marquardt
-on the endpoint residual with the closed-form Jacobian
-`geodesics.endpoint_jacobian`, and reports the least arrival time
-together with all parameter-distinct minimizers.  An SO(3) target
-is shot as its two SU(2) lifts (`algebra.lift_so3`), each scanned and
-refined in SU(2) coordinates.
+`shoot_min_time` scans the geodesics from the identity over a grid of
+momenta beta alone: on each row the target's B fixes phi0 and leaves
+two arrival times, one per branch (see `_kernels.scan_su2`).  It seeds
+the rows whose deviation from the target is under a threshold and a
+local minimum along beta on their branch, refines each seed in
+(phi0, beta, t) to convergence by Gauss-Newton steps, damped in the
+Levenberg-Marquardt way when a full step fails, on the endpoint
+residual with the closed-form Jacobian `geodesics.endpoint_jacobian`,
+and reports the least arrival time together with all parameter-distinct
+minimizers.  An SO(3) target is shot as its two SU(2) lifts
+(`algebra.lift_so3`), each scanned and refined in SU(2) coordinates.
 The beta rows are evenly spaced in chi = atan(beta/c) over the whole
 open interval (-pi/2, pi/2), so one grid reaches every momentum and no
-target needs its own window.  Rows whose lower bound |B_target| - 1/s
-on the deviation (`_kernels.row_bounds`) already exceeds the candidate
-threshold are not scanned; the seeds, and so the result, equal those of
-the full scan.  The target-free part of each row, the endpoint's A and
-|B| at every t, is computed once per grid and kept in a `_kernels.RowTable`
-(at most 3 * n_beta * n_t * 8 bytes, 3 MiB at the default grid) that
-later shots and the second SO(3) lift reuse; the seeds are bit for bit
-those of a fresh table.  It shares only the geodesic formulas with the
-production distance code, never its case analysis, so it serves as an
-independent check.
+target needs its own window.  The oracle shares only the geodesic
+formulas with the production distance code, never its case analysis,
+so it serves as an independent check.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +54,11 @@ _MU_DOWN = 1.0 / 3.0
 _MU_UP = 8.0
 # Damping at which a step is negligible against any x: give up.
 _MU_MAX = 1e30
+# Squared residual at the rounding floor of the endpoint: done.
+_F_DONE = (2.0 * sys.float_info.epsilon) ** 2
+# Iterations over which the squared residual must at least halve, or the
+# refinement has stalled.
+_STALL_STEPS = 20
 
 
 class ShootNoMatchError(RuntimeError):
@@ -68,7 +67,7 @@ class ShootNoMatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Scan grid of n_beta x n_t cells.
+    """Scan grid of n_beta rows of momentum beta.
 
     The beta rows are beta_j = c*tan(chi_j) at the midpoints
     chi_j = -pi/2 + (j + 1/2)*pi/n_beta of n_beta equal steps over
@@ -76,10 +75,11 @@ class GridSpec:
     2*beta_max/n_beta apart, as on a linear grid over [-beta_max,
     beta_max], and the outer rows reach |beta| of about
     4*beta_max*n_beta/pi**2 (830 at the defaults).  refine_steps bounds the
-    Levenberg-Marquardt iterations per candidate, as a safety net only.
-    The scan has no phi0 axis (phi0 is solved in closed form per cell),
-    and refinement needs no phi0 step, so n_phi is validated but no
-    longer read.
+    refinement's iterations per candidate, as a safety net only.  The
+    scan solves phi0 and t from the target's B on each row, so it has
+    neither a phi0 nor a t axis: n_phi and n_t are validated but no
+    longer read.  They keep their places because callers, the benchmark
+    among them, pass the four sizes positionally.
     """
 
     n_phi: int = 256
@@ -143,18 +143,24 @@ def _refine(
     t: float,
     iterations: int,
 ) -> tuple[float, float, float, float]:
-    """Levenberg-Marquardt on the squared endpoint residual (Moré 1978).
+    """Gauss-Newton on the squared endpoint residual, damped when a full step fails.
 
     The residual is `endpoint_coords` minus the target's (Re A, Im A,
     Re B, Im B), and J is `endpoint_jacobian`.  Each iteration evaluates
-    J once and solves the damped normal equations
-    (J^T J + mu*D) s = -J^T r in plain floats, D being the running
-    maximum of diag(J^T J), which makes the damping scale-free across the
-    three very differently scaled parameters.  A step is taken only if it
-    lowers the squared error and keeps t > 0; otherwise mu grows and the
-    step is solved again.  The loop ends when f = 0, when a rejected step
-    no longer moves x or when mu passes _MU_MAX; `iterations` is only a
-    safety net.  Returns (phi0, beta, t, max-norm deviation).
+    J once and first tries the Gauss-Newton step J^T J s = -J^T r; if
+    that step is singular or rejected, it solves the Levenberg-Marquardt
+    normal equations (J^T J + mu*D) s = -J^T r (Moré 1978) in plain
+    floats, D being the running maximum of diag(J^T J), which makes the
+    damping scale-free across the three very differently scaled
+    parameters.  A step is taken only if it lowers the squared error f
+    and keeps t > 0; otherwise mu grows and the step is solved again.
+    The full step matters near the identity, where the Schur complement
+    in beta is about 1e-8 of mu*D: no damped step moves a seed that
+    starts close.  The loop ends when f reaches the rounding floor
+    _F_DONE, when a step no longer moves x, when mu passes _MU_MAX, or
+    when f has not halved over the last _STALL_STEPS iterations, which
+    is a refinement creeping along a curved valley; `iterations` is only
+    a safety net.  Returns (phi0, beta, t, max-norm deviation).
     """
 
     def residual(x: tuple[float, float, float]) -> tuple:
@@ -165,15 +171,19 @@ def _refine(
     f = _dot(r, r)
     mu = _MU_START
     d0 = d1 = d2 = 0.0
-    for _ in range(iterations):
-        if f == 0.0:
+    history = []
+    for k in range(iterations):
+        if f <= _F_DONE or (k >= _STALL_STEPS and f > 0.5 * history[k - _STALL_STEPS]):
             break
+        history.append(f)
         c0, c1, c2 = endpoint_jacobian(*x)
         a = (_dot(c0, c0), _dot(c0, c1), _dot(c0, c2), _dot(c1, c1), _dot(c1, c2), _dot(c2, c2))
         g = (_dot(c0, r), _dot(c1, r), _dot(c2, r))
         d0, d1, d2 = max(d0, a[0]), max(d1, a[3]), max(d2, a[5])
+        # The Gauss-Newton step first, then damped ones until one is taken.
+        damp = 0.0
         while True:
-            s = _damped_step(a, g, (mu * d0, mu * d1, mu * d2))
+            s = _damped_step(a, g, (damp * d0, damp * d1, damp * d2))
             if s is not None:
                 trial = (x[0] + s[0], x[1] + s[1], x[2] + s[2])
                 if trial == x:
@@ -183,9 +193,11 @@ def _refine(
                     f_new = _dot(r_new, r_new)
                     if f_new < f:
                         break
-            if mu > _MU_MAX:
-                return (*x, max(map(abs, r)))
-            mu *= _MU_UP
+            if damp:
+                if mu > _MU_MAX:
+                    return (*x, max(map(abs, r)))
+                mu *= _MU_UP
+            damp = mu
         x, r, f = trial, r_new, f_new
         mu *= _MU_DOWN
     return (*x, max(map(abs, r)))
@@ -221,58 +233,36 @@ def _threshold(min_dev: float) -> float:
 
 
 def _seeds(
-    table: _kernels.RowTable, target: tuple[float, float, float, float]
+    target: tuple[float, float, float, float], betas: np.ndarray
 ) -> list[tuple[float, float, float]]:
     """(phi0, beta, t) of the scan rows to refine toward one SU(2) lift.
 
-    A row seeds when its dev is at most the threshold and at most both
-    chi-neighbours' (+inf past the ends), so each valley of dev seeds
-    once.  Only rows whose `_kernels.row_bounds` is at most the threshold
-    are scanned: the others have dev >= bound > threshold >= min_dev, so
-    they could neither seed, lower the minimum nor undercut a seed's dev
-    (they keep +inf).  The rows under
-    _threshold(0) go first (those of least bound if there are none),
-    then the rows the threshold of the minimum so far admits, until no
-    row is left under it.  Rows scan independently of each other and of
-    which rows the table already holds, so the seeds are those of the
-    full scan on a fresh table, bit for bit.
+    A row seeds on a branch when its dev there is at most the threshold
+    of the least dev and at most both chi-neighbours' on that branch
+    (+inf past the ends), so each valley of a branch seeds once.
     """
-    betas = table.betas
-    bound = _kernels.row_bounds(target, betas)
-    dev = np.full(len(betas), np.inf)
-    t_best = np.empty(len(betas))
-    phis = np.empty(len(betas))
-    scanned = np.zeros(len(betas), dtype=bool)
-    threshold = max(_threshold(0.0), float(bound.min()))
-    while (todo := (bound <= threshold) & ~scanned).any():
-        rows = np.flatnonzero(todo)
-        dev[rows], t_best[rows], phis[rows] = _kernels.scan_su2(table, target, rows)
-        scanned |= todo
-        threshold = _threshold(float(dev.min()))
-    padded = np.concatenate(([np.inf], dev, [np.inf]))
-    idx = np.flatnonzero((dev <= threshold) & (dev <= padded[:-2]) & (dev <= padded[2:]))
-    return list(zip(phis[idx].tolist(), betas[idx].tolist(), t_best[idx].tolist()))
+    dev, t, phis = _kernels.scan_su2(target, betas)
+    pick = dev <= _threshold(float(dev.min()))
+    pick[:, 1:] &= dev[:, 1:] <= dev[:, :-1]
+    pick[:, :-1] &= dev[:, :-1] <= dev[:, 1:]
+    return [(float(phis[b, j]), float(betas[j]), float(t[b, j])) for b, j in zip(*np.nonzero(pick))]
 
 
-# Row tables of the grids shot last.  A table holds at most
-# 3 * n_beta * n_t * 8 bytes (3 MiB at the default grid), and only the
-# rows some shot has scanned are resident.
-@functools.lru_cache(maxsize=4)
-def _table(n_beta: int, beta_max: float, n_t: int) -> _kernels.RowTable:
-    # beta = c*tan(chi) at the chi midpoints (see GridSpec).
-    chi = (np.arange(n_beta) + 0.5) * (math.pi / n_beta) - 0.5 * math.pi
-    return _kernels.RowTable((2.0 * beta_max / math.pi) * np.tan(chi), n_t)
+def _betas(grid: GridSpec) -> np.ndarray:
+    """The grid's rows beta = c*tan(chi) at the chi midpoints (see GridSpec)."""
+    chi = (np.arange(grid.n_beta) + 0.5) * (math.pi / grid.n_beta) - 0.5 * math.pi
+    return (2.0 * grid.beta_max / math.pi) * np.tan(chi)
 
 
 def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
-    table = _table(grid.n_beta, grid.beta_max, grid.n_t)
+    betas = _betas(grid)
     # An SO(3) target is reached through either of its two lifts.  Each
     # lift gets its own threshold, so a grid passing closer to one lift
-    # does not hide the other's rows; the lifts share the table.
+    # does not hide the other's rows.
     refined = []
     for g in lifts:
         target = (g.a_re, g.a_im, g.b_re, g.b_im)
-        refined += [_refine(target, *p, grid.refine_steps) for p in _seeds(table, target)]
+        refined += [_refine(target, *p, grid.refine_steps) for p in _seeds(target, betas)]
 
     exact = sorted(
         (r for r in refined if r[3] <= REFINED_TOL),
@@ -291,9 +281,6 @@ def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
 
 def shoot_min_time(target: SU2Element, grid: GridSpec = GridSpec()) -> ShootResult:
     """Minimal geodesic arrival time at an SU(2) target, by grid scan and refinement.
-
-    The scan skips only beta rows that provably cannot hold a seed (see
-    `_seeds`), so its seeds, and the result, equal the full scan's.
 
     When B = 0 (A on the unit circle, the Loc stratum) the endpoint does
     not depend on phi0, so every phi0 is minimizing; only the

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from srdist import BACKEND, _kernels, oracle
-from srdist._kernels import RowTable, scan_su2
+from srdist import BACKEND, oracle
+from srdist._kernels import scan_su2
 from srdist.algebra import random_su2
-from srdist.geodesics import GeodesicParams, geodesic_point
-from srdist.oracle import GridSpec, shoot_min_time
+from srdist.geodesics import (
+    GeodesicParams,
+    cut_time_bound,
+    endpoint_coords,
+    geodesic_point,
+)
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 PHIS = np.linspace(0.0, TWO_PI, 48, endpoint=False)
 BETAS = np.linspace(-6.0, 6.0, 49)
-N_T = 96
 
 
 def _vec(g):
@@ -21,26 +25,25 @@ def _vec(g):
 
 
 def _max_dev(end, target):
-    return float(np.max(np.abs(_vec(end) - target)))
-
-
-def _scan(target, betas, n_t):
-    """The scan over every row, on a fresh table."""
-    return scan_su2(RowTable(betas, n_t), target, np.arange(len(betas)))
-
-
-def _t_grid(beta):
-    return TWO_PI / math.sqrt(1.0 + beta * beta) * np.arange(1, N_T + 1) / N_T
-
-
-def _phase_phi0(target, beta, t):
-    # phi0 giving B = (sin(u)/s) exp(i(beta*t/2 + phi0)) the target's phase
-    return math.atan2(target[3], target[2]) - beta * t / 2.0
+    return float(np.max(np.abs(np.asarray(end) - target)))
 
 
 def _phi_gap(a, b):
     d = (a - b) % TWO_PI
     return min(d, TWO_PI - d)
+
+
+def _targets(rng, n):
+    """Haar, steep and near-identity SU(2) targets, n of each."""
+    out = [_vec(random_su2(rng)) for _ in range(n)]
+    for _ in range(n):
+        beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.78, 2.5)
+        t = rng.uniform(0.05, 0.95) * cut_time_bound(beta)
+        out.append(_vec(geodesic_point(GeodesicParams(rng.uniform(0.0, TWO_PI), beta), t)))
+    for _ in range(n):
+        p = GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-30.0, 30.0))
+        out.append(_vec(geodesic_point(p, 10.0 ** rng.uniform(-3.0, -2.0))))
+    return out
 
 
 def test_backend_name_reported():
@@ -49,123 +52,107 @@ def test_backend_name_reported():
 
 def test_python_scan_matches_direct_evaluation():
     # Four targets, so that some beta rows have B, not A, setting the
-    # deviation at the best t.
+    # deviation.
     rng = np.random.default_rng(61)
     for _ in range(4):
         target = _vec(random_su2(rng))
-        dev, t_best, phi0 = _scan(target, BETAS, N_T)
-        assert dev.shape == t_best.shape == phi0.shape == (len(BETAS),)
-        assert np.all((0.0 <= phi0) & (phi0 < TWO_PI))
+        dev, t, phi0 = scan_su2(target, BETAS)
+        assert dev.shape == t.shape == phi0.shape == (2, len(BETAS))
+        assert np.all(np.abs(phi0) < TWO_PI)
         for j, beta in enumerate(BETAS):
-            devs = []
-            for t in _t_grid(beta):
-                end = geodesic_point(GeodesicParams(_phase_phi0(target, beta, t), beta), t)
-                devs.append(_max_dev(end, target))
-            k = int(np.argmin(devs))
-            assert dev[j] == pytest.approx(devs[k], abs=1e-12)
-            assert t_best[j] == pytest.approx(_t_grid(beta)[k], abs=1e-12)
-            end = geodesic_point(GeodesicParams(phi0[j], beta), t_best[j])
-            assert _max_dev(end, target) == pytest.approx(dev[j], abs=1e-12)
+            cut = cut_time_bound(beta)
+            # Branch 0 stops at u = pi/2, branch 1 starts there.
+            assert 0.0 < t[0, j] <= cut / 2.0 + 1e-15
+            assert np.isinf(dev[1, j]) or cut / 2.0 - 1e-15 <= t[1, j] <= cut
+            for b in range(2):
+                if np.isfinite(dev[b, j]):
+                    end = geodesic_point(GeodesicParams(phi0[b, j], beta), t[b, j])
+                    assert _max_dev(_vec(end), target) == pytest.approx(dev[b, j], abs=1e-12)
 
 
 def test_scan_finds_exact_grid_point():
-    # put the target exactly on a grid node; the scan must report ~0 there
+    # Put the target exactly on a row's geodesic; the scan must report ~0
+    # on that row, at the target's t and phi0.
     phi0, beta = PHIS[5], BETAS[30]
-    t = _t_grid(beta)[49]
+    t = 0.3 * cut_time_bound(beta)
     target = _vec(geodesic_point(GeodesicParams(phi0, beta), t))
-    dev, t_best, phi_best = _scan(target, BETAS, N_T)
-    assert dev[30] < 1e-12
-    assert t_best[30] == pytest.approx(t, abs=1e-12)
-    assert _phi_gap(phi_best[30], phi0) < 1e-12
+    dev, t_best, phi_best = scan_su2(target, BETAS)
+    assert dev[0, 30] < 1e-15
+    assert t_best[0, 30] == pytest.approx(t, abs=1e-15)
+    assert _phi_gap(phi_best[0, 30], phi0) < 1e-15
 
 
 def test_scan_within_sqrt2_of_phi0_grid_scan():
-    # Phase alignment minimizes |B - B_target|, and a max-norm deviation
-    # is at least |z|/sqrt(2) of any complex difference z, so dropping
-    # the phi0 axis loses at most a factor sqrt(2) per beta.
+    # At the scan's t the endpoint's A does not depend on phi0, and phase
+    # alignment minimizes |B - B_target|; a max-norm deviation is at
+    # least |z|/sqrt(2) of any complex difference z, so solving phi0 in
+    # closed form loses at most a factor sqrt(2) against a phi0 grid.
     rng = np.random.default_rng(64)
     for _ in range(3):
         target = _vec(random_su2(rng))
-        dev, _, _ = _scan(target, BETAS, N_T)
-        for j, beta in enumerate(BETAS):
-            ts = _t_grid(beta)
-            s = math.sqrt(1.0 + beta * beta)
-            u, h = ts * s / 2.0, ts * beta / 2.0
-            dev_a = np.maximum(
-                np.abs((beta / s) * np.sin(u) * np.sin(h) + np.cos(u) * np.cos(h) - target[0]),
-                np.abs((beta / s) * np.sin(u) * np.cos(h) - np.cos(u) * np.sin(h) - target[1]),
-            )
-            b = (np.sin(u) / s)[None, :] * np.exp(1j * (h[None, :] + PHIS[:, None]))
-            dev_b = np.maximum(
-                np.abs(b.real - target[2]), np.abs(b.imag - target[3])
-            )
-            dev3 = float(np.min(np.maximum(dev_b, dev_a[None, :])))
-            assert dev[j] <= math.sqrt(2.0) * dev3 + 1e-12
+        dev, ts, _ = scan_su2(target, BETAS)
+        for (b, j), t in np.ndenumerate(ts):
+            if not np.isfinite(dev[b, j]):
+                continue
+            grid = min(_max_dev(endpoint_coords(phi, BETAS[j], t), target) for phi in PHIS)
+            assert dev[b, j] <= math.sqrt(2.0) * grid + 1e-12
 
 
-def test_rows_scan_independently():
-    # Each beta row's result is the same whatever rows are scanned with
-    # it, bit for bit; the oracle's pruned scan relies on this.
-    rng = np.random.default_rng(65)
-    betas = np.linspace(-8.0, 8.0, 256)
-    for _ in range(3):
-        target = _vec(random_su2(rng))
-        full = _scan(target, betas, N_T)
-        for size in (1, 7, 33, 100, 256):
-            rows = rng.permutation(len(betas))[:size]
-            part = _scan(target, betas[rows], N_T)
-            for got, want in zip(part, full):
-                assert np.array_equal(got, want[rows])
+def test_scan_matches_b_target():
+    # Wherever s*|B_target| <= 1 a branch reaches |B_target| exactly, and
+    # phi0 puts it on B_target's phase: every such cell, and so every
+    # seed, lands on B_target up to the rounding of t and of the phases
+    # (each below 2*pi, so at most a few ulps of 2*pi, 8.9e-16 each).
+    rng = np.random.default_rng(62)
+    betas = oracle._betas(oracle.GridSpec())
+    s = np.sqrt(1.0 + betas * betas)
+    seeds = 0
+    for target in _targets(rng, 20):
+        b_abs, theta = math.hypot(target[2], target[3]), math.atan2(target[3], target[2])
+        dev, t, phi0 = scan_su2(target, betas)
+        cells = [(phi0[b, j], betas[j], t[b, j]) for b, j in zip(*np.nonzero(np.isfinite(dev)))]
+        points = [p for p in cells if math.sqrt(1.0 + p[1] ** 2) * b_abs <= 1.0]
+        assert len(points) >= np.count_nonzero(s * b_abs <= 1.0)
+        for p in oracle._seeds(tuple(target), betas):
+            if math.sqrt(1.0 + p[1] ** 2) * b_abs <= 1.0:
+                assert p in points
+                seeds += 1
+        for p in points:
+            end = endpoint_coords(*p)
+            assert abs(math.hypot(end[2], end[3]) - b_abs) <= 1e-15
+            assert _phi_gap(math.atan2(end[3], end[2]), theta) <= 2e-15
+    assert seeds >= 60
 
 
-def test_table_rows_filled_in_any_order_match_fresh_scan():
-    # One table shared by many targets, its rows filled in random subsets
-    # and orders: every scan equals the full scan on a fresh table.
-    rng = np.random.default_rng(66)
-    betas = np.linspace(-8.0, 8.0, 256)
-    shared = RowTable(betas, N_T)
-    for _ in range(12):
-        target = _vec(random_su2(rng))
-        full = _scan(target, betas, N_T)
-        rows = rng.permutation(len(betas))[: rng.integers(1, len(betas) + 1)]
-        for got, want in zip(scan_su2(shared, target, rows), full):
-            assert np.array_equal(got, want[rows])
-    fresh = RowTable(betas, N_T)
-    fresh.fill(np.arange(len(betas)))
-    assert shared.filled.any()
-    assert np.array_equal(shared.re_a[shared.filled], fresh.re_a[shared.filled])
-    assert np.array_equal(shared.im_a[shared.filled], fresh.im_a[shared.filled])
+def test_target_on_a_row_is_found_on_that_row():
+    # A target on a row's geodesic, at any t up to the cut time, has
+    # deviation at the rounding floor on that row, 1e-15.  Near u = pi/2
+    # the scan reads u back from s*|B| = sin(u), rounded by up to 4*eps,
+    # through asin, whose slope is 1/|cos(u)|: u is off by up to
+    # min(4*eps/|cos(u)|, sqrt(8*eps)), and A moves by sin(u)/s^2 per unit
+    # of u along the row.  Refinement removes that error.
+    rng = np.random.default_rng(63)
+    betas = oracle._betas(oracle.GridSpec())
+    for j in range(0, len(betas), 5):
+        beta = betas[j]
+        cut = cut_time_bound(beta)
+        for k in range(1, 65):
+            t = k / 64.0 * cut
+            target = np.array(endpoint_coords(rng.uniform(0.0, TWO_PI), beta, t))
+            dev = float(scan_su2(target, betas[j : j + 1])[0].min())
+            s2 = 1.0 + beta * beta
+            cos_u = abs(math.cos(t * math.sqrt(s2) / 2.0))
+            u_err = min(4.0 * EPS / max(cos_u, EPS), math.sqrt(8.0 * EPS))
+            assert dev <= 1e-15 + u_err / s2
 
 
-def test_grids_differing_in_beta_max_or_n_t_have_own_tables():
-    base = oracle._table(64, 8.0, 128)
-    assert oracle._table(64, 8.0, 128) is base
-    wider, finer = oracle._table(64, 16.0, 128), oracle._table(64, 8.0, 256)
-    assert wider is not base and not np.array_equal(wider.betas, base.betas)
-    assert finer is not base and finer.re_a.shape == (64, 256)
-
-
-def test_shot_fills_exactly_the_scanned_rows(monkeypatch):
-    oracle._table.cache_clear()
-    grid = GridSpec()
-    scanned = np.zeros(grid.n_beta, dtype=bool)
-    real = _kernels.scan_su2
-
-    def spy(table, target, rows):
-        scanned[rows] = True
-        return real(table, target, rows)
-
-    monkeypatch.setattr(_kernels, "scan_su2", spy)
-    shoot_min_time(random_su2(np.random.default_rng(67)), grid)
-    table = oracle._table(grid.n_beta, grid.beta_max, grid.n_t)
-    assert 0 < scanned.sum() < len(scanned)
-    assert np.array_equal(table.filled, scanned)
-
-
-def test_table_cache_is_bounded():
-    g = random_su2(np.random.default_rng(68))
-    for n_t in (64, 72, 80, 88, 96, 104):
-        shoot_min_time(g, GridSpec(64, 64, 8.0, n_t))
-    info = oracle._table.cache_info()
-    assert info.maxsize == 4
-    assert info.currsize == info.maxsize
+def test_special_targets():
+    # B = 0: branch 0 would be t = 0 and is dropped; branch 1 arrives at
+    # the cut time.  A = 0: every row has s*|B| >= 1 and keeps branch 0
+    # only, at u = pi/2.
+    dev, t, _ = scan_su2((math.cos(2.0), math.sin(2.0), 0.0, 0.0), BETAS)
+    assert np.all(np.isinf(dev[0])) and np.all(np.isfinite(dev[1]))
+    assert np.allclose(t[1], [cut_time_bound(b) for b in BETAS], rtol=1e-15)
+    dev, t, _ = scan_su2((0.0, 0.0, math.cos(1.0), math.sin(1.0)), BETAS)
+    assert np.all(np.isfinite(dev[0])) and np.all(np.isinf(dev[1]))
+    assert np.allclose(t[0], [cut_time_bound(b) / 2.0 for b in BETAS], rtol=1e-15)
