@@ -67,7 +67,17 @@ class SU2Element:
         return cls(1.0, 0.0, 0.0, 0.0)
 
     def negate(self) -> "SU2Element":
-        return SU2Element(-self.a_re, -self.a_im, -self.b_re, -self.b_im)
+        """(-A, -B), exactly.
+
+        The pair is already unit, so it is not renormalized again: a second
+        division by its rounded norm would move some components by an ulp.
+        """
+        neg = object.__new__(SU2Element)
+        object.__setattr__(neg, "a_re", -self.a_re)
+        object.__setattr__(neg, "a_im", -self.a_im)
+        object.__setattr__(neg, "b_re", -self.b_re)
+        object.__setattr__(neg, "b_im", -self.b_im)
+        return neg
 
     def as_matrix(self) -> np.ndarray:
         a, b = self.a, self.b

@@ -54,13 +54,18 @@ def endpoint_coords(phi0: float, beta: float, t: float) -> tuple[float, float, f
     )
 
 
-def endpoint_jacobian(phi0: float, beta: float, t: float) -> tuple[tuple, tuple, tuple]:
-    """Partials of `endpoint_coords` in phi0, beta and t, as three 4-tuples.
+def endpoint_jacobian(phi0: float, beta: float, t: float) -> tuple[tuple, tuple[tuple, tuple, tuple]]:
+    """The endpoint and its partials in phi0, beta and t, from one evaluation.
 
-    With c = beta/s, m = sin(u)/s and the chain factors du/dbeta =
+    Returns (end, (d_phi0, d_beta, d_t)): end equals `endpoint_coords`
+    bit for bit, and each partial is a 4-tuple in the same coordinates.
+    Both share one set of sqrt, sin and cos, so a caller that needs the
+    residual and the Jacobian at a point pays for one evaluation.  With
+    c = beta/s, m = sin(u)/s and the chain factors du/dbeta =
     t*beta/(2s), du/dt = s/2, dh/dbeta = t/2, dh/dt = beta/2,
     dc/dbeta = 1/s^3 and dm/dbeta = cos(u)/s * du/dbeta - m*beta/s^2.
-    A does not depend on phi0, and d(A)/dh = -i*A.
+    A does not depend on phi0, so d_phi0 = (0, 0, -Im B, Re B), and
+    d(A)/dh = -i*A.
     """
     s2 = 1.0 + beta * beta
     s = math.sqrt(s2)
@@ -80,7 +85,7 @@ def endpoint_jacobian(phi0: float, beta: float, t: float) -> tuple[tuple, tuple,
     m_beta = cu / s * u_beta - m * beta / s2
     cp, sp = math.cos(h + phi0), math.sin(h + phi0)
     b_re, b_im = m * cp, m * sp
-    return (
+    return (a_re, a_im, b_re, b_im), (
         (0.0, 0.0, -b_im, b_re),
         (
             c_beta * su * sh + a_re_u * u_beta + a_im * t / 2.0,

@@ -6,16 +6,18 @@ two arrival times, one per branch (see `_kernels.scan_su2`).  It seeds
 the rows whose deviation from the target is under a threshold and a
 local minimum along beta on their branch, refines each seed in
 (phi0, beta, t) to convergence by Gauss-Newton steps, damped in the
-Levenberg-Marquardt way when a full step fails, on the endpoint
-residual with the closed-form Jacobian `geodesics.endpoint_jacobian`,
-and reports the least arrival time together with all parameter-distinct
-minimizers.  An SO(3) target is shot as its two SU(2) lifts
-(`algebra.lift_so3`), each scanned and refined in SU(2) coordinates.
-The beta rows are evenly spaced in chi = atan(beta/c) over the whole
-open interval (-pi/2, pi/2), so one grid reaches every momentum and no
-target needs its own window.  The oracle shares only the geodesic
-formulas with the production distance code, never its case analysis,
-so it serves as an independent check.
+Levenberg-Marquardt way when a full step fails, and reports the least
+arrival time together with all parameter-distinct minimizers.  Each
+refinement step evaluates `geodesics.endpoint_jacobian` once, at the
+trial point, which gives the residual and, if the step is taken, the
+Jacobian of the next step.  An SO(3) target is shot as its two SU(2)
+lifts g and -g (`algebra.lift_so3`): one scan covers both, each lift
+gets its own seeds and threshold, and every seed is refined in SU(2)
+coordinates toward its lift.  The beta rows are evenly spaced in
+chi = atan(beta/c) over the whole open interval (-pi/2, pi/2), so one
+grid reaches every momentum and no target needs its own window.  The
+oracle shares only the geodesic formulas with the production distance
+code, never its case analysis, so it serves as an independent check.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .algebra import SO3Element, SU2Element, lift_so3
-from .geodesics import endpoint_coords, endpoint_jacobian
+from .geodesics import endpoint_jacobian
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,10 +108,6 @@ class ShootResult:
     grid_spec: GridSpec
 
 
-def _dot(u: tuple, v: tuple) -> float:
-    return sum(map(operator.mul, u, v))
-
-
 def _damped_step(
     a: tuple, g: tuple, damp: tuple
 ) -> Optional[tuple[float, float, float]]:
@@ -136,6 +134,15 @@ def _damped_step(
     )
 
 
+def _evaluate(
+    target: tuple[float, float, float, float], x: tuple[float, float, float]
+) -> tuple[tuple, float, tuple]:
+    """(residual, squared residual, Jacobian columns) at x, from one endpoint evaluation."""
+    end, columns = endpoint_jacobian(*x)
+    r0, r1, r2, r3 = end[0] - target[0], end[1] - target[1], end[2] - target[2], end[3] - target[3]
+    return (r0, r1, r2, r3), r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3, columns
+
+
 def _refine(
     target: tuple[float, float, float, float],
     phi0: float,
@@ -145,30 +152,28 @@ def _refine(
 ) -> tuple[float, float, float, float]:
     """Gauss-Newton on the squared endpoint residual, damped when a full step fails.
 
-    The residual is `endpoint_coords` minus the target's (Re A, Im A,
-    Re B, Im B), and J is `endpoint_jacobian`.  Each iteration evaluates
-    J once and first tries the Gauss-Newton step J^T J s = -J^T r; if
-    that step is singular or rejected, it solves the Levenberg-Marquardt
-    normal equations (J^T J + mu*D) s = -J^T r (Moré 1978) in plain
-    floats, D being the running maximum of diag(J^T J), which makes the
-    damping scale-free across the three very differently scaled
-    parameters.  A step is taken only if it lowers the squared error f
-    and keeps t > 0; otherwise mu grows and the step is solved again.
-    The full step matters near the identity, where the Schur complement
-    in beta is about 1e-8 of mu*D: no damped step moves a seed that
-    starts close.  The loop ends when f reaches the rounding floor
-    _F_DONE, when a step no longer moves x, when mu passes _MU_MAX, or
-    when f has not halved over the last _STALL_STEPS iterations, which
-    is a refinement creeping along a curved valley; `iterations` is only
-    a safety net.  Returns (phi0, beta, t, max-norm deviation).
+    The residual r is the endpoint minus the target's (Re A, Im A, Re B,
+    Im B), and J is its Jacobian; both come from one
+    `endpoint_jacobian` call per trial point, and a taken trial's J
+    serves the next iteration.  Each iteration first tries the
+    Gauss-Newton step J^T J s = -J^T r; if that step is singular or
+    rejected, it solves the Levenberg-Marquardt normal equations
+    (J^T J + mu*D) s = -J^T r (Moré 1978) in plain floats, D being the
+    running maximum of diag(J^T J), which makes the damping scale-free
+    across the three very differently scaled parameters.  J^T J and J^T r
+    are written out, the phi0 column of J being (0, 0, -Im B, Re B).  A
+    step is taken only if it lowers the squared error f and keeps t > 0;
+    otherwise mu grows and the step is solved again.  The full step
+    matters near the identity, where the Schur complement in beta is
+    about 1e-8 of mu*D: no damped step moves a seed that starts close.
+    The loop ends when f reaches the rounding floor _F_DONE, when a step
+    no longer moves x, when mu passes _MU_MAX, or when f has not halved
+    over the last _STALL_STEPS iterations, which is a refinement creeping
+    along a curved valley; `iterations` is only a safety net.  Returns
+    (phi0, beta, t, max-norm deviation).
     """
-
-    def residual(x: tuple[float, float, float]) -> tuple:
-        return tuple(map(operator.sub, endpoint_coords(*x), target))
-
     x = (phi0, beta, t)
-    r = residual(x)
-    f = _dot(r, r)
+    r, f, columns = _evaluate(target, x)
     mu = _MU_START
     d0 = d1 = d2 = 0.0
     history = []
@@ -176,9 +181,21 @@ def _refine(
         if f <= _F_DONE or (k >= _STALL_STEPS and f > 0.5 * history[k - _STALL_STEPS]):
             break
         history.append(f)
-        c0, c1, c2 = endpoint_jacobian(*x)
-        a = (_dot(c0, c0), _dot(c0, c1), _dot(c0, c2), _dot(c1, c1), _dot(c1, c2), _dot(c2, c2))
-        g = (_dot(c0, r), _dot(c1, r), _dot(c2, r))
+        (_, _, p2, p3), (b0, b1, b2, b3), (t0, t1, t2, t3) = columns
+        r0, r1, r2, r3 = r
+        a = (
+            p2 * p2 + p3 * p3,
+            p2 * b2 + p3 * b3,
+            p2 * t2 + p3 * t3,
+            b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3,
+            b0 * t0 + b1 * t1 + b2 * t2 + b3 * t3,
+            t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3,
+        )
+        g = (
+            p2 * r2 + p3 * r3,
+            b0 * r0 + b1 * r1 + b2 * r2 + b3 * r3,
+            t0 * r0 + t1 * r1 + t2 * r2 + t3 * r3,
+        )
         d0, d1, d2 = max(d0, a[0]), max(d1, a[3]), max(d2, a[5])
         # The Gauss-Newton step first, then damped ones until one is taken.
         damp = 0.0
@@ -189,8 +206,7 @@ def _refine(
                 if trial == x:
                     return (*x, max(map(abs, r)))
                 if trial[2] > 0.0:
-                    r_new = residual(trial)
-                    f_new = _dot(r_new, r_new)
+                    r_new, f_new, columns_new = _evaluate(target, trial)
                     if f_new < f:
                         break
             if damp:
@@ -198,7 +214,7 @@ def _refine(
                     return (*x, max(map(abs, r)))
                 mu *= _MU_UP
             damp = mu
-        x, r, f = trial, r_new, f_new
+        x, r, f, columns = trial, r_new, f_new, columns_new
         mu *= _MU_DOWN
     return (*x, max(map(abs, r)))
 
@@ -233,19 +249,25 @@ def _threshold(min_dev: float) -> float:
 
 
 def _seeds(
-    target: tuple[float, float, float, float], betas: np.ndarray
-) -> list[tuple[float, float, float]]:
-    """(phi0, beta, t) of the scan rows to refine toward one SU(2) lift.
+    targets: list[tuple[float, float, float, float]], betas: np.ndarray
+) -> list[tuple[tuple, float, float, float]]:
+    """(target, phi0, beta, t) of the scan rows to refine, over the lifts of one target.
 
-    A row seeds on a branch when its dev there is at most the threshold
-    of the least dev and at most both chi-neighbours' on that branch
-    (+inf past the ends), so each valley of a branch seeds once.
+    One scan covers every lift.  A row seeds toward a lift on a branch
+    when its dev there is at most the threshold of that lift's least dev
+    and at most both chi-neighbours' on that branch (+inf past the ends),
+    so each valley of a branch seeds once.  Each lift gets its own
+    threshold, so a grid passing closer to one lift does not hide the
+    other's rows.
     """
-    dev, t, phis = _kernels.scan_su2(target, betas)
-    pick = dev <= _threshold(float(dev.min()))
-    pick[:, 1:] &= dev[:, 1:] <= dev[:, :-1]
-    pick[:, :-1] &= dev[:, :-1] <= dev[:, 1:]
-    return [(float(phis[b, j]), float(betas[j]), float(t[b, j])) for b, j in zip(*np.nonzero(pick))]
+    dev, t, phis = _kernels.scan_su2(targets, betas)
+    pick = dev <= np.array([_threshold(m) for m in dev.min(axis=(1, 2)).tolist()])[:, None, None]
+    pick[..., 1:] &= dev[..., 1:] <= dev[..., :-1]
+    pick[..., :-1] &= dev[..., :-1] <= dev[..., 1:]
+    return [
+        (targets[k], float(phis[k, b, j]), float(betas[j]), float(t[b, j]))
+        for k, b, j in zip(*np.nonzero(pick))
+    ]
 
 
 def _betas(grid: GridSpec) -> np.ndarray:
@@ -255,14 +277,9 @@ def _betas(grid: GridSpec) -> np.ndarray:
 
 
 def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
-    betas = _betas(grid)
-    # An SO(3) target is reached through either of its two lifts.  Each
-    # lift gets its own threshold, so a grid passing closer to one lift
-    # does not hide the other's rows.
-    refined = []
-    for g in lifts:
-        target = (g.a_re, g.a_im, g.b_re, g.b_im)
-        refined += [_refine(target, *p, grid.refine_steps) for p in _seeds(target, betas)]
+    # An SO(3) target is reached through either of its two lifts.
+    targets = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lifts]
+    refined = [_refine(*seed, grid.refine_steps) for seed in _seeds(targets, _betas(grid))]
 
     exact = sorted(
         (r for r in refined if r[3] <= REFINED_TOL),
@@ -293,10 +310,11 @@ def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> Shoot
     """Minimal arrival time at an SO(3) target, the least over its two SU(2) lifts.
 
     A geodesic's endpoint covers the target exactly when it equals one of
-    the target's lifts, so each lift is scanned and its seeds refined in
-    SU(2) coordinates, as in `shoot_min_time`.  `lift_so3` returns exact
-    unit pairs, so a target whose entries are off SO(3) by rounding is
-    matched as its nearby exact rotation.
+    the target's lifts g and -g.  One scan covers both lifts, and each
+    lift's seeds are refined in SU(2) coordinates, as in `shoot_min_time`,
+    so t_min is the lesser of the two lifts' shots, to the bit.
+    `lift_so3` returns exact unit pairs, so a target whose entries are off
+    SO(3) by rounding is matched as its nearby exact rotation.
     As in `shoot_min_time`, phi0 is free when the lifts have B = 0 (axis-1
     rotations) and only representatives are listed.
     """

@@ -56,8 +56,10 @@ def test_python_scan_matches_direct_evaluation():
     rng = np.random.default_rng(61)
     for _ in range(4):
         target = _vec(random_su2(rng))
-        dev, t, phi0 = scan_su2(target, BETAS)
-        assert dev.shape == t.shape == phi0.shape == (2, len(BETAS))
+        dev, t, phi0 = scan_su2([target], BETAS)
+        assert dev.shape == phi0.shape == (1, 2, len(BETAS))
+        assert t.shape == (2, len(BETAS))
+        dev, phi0 = dev[0], phi0[0]
         assert np.all(np.abs(phi0) < TWO_PI)
         for j, beta in enumerate(BETAS):
             cut = cut_time_bound(beta)
@@ -76,10 +78,10 @@ def test_scan_finds_exact_grid_point():
     phi0, beta = PHIS[5], BETAS[30]
     t = 0.3 * cut_time_bound(beta)
     target = _vec(geodesic_point(GeodesicParams(phi0, beta), t))
-    dev, t_best, phi_best = scan_su2(target, BETAS)
-    assert dev[0, 30] < 1e-15
+    dev, t_best, phi_best = scan_su2([target], BETAS)
+    assert dev[0, 0, 30] < 1e-15
     assert t_best[0, 30] == pytest.approx(t, abs=1e-15)
-    assert _phi_gap(phi_best[0, 30], phi0) < 1e-15
+    assert _phi_gap(phi_best[0, 0, 30], phi0) < 1e-15
 
 
 def test_scan_within_sqrt2_of_phi0_grid_scan():
@@ -90,12 +92,12 @@ def test_scan_within_sqrt2_of_phi0_grid_scan():
     rng = np.random.default_rng(64)
     for _ in range(3):
         target = _vec(random_su2(rng))
-        dev, ts, _ = scan_su2(target, BETAS)
+        dev, ts, _ = scan_su2([target], BETAS)
         for (b, j), t in np.ndenumerate(ts):
-            if not np.isfinite(dev[b, j]):
+            if not np.isfinite(dev[0, b, j]):
                 continue
             grid = min(_max_dev(endpoint_coords(phi, BETAS[j], t), target) for phi in PHIS)
-            assert dev[b, j] <= math.sqrt(2.0) * grid + 1e-12
+            assert dev[0, b, j] <= math.sqrt(2.0) * grid + 1e-12
 
 
 def test_scan_matches_b_target():
@@ -109,11 +111,12 @@ def test_scan_matches_b_target():
     seeds = 0
     for target in _targets(rng, 20):
         b_abs, theta = math.hypot(target[2], target[3]), math.atan2(target[3], target[2])
-        dev, t, phi0 = scan_su2(target, betas)
-        cells = [(phi0[b, j], betas[j], t[b, j]) for b, j in zip(*np.nonzero(np.isfinite(dev)))]
+        dev, t, phi0 = scan_su2([target], betas)
+        cells = [(phi0[0, b, j], betas[j], t[b, j]) for b, j in zip(*np.nonzero(np.isfinite(dev[0])))]
         points = [p for p in cells if math.sqrt(1.0 + p[1] ** 2) * b_abs <= 1.0]
         assert len(points) >= np.count_nonzero(s * b_abs <= 1.0)
-        for p in oracle._seeds(tuple(target), betas):
+        for seed in oracle._seeds([tuple(target)], betas):
+            p = seed[1:]
             if math.sqrt(1.0 + p[1] ** 2) * b_abs <= 1.0:
                 assert p in points
                 seeds += 1
@@ -139,7 +142,7 @@ def test_target_on_a_row_is_found_on_that_row():
         for k in range(1, 65):
             t = k / 64.0 * cut
             target = np.array(endpoint_coords(rng.uniform(0.0, TWO_PI), beta, t))
-            dev = float(scan_su2(target, betas[j : j + 1])[0].min())
+            dev = float(scan_su2([target], betas[j : j + 1])[0].min())
             s2 = 1.0 + beta * beta
             cos_u = abs(math.cos(t * math.sqrt(s2) / 2.0))
             u_err = min(4.0 * EPS / max(cos_u, EPS), math.sqrt(8.0 * EPS))
@@ -150,9 +153,9 @@ def test_special_targets():
     # B = 0: branch 0 would be t = 0 and is dropped; branch 1 arrives at
     # the cut time.  A = 0: every row has s*|B| >= 1 and keeps branch 0
     # only, at u = pi/2.
-    dev, t, _ = scan_su2((math.cos(2.0), math.sin(2.0), 0.0, 0.0), BETAS)
+    (dev,), t, _ = scan_su2([(math.cos(2.0), math.sin(2.0), 0.0, 0.0)], BETAS)
     assert np.all(np.isinf(dev[0])) and np.all(np.isfinite(dev[1]))
     assert np.allclose(t[1], [cut_time_bound(b) for b in BETAS], rtol=1e-15)
-    dev, t, _ = scan_su2((0.0, 0.0, math.cos(1.0), math.sin(1.0)), BETAS)
+    (dev,), t, _ = scan_su2([(0.0, 0.0, math.cos(1.0), math.sin(1.0))], BETAS)
     assert np.all(np.isfinite(dev[0])) and np.all(np.isinf(dev[1]))
     assert np.allclose(t[0], [cut_time_bound(b) / 2.0 for b in BETAS], rtol=1e-15)

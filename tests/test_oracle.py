@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from srdist import _kernels, oracle
-from srdist.algebra import SO3Element, SU2Element, klein_omega, random_su2
+from srdist.algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_su2
 from srdist.cutlocus import CutTag, classify_cut_locus_so3
 from srdist.flawed_system import br_system_residual, demonstrate_br_nonuniqueness
 from srdist.geodesics import (
@@ -233,7 +233,7 @@ class TestNearIdentity:
         target = (g.a_re, g.a_im, g.b_re, g.b_im)
         betas = oracle._betas(GridSpec())
         row = betas[np.argmin(np.abs(betas - beta)), None]
-        dev, t, phi0 = _kernels.scan_su2(target, row)
+        (dev,), t, (phi0,) = _kernels.scan_su2([target], row)
         b = int(np.argmin(dev[:, 0]))
         assert 1e-14 < dev[b, 0] <= REFINED_TOL
         res = _refine(target, phi0[b, 0], row[0], t[b, 0], GridSpec().refine_steps)
@@ -262,36 +262,42 @@ def _work_targets():
     return {"haar": haar, "steep": steep, "near_identity": near}
 
 
-# (seeds, endpoint_jacobian calls) per set of ten shots at the default
-# grid: measured (11, 39), (28, 857) and (30, 861), bounded 25 % above.
-# Counts repeat exactly, unlike timings.  Before the scan was solved for
-# t from |B| and refinement stopped on stalls, the sets took (10, 69),
-# (259, 24008) and (228, 8061).
-WORK_BOUNDS = {"haar": (14, 49), "steep": (35, 1071), "near_identity": (38, 1076)}
+# (seeds, endpoint evaluations) per set of ten shots at the default grid:
+# measured (11, 50), (28, 1983) and (30, 2142), bounded 25 % above.  An
+# evaluation is one `endpoint_jacobian` call, which gives the endpoint and
+# its Jacobian together; refinement makes one per trial point.  Counts
+# repeat exactly, unlike timings.
+WORK_BOUNDS = {"haar": (14, 62), "steep": (35, 2478), "near_identity": (38, 2677)}
 
 
 def test_work_per_shot_is_bounded(monkeypatch):
-    counts = {"seeds": 0, "jacobians": 0}
-    seeds, jacobian = oracle._seeds, oracle.endpoint_jacobian
+    counts = {"seeds": 0, "evaluations": 0}
+    seeds, evaluate = oracle._seeds, oracle.endpoint_jacobian
 
     def counted_seeds(*args):
         out = seeds(*args)
         counts["seeds"] += len(out)
         return out
 
-    def counted_jacobian(*args):
-        counts["jacobians"] += 1
-        return jacobian(*args)
+    def counted_evaluate(*args):
+        counts["evaluations"] += 1
+        return evaluate(*args)
 
     monkeypatch.setattr(oracle, "_seeds", counted_seeds)
-    monkeypatch.setattr(oracle, "endpoint_jacobian", counted_jacobian)
+    monkeypatch.setattr(oracle, "endpoint_jacobian", counted_evaluate)
     for name, targets in _work_targets().items():
-        counts.update(seeds=0, jacobians=0)
+        counts.update(seeds=0, evaluations=0)
         for g in targets:
             shoot_min_time(g)
-        max_seeds, max_jacobians = WORK_BOUNDS[name]
+        max_seeds, max_evaluations = WORK_BOUNDS[name]
         assert counts["seeds"] <= max_seeds, name
-        assert counts["jacobians"] <= max_jacobians, name
+        assert counts["evaluations"] <= max_evaluations, name
+
+
+def _half_turn(rng):
+    n = rng.standard_normal(3)
+    n /= np.linalg.norm(n)
+    return SO3Element(2.0 * np.outer(n, n) - np.eye(3))
 
 
 class TestShootSO3:
@@ -321,14 +327,69 @@ class TestShootSO3:
 
     def test_sym_target_has_two_minimizers(self):
         # a half turn about a generic axis is reached by two geodesics
-        rng = np.random.default_rng(54)
-        n = rng.standard_normal(3)
-        n /= np.linalg.norm(n)
-        c = SO3Element(2.0 * np.outer(n, n) - np.eye(3))
+        c = _half_turn(np.random.default_rng(54))
         assert classify_cut_locus_so3(c).tag is CutTag.SYM
         res = shoot_min_time_so3(c, SMALL)
         assert abs(res.t_min - distance_so3(c).t) < TIME_TOL
         assert len(res.minimizers) >= 2
+
+
+class TestSO3LiftsInOnePass:
+    # An SO(3) shot scans both lifts g and -g in one pass: they share |B|,
+    # so only the target's A and phi0 differ between their rows.
+    GRID = GridSpec(n_phi=128, n_beta=128, beta_max=8.0, n_t=256)
+
+    @staticmethod
+    def _targets():
+        rng = np.random.default_rng(105)
+        return [klein_omega(random_su2(rng)) for _ in range(30)] + [_half_turn(rng) for _ in range(10)]
+
+    def test_each_shot_scans_once(self, monkeypatch):
+        calls = []
+        scan = _kernels.scan_su2
+
+        def spy(lifts, betas):
+            calls.append(len(lifts))
+            return scan(lifts, betas)
+
+        monkeypatch.setattr(_kernels, "scan_su2", spy)
+        rng = np.random.default_rng(106)
+        shoot_min_time(random_su2(rng), SMALL)
+        assert calls == [1]
+        shoot_min_time_so3(klein_omega(random_su2(rng)), SMALL)
+        assert calls == [1, 2]
+
+    def test_equals_the_better_lift(self):
+        # Each lift's seeds and refinements are those of a shot at that
+        # lift alone, so t_min is the lesser lift time to the bit, and the
+        # minimizers are the lifts' within t_min + TIME_TOL.
+        for c in self._targets():
+            res = shoot_min_time_so3(c, self.GRID)
+            shots = []
+            for g in lift_so3(c):
+                try:
+                    shots.append(shoot_min_time(g, self.GRID))
+                except ShootNoMatchError:
+                    pass
+            t_min = min(r.t_min for r in shots)
+            assert res.t_min.hex() == t_min.hex()
+            expected = [m for r in shots for m in r.minimizers if m[2] <= t_min + TIME_TOL]
+            assert sorted(res.minimizers) == sorted(expected)
+
+    def test_shared_rows_are_the_standalone_rows(self):
+        betas = oracle._betas(self.GRID)
+        for c in self._targets():
+            lifts = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lift_so3(c)]
+            dev, t, phi0 = _kernels.scan_su2(lifts, betas)
+            for k, g in enumerate(lifts):
+                (dev_k,), t_k, (phi0_k,) = _kernels.scan_su2([g], betas)
+                assert dev[k].tobytes() == dev_k.tobytes()
+                assert phi0[k].tobytes() == phi0_k.tobytes()
+                assert t.tobytes() == t_k.tobytes()
+
+    def test_lifts_must_share_abs_b(self):
+        with pytest.raises(ValueError):
+            _kernels.scan_su2([(0.6, 0.0, 0.8, 0.0), (0.8, 0.0, 0.6, 0.0)], oracle._betas(SMALL))
 
 
 class TestAxis1Targets:
