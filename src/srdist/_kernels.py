@@ -1,81 +1,68 @@
-"""The shooting oracle's numpy scan over beta.
+"""The shooting oracle's numpy scan along the target's fibre loop.
 
 On the geodesic of momentum beta, with s = sqrt(1 + beta^2), u = t*s/2
-and h = beta*t/2,
+and h = beta*t/2 = (beta/s)*u,
 
     A = (cos(u) + i*(beta/s)*sin(u)) * exp(-i*h),
     B = (sin(u)/s) * exp(i*(h + phi0)).
 
-A does not involve phi0, and a minimizer on SU(2) stops at u = pi, the
-cut time.  So once beta is fixed the target's B pins the rest: phi0 =
-arg(B_target) - h puts B on the target's phase, and sin(u) = s*|B_target|
-leaves two arrival times, u = asin(s*|B_target|) and pi minus it.  The
-scan evaluates A at both, one numpy pass over the beta rows with no t
-axis, and reports how far each lands from the target.
+A minimizer on SU(2) stops at u = pi, the cut time.  For a target with
+a = |A|, b = |B| > 0 and b* = a/b, phi0 = arg(B_target) - h puts B on
+the target's phase, and the geodesics that reach |B| = b form one loop:
 
-An SO(3) target has two SU(2) lifts, g and -g.  They share |B|, so every
-row quantity (s, u, h, their sines and cosines, the endpoint's A and
-|B| - 1/s) is the same for both; only the target's A changes sign and
-phi0 moves by pi.  One call scans all the lifts from one set of rows.
+    beta = b* sin(tau),  cos(u) = a cos(tau),  sin(u) = b*s.
+
+There beta*sin(u)/s = a sin(tau), so A = a*exp(i*(tau - h)): |A| = a,
+and only the phase of A is left to match.  Each half of the loop is
+walked by tau' in [-pi/2, pi/2]: tau = tau' is branch 0 (u <= pi/2) and
+tau = tau' + pi branch 1; the halves meet at tau' = +-pi/2.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-# cos(u) >= 0 on branch 0 (u <= pi/2) and <= 0 on branch 1.
-_BRANCH_SIGN = np.array([[1.0], [-1.0]])
+# Steps of the tau' samples spread evenly over each half loop, ends
+# included, whatever the grid: a short loop (b* below the row spacing)
+# holds no grid row at all.
+LOOP_FLOOR = 16
+_FLOOR_SIN = np.sin(np.linspace(-0.5 * math.pi, 0.5 * math.pi, LOOP_FLOOR + 1))
+# Branch 1's u is pi minus branch 0's.
+_BRANCH_SHIFT = np.array([[0.0], [math.pi]])
 
 
-def scan_su2(
-    lifts: Sequence[tuple[float, float, float, float]], betas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deviation from each lift, t and phi0 on both branches of every beta row.
+def scan_su2(target: tuple, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tau' and X + iY = A_end * conj(A_target) at sorted points of the target's loop.
 
-    Each lift is (a_re, a_im, b_re, b_im): one for an SU(2) target, g and
-    -g for an SO(3) one.  The lifts must share |B| exactly, or ValueError
-    is raised.  Branch 0 takes u = asin(s|B|) and branch 1 takes u = pi -
-    asin(s|B|), so t = 2u/s and the endpoint's |B| equals the target's.  A
-    row with s|B| >= 1 cannot reach |B|: it takes u = pi/2, where |B(t)| =
-    1/s comes closest, on branch 0 only.  The deviation is the max-norm
-    distance of the endpoint from the lift; its B part is
-    (|B| - 1/s)*b_unit on such rows and 0 on the others, b_unit being the
-    max-norm of a unit complex number with the lift's B phase.  With B = 0
-    arg(B) is taken as 0 and branch 0 is t = 0, which is dropped.  A
-    branch that does not exist has deviation +inf.  Each lift's rows are
-    bit for bit those of a scan of that lift alone.
-
-    Returns (dev, t, phi0): dev and phi0 of shape (len(lifts), 2,
-    len(betas)), t of shape (2, len(betas)), shared by the lifts.  phi0 is
-    not reduced mod 2*pi and lies in (-2*pi, 2*pi).
+    The points are the grid rows with |beta| < b* (mirrored to -beta on
+    branch 1) and LOOP_FLOOR + 1 points spread evenly in tau', ends
+    included, on both branches: X and Y have shape (2, len(tau')).  A is
+    evaluated by the endpoint formulas above; its phase mismatch against
+    the lift -g is that of -(X + iY), so one scan serves both lifts.
+    target needs A != 0.  With B = 0 (the Loc stratum) the loop is the
+    cut time u = pi of every row, where B = 0 for any phi0: the rows
+    replace tau', and X and Y have one row, for branch 1.
     """
-    b_abs = math.hypot(lifts[0][2], lifts[0][3])
-    s = np.sqrt(1.0 + betas * betas)
-    su = np.minimum(s * b_abs, 1.0)
-    cu = np.sqrt((1.0 - su) * (1.0 + su)) * _BRANCH_SIGN
-    u = np.empty((2, len(betas)))
-    np.arcsin(su, out=u[0])
-    np.subtract(math.pi, u[0], out=u[1])
-    c = betas / s
-    h = c * u
-    sh, ch = np.sin(h), np.cos(h)
-    csu = c * su
-    end_re, end_im = csu * sh + cu * ch, csu * ch - cu * sh
-    b_floor = np.maximum(b_abs - 1.0 / s, 0.0)
-    # Everything above is shared by the lifts; each lift adds its A and B phase.
-    dev = np.empty((len(lifts), 2, len(betas)))
-    phi0 = np.empty_like(dev)
-    for k, (a_re, a_im, b_re, b_im) in enumerate(lifts):
-        if math.hypot(b_re, b_im) != b_abs:
-            raise ValueError("the lifts must share |B|")
-        theta = math.atan2(b_im, b_re)
-        np.abs(end_re - a_re, out=dev[k])
-        np.maximum(dev[k], np.abs(end_im - a_im), out=dev[k])
-        np.maximum(dev[k], b_floor * max(abs(math.cos(theta)), abs(math.sin(theta))), out=dev[k])
-        np.subtract(theta, h, out=phi0[k])
-    if b_abs == 0.0:
-        dev[:, 0] = np.inf
-    dev[:, 1, su == 1.0] = np.inf
-    return dev, (2.0 / s) * u, phi0
+    a_re, a_im, b_re, b_im = target
+    a, b = math.hypot(a_re, a_im), math.hypot(b_re, b_im)
+    if b == 0.0:
+        z = -np.exp(-1j * math.pi * betas / np.hypot(1.0, betas))[None] * complex(a_re, -a_im)
+        return betas, z.real, z.imag
+    b_star = a / b
+    # The rows are ascending: those with |beta| < b* are one slice.
+    lo, hi = np.searchsorted(betas, (-b_star, b_star))
+    st = np.sort(np.concatenate((betas[lo:hi] / b_star, _FLOOR_SIN)))
+    tau = np.arcsin(st)
+    ct = np.cos(tau)
+    # Both halves take the ends at cos(tau') = 0, so they agree there.
+    ct[0] = ct[-1] = 0.0
+    beta = b_star * st
+    s = np.hypot(1.0, beta)
+    c = beta / s
+    su, cu = b * s, a * ct
+    # Branch 1 negates cos(u) and beta, so u -> pi - u and h = c*u ->
+    # c*(u - pi), and cos(u) + i*c*sin(u) changes sign: exp(-i*(h + pi)).
+    h = c * (np.arctan2(su, cu) - _BRANCH_SHIFT) + _BRANCH_SHIFT
+    z = ((cu + 1j * (c * su)) * complex(a_re, -a_im)) * np.exp(-1j * h)
+    return tau, z.real, z.imag

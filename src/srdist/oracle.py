@@ -1,70 +1,48 @@
 """Brute-force geodesic-shooting oracle.
 
-`shoot_min_time` scans the geodesics from the identity over a grid of
-momenta beta alone: on each row the target's B fixes phi0 and leaves
-two arrival times, one per branch (see `_kernels.scan_su2`).  It seeds
-the rows whose deviation from the target is under a threshold and a
-local minimum along beta on their branch, refines each seed in
-(phi0, beta, t) to convergence by Gauss-Newton steps, damped in the
-Levenberg-Marquardt way when a full step fails, and reports the least
-arrival time together with all parameter-distinct minimizers.  Each
-refinement step evaluates `geodesics.endpoint_jacobian` once, at the
-trial point, which gives the residual and, if the step is taken, the
-Jacobian of the next step.  An SO(3) target is shot as its two SU(2)
-lifts g and -g (`algebra.lift_so3`): one scan covers both, each lift
-gets its own seeds and threshold, and every seed is refined in SU(2)
-coordinates toward its lift.  The beta rows are evenly spaced in
-chi = atan(beta/c) over the whole open interval (-pi/2, pi/2), so one
-grid reaches every momentum and no target needs its own window.  The
-oracle shares only the geodesic formulas with the production distance
-code, never its case analysis, so it serves as an independent check.
+The geodesics from the identity that match the target's B before the
+cut time u = pi form one closed loop, on which only the phase F of
+A_end * conj(A_target) is left to match (see `_kernels`).  One numpy
+scan samples F along the loop; each sign change between neighbouring
+samples brackets a root, solved in one dimension by Newton steps kept
+inside the bracket, else bisection, every evaluation going through
+`geodesics.endpoint_coords`.  A root counts only if its endpoint is
+within REFINED_TOL of the target in all four coordinates.  An SO(3)
+target is shot as its lifts g and -g (`algebra.lift_so3`), which share
+the loop: F crossing 0 is a root for g, and crossing pi one for -g.
+The oracle shares only the geodesic formulas with the case analysis,
+and assumes no monotonicity: it solves every bracket on the whole loop.
 """
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import _kernels
 from .algebra import SO3Element, SU2Element, lift_so3
-from .geodesics import endpoint_jacobian
+from .geodesics import endpoint_coords
 
 TWO_PI = 2.0 * math.pi
 
-# Floor of the scan-deviation threshold that selects grid cells for
-# refinement; the threshold adapts to the best cell because the raw grid
-# resolution cannot reach REFINED_TOL directly.
-MATCH_TOL = 1e-3
-# Endpoint deviation (max-norm) a refined candidate must reach to count
-# as hitting the target; t_min and the minimizers are taken over these.
-# A candidate refined to convergence at a minimizer lands at the rounding
-# floor, well below this bound; one converging elsewhere stays far above.
+# Endpoint deviation (max-norm) a root must reach to count as hitting the
+# target; t_min and the minimizers are taken over these.  A root solved
+# to convergence lands at the rounding floor, well below this bound.
 REFINED_TOL = 1e-12
 # Arrival-time tolerance: minimizers within t_min + TIME_TOL are listed.
 TIME_TOL = 2e-2
 # Parameter-space radius for deduplicating minimizers.
 DEDUP_RADIUS = 0.1
 
-# Levenberg-Marquardt damping: start, and factors after a taken and a
-# rejected step.
-_MU_START = 1e-3
-_MU_DOWN = 1.0 / 3.0
-_MU_UP = 8.0
-# Damping at which a step is negligible against any x: give up.
-_MU_MAX = 1e30
-# Squared residual at the rounding floor of the endpoint: done.
-_F_DONE = (2.0 * sys.float_info.epsilon) ** 2
-# Iterations over which the squared residual must at least halve, or the
-# refinement has stalled.
-_STALL_STEPS = 20
+# Safety net on the evaluations per bracket; bisection alone needs about 55.
+_MAX_STEPS = 120
 
 
 class ShootNoMatchError(RuntimeError):
-    """No grid candidate reached the target: the grid is too coarse for it."""
+    """No root on the loop reached the target: the grid is too coarse for it."""
 
 
 @dataclass(frozen=True)
@@ -76,12 +54,10 @@ class GridSpec:
     (-pi/2, pi/2), with c = 2*beta_max/pi: near beta = 0 they are
     2*beta_max/n_beta apart, as on a linear grid over [-beta_max,
     beta_max], and the outer rows reach |beta| of about
-    4*beta_max*n_beta/pi**2 (830 at the defaults).  refine_steps bounds the
-    refinement's iterations per candidate, as a safety net only.  The
-    scan solves phi0 and t from the target's B on each row, so it has
-    neither a phi0 nor a t axis: n_phi and n_t are validated but no
-    longer read.  They keep their places because callers, the benchmark
-    among them, pass the four sizes positionally.
+    4*beta_max*n_beta/pi**2 (830 at the defaults).  The rows inside the
+    target's loop are among the scan's sample points.  n_phi, n_t and
+    refine_steps are validated but no longer read: callers, the benchmark
+    among them, pass them.
     """
 
     n_phi: int = 256
@@ -108,117 +84,6 @@ class ShootResult:
     grid_spec: GridSpec
 
 
-def _damped_step(
-    a: tuple, g: tuple, damp: tuple
-) -> Optional[tuple[float, float, float]]:
-    """Solve (A + diag(damp)) s = -g by Cramer's rule; None unless positive definite.
-
-    A is symmetric, given as its upper triangle (a00, a01, a02, a11, a12, a22).
-    """
-    a00, a01, a02, a11, a12, a22 = a
-    m00, m11, m22 = a00 + damp[0], a11 + damp[1], a22 + damp[2]
-    k00 = m11 * m22 - a12 * a12
-    k01 = a02 * a12 - a01 * m22
-    k02 = a01 * a12 - a02 * m11
-    det = m00 * k00 + a01 * k01 + a02 * k02
-    if not det > 0.0:
-        return None
-    k11 = m00 * m22 - a02 * a02
-    k12 = a01 * a02 - m00 * a12
-    k22 = m00 * m11 - a01 * a01
-    g0, g1, g2 = g
-    return (
-        -(k00 * g0 + k01 * g1 + k02 * g2) / det,
-        -(k01 * g0 + k11 * g1 + k12 * g2) / det,
-        -(k02 * g0 + k12 * g1 + k22 * g2) / det,
-    )
-
-
-def _evaluate(
-    target: tuple[float, float, float, float], x: tuple[float, float, float]
-) -> tuple[tuple, float, tuple]:
-    """(residual, squared residual, Jacobian columns) at x, from one endpoint evaluation."""
-    end, columns = endpoint_jacobian(*x)
-    r0, r1, r2, r3 = end[0] - target[0], end[1] - target[1], end[2] - target[2], end[3] - target[3]
-    return (r0, r1, r2, r3), r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3, columns
-
-
-def _refine(
-    target: tuple[float, float, float, float],
-    phi0: float,
-    beta: float,
-    t: float,
-    iterations: int,
-) -> tuple[float, float, float, float]:
-    """Gauss-Newton on the squared endpoint residual, damped when a full step fails.
-
-    The residual r is the endpoint minus the target's (Re A, Im A, Re B,
-    Im B), and J is its Jacobian; both come from one
-    `endpoint_jacobian` call per trial point, and a taken trial's J
-    serves the next iteration.  Each iteration first tries the
-    Gauss-Newton step J^T J s = -J^T r; if that step is singular or
-    rejected, it solves the Levenberg-Marquardt normal equations
-    (J^T J + mu*D) s = -J^T r (Moré 1978) in plain floats, D being the
-    running maximum of diag(J^T J), which makes the damping scale-free
-    across the three very differently scaled parameters.  J^T J and J^T r
-    are written out, the phi0 column of J being (0, 0, -Im B, Re B).  A
-    step is taken only if it lowers the squared error f and keeps t > 0;
-    otherwise mu grows and the step is solved again.  The full step
-    matters near the identity, where the Schur complement in beta is
-    about 1e-8 of mu*D: no damped step moves a seed that starts close.
-    The loop ends when f reaches the rounding floor _F_DONE, when a step
-    no longer moves x, when mu passes _MU_MAX, or when f has not halved
-    over the last _STALL_STEPS iterations, which is a refinement creeping
-    along a curved valley; `iterations` is only a safety net.  Returns
-    (phi0, beta, t, max-norm deviation).
-    """
-    x = (phi0, beta, t)
-    r, f, columns = _evaluate(target, x)
-    mu = _MU_START
-    d0 = d1 = d2 = 0.0
-    history = []
-    for k in range(iterations):
-        if f <= _F_DONE or (k >= _STALL_STEPS and f > 0.5 * history[k - _STALL_STEPS]):
-            break
-        history.append(f)
-        (_, _, p2, p3), (b0, b1, b2, b3), (t0, t1, t2, t3) = columns
-        r0, r1, r2, r3 = r
-        a = (
-            p2 * p2 + p3 * p3,
-            p2 * b2 + p3 * b3,
-            p2 * t2 + p3 * t3,
-            b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3,
-            b0 * t0 + b1 * t1 + b2 * t2 + b3 * t3,
-            t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3,
-        )
-        g = (
-            p2 * r2 + p3 * r3,
-            b0 * r0 + b1 * r1 + b2 * r2 + b3 * r3,
-            t0 * r0 + t1 * r1 + t2 * r2 + t3 * r3,
-        )
-        d0, d1, d2 = max(d0, a[0]), max(d1, a[3]), max(d2, a[5])
-        # The Gauss-Newton step first, then damped ones until one is taken.
-        damp = 0.0
-        while True:
-            s = _damped_step(a, g, (damp * d0, damp * d1, damp * d2))
-            if s is not None:
-                trial = (x[0] + s[0], x[1] + s[1], x[2] + s[2])
-                if trial == x:
-                    return (*x, max(map(abs, r)))
-                if trial[2] > 0.0:
-                    r_new, f_new, columns_new = _evaluate(target, trial)
-                    if f_new < f:
-                        break
-            if damp:
-                if mu > _MU_MAX:
-                    return (*x, max(map(abs, r)))
-                mu *= _MU_UP
-            damp = mu
-        x, r, f, columns = trial, r_new, f_new, columns_new
-        mu *= _MU_DOWN
-    return (*x, max(map(abs, r)))
-
-
 def _dedup(
     points: list[tuple[float, float, float]]
 ) -> list[tuple[float, float, float]]:
@@ -238,70 +103,138 @@ def _dedup(
     return kept
 
 
-def _threshold(min_dev: float) -> float:
-    """Scan deviation at or below which a row is refined, given the best row's.
-
-    It adapts to the best row because the raw grid resolution cannot
-    reach REFINED_TOL directly.  It grows with min_dev, so no threshold
-    is below _threshold(0).
-    """
-    return max(MATCH_TOL, 4.0 * min_dev, min_dev + 2e-3)
-
-
-def _seeds(
-    targets: list[tuple[float, float, float, float]], betas: np.ndarray
-) -> list[tuple[tuple, float, float, float]]:
-    """(target, phi0, beta, t) of the scan rows to refine, over the lifts of one target.
-
-    One scan covers every lift.  A row seeds toward a lift on a branch
-    when its dev there is at most the threshold of that lift's least dev
-    and at most both chi-neighbours' on that branch (+inf past the ends),
-    so each valley of a branch seeds once.  Each lift gets its own
-    threshold, so a grid passing closer to one lift does not hide the
-    other's rows.
-    """
-    dev, t, phis = _kernels.scan_su2(targets, betas)
-    pick = dev <= np.array([_threshold(m) for m in dev.min(axis=(1, 2)).tolist()])[:, None, None]
-    pick[..., 1:] &= dev[..., 1:] <= dev[..., :-1]
-    pick[..., :-1] &= dev[..., :-1] <= dev[..., 1:]
-    return [
-        (targets[k], float(phis[k, b, j]), float(betas[j]), float(t[b, j]))
-        for k, b, j in zip(*np.nonzero(pick))
-    ]
-
-
+@lru_cache(maxsize=16)
 def _betas(grid: GridSpec) -> np.ndarray:
-    """The grid's rows beta = c*tan(chi) at the chi midpoints (see GridSpec)."""
+    """The grid's rows beta = c*tan(chi) at the chi midpoints (see GridSpec), read-only.
+
+    Every shot on one grid shares the array.
+    """
     chi = (np.arange(grid.n_beta) + 0.5) * (math.pi / grid.n_beta) - 0.5 * math.pi
-    return (2.0 * grid.beta_max / math.pi) * np.tan(chi)
+    betas = (2.0 * grid.beta_max / math.pi) * np.tan(chi)
+    betas.flags.writeable = False
+    return betas
+
+
+def _hit(target: tuple, beta: float, t: float) -> tuple[float, tuple, float]:
+    """(F, (phi0, beta, t), max-norm deviation) with phi0 putting B on the target's phase."""
+    a_re, a_im, b_re, b_im = target
+    phi0 = math.atan2(b_im, b_re) - 0.5 * beta * t
+    e0, e1, e2, e3 = endpoint_coords(phi0, beta, t)
+    f = math.atan2(e1 * a_re - e0 * a_im, e0 * a_re + e1 * a_im)
+    dev = max(abs(e0 - a_re), abs(e1 - a_im), abs(e2 - b_re), abs(e3 - b_im))
+    return f, (phi0, beta, t), dev
+
+
+def _on_loop(target: tuple, a: float, b: float, branch: int, tau: float) -> tuple:
+    """(F, dF/dtau, point, deviation) at tau' = tau on one half of the loop (see `_kernels`).
+
+    dF/dtau = 1 - dh/dtau, from A = a*exp(i*(tau - h)), only proposes
+    steps: the solve keeps every step inside its bracket.
+    """
+    st, ct = math.sin(tau), math.cos(tau)
+    if branch:
+        st, ct = -st, -ct
+    b_star = a / b
+    beta = b_star * st
+    s = math.sqrt(1.0 + beta * beta)
+    su = b * s
+    u = math.atan2(su, a * ct)
+    f, point, dev = _hit(target, beta, 2.0 * u / s)
+    return f, 1.0 - (u * b_star * ct / (s * s * s) + beta / s * a * st / su), point, dev
+
+
+def _at_cut(target: tuple, beta: float) -> tuple:
+    """(F, dF/dbeta, point, deviation) at the cut time u = pi, where B = 0 for any phi0."""
+    s = math.sqrt(1.0 + beta * beta)
+    f, point, dev = _hit(target, beta, TWO_PI / s)
+    return f, -math.pi / (s * s * s), point, dev
+
+
+def _brackets(re: np.ndarray, im: np.ndarray) -> list[tuple]:
+    """(lift, row, j, F_j, F_j+1) for each sign change of F between samples j and j + 1.
+
+    F = arg(re + i*im) changes sign where im does, through 0 (a root for
+    lift 0, g) or through pi (one for lift 1, -g, whose F is that of
+    -(re + i*im)): the one at which the chord between the two samples
+    meets the real axis.
+    """
+    out = []
+    for row, j in zip(*np.nonzero(np.diff(im > 0.0, axis=1))):
+        (x0, x1), (y0, y1) = re[row, j : j + 2].tolist(), im[row, j : j + 2].tolist()
+        side = (x0 * y1 - x1 * y0) * (y1 - y0)
+        if side:
+            s = math.copysign(1.0, side)
+            f0, f1 = math.atan2(s * y0, s * x0), math.atan2(s * y1, s * x1)
+            out.append((int(side < 0.0), row, j, f0, f1))
+    return out
+
+
+def _solve(evaluate, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple:
+    """(point, deviation) of the best evaluation of F in the bracket [lo, hi].
+
+    f_lo and f_hi, F at the ends, lie on opposite sides of 0.  The first
+    trial is the secant through the ends, each later one a Newton step
+    from the best point so far, or the midpoint when that step leaves the
+    bracket or the last trial did not lower |F|.  The solve stops when |F|
+    stops falling at a point within REFINED_TOL of the target, or when the
+    bracket cannot be split further.
+    """
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    best = (math.inf, None, math.inf)
+    for _ in range(_MAX_STEPS):
+        f, df, point, dev = evaluate(x)
+        if (f > 0.0) == (f_lo > 0.0):
+            lo = x
+        else:
+            hi = x
+        if abs(f) < abs(best[0]):
+            best, step = (f, point, dev), x - f / df if df else x
+        elif best[2] <= REFINED_TOL:
+            break
+        else:
+            step = x
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < x < hi:
+            break
+    return best[1:]
 
 
 def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
     # An SO(3) target is reached through either of its two lifts.
     targets = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lifts]
-    refined = [_refine(*seed, grid.refine_steps) for seed in _seeds(targets, _betas(grid))]
+    a, b = math.hypot(*targets[0][:2]), math.hypot(*targets[0][2:])
+    if a == 0.0:
+        # The loop shrinks to one point: beta = 0 at u = pi/2.
+        roots = [_hit(target, 0.0, math.pi)[1:] for target in targets]
+    else:
+        x, re, im = _kernels.scan_su2(targets[0], _betas(grid))
+        roots = []
+        for lift, row, j, f_lo, f_hi in _brackets(re, im):
+            if lift < len(targets):
+                target = targets[lift]
+                evaluate = (partial(_at_cut, target) if b == 0.0
+                            else partial(_on_loop, target, a, b, row))
+                roots.append(_solve(evaluate, *x[j : j + 2].tolist(), f_lo, f_hi))
 
     exact = sorted(
-        (r for r in refined if r[3] <= REFINED_TOL),
-        key=lambda r: (r[2], r[0] % TWO_PI, r[1]),
+        (p for p, dev in roots if dev <= REFINED_TOL),
+        key=lambda p: (p[2], p[0] % TWO_PI, p[1]),
     )
     if not exact:
-        best = f"best deviation {min(r[3] for r in refined):.3e}" if refined else "no candidates"
-        raise ShootNoMatchError(
-            f"no refined candidate within {REFINED_TOL} of the target ({best})"
-        )
+        best = f"best deviation {min(dev for _, dev in roots):.3e}" if roots else "no roots"
+        raise ShootNoMatchError(f"no root within {REFINED_TOL} of the target ({best})")
     # The first minimizer's time, so t_min never undercuts the minimizers.
     t_min = exact[0][2]
-    minimizers = _dedup([(r[0], r[1], r[2]) for r in exact if r[2] <= t_min + TIME_TOL])
+    minimizers = _dedup([p for p in exact if p[2] <= t_min + TIME_TOL])
     return ShootResult(t_min=t_min, minimizers=minimizers, grid_spec=grid)
 
 
 def shoot_min_time(target: SU2Element, grid: GridSpec = GridSpec()) -> ShootResult:
-    """Minimal geodesic arrival time at an SU(2) target, by grid scan and refinement.
+    """Minimal geodesic arrival time at an SU(2) target, by a scan of its loop and 1-D solves.
 
     When B = 0 (A on the unit circle, the Loc stratum) the endpoint does
-    not depend on phi0, so every phi0 is minimizing; only the
-    representatives the scan seeds are listed, not the whole circle.
+    not depend on phi0, so every phi0 is minimizing; only one
+    representative per root is listed, not the whole circle.
     """
     return _shoot([target], grid)
 
@@ -311,7 +244,7 @@ def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> Shoot
 
     A geodesic's endpoint covers the target exactly when it equals one of
     the target's lifts g and -g.  One scan covers both lifts, and each
-    lift's seeds are refined in SU(2) coordinates, as in `shoot_min_time`,
+    lift's roots are solved in SU(2) coordinates, as in `shoot_min_time`,
     so t_min is the lesser of the two lifts' shots, to the bit.
     `lift_so3` returns exact unit pairs, so a target whose entries are off
     SO(3) by rounding is matched as its nearby exact rotation.

@@ -258,3 +258,14 @@ def test_entry_point_subprocess(child_env):
     )
     assert proc.returncode == 0
     assert "t = 0.0" in proc.stdout
+
+
+def test_package_runs_as_module(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "srdist", "verify", "--suite", "oracle", "--n", "5"],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("[PASS] oracle: ") for line in lines)

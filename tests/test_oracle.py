@@ -20,8 +20,6 @@ from srdist.oracle import (
     REFINED_TOL,
     TIME_TOL,
     ShootNoMatchError,
-    _refine,
-    _seeds,
     shoot_min_time,
     shoot_min_time_so3,
 )
@@ -33,7 +31,6 @@ from srdist.su2_distance import distance_su2
 SMALL = GridSpec(n_phi=64, n_beta=64, beta_max=8.0, n_t=128)
 
 TWO_PI = 2.0 * math.pi
-EPS = np.finfo(float).eps
 
 
 class TestGridSpec:
@@ -94,9 +91,27 @@ def test_oracle_imports_no_distance_code(name):
 
 
 def test_nothing_to_refine_is_typed(monkeypatch):
-    monkeypatch.setattr(oracle, "_seeds", lambda target, betas: [])
+    monkeypatch.setattr(oracle, "_brackets", lambda re, im: [])
     with pytest.raises(ShootNoMatchError):
         shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0), SMALL)
+
+
+def test_grid_rows_are_built_once_and_read_only(monkeypatch):
+    rows = []
+    scan = _kernels.scan_su2
+
+    def spy(target, betas):
+        rows.append(betas)
+        return scan(target, betas)
+
+    monkeypatch.setattr(_kernels, "scan_su2", spy)
+    g = random_su2(np.random.default_rng(57))
+    shoot_min_time(g, SMALL)
+    shoot_min_time(g, GridSpec(n_phi=64, n_beta=64, beta_max=8.0, n_t=128))
+    assert rows[0] is rows[1]
+    assert not rows[0].flags.writeable
+    with pytest.raises(ValueError):
+        rows[0][0] = 0.0
 
 
 class TestShootSU2:
@@ -142,13 +157,10 @@ def _at_cut_fraction(beta, f):
 
 
 class TestHighMomentumTargets:
-    # Endpoints of steep geodesics: scan cells that pass the candidate
-    # threshold arrive earlier than any refined minimizer, so t_min must
-    # be taken over the refined minimizers.  The steep valley in (beta, t)
-    # needs the Gauss-Newton steps of the refinement; it converges from
-    # the coarse grid's cells as well.  On the last three targets a
-    # candidate that stops short of the target within 1e-6 arrives up to
-    # 6e-4 early.
+    # Endpoints of steep geodesics.  On the last three targets a point
+    # that stops short of the target within 1e-6 arrives up to 6e-4
+    # early, so t_min must be taken over the roots that pass the
+    # endpoint gate.
     @pytest.mark.parametrize(
         "beta, t",
         [
@@ -165,8 +177,8 @@ class TestHighMomentumTargets:
         assert res.t_min == res.minimizers[0][2]
         assert abs(res.t_min - distance_su2(g).t) <= 1e-12
 
-    # Refinements cut off after 60 steps while still creeping along the
-    # valley arrived 4.8e-12 to 9.4e-11 early on these targets.
+    # A solve cut off before convergence arrived 4.8e-12 to 9.4e-11 early
+    # on these targets.
     @pytest.mark.parametrize(
         "phi0, beta, t",
         [
@@ -209,7 +221,7 @@ class TestNearIdentity:
         g = geodesic_point(GeodesicParams(phi0, beta), d)
         assert abs(shoot_min_time(g, SMALL).t_min - distance_su2(g).t) <= 1e-12
 
-    # Refinements cut off after 60 steps arrived 1.0e-11 to 1.5e-11 early
+    # A solve cut off before convergence arrived 1.0e-11 to 1.5e-11 early
     # on these targets at the default grid.
     @pytest.mark.parametrize(
         "phi0, beta, d",
@@ -223,22 +235,14 @@ class TestNearIdentity:
         g = geodesic_point(GeodesicParams(phi0, beta), d)
         assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
 
-    def test_seed_under_refined_tol_still_refined(self):
-        # The B-matched seed on the default grid's row nearest beta starts
-        # below REFINED_TOL with t off by 3.9e-13.  Near the identity the
-        # Schur complement in beta is about 1e-8 of the damping, so a
-        # damped step cannot move it; the Gauss-Newton step can.
+    def test_start_under_refined_tol_still_solved(self):
+        # The default grid's row nearest beta reaches this target within
+        # REFINED_TOL at a t off by 3.9e-13: passing the gate alone does
+        # not pin t to 1e-14, so the solve must run to the rounding floor.
         beta, d = -3.9325966852772183, 0.0005276544964793624
         g = geodesic_point(GeodesicParams(2.465198959605808, beta), d)
-        target = (g.a_re, g.a_im, g.b_re, g.b_im)
-        betas = oracle._betas(GridSpec())
-        row = betas[np.argmin(np.abs(betas - beta)), None]
-        (dev,), t, (phi0,) = _kernels.scan_su2([target], row)
-        b = int(np.argmin(dev[:, 0]))
-        assert 1e-14 < dev[b, 0] <= REFINED_TOL
-        res = _refine(target, phi0[b, 0], row[0], t[b, 0], GridSpec().refine_steps)
-        assert res[3] <= 4.0 * EPS
-        assert abs(res[2] - d) <= 1e-14
+        res = shoot_min_time(g)
+        assert abs(res.t_min - d) <= 1e-14
 
 
 # Fixed targets for the work guard, default_rng(81): 10 Haar, 10 steep
@@ -262,36 +266,52 @@ def _work_targets():
     return {"haar": haar, "steep": steep, "near_identity": near}
 
 
-# (seeds, endpoint evaluations) per set of ten shots at the default grid:
-# measured (11, 50), (28, 1983) and (30, 2142), bounded 25 % above.  An
-# evaluation is one `endpoint_jacobian` call, which gives the endpoint and
-# its Jacobian together; refinement makes one per trial point.  Counts
-# repeat exactly, unlike timings.
-WORK_BOUNDS = {"haar": (14, 62), "steep": (35, 2478), "near_identity": (38, 2677)}
+# (brackets solved, endpoint evaluations) per set of ten shots at the
+# default grid: measured (10, 44), (10, 50) and (10, 31), bounded 25 %
+# above.  An evaluation is one `endpoint_coords` call, which gives the
+# phase mismatch, the point and its deviation together.  Counts repeat
+# exactly, unlike timings.
+WORK_BOUNDS = {"haar": (12, 55), "steep": (12, 62), "near_identity": (12, 38)}
 
 
 def test_work_per_shot_is_bounded(monkeypatch):
-    counts = {"seeds": 0, "evaluations": 0}
-    seeds, evaluate = oracle._seeds, oracle.endpoint_jacobian
+    counts = {"brackets": 0, "evaluations": 0}
+    solve, evaluate = oracle._solve, oracle.endpoint_coords
 
-    def counted_seeds(*args):
-        out = seeds(*args)
-        counts["seeds"] += len(out)
-        return out
+    def counted_solve(*args):
+        counts["brackets"] += 1
+        return solve(*args)
 
     def counted_evaluate(*args):
         counts["evaluations"] += 1
         return evaluate(*args)
 
-    monkeypatch.setattr(oracle, "_seeds", counted_seeds)
-    monkeypatch.setattr(oracle, "endpoint_jacobian", counted_evaluate)
+    monkeypatch.setattr(oracle, "_solve", counted_solve)
+    monkeypatch.setattr(oracle, "endpoint_coords", counted_evaluate)
     for name, targets in _work_targets().items():
-        counts.update(seeds=0, evaluations=0)
+        counts.update(brackets=0, evaluations=0)
         for g in targets:
             shoot_min_time(g)
-        max_seeds, max_evaluations = WORK_BOUNDS[name]
-        assert counts["seeds"] <= max_seeds, name
+        max_brackets, max_evaluations = WORK_BOUNDS[name]
+        assert counts["brackets"] <= max_brackets, name
         assert counts["evaluations"] <= max_evaluations, name
+
+
+class TestOneRootPerMinimizer:
+    def test_haar_targets_list_one_minimizer(self):
+        rng = np.random.default_rng(58)
+        for _ in range(50):
+            res = shoot_min_time(random_su2(rng))
+            assert len(res.minimizers) == 1
+            assert res.t_min == res.minimizers[0][2]
+
+    def test_steep_t_min_repeats(self):
+        # One root per minimizer, so t_min no longer depends on which
+        # duplicates of it were solved.
+        for g in _work_targets()["steep"]:
+            first, second = shoot_min_time(g), shoot_min_time(g)
+            assert len(first.minimizers) == 1
+            assert first.t_min.hex() == second.t_min.hex()
 
 
 def _half_turn(rng):
@@ -308,8 +328,8 @@ class TestShootSO3:
         assert abs(res.t_min - distance_so3(c).t) < TIME_TOL
 
     def test_haar_rotations_reach_nearer_lift(self):
-        # Each lift is seeded from its own scan rows: a grid that passes
-        # closer to the far lift must not hide the near lift's rows.
+        # Each lift's roots are bracketed in the one scan: a grid that
+        # passes closer to the far lift must not hide the near lift's roots.
         rng = np.random.default_rng(53)
         for _ in range(50):
             c = klein_omega(random_su2(rng))
@@ -348,20 +368,23 @@ class TestSO3LiftsInOnePass:
         calls = []
         scan = _kernels.scan_su2
 
-        def spy(lifts, betas):
-            calls.append(len(lifts))
-            return scan(lifts, betas)
+        def spy(target, betas):
+            calls.append(target)
+            return scan(target, betas)
 
         monkeypatch.setattr(_kernels, "scan_su2", spy)
         rng = np.random.default_rng(106)
-        shoot_min_time(random_su2(rng), SMALL)
-        assert calls == [1]
-        shoot_min_time_so3(klein_omega(random_su2(rng)), SMALL)
-        assert calls == [1, 2]
+        g = random_su2(rng)
+        shoot_min_time(g, SMALL)
+        assert calls == [(g.a_re, g.a_im, g.b_re, g.b_im)]
+        c = klein_omega(random_su2(rng))
+        shoot_min_time_so3(c, SMALL)
+        g = lift_so3(c)[0]
+        assert calls[1:] == [(g.a_re, g.a_im, g.b_re, g.b_im)]
 
     def test_equals_the_better_lift(self):
-        # Each lift's seeds and refinements are those of a shot at that
-        # lift alone, so t_min is the lesser lift time to the bit, and the
+        # Each lift's brackets and roots are those of a shot at that lift
+        # alone, so t_min is the lesser lift time to the bit, and the
         # minimizers are the lifts' within t_min + TIME_TOL.
         for c in self._targets():
             res = shoot_min_time_so3(c, self.GRID)
@@ -377,19 +400,66 @@ class TestSO3LiftsInOnePass:
             assert sorted(res.minimizers) == sorted(expected)
 
     def test_shared_rows_are_the_standalone_rows(self):
+        # The SO(3) shot reads -g's phase mismatch from g's scan, negated:
+        # that is a scan of -g alone, exactly (up to the sign of a zero).
         betas = oracle._betas(self.GRID)
         for c in self._targets():
-            lifts = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lift_so3(c)]
-            dev, t, phi0 = _kernels.scan_su2(lifts, betas)
-            for k, g in enumerate(lifts):
-                (dev_k,), t_k, (phi0_k,) = _kernels.scan_su2([g], betas)
-                assert dev[k].tobytes() == dev_k.tobytes()
-                assert phi0[k].tobytes() == phi0_k.tobytes()
-                assert t.tobytes() == t_k.tobytes()
+            g, minus_g = ((h.a_re, h.a_im, h.b_re, h.b_im) for h in lift_so3(c))
+            tau, re, im = _kernels.scan_su2(g, betas)
+            tau_k, re_k, im_k = _kernels.scan_su2(minus_g, betas)
+            assert tau.tobytes() == tau_k.tobytes()
+            assert np.array_equal(-re, re_k) and np.array_equal(-im, im_k)
 
-    def test_lifts_must_share_abs_b(self):
-        with pytest.raises(ValueError):
-            _kernels.scan_su2([(0.6, 0.0, 0.8, 0.0), (0.8, 0.0, 0.6, 0.0)], oracle._betas(SMALL))
+
+class TestDegenerateLoops:
+    # Loops that shrink to a point (A = 0), lie at the cut time (B = 0)
+    # or hold no grid row (b* below the row spacing).
+    @pytest.mark.parametrize("phase", [0.0, 1.0, -2.5])
+    def test_a_zero(self, phase):
+        g = SU2Element(0.0, 0.0, math.cos(phase), math.sin(phase))
+        assert abs(shoot_min_time(g, SMALL).t_min - distance_su2(g).t) <= 1e-12
+        c = klein_omega(g)
+        res = shoot_min_time_so3(c, SMALL)
+        assert abs(res.t_min - distance_so3(c).t) <= 1e-12
+        assert len(res.minimizers) == 2
+
+    def test_loc(self):
+        for psi in np.linspace(-3.0, 3.0, 12):  # 0, the identity, left out
+            g = SU2Element(math.cos(psi), math.sin(psi), 0.0, 0.0)
+            assert abs(shoot_min_time(g, SMALL).t_min - distance_su2(g).t) <= 1e-12
+            c = klein_omega(g)
+            assert abs(shoot_min_time_so3(c, SMALL).t_min - distance_so3(c).t) <= 1e-12
+
+    def test_identity_has_no_root(self):
+        # B = 0 and A = 1: no geodesic reaches it at the cut time.
+        with pytest.raises(ShootNoMatchError):
+            shoot_min_time(SU2Element(1.0, 0.0, 0.0, 0.0), SMALL)
+
+    def test_near_sym(self):
+        # Rotations whose lift has Re A = 1e-3, next to the half turns.
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            v = rng.standard_normal(3)
+            v *= math.sqrt(1.0 - 1e-6) / np.linalg.norm(v)
+            c = klein_omega(SU2Element(1e-3, *v))
+            assert abs(shoot_min_time_so3(c, SMALL).t_min - distance_so3(c).t) <= 1e-12
+
+    PROBE = GridSpec(64, 64, 8.0, 64, refine_steps=1)  # perfbench's probe grid
+
+    @pytest.mark.parametrize("grid", [SMALL, PROBE], ids=["small", "probe"])
+    def test_short_loop_half_turn(self, grid):
+        # Half turn #4 of default_rng(104): a = 0.0756 and b* = 0.0758,
+        # below the 64-row grids' spacing of 0.25 near beta = 0, so only
+        # the loop's sample floor brackets its roots.
+        rng = np.random.default_rng(104)
+        for _ in range(5):
+            c = _half_turn(rng)
+        g = lift_so3(c)[0]
+        b_star = math.hypot(g.a_re, g.a_im) / math.hypot(g.b_re, g.b_im)
+        assert not np.any(np.abs(oracle._betas(grid)) < b_star)
+        res = shoot_min_time_so3(c, grid)
+        assert abs(res.t_min - distance_so3(c).t) <= 1e-12
+        assert len(res.minimizers) == 2
 
 
 class TestAxis1Targets:
