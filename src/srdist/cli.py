@@ -43,37 +43,48 @@ def _fmt_opt(x: Optional[float]) -> str:
     return "non-unique" if x is None else _fmt(x)
 
 
-def _parse_matrix(text: str) -> SO3Element:
+def _parse_floats(text: str, count: int, usage: str, item: str) -> list[float]:
+    """`count` comma-separated reals; `usage` on a wrong count, "bad <item>: ..." on a non-real."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 9:
-        raise UsageError("--matrix expects 9 comma-separated reals (row-major)")
+    if len(parts) != count:
+        raise UsageError(usage)
     try:
-        vals = [float(p) for p in parts]
+        return [float(p) for p in parts]
     except ValueError as exc:
-        raise UsageError(f"bad matrix entry: {exc}") from exc
+        raise UsageError(f"bad {item}: {exc}") from exc
+
+
+def _parse_matrix(text: str) -> SO3Element:
+    vals = _parse_floats(text, 9, "--matrix expects 9 comma-separated reals (row-major)", "matrix entry")
     return SO3Element(np.array(vals).reshape(3, 3))
 
 
-def _parse_su2_csv(text: str) -> SU2Element:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise UsageError("--su2 expects a_re,a_im,b_re,b_im")
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise UsageError(f"bad component: {exc}") from exc
-    return SU2Element(*vals)
+def _su2_endpoint(p: GeodesicParams, t: float) -> tuple[SU2Element, list[float]]:
+    g = geodesic_point(p, t)
+    return g, [g.a_re, g.a_im, g.b_re, g.b_im]
 
 
-def _emit(args, header: list[str], rows: list[list], meta: dict) -> None:
+def _so3_endpoint(p: GeodesicParams, t: float) -> tuple[SO3Element, list[float]]:
+    c = geodesic_point_so3(p, t)
+    return c, [float(v) for v in c.m.reshape(9)]
+
+
+# Per group: the element's columns, a geodesic's endpoint as (element,
+# its values in those columns), and the distance of an element.
+_GROUPS = {
+    "su2": (["a_re", "a_im", "b_re", "b_im"], _su2_endpoint, distance_su2),
+    "so3": ([f"m{i}{j}" for i in range(1, 4) for j in range(1, 4)], _so3_endpoint, distance_so3),
+}
+
+
+def _json(args, params: dict, records: list[dict]) -> str:
+    payload = {"group": args.group, "command": args.command, "params": params, "records": records}
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(args, header: list[str], rows: list[list], params: dict) -> None:
     if args.format == "json":
-        payload = {
-            "group": meta.get("group"),
-            "command": meta["command"],
-            "params": meta.get("params", {}),
-            "records": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = _json(args, params, [dict(zip(header, row)) for row in rows])
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -81,7 +92,7 @@ def _emit(args, header: list[str], rows: list[list], meta: dict) -> None:
         for row in rows:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
         text = buf.getvalue()
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -90,24 +101,13 @@ def _emit(args, header: list[str], rows: list[list], meta: dict) -> None:
 
 def cmd_dist(args) -> int:
     if args.group == "su2":
-        g = SU2Element(args.a_re, args.a_im, args.b_re, args.b_im)
-        res = distance_su2(g)
+        res = distance_su2(SU2Element(args.a_re, args.a_im, args.b_re, args.b_im))
     else:
         res = distance_so3(_parse_matrix(args.matrix))
     if args.json:
-        record = {
-            "t": res.t,
-            "case": res.case.value,
-            "beta": res.beta,
-            "phi0": res.phi0,
-        }
-        payload = {
-            "group": args.group,
-            "command": "dist",
-            "params": vars_without(args, ("func", "json")),
-            "records": [record],
-        }
-        print(json.dumps(payload, indent=2, allow_nan=False))
+        params = {k: v for k, v in vars(args).items() if k not in ("func", "json")}
+        record = {"t": res.t, "case": res.case.value, "beta": res.beta, "phi0": res.phi0}
+        sys.stdout.write(_json(args, params, [record]))
     else:
         print(f"t = {_fmt(res.t)}")
         print(f"case = {res.case.value}")
@@ -122,30 +122,11 @@ def cmd_geodesic(args) -> int:
     if not 0 < args.t_max < math.inf:  # NaN included
         raise UsageError("--t-max must be finite and positive")
     p = GeodesicParams(args.phi0, args.beta)
-    rows = []
-    for i in range(args.steps + 1):
-        t = args.t_max * i / args.steps
-        if args.group == "su2":
-            g = geodesic_point(p, t)
-            rows.append([t, g.a_re, g.a_im, g.b_re, g.b_im])
-        else:
-            c = geodesic_point_so3(p, t)
-            rows.append([t] + [float(v) for v in c.m.reshape(9)])
-    if args.group == "su2":
-        header = ["t", "a_re", "a_im", "b_re", "b_im"]
-    else:
-        header = ["t"] + [f"m{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-    meta = {
-        "command": "geodesic",
-        "group": args.group,
-        "params": {
-            "phi0": args.phi0,
-            "beta": args.beta,
-            "t_max": args.t_max,
-            "steps": args.steps,
-        },
-    }
-    _emit(args, header, rows, meta)
+    columns, endpoint, _ = _GROUPS[args.group]
+    times = (args.t_max * i / args.steps for i in range(args.steps + 1))
+    rows = [[t] + endpoint(p, t)[1] for t in times]
+    params = {"phi0": args.phi0, "beta": args.beta, "t_max": args.t_max, "steps": args.steps}
+    _emit(args, ["t"] + columns, rows, params)
     return EXIT_OK
 
 
@@ -163,42 +144,22 @@ def cmd_sphere(args) -> int:
     # Geodesics of momentum beta stop minimizing by 2*pi/sqrt(1+beta^2),
     # so only |beta| <= sqrt(4*pi^2/R^2 - 1) can realize distance R.
     beta_adm = math.sqrt(max(0.0, (TWO_PI / args.radius) ** 2 - 1.0))
+    columns, endpoint, distance = _GROUPS[args.group]
     rows = []
     kept = discarded = 0
     for _ in range(args.samples):
         phi0 = rng.uniform(0.0, TWO_PI)
         beta = rng.uniform(-beta_adm, beta_adm)
-        p = GeodesicParams(phi0, beta)
-        if args.group == "su2":
-            g = geodesic_point(p, args.radius)
-            d = distance_su2(g).t
-            element = [g.a_re, g.a_im, g.b_re, g.b_im]
-        else:
-            c = geodesic_point_so3(p, args.radius)
-            d = distance_so3(c).t
-            element = [float(v) for v in c.m.reshape(9)]
+        element, values = endpoint(GeodesicParams(phi0, beta), args.radius)
+        d = distance(element).t
         if abs(d - args.radius) <= 1e-6:
             kept += 1
-            rows.append([args.group, args.radius, d, phi0, beta] + element)
+            rows.append([args.group, args.radius, d, phi0, beta] + values)
         else:
             discarded += 1
-    if args.group == "su2":
-        elem_cols = ["a_re", "a_im", "b_re", "b_im"]
-    else:
-        elem_cols = [f"m{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-    header = ["group", "radius", "r", "phi0", "beta"] + elem_cols
-    meta = {
-        "command": "sphere",
-        "group": args.group,
-        "params": {
-            "radius": args.radius,
-            "samples": args.samples,
-            "seed": args.seed,
-            "kept": kept,
-            "discarded": discarded,
-        },
-    }
-    _emit(args, header, rows, meta)
+    params = {"radius": args.radius, "samples": args.samples, "seed": args.seed,
+              "kept": kept, "discarded": discarded}
+    _emit(args, ["group", "radius", "r", "phi0", "beta"] + columns, rows, params)
     print(f"kept {kept} / discarded {discarded}", file=sys.stderr)
     return EXIT_OK
 
@@ -210,7 +171,8 @@ def cmd_cutlocus(args) -> int:
         if cls.witness:
             print(cls.witness)
     else:
-        print(in_cut_locus_su2_l2(_parse_su2_csv(args.su2)).value)
+        vals = _parse_floats(args.su2, 4, "--su2 expects a_re,a_im,b_re,b_im", "component")
+        print(in_cut_locus_su2_l2(SU2Element(*vals)).value)
     return EXIT_OK
 
 
@@ -227,12 +189,6 @@ def cmd_verify(args) -> int:
         all_ok &= check.passed
         print(f"[{status}] {suite}: {check.name} - {check.detail}")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
-
-
-def vars_without(args, drop: tuple) -> dict:
-    return {
-        k: v for k, v in vars(args).items() if k not in drop and not k.startswith("_")
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:

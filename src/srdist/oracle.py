@@ -29,20 +29,17 @@ from .geodesics import endpoint_coords
 TWO_PI = 2.0 * math.pi
 
 # Endpoint deviation (max-norm) a root must reach to count as hitting the
-# target; t_min and the minimizers are taken over these.  A root solved
-# to convergence lands at the rounding floor, well below this bound.
+# target, and the arrival-time tie within which such roots are all
+# minimizers.  A root solved to convergence lands at the rounding floor,
+# well below this bound.
 REFINED_TOL = 1e-12
-# Arrival-time tolerance: minimizers within t_min + TIME_TOL are listed.
-TIME_TOL = 2e-2
-# Parameter-space radius for deduplicating minimizers.
-DEDUP_RADIUS = 0.1
 
 # Safety net on the evaluations per bracket; bisection alone needs about 55.
 _MAX_STEPS = 120
 
 
 class ShootNoMatchError(RuntimeError):
-    """No root on the loop reached the target: the grid is too coarse for it."""
+    """No root reached the target: the grid is too coarse for it, or it is the identity (t = 0)."""
 
 
 @dataclass(frozen=True)
@@ -79,28 +76,18 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ShootResult:
+    """Least arrival time and every geodesic that reaches the target then.
+
+    The minimizers are the roots whose endpoint is within REFINED_TOL of
+    the target and whose t is within REFINED_TOL of t_min, as
+    (phi0 mod 2*pi, beta, t) sorted by t, phi0, beta; t_min is the first
+    one's t.  Each root is one geodesic, so a half turn lists two and an
+    SO(3) target off the cut locus one.  When B = 0 (Loc) every phi0
+    reaches the target and one representative per root is listed.
+    """
+
     t_min: float
     minimizers: list[tuple[float, float, float]]  # (phi0, beta, t)
-    grid_spec: GridSpec
-
-
-def _dedup(
-    points: list[tuple[float, float, float]]
-) -> list[tuple[float, float, float]]:
-    """Greedy dedup at DEDUP_RADIUS in (phi0, beta), phi0 taken mod 2*pi."""
-    kept: list[tuple[float, float, float]] = []
-    for p in points:
-        phi = p[0] % TWO_PI
-        dup = False
-        for q in kept:
-            dphi = abs(phi - q[0])
-            dphi = min(dphi, TWO_PI - dphi)
-            if math.hypot(dphi, p[1] - q[1]) <= DEDUP_RADIUS:
-                dup = True
-                break
-        if not dup:
-            kept.append((phi, p[1], p[2]))
-    return kept
 
 
 @lru_cache(maxsize=16)
@@ -202,6 +189,8 @@ def _solve(evaluate, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple:
 def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
     # An SO(3) target is reached through either of its two lifts.
     targets = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lifts]
+    if (1.0, 0.0, 0.0, 0.0) in targets:
+        raise ShootNoMatchError("the identity is reached at t = 0, which no root gives")
     a, b = math.hypot(*targets[0][:2]), math.hypot(*targets[0][2:])
     if a == 0.0:
         # The loop shrinks to one point: beta = 0 at u = pi/2.
@@ -217,25 +206,18 @@ def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
                 roots.append(_solve(evaluate, *x[j : j + 2].tolist(), f_lo, f_hi))
 
     exact = sorted(
-        (p for p, dev in roots if dev <= REFINED_TOL),
-        key=lambda p: (p[2], p[0] % TWO_PI, p[1]),
+        ((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),
+        key=lambda p: (p[2], p[0], p[1]),
     )
     if not exact:
         best = f"best deviation {min(dev for _, dev in roots):.3e}" if roots else "no roots"
         raise ShootNoMatchError(f"no root within {REFINED_TOL} of the target ({best})")
-    # The first minimizer's time, so t_min never undercuts the minimizers.
     t_min = exact[0][2]
-    minimizers = _dedup([p for p in exact if p[2] <= t_min + TIME_TOL])
-    return ShootResult(t_min=t_min, minimizers=minimizers, grid_spec=grid)
+    return ShootResult(t_min, [p for p in exact if p[2] <= t_min + REFINED_TOL])
 
 
 def shoot_min_time(target: SU2Element, grid: GridSpec = GridSpec()) -> ShootResult:
-    """Minimal geodesic arrival time at an SU(2) target, by a scan of its loop and 1-D solves.
-
-    When B = 0 (A on the unit circle, the Loc stratum) the endpoint does
-    not depend on phi0, so every phi0 is minimizing; only one
-    representative per root is listed, not the whole circle.
-    """
+    """Minimal geodesic arrival time at an SU(2) target, by a scan of its loop and 1-D solves."""
     return _shoot([target], grid)
 
 
@@ -248,7 +230,5 @@ def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> Shoot
     so t_min is the lesser of the two lifts' shots, to the bit.
     `lift_so3` returns exact unit pairs, so a target whose entries are off
     SO(3) by rounding is matched as its nearby exact rotation.
-    As in `shoot_min_time`, phi0 is free when the lifts have B = 0 (axis-1
-    rotations) and only representatives are listed.
     """
     return _shoot(list(lift_so3(target)), grid)

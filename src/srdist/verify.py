@@ -11,7 +11,8 @@ calls them with each criterion's own seed, count, grid and tolerance:
     geodesics           check_geodesics        4
     lemmas              check_lemmas           5
     br-counterexample   check_flawed_system    7
-    cutlocus            check_cover            8 (cover consistency)
+    cutlocus            check_minimizers,      8
+                        check_cover
 """
 from __future__ import annotations
 
@@ -25,9 +26,11 @@ from .algebra import SO3Element, SU2Element, klein_omega, random_so3, random_su2
 from .cutlocus import classify_cut_locus_so3, in_cut_locus_su2_l2
 from .geodesics import GeodesicParams, cut_time_bound, geodesic_point, geodesic_point_exp
 from .flawed_system import demonstrate_br_nonuniqueness
-from .oracle import GridSpec, shoot_min_time, shoot_min_time_so3
-from .so3_distance import distance_so3, distance_so3_via_lifts
-from .su2_distance import arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short
+from .oracle import REFINED_TOL, GridSpec, shoot_min_time, shoot_min_time_so3
+from .so3_distance import distance_so3, distance_so3_via_lifts, lift_distance_results
+from .su2_distance import (
+    DistanceResult, arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,6 +147,50 @@ def check_oracle(
     ]
 
 
+def _minimizer_gap(expected: DistanceResult, found: tuple[float, float, float]) -> float:
+    """Max-norm gap in (phi0 mod 2*pi, beta, t); phi0 is skipped where it is free (None)."""
+    phi0, beta, t = found
+    gaps = [beta - expected.beta, t - expected.t]
+    if expected.phi0 is not None:
+        gaps.append(math.remainder(phi0 - expected.phi0, TWO_PI))
+    return _worst(gaps)
+
+
+def check_minimizers(
+    rng: np.random.Generator, n: int, grid: GridSpec = GridSpec()
+) -> list[CheckResult]:
+    """The oracle's minimizer sets against the lifts' case analysis, on and next to Sym.
+
+    n half turns, which two geodesics reach, then n rotations whose lift
+    has Re A cycling over 1e-4, 1e-3 and 5e-3, which one reaches, all shot
+    on `grid`.  The expected set is the (phi0, beta, t) of the two lifts'
+    distances (`lift_distance_results`) at the least t, ties within
+    REFINED_TOL; each is matched to the nearest oracle minimizer.
+    """
+    rotations = []
+    for _ in range(n):
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        rotations.append(SO3Element(2.0 * np.outer(v, v) - np.eye(3)))
+    for i in range(n):
+        re_a = (1e-4, 1e-3, 5e-3)[i % 3]
+        v = rng.standard_normal(3)
+        v *= math.sqrt(1.0 - re_a * re_a) / np.linalg.norm(v)
+        rotations.append(klein_omega(SU2Element(re_a, *v)))
+    mismatches, gaps = 0, []
+    for c in rotations:
+        found = shoot_min_time_so3(c, grid).minimizers
+        lifts = lift_distance_results(c)
+        t_min = min(r.t for r in lifts)
+        expected = [r for r in lifts if r.t <= t_min + REFINED_TOL]
+        mismatches += len(found) != len(expected)
+        gaps += [min(_minimizer_gap(r, m) for m in found) for r in expected]
+    return [
+        CheckResult(f"minimizer-set size mismatches ({n} half turns, {n} near-Sym rotations)", mismatches, 0),
+        CheckResult("minimizers vs the lifts' case analysis", _worst(gaps), 1e-12),
+    ]
+
+
 def check_flawed_system() -> list[CheckResult]:
     """Flawed system at |A| = 0.6: two residual-zero roots; the case analysis returns the smaller."""
     rep = demonstrate_br_nonuniqueness(0.6)
@@ -218,7 +265,7 @@ SUITES: dict[str, Callable[[np.random.Generator, int], list[CheckResult]]] = {
     "lemmas": _lemma_suite,
     "oracle": check_oracle,
     "br-counterexample": lambda rng, n: check_flawed_system(),
-    "cutlocus": check_cover,
+    "cutlocus": lambda rng, n: check_minimizers(rng, n) + check_cover(rng, n),
     "geodesics": lambda rng, n: check_geodesics(_random_geodesics(rng, n)),
 }
 
