@@ -140,10 +140,13 @@ def cmd_sphere(args) -> int:
         )
     if args.samples <= 0:
         raise UsageError("--samples must be positive")
+    # Geodesics of momentum beta stop minimizing by 2*pi/sqrt(1+beta^2), so only
+    # |beta| <= sqrt(x^2 - 1), x = 2*pi/R, can realize distance R (x^2 may overflow).
+    x = TWO_PI / args.radius
+    beta_adm = x * math.sqrt(max(0.0, (1.0 - 1.0 / x) * (1.0 + 1.0 / x)))
+    if not math.isfinite(2.0 * beta_adm):
+        raise UsageError(f"--radius {args.radius} is too small to sample")
     rng = np.random.default_rng(args.seed)
-    # Geodesics of momentum beta stop minimizing by 2*pi/sqrt(1+beta^2),
-    # so only |beta| <= sqrt(4*pi^2/R^2 - 1) can realize distance R.
-    beta_adm = math.sqrt(max(0.0, (TWO_PI / args.radius) ** 2 - 1.0))
     columns, endpoint, distance = _GROUPS[args.group]
     rows = []
     kept = discarded = 0

@@ -40,7 +40,7 @@ def endpoint_coords(phi0: float, beta: float, t: float) -> tuple[float, float, f
 
     Plain floats, unvalidated, for callers that evaluate it many times.
     """
-    s = math.sqrt(1.0 + beta * beta)
+    s = math.hypot(1.0, beta)
     u = t * s / 2.0
     h = beta * t / 2.0
     su, cu = math.sin(u), math.cos(u)
@@ -67,8 +67,8 @@ def endpoint_jacobian(phi0: float, beta: float, t: float) -> tuple[tuple, tuple[
     A does not depend on phi0, so d_phi0 = (0, 0, -Im B, Re B), and
     d(A)/dh = -i*A.
     """
-    s2 = 1.0 + beta * beta
-    s = math.sqrt(s2)
+    s = math.hypot(1.0, beta)
+    s2 = s * s
     u = t * s / 2.0
     h = beta * t / 2.0
     su, cu = math.sin(u), math.cos(u)
@@ -136,4 +136,4 @@ def cut_time_bound(beta: float) -> float:
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    return TWO_PI / math.sqrt(1.0 + beta * beta)
+    return TWO_PI / math.hypot(1.0, beta)

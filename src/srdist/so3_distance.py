@@ -70,8 +70,7 @@ def distance_so3(c: SO3Element) -> DistanceResult:
 
 def distance_so3_via_lifts(c: SO3Element) -> float:
     """Independent route: the lesser of the SU(2) distances of the two lifts."""
-    lift, neg = lift_so3(c)
-    return min(distance_su2(lift).t, distance_su2(neg).t)
+    return min(r.t for r in lift_distance_results(c))
 
 
 def lift_distance_results(c: SO3Element) -> tuple[DistanceResult, DistanceResult]:

@@ -82,24 +82,25 @@ def beta_domain_max(abs_a: float) -> float:
     return abs_a / math.sqrt(1.0 - abs_a * abs_a)
 
 
-def _check_beta(beta: float, abs_a: float) -> float:
+def phase_end(abs_a: float, long: bool) -> float:
+    """End pi*(1 - |A|)/2 (short arc) or pi*(1 + |A|)/2 (long arc) of the phase's range."""
+    return math.pi * ((1.0 + abs_a) if long else (1.0 - abs_a)) / 2.0
+
+
+def _check_beta(beta: float, abs_a: float) -> tuple[float, bool]:
+    # beta clamped to [-b*, b*], and whether |beta| >= b*: there the asin
+    # argument hits 1, where roundoff in it is amplified by the infinite
+    # derivative, so callers substitute the exact limit values instead.
     bmax = beta_domain_max(abs_a)
     if abs(beta) > bmax + 1e-12:
         raise DomainError(f"|beta| = {abs(beta)} exceeds domain endpoint {bmax}")
-    return min(bmax, max(-bmax, beta))
-
-
-def _at_endpoint(beta: float, abs_a: float) -> bool:
-    # The asin argument hits 1 at |beta| = b*, where roundoff in the
-    # argument is amplified by the infinite derivative; the exact limit
-    # values are substituted there instead.
-    return abs(beta) >= beta_domain_max(abs_a)
+    return min(bmax, max(-bmax, beta)), abs(beta) >= bmax
 
 
 def time_short(beta: float, abs_a: float) -> float:
     """Travel time of the short arc (t < pi/sqrt(1+beta^2)); even in beta."""
-    beta = _check_beta(beta, abs_a)
-    if _at_endpoint(beta, abs_a):
+    beta, at_end = _check_beta(beta, abs_a)
+    if at_end:
         return math.pi * math.sqrt(1.0 - abs_a * abs_a)
     s2 = 1.0 + beta * beta
     return 2.0 / math.sqrt(s2) * _clamped_asin(math.sqrt((1.0 - abs_a * abs_a) * s2))
@@ -107,8 +108,8 @@ def time_short(beta: float, abs_a: float) -> float:
 
 def time_long(beta: float, abs_a: float) -> float:
     """Travel time of the long arc; even in beta, equals 2*pi/sqrt(1+beta^2) - time_short."""
-    beta = _check_beta(beta, abs_a)
-    if _at_endpoint(beta, abs_a):
+    beta, at_end = _check_beta(beta, abs_a)
+    if at_end:
         return math.pi * math.sqrt(1.0 - abs_a * abs_a)
     s2 = 1.0 + beta * beta
     return (
@@ -123,9 +124,9 @@ def arg_short(beta: float, abs_a: float) -> float:
 
     Range is [-pi*(1-|A|)/2, pi*(1-|A|)/2].
     """
-    beta = _check_beta(beta, abs_a)
-    if _at_endpoint(beta, abs_a):
-        return math.copysign(math.pi * (1.0 - abs_a) / 2.0, beta)
+    beta, at_end = _check_beta(beta, abs_a)
+    if at_end:
+        return math.copysign(phase_end(abs_a, False), beta)
     s = math.sqrt(1.0 + beta * beta)
     one_m = 1.0 - abs_a * abs_a
     return -(beta / s) * _clamped_asin(math.sqrt(one_m * s * s)) + _clamped_asin(
@@ -138,9 +139,9 @@ def arg_long(beta: float, abs_a: float) -> float:
 
     Odd, strictly increasing; range [-pi*(1+|A|)/2, pi*(1+|A|)/2].
     """
-    beta = _check_beta(beta, abs_a)
-    if _at_endpoint(beta, abs_a):
-        return math.copysign(math.pi * (1.0 + abs_a) / 2.0, beta)
+    beta, at_end = _check_beta(beta, abs_a)
+    if at_end:
+        return math.copysign(phase_end(abs_a, True), beta)
     s = math.sqrt(1.0 + beta * beta)
     return math.pi * beta / s + arg_short(beta, abs_a)
 
@@ -149,34 +150,28 @@ def solve_monotone(
     f: Callable[[float], tuple[float, float]],
     half_width: float,
     target: float,
+    f_end: float,
     start: Optional[float] = None,
 ) -> float:
-    """Solve f(x) = target for a strictly increasing f on [-half_width, half_width].
+    """Solve f(x) = target for an odd, strictly increasing f on [-half_width, half_width].
 
-    f returns (value, slope).  Safeguarded Newton from `start` (when it lies
-    inside the range; else from the secant point of the endpoints): the
-    Newton step is taken when it lands inside the current bracket and is
-    shorter than half the step before last; otherwise the bracket is
-    bisected.  Stops when the step is at the rounding level of x, or the
-    residual at that of f, taken as eps*(|x| + |target|): f is meant to be
-    x plus a term of comparable size, as the branch phases of `arc_phase`
-    are.  Raises DomainError when the target exceeds the range by more than
-    1e-10 (signals misclassification upstream); targets within 1e-10 of an
-    endpoint clamp to it.
+    f returns (value, slope); the caller states f(half_width) = f_end, so
+    f is never evaluated at the ends.  Safeguarded Newton from `start`
+    (when inside the range; else from half_width*target/f_end): the Newton
+    step is taken when it lands inside the current bracket and is shorter
+    than half the step before last; otherwise the bracket is bisected.
+    Stops when the step is at the rounding level of x, or the residual at
+    that of f, taken as eps*(|x| + |target|): f is meant to be x plus a
+    term of comparable size, as the branch phases of `arc_phase` are.
+    Returns +-half_width when |target| = f_end; raises DomainError when
+    |target| > f_end (signals misclassification upstream).
     """
+    if abs(target) > f_end:
+        raise DomainError(f"target {target} outside monotone range [{-f_end}, {f_end}]")
+    if abs(target) == f_end:
+        return math.copysign(half_width, target)
     lo, hi = -half_width, half_width
-    flo, fhi = f(lo)[0], f(hi)[0]
-    if target < flo - 1e-10 or target > fhi + 1e-10:
-        raise DomainError(
-            f"target {target} outside monotone range [{flo}, {fhi}]"
-        )
-    if target <= flo:
-        return lo
-    if target >= fhi:
-        return hi
-    x = start if start is not None and lo < start < hi else (
-        lo + (hi - lo) * (target - flo) / (fhi - flo)
-    )
+    x = start if start is not None and lo < start < hi else half_width * target / f_end
     step = prev = hi - lo
     for _ in range(200):
         value, slope = f(x)
@@ -199,13 +194,14 @@ def solve_monotone(
 
 
 def _long_arc_start(abs_a: float, k: float, target: float) -> float:
-    """Starting psi of the long-arc solve for |A| >= 1/2.
+    """Starting psi of the long-arc solve.
 
     The long-arc phase is pi*sin(chi) plus the short-arc phase, with
     tan(chi) = beta = |A| sin(psi)/k.  As |A| -> 1 it climbs from 0 to
-    nearly pi within |psi| ~ k, so the secant start is far off.  Two
+    nearly pi within |psi| ~ k, so the linear start is far off.  Two
     fixed-point steps on the model pi*sin(chi) + (1 - |A|)*psi land within
-    a few percent of the root for |A| >= 1/2, closer as |A| -> 1.
+    a few percent of the root for |A| >= 1/2, closer as |A| -> 1; for
+    small |A| it often gives +-pi/2, and the solve starts linearly.
     """
     psi = target / (1.0 + abs_a)
     for _ in range(2):
@@ -248,8 +244,8 @@ def solve_arc(abs_a: float, k2: float, target: float, long: bool) -> tuple[float
     t = 2k |v|/sqrt(Q) (see `arc_phase`).
     """
     k = math.sqrt(k2)
-    start = _long_arc_start(abs_a, k, target) if long and abs_a >= 0.5 else None
-    psi = solve_monotone(arc_phase(abs_a, k2, long), HALF_PI, target, start)
+    start = _long_arc_start(abs_a, k, target) if long else None
+    psi = solve_monotone(arc_phase(abs_a, k2, long), HALF_PI, target, phase_end(abs_a, long), start)
     s = math.sin(psi)
     rq = math.sqrt(k2 + abs_a * abs_a * s * s)
     v = math.atan2(rq, abs_a * math.cos(psi)) - (math.pi if long else 0.0)
@@ -284,7 +280,7 @@ def distance_from_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> Di
         return DistanceResult(2.0 * half_t, DistanceCase.ABS_A_ONE, beta, None)
 
     k2 = abs_b * abs_b
-    boundary = math.pi * (1.0 - abs_a) / 2.0
+    boundary = phase_end(abs_a, False)
     if abs(abs(theta) - boundary) <= EPS_CASE:
         # Branch 3: boundary between the short- and long-arc regimes.
         # arg_short is odd and increasing and reaches +-pi*(1 - |A|)/2 at

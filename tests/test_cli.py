@@ -171,7 +171,7 @@ def test_sphere_radius_beyond_diameter(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("radius", ["nan", "-nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("radius", ["nan", "-nan", "inf", "-inf", "0", "-1", "5e-324"])
 def test_sphere_rejects_bad_radius(capsys, radius):
     code, out, err = run_cli(
         capsys, "sphere", "--group", "su2", f"--radius={radius}", "--samples", "5",
@@ -179,6 +179,13 @@ def test_sphere_rejects_bad_radius(capsys, radius):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --radius ")
+
+
+def test_sphere_tiny_radius(capsys):
+    # (2*pi/R)^2 overflows for R below about 4.7e-154; the beta bound must not.
+    code, out, _ = run_cli(capsys, "sphere", "--group", "su2", "--radius", "1e-200", "--samples", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 3
 
 
 def test_cutlocus_matrix(capsys):

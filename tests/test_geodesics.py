@@ -79,6 +79,14 @@ def test_cut_time_bound_values():
     assert cut_time_bound(10.0) < cut_time_bound(5.0) < cut_time_bound(1.0)
 
 
+def test_huge_beta_does_not_overflow():
+    # 1 + beta^2 overflows for |beta| > 1.34e154; sqrt(1 + beta^2) must not.
+    assert cut_time_bound(1e200) == pytest.approx(TWO_PI * 1e-200, rel=1e-15)
+    g = geodesic_point(GeodesicParams(0.3, 1e200), 1e-200)
+    assert np.all(np.isfinite(_components(g)))
+    assert np.linalg.norm(_components(g)) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_su2_cut_time_is_exact():
     # Before 2*pi/s the geodesic is minimizing, so its endpoint is at
     # distance t; just past it a shorter geodesic reaches the endpoint.

@@ -96,26 +96,27 @@ class TestBranchFunctions:
 
 
 class TestSolveMonotone:
-    # |A| = 0.6: k^2 = 0.64, b* = 0.75, beta = b* sin(psi).
+    # |A| = 0.6: k^2 = 0.64, b* = 0.75, beta = b* sin(psi); the short
+    # phase ends at 0.2*pi and the long one at 0.8*pi.
     short = staticmethod(arc_phase(0.6, 0.64, long=False))
     long = staticmethod(arc_phase(0.6, 0.64, long=True))
 
     def test_zero_target(self):
-        for f in (self.short, self.long):
-            psi = solve_monotone(f, HALF_PI, 0.0)
+        for f, end in ((self.short, 0.2 * math.pi), (self.long, 0.8 * math.pi)):
+            psi = solve_monotone(f, HALF_PI, 0.0, end)
             assert abs(0.75 * math.sin(psi)) < 1e-12
 
     def test_endpoint_target(self):
-        psi = solve_monotone(self.short, HALF_PI, 0.2 * math.pi)
+        psi = solve_monotone(self.short, HALF_PI, 0.2 * math.pi, 0.2 * math.pi)
         assert 0.75 * math.sin(psi) == pytest.approx(0.75, abs=1e-9)
 
     def test_residual(self):
-        psi = solve_monotone(self.short, HALF_PI, 0.3)
+        psi = solve_monotone(self.short, HALF_PI, 0.3, 0.2 * math.pi)
         assert abs(arg_short(0.75 * math.sin(psi), 0.6) - 0.3) < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            solve_monotone(self.short, HALF_PI, 1.0)
+            solve_monotone(self.short, HALF_PI, 1.0, 0.2 * math.pi)
 
     def test_psi_form_matches_beta_form(self):
         # Away from the endpoints, where the beta form loses digits to
@@ -138,7 +139,8 @@ class TestSolveMonotone:
                     assert t == pytest.approx(time(beta, abs_a), abs=1e-12)
 
     def test_evaluation_count(self, monkeypatch):
-        # Mean per Haar draws and per edge band |A| = 1e-k, 1 - |A| = 1e-k;
+        # Mean per Haar draws and per edge band |A| = 1e-k, 1 - |A| = 1e-k
+        # (about 4.2 on Haar draws, as the range ends are never evaluated);
         # 55 is the count of the bisection this solve replaced.
         counts = []
 
@@ -167,7 +169,7 @@ class TestSolveMonotone:
                     distance_su2(from_polar(abs_a, theta, phase))
                 means.append(np.mean(counts))
                 worst = max(worst, max(counts))
-        assert max(means) <= 12
+        assert max(means) <= 5
         assert worst <= 55
 
 
