@@ -1,17 +1,17 @@
 """Brute-force geodesic-shooting oracle.
 
 The geodesics from the identity that match the target's B before the
-cut time u = pi form one closed loop, on which only the phase F of
-A_end * conj(A_target) is left to match (see `_kernels`).  One numpy
-scan samples F along the loop; each sign change between neighbouring
-samples brackets a root, solved in one dimension by Newton steps kept
-inside the bracket, else bisection, every evaluation going through
-`geodesics.endpoint_coords`.  A root counts only if its endpoint is
-within REFINED_TOL of the target in all four coordinates.  An SO(3)
-target is shot as its lifts g and -g (`algebra.lift_so3`), which share
-the loop: F crossing 0 is a root for g, and crossing pi one for -g.
-The oracle shares only the geodesic formulas with the case analysis,
-and assumes no monotonicity: it solves every bracket on the whole loop.
+cut time u = pi form one closed loop, on which A_end = |A|*exp(i*psi):
+only the loop phase psi is left to match (see `_kernels`).  One numpy
+scan of psi, which reads |A| and |B| only, serves both lifts g and -g of
+an SO(3) target (`algebra.lift_so3`).  Each crossing of a lift's level
+arg(A) + 2*pi*n between neighbouring samples brackets a root, solved in
+one dimension on F = psi - level, written without cancellation, by
+Newton steps kept inside the bracket, else bisection.  The endpoint
+(`geodesics.endpoint_coords`) is evaluated once per root: the root
+counts only if it is within REFINED_TOL of the target in all four
+coordinates.  The oracle shares only the geodesic formulas with the case
+analysis, and assumes no monotonicity: it solves every bracket.
 """
 from __future__ import annotations
 
@@ -102,88 +102,94 @@ def _betas(grid: GridSpec) -> np.ndarray:
     return betas
 
 
-def _hit(target: tuple, beta: float, t: float) -> tuple[float, tuple, float]:
-    """(F, (phi0, beta, t), max-norm deviation) with phi0 putting B on the target's phase."""
+def _hit(target: tuple, beta: float, t: float) -> tuple[tuple, float]:
+    """((phi0, beta, t), max-norm deviation) with phi0 putting B on the target's phase."""
     a_re, a_im, b_re, b_im = target
     phi0 = math.atan2(b_im, b_re) - 0.5 * beta * t
     e0, e1, e2, e3 = endpoint_coords(phi0, beta, t)
-    f = math.atan2(e1 * a_re - e0 * a_im, e0 * a_re + e1 * a_im)
-    dev = max(abs(e0 - a_re), abs(e1 - a_im), abs(e2 - b_re), abs(e3 - b_im))
-    return f, (phi0, beta, t), dev
+    return (phi0, beta, t), max(abs(e0 - a_re), abs(e1 - a_im), abs(e2 - b_re), abs(e3 - b_im))
 
 
-def _on_loop(target: tuple, a: float, b: float, branch: int, tau: float) -> tuple:
-    """(F, dF/dtau, point, deviation) at tau' = tau on one half of the loop (see `_kernels`).
+def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, tau: float) -> tuple:
+    """(F, dF/dtau', (beta, t)) for F = psi - theta - 2*pi*n at tau' on one half of the loop.
 
-    dF/dtau = 1 - dh/dtau, from A = a*exp(i*(tau - h)), only proposes
-    steps: the solve keeps every step inside its bracket.
+    With sigma = sign(beta), w = s*(s + |beta|) = 1/(1 - |beta|/s) and
+    d = u - |tau'| as one atan2, psi = sigma*(u/w - d) on branch 0: no two
+    terms of size u cancel (see `_kernels` for the loop).  Branch 1 is
+    sigma*((u - pi)/w - d) + pi*(1 + sigma) in branch 0's beta and u; its
+    2*pi goes into n, so a small level is not rounded at ulp(2*pi).
+    dpsi/dtau = (s - u*b* cos(tau))/s^3 only proposes steps.
     """
     st, ct = math.sin(tau), math.cos(tau)
+    beta = a / b * st
+    s = math.hypot(1.0, beta)
+    s_plus = s + abs(beta)
+    u = math.atan2(b * s, a * ct)
+    d = math.atan2(b * ct / s_plus, a * ct * ct + b * s * abs(st))
+    w, sigma, s3 = s * s_plus, math.copysign(1.0, beta), s * s * s
     if branch:
-        st, ct = -st, -ct
-    b_star = a / b
-    beta = b_star * st
-    s = math.sqrt(1.0 + beta * beta)
-    su = b * s
-    u = math.atan2(su, a * ct)
-    f, point, dev = _hit(target, beta, 2.0 * u / s)
-    return f, 1.0 - (u * b_star * ct / (s * s * s) + beta / s * a * st / su), point, dev
+        f = sigma * ((u - math.pi) / w - d) - theta - TWO_PI * (n - (sigma > 0.0))
+        return f, (s + (math.pi - u) * a / b * ct) / s3, (-beta, 2.0 * (math.pi - u) / s)
+    return sigma * (u / w - d) - theta - TWO_PI * n, (s - u * a / b * ct) / s3, (beta, 2.0 * u / s)
 
 
-def _at_cut(target: tuple, beta: float) -> tuple:
-    """(F, dF/dbeta, point, deviation) at the cut time u = pi, where B = 0 for any phi0."""
-    s = math.sqrt(1.0 + beta * beta)
-    f, point, dev = _hit(target, beta, TWO_PI / s)
-    return f, -math.pi / (s * s * s), point, dev
+def _cut_phase(theta: float, n: int, beta: float) -> tuple:
+    """(F, dF/dbeta, (beta, t)) at the cut time, psi = pi*(1 - beta/s) = sigma*pi/w + pi*(1 - sigma)."""
+    s = math.hypot(1.0, beta)
+    sigma = math.copysign(1.0, beta)
+    f = sigma * math.pi / (s * (s + abs(beta))) - theta - TWO_PI * (n - (sigma < 0.0))
+    return f, -math.pi / (s * s * s), (beta, TWO_PI / s)
 
 
-def _brackets(re: np.ndarray, im: np.ndarray) -> list[tuple]:
-    """(lift, row, j, F_j, F_j+1) for each sign change of F between samples j and j + 1.
+def _brackets(x: np.ndarray, psi: np.ndarray, thetas: list[float]):
+    """(lift, row, n, bracket) for each crossing of a level between samples j and j + 1 of a row.
 
-    F = arg(re + i*im) changes sign where im does, through 0 (a root for
-    lift 0, g) or through pi (one for lift 1, -g, whose F is that of
-    -(re + i*im)): the one at which the chord between the two samples
-    meets the real axis.
+    bracket is (x_j, x_j+1, F_j, F_j+1, level), the arguments of `_solve`.
+    A lift's levels are theta + 2*pi*n, theta = arg(A) of the lift, and
+    F = psi - level.  psi lies in (-pi, 5*pi/2), so n = -1, 0, 1 hold
+    every crossing.  One numpy pass counts the levels of both lifts below
+    each sample, and a crossing is a change of that count.  The items hold
+    Python ints and floats, so the solves run in plain float arithmetic.
     """
-    out = []
-    for row, j in zip(*np.nonzero(np.diff(im > 0.0, axis=1))):
-        (x0, x1), (y0, y1) = re[row, j : j + 2].tolist(), im[row, j : j + 2].tolist()
-        side = (x0 * y1 - x1 * y0) * (y1 - y0)
-        if side:
-            s = math.copysign(1.0, side)
-            f0, f1 = math.atan2(s * y0, s * x0), math.atan2(s * y1, s * x1)
-            out.append((int(side < 0.0), row, j, f0, f1))
-    return out
+    levels = sorted((theta + TWO_PI * n, lift, n) for lift, theta in enumerate(thetas) for n in (-1, 0, 1))
+    below = np.array([level for level, _, _ in levels]).searchsorted(psi)
+    for row, j in zip(*(i.tolist() for i in np.nonzero(below[:, 1:] != below[:, :-1]))):
+        k = sorted((below.item(row, j), below.item(row, j + 1)))
+        for level, lift, n in levels[k[0] : k[1]]:
+            f_lo, f_hi = psi.item(row, j) - level, psi.item(row, j + 1) - level
+            yield lift, row, n, (x.item(j), x.item(j + 1), f_lo, f_hi, level)
 
 
-def _solve(evaluate, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple:
-    """(point, deviation) of the best evaluation of F in the bracket [lo, hi].
+def _solve(phase, lo: float, hi: float, f_lo: float, f_hi: float, level: float) -> tuple:
+    """The point (beta, t) of the least |F| found in the bracket [lo, hi], with F = psi - level.
 
-    f_lo and f_hi, F at the ends, lie on opposite sides of 0.  The first
-    trial is the secant through the ends, each later one a Newton step
-    from the best point so far, or the midpoint when that step leaves the
-    bracket or the last trial did not lower |F|.  The solve stops when |F|
-    stops falling at a point within REFINED_TOL of the target, or when the
-    bracket cannot be split further.
+    phase(x) gives (F, dF/dx, point); f_lo and f_hi, F at the ends, lie on
+    opposite sides of 0.  The first trial is the secant through the ends,
+    each later one a Newton step from the best point so far, or the
+    midpoint when that step leaves the bracket or the last trial did not
+    lower |F|.  The solve stops on a Newton step within the rounding of x,
+    when |F| stops falling at its rounding floor, about 8*eps*(1 + |level|),
+    or when the bracket cannot be split further.
     """
+    floor = 8.0 * math.ulp(1.0) * (1.0 + abs(level))
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    best = (math.inf, None, math.inf)
+    f_best = math.inf
     for _ in range(_MAX_STEPS):
-        f, df, point, dev = evaluate(x)
-        if (f > 0.0) == (f_lo > 0.0):
-            lo = x
-        else:
-            hi = x
-        if abs(f) < abs(best[0]):
-            best, step = (f, point, dev), x - f / df if df else x
-        elif best[2] <= REFINED_TOL:
+        f, df, point = phase(x)
+        lo, hi = (x, hi) if (f > 0.0) == (f_lo > 0.0) else (lo, x)
+        if abs(f) < f_best:
+            f_best, best = abs(f), point
+            step = x - f / df if df else x
+            if abs(step - x) <= math.ulp(x):
+                break
+            x = step if lo < step < hi else 0.5 * (lo + hi)
+        elif f_best <= floor:
             break
         else:
-            step = x
-        x = step if lo < step < hi else 0.5 * (lo + hi)
+            x = 0.5 * (lo + hi)
         if not lo < x < hi:
             break
-    return best[1:]
+    return best
 
 
 def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
@@ -194,16 +200,15 @@ def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
     a, b = math.hypot(*targets[0][:2]), math.hypot(*targets[0][2:])
     if a == 0.0:
         # The loop shrinks to one point: beta = 0 at u = pi/2.
-        roots = [_hit(target, 0.0, math.pi)[1:] for target in targets]
+        roots = [_hit(target, 0.0, math.pi) for target in targets]
     else:
-        x, re, im = _kernels.scan_su2(targets[0], _betas(grid))
+        x, psi = _kernels.scan_su2(a, b, _betas(grid))
+        thetas = [math.atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
         roots = []
-        for lift, row, j, f_lo, f_hi in _brackets(re, im):
-            if lift < len(targets):
-                target = targets[lift]
-                evaluate = (partial(_at_cut, target) if b == 0.0
-                            else partial(_on_loop, target, a, b, row))
-                roots.append(_solve(evaluate, *x[j : j + 2].tolist(), f_lo, f_hi))
+        for lift, row, n, bracket in _brackets(x, psi, thetas):
+            phase = (partial(_cut_phase, thetas[lift], n) if b == 0.0
+                     else partial(_loop_phase, a, b, row, thetas[lift], n))
+            roots.append(_hit(targets[lift], *_solve(phase, *bracket)))
 
     exact = sorted(
         ((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),

@@ -13,6 +13,10 @@ along it.  One more band holds exact half turns 2nn^T - E, built as
 float matrices with area-uniform axes n: the direct route's reading of
 the covering pair must not cancel there.
 
+The shooting oracle is held to 2e-15 of the reference on steep geodesic
+endpoints, where its 1-D solve on the loop phase beats the case
+analysis.
+
 Tolerance: 1e-13 on every band, for SU(2), for the SO(3) images
 through both routes and for the half turns.  At 1 - |A| = d this holds
 for SO(3) because k^2 is |B|^2 of the covering pair, not (1 - c11)/2
@@ -28,7 +32,14 @@ import pytest
 pytest.importorskip("mpmath")
 
 from srdist.algebra import SO3Element, SU2Element, klein_omega, random_su2
-from srdist.geodesics import GeodesicParams, geodesic_point_exp, geodesic_point_so3
+from srdist.geodesics import (
+    GeodesicParams,
+    cut_time_bound,
+    geodesic_point,
+    geodesic_point_exp,
+    geodesic_point_so3,
+)
+from srdist.oracle import shoot_min_time
 from srdist.so3_distance import distance_so3, distance_so3_via_lifts
 from srdist.su2_distance import distance_su2
 
@@ -112,3 +123,16 @@ def test_half_turns_against_reference():
         if res.beta is not None and res.phi0 is not None:
             miss = np.max(np.abs(geodesic_point_so3(GeodesicParams(res.phi0, res.beta), res.t).m - c.m))
             assert miss <= GEODESIC_TOL, (n, miss)
+
+
+def test_steep_oracle_against_reference():
+    # Endpoints of steep geodesics, |beta| = round(10^U(0.78, 2.5)): the
+    # loop phase is small there, so the solve's F must be written without
+    # cancellation; the plain form tau' - (beta/s)*u is off by up to 4e-13.
+    rng = np.random.default_rng(84)
+    for _ in range(30):
+        beta = rng.choice([-1.0, 1.0]) * round(10.0 ** rng.uniform(0.78, 2.5))
+        p = GeodesicParams(rng.uniform(0.0, 2.0 * math.pi), beta)
+        g = geodesic_point(p, rng.uniform(0.05, 0.95) * cut_time_bound(beta))
+        err = shoot_min_time(g).t_min - reference.su2_distance((g.a_re, g.a_im, g.b_re, g.b_im))
+        assert abs(err) <= 2e-15, (beta, err)

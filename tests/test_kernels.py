@@ -43,9 +43,14 @@ def _loop_point(target, branch, tau):
     return math.atan2(target[3], target[2]) - beta * t / 2.0, beta, t
 
 
-def _phase_mismatch(end, target):
-    """A_end * conj(A_target) as a complex number."""
-    return complex(end[0], end[1]) * complex(target[0], -target[1])
+def _ab(target):
+    """(|A|, |B|) of a target, the scan's only inputs besides the rows."""
+    return math.hypot(target[0], target[1]), math.hypot(target[2], target[3])
+
+
+def _phase_gap(psi, target):
+    """|psi - arg(A_target)| modulo 2*pi."""
+    return _phi_gap(psi, math.atan2(target[1], target[0]))
 
 
 def _targets(rng, n):
@@ -66,14 +71,15 @@ def test_backend_name_reported():
 
 
 def test_python_scan_matches_direct_evaluation():
-    # The scan's A*conj(A_target) at each loop point equals the endpoint
-    # formula's at that point's (phi0, beta, t), and the point reaches
-    # the target's B.
+    # At each loop point the endpoint formula's A is a*exp(i*psi): its
+    # modulus is the target's and its phase is the scan's psi mod 2*pi,
+    # and the point reaches the target's B.
     rng = np.random.default_rng(61)
     for _ in range(4):
         target = _vec(random_su2(rng))
-        tau, re, im = scan_su2(target, BETAS)
-        assert re.shape == im.shape == (2, len(tau))
+        a = _ab(target)[0]
+        tau, psi = scan_su2(*_ab(target), BETAS)
+        assert psi.shape == (2, len(tau))
         assert np.all(np.diff(tau) >= 0.0)
         assert tau[0] == -math.pi / 2 and tau[-1] == math.pi / 2
         for b in range(2):
@@ -84,20 +90,21 @@ def test_python_scan_matches_direct_evaluation():
                 assert (t <= cut / 2.0 + 1e-15) if b == 0 else (cut / 2.0 - 1e-15 <= t <= cut)
                 end = endpoint_coords(phi0, beta, t)
                 assert _max_dev(end[2:], target[2:]) <= 1e-15
-                z = _phase_mismatch(end, target)
-                assert abs(z - complex(re[b, j], im[b, j])) <= 1e-12
+                assert abs(math.hypot(end[0], end[1]) - a) <= 1e-15
+                assert _phi_gap(math.atan2(end[1], end[0]), psi[b, j]) <= 1e-12
 
 
 def test_scan_finds_exact_grid_point():
     # Put the target exactly on a row's geodesic; the scan must sample
-    # that row on the target's loop, with phase mismatch ~0, at the
-    # target's t and phi0.
+    # that row on the target's loop, with psi = arg(A_target) to the
+    # rounding floor, at the target's t and phi0.
     phi0, beta = PHIS[5], BETAS[30]
     t = 0.3 * cut_time_bound(beta)
     target = _vec(geodesic_point(GeodesicParams(phi0, beta), t))
-    tau, re, im = scan_su2(target, BETAS)
-    j = int(np.argmin(np.abs(im[0])))
-    assert abs(im[0, j]) < 1e-15 and re[0, j] > 0.0
+    tau, psi = scan_su2(*_ab(target), BETAS)
+    gaps = [_phase_gap(p, target) for p in psi[0]]
+    j = int(np.argmin(gaps))
+    assert gaps[j] < 1e-15
     phi_j, beta_j, t_j = _loop_point(target, 0, tau[j])
     assert beta_j == pytest.approx(beta, abs=1e-14)
     assert t_j == pytest.approx(t, abs=1e-15)
@@ -109,15 +116,14 @@ def test_scan_within_sqrt2_of_phi0_grid_scan():
     # phi0, and phase alignment minimizes |B - B_target|; a max-norm
     # deviation is at least |z|/sqrt(2) of any complex difference z, so
     # solving phi0 in closed form loses at most a factor sqrt(2) against
-    # a phi0 grid.  The scan's deviation is read from its A*conj(A_target).
+    # a phi0 grid.  The scan's deviation is read from A = a*exp(i*psi).
     rng = np.random.default_rng(64)
     for _ in range(3):
         target = _vec(random_su2(rng))
-        a2 = target[0] ** 2 + target[1] ** 2
-        tau, re, im = scan_su2(target, BETAS)
-        for (b, j), x in np.ndenumerate(re):
-            a_end = complex(x, im[b, j]) * complex(target[0], target[1]) / a2
-            dev = max(abs(a_end.real - target[0]), abs(a_end.imag - target[1]))
+        a = _ab(target)[0]
+        tau, psi = scan_su2(*_ab(target), BETAS)
+        for (b, j), p in np.ndenumerate(psi):
+            dev = max(abs(a * math.cos(p) - target[0]), abs(a * math.sin(p) - target[1]))
             _, beta, t = _loop_point(target, b, tau[j])
             grid = min(_max_dev(endpoint_coords(phi, beta, t), target) for phi in PHIS)
             assert dev <= math.sqrt(2.0) * grid + 1e-12
@@ -132,14 +138,14 @@ def test_scan_matches_b_target(monkeypatch):
     betas = oracle._betas(oracle.GridSpec())
     brackets, solve = [], oracle._solve
 
-    def spy(evaluate, lo, hi, *ends):
+    def spy(phase, lo, hi, *ends):
         brackets.append((lo, hi))
-        return solve(evaluate, lo, hi, *ends)
+        return solve(phase, lo, hi, *ends)
 
     monkeypatch.setattr(oracle, "_solve", spy)
     for target in _targets(rng, 20):
         b_abs, theta = math.hypot(target[2], target[3]), math.atan2(target[3], target[2])
-        tau = scan_su2(target, betas)[0]
+        tau = scan_su2(*_ab(target), betas)[0]
         for b in range(2):
             for x in tau:
                 end = endpoint_coords(*_loop_point(target, b, x))
@@ -155,10 +161,10 @@ def test_scan_matches_b_target(monkeypatch):
 
 def test_target_on_a_row_is_found_on_that_row():
     # A target on a row's geodesic, at any t up to the cut time, has a
-    # loop point on that row whose phase mismatch is at the rounding
-    # floor, 1e-15: the loop takes cos(u) = a*cos(tau), so no asin
-    # amplifies the rounding near u = pi/2.  Branch 1 samples the rows
-    # mirrored to -beta, so the scan is given the row and its mirror.
+    # loop point on that row whose psi matches arg(A_target) at the
+    # rounding floor, 2e-15: the loop takes cos(u) = a*cos(tau), so no
+    # asin amplifies the rounding near u = pi/2.  Branch 1 samples the
+    # rows mirrored to -beta, so the scan is given the row and its mirror.
     rng = np.random.default_rng(63)
     betas = oracle._betas(oracle.GridSpec())
     for j in range(0, len(betas), 5):
@@ -167,21 +173,24 @@ def test_target_on_a_row_is_found_on_that_row():
         for k in range(1, 65):
             t = k / 64.0 * cut
             target = np.array(endpoint_coords(rng.uniform(0.0, TWO_PI), beta, t))
-            _, re, im = scan_su2(target, np.sort([beta, -beta]))
-            mismatch = np.abs(np.arctan2(im, re)).min()
+            _, psi = scan_su2(*_ab(target), np.sort([beta, -beta]))
+            mismatch = min(_phase_gap(p, target) for p in psi.ravel())
             assert mismatch <= 2e-15, (j, k)
 
 
 def test_special_targets():
     # B = 0: the loop is the cut time u = pi of every row, on branch 1
-    # only, where A = -exp(-i*pi*beta/s).  A = 0: the loop shrinks to one
-    # point, and every sample has A = 0.
-    a = complex(math.cos(2.0), math.sin(2.0))
-    x, re, im = scan_su2((a.real, a.imag, 0.0, 0.0), BETAS)
-    assert x is BETAS and re.shape == (1, len(BETAS))
+    # only, where A = -exp(-i*pi*beta/s) = exp(i*psi).  A = 0: the loop
+    # shrinks to one point, and every sample has A = 0.
+    x, psi = scan_su2(1.0, 0.0, BETAS)
+    assert x is BETAS and psi.shape == (1, len(BETAS))
     s = np.sqrt(1.0 + BETAS**2)
-    expected = -np.exp(-1j * math.pi * BETAS / s) * a.conjugate()
-    assert np.allclose(re[0] + 1j * im[0], expected, rtol=0.0, atol=1e-15)
-    tau, re, im = scan_su2((0.0, 0.0, math.cos(1.0), math.sin(1.0)), BETAS)
+    assert np.allclose(np.exp(1j * psi[0]), -np.exp(-1j * math.pi * BETAS / s), rtol=0.0, atol=1e-15)
+    assert np.all(np.diff(psi[0]) < 0.0) and 0.0 < psi.min() and psi.max() < TWO_PI
+    target = (0.0, 0.0, math.cos(1.0), math.sin(1.0))
+    tau, psi = scan_su2(0.0, 1.0, BETAS)
     assert len(tau) == oracle._kernels.LOOP_FLOOR + 1
-    assert not np.any(re) and not np.any(im)
+    for b in range(2):
+        for x in tau:
+            end = endpoint_coords(*_loop_point(target, b, x))
+            assert math.hypot(end[0], end[1]) <= 1e-16

@@ -90,7 +90,7 @@ def test_oracle_imports_no_distance_code(name):
 
 
 def test_nothing_to_refine_is_typed(monkeypatch):
-    monkeypatch.setattr(oracle, "_brackets", lambda re, im: [])
+    monkeypatch.setattr(oracle, "_brackets", lambda x, psi, thetas: [])
     with pytest.raises(ShootNoMatchError):
         shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0), SMALL)
 
@@ -99,9 +99,9 @@ def test_grid_rows_are_built_once_and_read_only(monkeypatch):
     rows = []
     scan = _kernels.scan_su2
 
-    def spy(target, betas):
+    def spy(a, b, betas):
         rows.append(betas)
-        return scan(target, betas)
+        return scan(a, b, betas)
 
     monkeypatch.setattr(_kernels, "scan_su2", spy)
     g = random_su2(np.random.default_rng(57))
@@ -265,35 +265,75 @@ def _work_targets():
     return {"haar": haar, "steep": steep, "near_identity": near}
 
 
-# (brackets solved, endpoint evaluations) per set of ten shots at the
-# default grid: measured (10, 44), (10, 50) and (10, 31), bounded 25 %
-# above.  An evaluation is one `endpoint_coords` call, which gives the
-# phase mismatch, the point and its deviation together.  Counts repeat
-# exactly, unlike timings.
-WORK_BOUNDS = {"haar": (12, 55), "steep": (12, 62), "near_identity": (12, 38)}
+# (brackets solved, loop-phase evaluations) per set of ten shots at the
+# default grid: measured (10, 38), (10, 46) and (10, 36), bounded 25 %
+# above.  A phase evaluation is one `_loop_phase` call, F and its slope
+# at one trial point; the endpoint is evaluated once per solved bracket,
+# for the root's gate and point.  Counts repeat exactly, unlike timings.
+WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45)}
 
 
 def test_work_per_shot_is_bounded(monkeypatch):
-    counts = {"brackets": 0, "evaluations": 0}
-    solve, evaluate = oracle._solve, oracle.endpoint_coords
+    counts = {"brackets": 0, "phases": 0, "endpoints": 0}
 
-    def counted_solve(*args):
-        counts["brackets"] += 1
-        return solve(*args)
+    def counted(name, key):
+        original = getattr(oracle, name)
 
-    def counted_evaluate(*args):
-        counts["evaluations"] += 1
-        return evaluate(*args)
+        def spy(*args):
+            counts[key] += 1
+            return original(*args)
 
-    monkeypatch.setattr(oracle, "_solve", counted_solve)
-    monkeypatch.setattr(oracle, "endpoint_coords", counted_evaluate)
+        monkeypatch.setattr(oracle, name, spy)
+
+    counted("_solve", "brackets")
+    counted("_loop_phase", "phases")
+    counted("endpoint_coords", "endpoints")
     for name, targets in _work_targets().items():
-        counts.update(brackets=0, evaluations=0)
+        counts.update(brackets=0, phases=0, endpoints=0)
         for g in targets:
             shoot_min_time(g)
-        max_brackets, max_evaluations = WORK_BOUNDS[name]
+        max_brackets, max_phases = WORK_BOUNDS[name]
         assert counts["brackets"] <= max_brackets, name
-        assert counts["evaluations"] <= max_evaluations, name
+        assert counts["phases"] <= max_phases, name
+        assert counts["endpoints"] == counts["brackets"], name
+
+
+def test_brackets_hold_python_numbers():
+    # A numpy integer or float in a bracket would turn every phase of its
+    # solve into numpy-scalar arithmetic, several times slower.
+    rng = np.random.default_rng(82)
+    for g in [random_su2(rng), *lift_so3(random_so3(rng))[:1], SU2Element(0.6, 0.8, 0.0, 0.0)]:
+        lifts = [(g.a_re, g.a_im), (-g.a_re, -g.a_im)]
+        a, b = math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im)
+        x, psi = _kernels.scan_su2(a, b, oracle._betas(GridSpec()))
+        brackets = list(oracle._brackets(x, psi, [math.atan2(im, re) for re, im in lifts]))
+        assert {lift for lift, *_ in brackets} == {0, 1}
+        for lift, row, n, bracket in brackets:
+            assert type(lift) is int and type(row) is int and type(n) is int
+            assert all(type(v) is float for v in bracket)
+
+
+def _steep_endpoints(n):
+    """n endpoints of steep geodesics, default_rng(81): |beta| = 10^U(0.8, 3.2), late in the loop."""
+    rng = np.random.default_rng(81)
+    out = []
+    for _ in range(n):
+        beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.8, 3.2)
+        p = GeodesicParams(rng.uniform(0.0, TWO_PI), beta)
+        out.append(geodesic_point(p, rng.uniform(0.5, 0.97) * cut_time_bound(beta)))
+    return out
+
+
+def test_t_min_does_not_depend_on_the_grid():
+    # The rows only place the brackets; each root is solved to its
+    # rounding floor on the same loop, so t_min agrees across grids.
+    # That needs an F whose small levels carry no 2*pi of branch 1, and a
+    # solve that bisects when |F| fails to fall above its rounding floor:
+    # on draw 3 (beta = -332.124..., t = 0.9654 of the cut time) at 64
+    # rows, stopping there misses the target.
+    for g in _steep_endpoints(60):
+        t = [shoot_min_time(g, GridSpec(n_beta=n)).t_min for n in (64, 128, 256, 512)]
+        assert max(t) - min(t) <= 2e-15
 
 
 class TestOneRootPerMinimizer:
@@ -377,19 +417,19 @@ class TestSO3LiftsInOnePass:
         calls = []
         scan = _kernels.scan_su2
 
-        def spy(target, betas):
-            calls.append(target)
-            return scan(target, betas)
+        def spy(a, b, betas):
+            calls.append((a, b))
+            return scan(a, b, betas)
 
         monkeypatch.setattr(_kernels, "scan_su2", spy)
         rng = np.random.default_rng(106)
         g = random_su2(rng)
         shoot_min_time(g, SMALL)
-        assert calls == [(g.a_re, g.a_im, g.b_re, g.b_im)]
+        assert calls == [(math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im))]
         c = klein_omega(random_su2(rng))
         shoot_min_time_so3(c, SMALL)
         g = lift_so3(c)[0]
-        assert calls[1:] == [(g.a_re, g.a_im, g.b_re, g.b_im)]
+        assert calls[1:] == [(math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im))]
 
     def test_equals_the_better_lift(self):
         # Each lift's brackets and roots are those of a shot at that lift
@@ -409,15 +449,13 @@ class TestSO3LiftsInOnePass:
             assert sorted(res.minimizers) == sorted(expected)
 
     def test_shared_rows_are_the_standalone_rows(self):
-        # The SO(3) shot reads -g's phase mismatch from g's scan, negated:
-        # that is a scan of -g alone, exactly (up to the sign of a zero).
+        # The SO(3) shot reads -g's phases from g's scan: the scan depends
+        # on |A| and |B| only, so it is a scan of -g alone, to the byte.
         betas = oracle._betas(self.GRID)
         for c in self._targets():
-            g, minus_g = ((h.a_re, h.a_im, h.b_re, h.b_im) for h in lift_so3(c))
-            tau, re, im = _kernels.scan_su2(g, betas)
-            tau_k, re_k, im_k = _kernels.scan_su2(minus_g, betas)
-            assert tau.tobytes() == tau_k.tobytes()
-            assert np.array_equal(-re, re_k) and np.array_equal(-im, im_k)
+            scans = [_kernels.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im), betas)
+                     for h in lift_so3(c)]
+            assert [x.tobytes() for x in scans[0]] == [x.tobytes() for x in scans[1]]
 
 
 class TestDegenerateLoops:
