@@ -242,7 +242,7 @@ def random_su2(rng: np.random.Generator) -> SU2Element:
         v = rng.standard_normal(4)
         n = np.linalg.norm(v)
         if n > 1e-6:
-            return SU2Element(*(v / n))
+            return SU2Element(*(v / n).tolist())
 
 
 def random_so3(rng: np.random.Generator) -> SO3Element:

@@ -155,7 +155,7 @@ def cmd_sphere(args) -> int:
         beta = rng.uniform(-beta_adm, beta_adm)
         element, values = endpoint(GeodesicParams(phi0, beta), args.radius)
         d = distance(element).t
-        if abs(d - args.radius) <= 1e-6:
+        if abs(d - args.radius) <= 1e-6 * args.radius:
             kept += 1
             rows.append([args.group, args.radius, d, phi0, beta] + values)
         else:

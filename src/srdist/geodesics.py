@@ -106,7 +106,8 @@ def geodesic_point(p: GeodesicParams, t: float) -> SU2Element:
     """Closed-form geodesic endpoint at time t >= 0 (see `endpoint_coords`)."""
     if t < 0:
         raise ValueError("geodesic parameter t must be nonnegative")
-    return SU2Element(*endpoint_coords(p.phi0, p.beta, t))
+    # Python floats, the same to the bit: numpy scalars slow every formula downstream.
+    return SU2Element(*endpoint_coords(float(p.phi0), float(p.beta), float(t)))
 
 
 def geodesic_point_exp(p: GeodesicParams, t: float) -> SU2Element:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -198,6 +199,9 @@ def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
     if (1.0, 0.0, 0.0, 0.0) in targets:
         raise ShootNoMatchError("the identity is reached at t = 0, which no root gives")
     a, b = math.hypot(*targets[0][:2]), math.hypot(*targets[0][2:])
+    if b < sys.float_info.min:
+        # b* = a/b would overflow: shoot on B = 0; the 4-D gate sees the target's B.
+        b = 0.0
     if a == 0.0:
         # The loop shrinks to one point: beta = 0 at u = pi/2.
         roots = [_hit(target, 0.0, math.pi) for target in targets]

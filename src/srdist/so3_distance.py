@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import SO3Element, lift_so3, so3_mul
+from .algebra import SO3Element, lift_so3
 from .su2_distance import DistanceResult, distance_from_pair, distance_su2
 
 # Largest distance observed on SO(3): attained at diag(1, -1, -1), the
@@ -80,5 +80,15 @@ def lift_distance_results(c: SO3Element) -> tuple[DistanceResult, DistanceResult
 
 
 def distance_so3_pair(c1: SO3Element, c2: SO3Element) -> float:
-    """Distance between two rotations via left-invariance."""
-    return distance_so3(so3_mul(c1.transpose(), c2)).t
+    """Distance between two rotations via left-invariance: d(c1, c2) = d(e, c1^T c2).
+
+    c1^T c2 is covered by g1^-1 g2 of the covering pairs, exactly the
+    identity when c1 = c2, as the rounded matrix product is not.
+    """
+    a1, b1 = _cover_pair(c1.m.tolist())
+    a2, b2 = _cover_pair(c2.m.tolist())
+    a = a1.conjugate() * a2 + b1 * b2.conjugate()
+    b = a1.conjugate() * b2 - b1 * a2.conjugate()
+    if a.real < 0.0:
+        a, b = -a, -b
+    return distance_from_pair(a.real, a.imag, b.real, b.imag).t

@@ -87,8 +87,8 @@ def check_submetry(rng: np.random.Generator, n: int) -> list[CheckResult]:
     haar = gaps([random_so3(rng) for _ in range(n)])
     near = gaps(_near_boundary_rotations(rng, n))
     return [
-        CheckResult(f"|direct - lift-minimum| ({n} rotations)", _worst(haar), 1e-9),
-        CheckResult(f"direct vs lift-minimum near the branch-3 boundary ({n} rotations)", _worst(near), 1e-9),
+        CheckResult(f"|direct - lift-minimum| ({n} rotations)", _worst(haar), 1e-12),
+        CheckResult(f"direct vs lift-minimum near the branch-3 boundary ({n} rotations)", _worst(near), 1e-12),
     ]
 
 

@@ -2,20 +2,26 @@
 
 The reference is `perfbench/reference.py`, which re-implements the arc
 functions in mpmath and bisects each branch equation with no threshold
-shortcuts.  Each band draws seeded unit pairs: |A| = 1e-k, 1 - |A| = 1e-k
-(k = 2 ... 11), theta within 1e-9 of the branch-3 boundary (the band
-that `EPS_CASE` = 1e-9 used to route to the boundary value), and Haar
-draws.  Per band, the first pair, and the SO(3) image of the second
-through both SO(3) routes, are compared with the reference (one
-reference value costs 30-50 ms); every result of the band's PER_BAND
-pairs that names its geodesic (beta and phi0 set) must reach its target
-along it.  One more band holds exact half turns 2nn^T - E, built as
-float matrices with area-uniform axes n: the direct route's reading of
-the covering pair must not cancel there.
+shortcuts.  Each band draws seeded unit pairs: |A| = 1e-k and
+1 - |A| = 1e-k (k = 2 ... 11) with uniform theta, theta within 1e-9 of
+the branch-3 boundary (a band that an absolute `EPS_CASE` of 1e-9 once
+routed to the boundary value; the band is now relative and 1e-15
+wide), Haar draws, |B| = 1e-6 ... 1e-10 with uniform theta (once routed
+to the |A| = 1 formula), short arcs at every 1 - |A| = 1e-k, long arcs
+at 1 - |A| = d = 1e-4 ... 1e-10 with |theta| = pi*d/2 * U(1, 30), whose
+phase lies next to the end of its range, and endpoints of steep
+geodesics, where |A| is near 1.  Per band, the first pair, its lift with
+Re A >= 0 when that is the other one, and its SO(3) image through both
+SO(3) routes are compared with the reference (one reference value costs
+about 20 ms, so a band pays for one or two); every result of the band's
+PER_BAND pairs that names its geodesic (beta and phi0 set) must reach
+its target along it.  One more band holds exact half turns 2nn^T - E,
+built as float matrices with area-uniform axes n: the direct route's
+reading of the covering pair must not cancel there.
 
-The shooting oracle is held to 2e-15 of the reference on steep geodesic
-endpoints, where its 1-D solve on the loop phase beats the case
-analysis.
+On 30 steep geodesic endpoints the shooting oracle is held to 2e-15 of
+the reference, where its 1-D solve on the loop phase is written without
+cancellation, and the case analysis to TOL.
 
 Tolerance: 1e-13 on every band, for SU(2), for the SO(3) images
 through both routes and for the half turns.  At 1 - |A| = d this holds
@@ -70,6 +76,19 @@ def _eps_case_pair(rng):
     return _pair(rng, abs_a, math.sqrt(1.0 - abs_a * abs_a), theta * rng.choice([-1.0, 1.0]))
 
 
+def _near_one_pair(rng, d, lo, hi):
+    """1 - |A| = d, |theta| = pi*d/2 * U(lo, hi): short arcs below 1, long arcs above."""
+    theta = rng.choice([-1.0, 1.0]) * math.pi * d / 2.0 * rng.uniform(lo, hi)
+    return _pair(rng, 1.0 - d, math.sqrt(d * (2.0 - d)), theta)
+
+
+def _steep_endpoint(rng):
+    """Endpoint of a steep geodesic, |beta| = round(10^U(0.78, 2.5)): |A| is near 1."""
+    beta = rng.choice([-1.0, 1.0]) * round(10.0 ** rng.uniform(0.78, 2.5))
+    p = GeodesicParams(rng.uniform(0.0, 2.0 * math.pi), beta)
+    return geodesic_point(p, rng.uniform(0.05, 0.95) * cut_time_bound(beta))
+
+
 # (band, generator)
 BANDS = (
     [
@@ -81,6 +100,15 @@ BANDS = (
         for k in range(2, 12)
     ]
     + [("eps_case_band", _eps_case_pair), ("haar", random_su2)]
+    + [
+        (f"abs_b_1e-{k}", lambda rng, b=10.0**-k: _pair(rng, math.sqrt((1.0 - b) * (1.0 + b)), b))
+        for k in range(6, 11)
+    ]
+    + [(f"short_one_minus_abs_a_1e-{k}", lambda rng, d=10.0**-k: _near_one_pair(rng, d, 0.0, 1.0))
+       for k in range(2, 12)]
+    + [(f"long_one_minus_abs_a_1e-{k}", lambda rng, d=10.0**-k: _near_one_pair(rng, d, 1.0, 30.0))
+       for k in range(4, 11)]
+    + [("steep_endpoint", _steep_endpoint)]
 )
 
 
@@ -96,16 +124,21 @@ def test_band_against_reference(band, draw):
             miss = max(abs(e.a_re - g.a_re), abs(e.a_im - g.a_im), abs(e.b_re - g.b_re), abs(e.b_im - g.b_im))
             assert miss <= GEODESIC_TOL, (band, g, miss)
 
+    # The first pair, its lift with Re A >= 0 when that is the other one,
+    # and its SO(3) image, whose distance is that lift's.  The lift route
+    # takes the lesser of both lifts' distances, so it does not rest on this.
     g = pairs[0]
-    err = results[0].t - reference.su2_distance((g.a_re, g.a_im, g.b_re, g.b_im))
-    assert abs(err) <= TOL, (band, g, err)
+    lift = g if g.a_re >= 0.0 else g.negate()
+    for q in [g] if lift is g else [g, lift]:
+        ref = reference.su2_distance((q.a_re, q.a_im, q.b_re, q.b_im))
+        err = distance_su2(q).t - ref
+        assert abs(err) <= TOL, (band, q, err)
 
-    c = klein_omega(pairs[1])
-    ref = reference.so3_distance(c.m)
+    c = klein_omega(g)
     lift_err = distance_so3_via_lifts(c) - ref
     direct_err = distance_so3(c).t - ref
-    assert abs(lift_err) <= TOL, (band, pairs[1], lift_err)
-    assert abs(direct_err) <= TOL, (band, pairs[1], direct_err)
+    assert abs(lift_err) <= TOL, (band, g, lift_err)
+    assert abs(direct_err) <= TOL, (band, g, direct_err)
 
 
 def test_half_turns_against_reference():
@@ -126,13 +159,15 @@ def test_half_turns_against_reference():
 
 
 def test_steep_oracle_against_reference():
-    # Endpoints of steep geodesics, |beta| = round(10^U(0.78, 2.5)): the
-    # loop phase is small there, so the solve's F must be written without
-    # cancellation; the plain form tau' - (beta/s)*u is off by up to 4e-13.
+    # Endpoints of steep geodesics: the loop phase is small there, so the
+    # oracle's F must be written without cancellation; the plain form
+    # tau' - (beta/s)*u is off by up to 4e-13.  The case analysis, whose
+    # long-arc phase lies within O(1 - |A|) of its range end, is held to TOL.
     rng = np.random.default_rng(84)
     for _ in range(30):
-        beta = rng.choice([-1.0, 1.0]) * round(10.0 ** rng.uniform(0.78, 2.5))
-        p = GeodesicParams(rng.uniform(0.0, 2.0 * math.pi), beta)
-        g = geodesic_point(p, rng.uniform(0.05, 0.95) * cut_time_bound(beta))
-        err = shoot_min_time(g).t_min - reference.su2_distance((g.a_re, g.a_im, g.b_re, g.b_im))
-        assert abs(err) <= 2e-15, (beta, err)
+        g = _steep_endpoint(rng)
+        ref = reference.su2_distance((g.a_re, g.a_im, g.b_re, g.b_im))
+        err = shoot_min_time(g).t_min - ref
+        assert abs(err) <= 2e-15, (g, err)
+        err = distance_su2(g).t - ref
+        assert abs(err) <= TOL, (g, err)

@@ -197,6 +197,17 @@ def test_lift_pair_is_an_exact_negation():
         assert bits == [(-v).hex() for v in (lift.a_re, lift.a_im, lift.b_re, lift.b_im)]
 
 
+def test_random_su2_components_are_python_floats():
+    # numpy scalars would make every formula downstream numpy-scalar arithmetic.
+    rng, same = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(20):
+        g = random_su2(rng)
+        v = same.standard_normal(4)
+        want = SU2Element(*(v / np.linalg.norm(v)))  # the numpy-scalar build, same values
+        assert all(type(x) is float for x in (g.a_re, g.a_im, g.b_re, g.b_im))
+        assert (g.a_re, g.a_im, g.b_re, g.b_im) == (want.a_re, want.a_im, want.b_re, want.b_im)
+
+
 def test_lift_rejects_non_rotation():
     with pytest.raises(InvalidElementError):
         lift_so3(SO3Element(np.ones((3, 3))))

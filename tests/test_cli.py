@@ -183,9 +183,24 @@ def test_sphere_rejects_bad_radius(capsys, radius):
 
 def test_sphere_tiny_radius(capsys):
     # (2*pi/R)^2 overflows for R below about 4.7e-154; the beta bound must not.
-    code, out, _ = run_cli(capsys, "sphere", "--group", "su2", "--radius", "1e-200", "--samples", "2")
+    # Both samples are drawn and judged.  Their |beta| ~ 1/R makes arg(A)
+    # of the endpoint of order R^2, which underflows to 0, so the float
+    # endpoint lies at distance 2|B| < R and neither is kept.
+    code, out, err = run_cli(capsys, "sphere", "--group", "su2", "--radius", "1e-200", "--samples", "2")
     assert code == 0
-    assert len(out.splitlines()) == 3
+    assert out.splitlines() == ["group,radius,r,phi0,beta,a_re,a_im,b_re,b_im"]
+    assert err.strip() == "kept 0 / discarded 2"
+
+
+def test_sphere_tolerance_is_relative(capsys):
+    # An absolute 1e-6 would keep every sample at R = 1e-200, whatever its distance.
+    code, out, _ = run_cli(
+        capsys, "sphere", "--group", "so3", "--radius", "1e-200", "--samples", "4",
+        "--seed", "0", "--format", "json",
+    )
+    assert code == 0
+    for rec in json.loads(out)["records"]:
+        assert abs(rec["r"] - 1e-200) <= 1e-6 * 1e-200
 
 
 def test_cutlocus_matrix(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from srdist.algebra import klein_omega
+from srdist.algebra import SU2Element, klein_omega
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
@@ -13,6 +13,7 @@ from srdist.geodesics import (
     geodesic_point_exp,
     geodesic_point_so3,
 )
+from srdist.so3_distance import distance_so3
 from srdist.su2_distance import distance_su2
 
 TWO_PI = 2.0 * math.pi
@@ -104,6 +105,26 @@ def test_su2_cut_time_is_exact():
         after = min(after, t - distance_su2(geodesic_point(p, t)).t)
     assert before <= 1e-12
     assert after > 1e-9
+
+
+def test_short_geodesics_are_minimizing():
+    # Endpoints at t = 1e-6 ... 1e-8 have |B| ~ t and 1 - |A| ~ t^2/2, so
+    # |A| rounds to 1; the distance must still read t, on both groups.
+    rng = np.random.default_rng(15)
+    for t in (1e-6, 1e-7, 1e-8):
+        for _ in range(20):
+            p = GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-5.0, 5.0))
+            assert abs(distance_su2(geodesic_point(p, t)).t - t) <= 1e-12 * t
+            assert abs(distance_so3(geodesic_point_so3(p, t)).t - t) <= 1e-12 * t
+
+
+def test_numpy_inputs_give_python_floats():
+    # The same values to the bit as from Python floats.
+    p, t = GeodesicParams(np.float64(0.3), np.float64(1.2)), np.float64(0.7)
+    g = geodesic_point(p, t)
+    want = SU2Element(*endpoint_coords(0.3, 1.2, 0.7))
+    assert all(type(x) is float for x in (g.a_re, g.a_im, g.b_re, g.b_im))
+    assert (g.a_re, g.a_im, g.b_re, g.b_im) == (want.a_re, want.a_im, want.b_re, want.b_im)
 
 
 def test_cross_route_agreement_grid():

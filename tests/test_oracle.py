@@ -313,6 +313,14 @@ def test_brackets_hold_python_numbers():
             assert all(type(v) is float for v in bracket)
 
 
+@pytest.mark.parametrize("abs_b", [1e-310, 5e-324])
+def test_subnormal_b_shoots_on_the_cut_row(abs_b):
+    # b* = |A|/|B| overflows at subnormal |B|; the shot treats B as 0, and
+    # the 4-D gate, which sees the target's own B, keeps the root.
+    g = SU2Element(0.6, 0.8, abs_b, 0.0)
+    assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
+
+
 def _steep_endpoints(n):
     """n endpoints of steep geodesics, default_rng(81): |beta| = 10^U(0.8, 3.2), late in the loop."""
     rng = np.random.default_rng(81)

@@ -175,8 +175,8 @@ def _pair_with_abs_a(rng, abs_a):
 def test_routes_agree_on_noisy_rotations():
     # Entry noise of 1e-10 moves the matrix off SO(3) by less than the
     # construction tolerance; both routes must still read the same distance.
-    # At 1 - |A| = 1e-11 the noise alone can push an unnormalized |A| past
-    # 1 - ABS_A_EDGE, onto the axis-1 branch.
+    # At 1 - |A| = 1e-11 the noise moves |B| by up to 1e-10, a large share
+    # of its 4.5e-6, and the routes read it from different entries.
     rng = np.random.default_rng(39)
     samplers = [random_so3] + [
         lambda rng, a=abs_a: klein_omega(_pair_with_abs_a(rng, a))

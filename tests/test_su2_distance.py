@@ -8,16 +8,14 @@ from srdist.algebra import SU2Element, random_su2, su2_inv, su2_mul
 from srdist import su2_distance
 from srdist.geodesics import GeodesicParams, geodesic_point
 from srdist.su2_distance import (
-    HALF_PI,
     DistanceCase,
     DomainError,
-    arc_phase,
+    arc_equation,
     arg_long,
     arg_short,
     beta_domain_max,
     distance_su2,
     distance_su2_pair,
-    solve_arc,
     solve_monotone,
     time_long,
     time_short,
@@ -96,52 +94,70 @@ class TestBranchFunctions:
 
 
 class TestSolveMonotone:
-    # |A| = 0.6: k^2 = 0.64, b* = 0.75, beta = b* sin(psi); the short
-    # phase ends at 0.2*pi and the long one at 0.8*pi.
-    short = staticmethod(arc_phase(0.6, 0.64, long=False))
-    long = staticmethod(arc_phase(0.6, 0.64, long=True))
+    # |A| = 0.6: k = 0.8, b* = 0.75, beta = b* sin(x); the short-arc G
+    # rises from 0 to the boundary 0.2*pi, the long-arc G falls to it from pi.
+    short = staticmethod(arc_equation(0.6, 0.8, long=False))
+    long = staticmethod(arc_equation(0.6, 0.8, long=True))
+    SHORT_ENDS = (0.0, 0.2 * math.pi)
+    LONG_ENDS = (math.pi, 0.2 * math.pi)
 
     def test_zero_target(self):
-        for f, end in ((self.short, 0.2 * math.pi), (self.long, 0.8 * math.pi)):
-            psi = solve_monotone(f, HALF_PI, 0.0, end)
-            assert abs(0.75 * math.sin(psi)) < 1e-12
+        # Phase 0: theta = 0 on the short arc, |theta| = pi on the long one.
+        for f, target, ends in ((self.short, 0.0, self.SHORT_ENDS), (self.long, math.pi, self.LONG_ENDS)):
+            beta, _ = solve_monotone(f, target, ends, 0.7)
+            assert abs(beta) < 1e-12
 
     def test_endpoint_target(self):
-        psi = solve_monotone(self.short, HALF_PI, 0.2 * math.pi, 0.2 * math.pi)
-        assert 0.75 * math.sin(psi) == pytest.approx(0.75, abs=1e-9)
+        beta, t = solve_monotone(self.short, 0.2 * math.pi, self.SHORT_ENDS, 0.7)
+        assert beta == pytest.approx(0.75, abs=1e-9)
+        assert t == pytest.approx(0.8 * math.pi, abs=1e-12)
 
     def test_residual(self):
-        psi = solve_monotone(self.short, HALF_PI, 0.3, 0.2 * math.pi)
-        assert abs(arg_short(0.75 * math.sin(psi), 0.6) - 0.3) < 1e-12
+        beta, _ = solve_monotone(self.short, 0.3, self.SHORT_ENDS, 0.7)
+        assert abs(arg_short(beta, 0.6) - 0.3) < 1e-12
+        beta, _ = solve_monotone(self.long, 2.0, self.LONG_ENDS, 0.7)
+        assert abs(arg_long(beta, 0.6) - (math.pi - 2.0)) < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            solve_monotone(self.short, HALF_PI, 1.0, 0.2 * math.pi)
+            solve_monotone(self.short, 1.0, self.SHORT_ENDS, 0.7)
+        with pytest.raises(DomainError):
+            solve_monotone(self.long, 0.5, self.LONG_ENDS, 0.7)
 
     def test_psi_form_matches_beta_form(self):
         # Away from the endpoints, where the beta form loses digits to
-        # its asin near 1.
+        # its asin near 1.  x = |psi|, and beta = b* sin(psi) takes psi's
+        # sign: arg_short(beta) = sign*G_short, arg_long(beta) = sign*(pi - G_long).
         psis = np.linspace(-1.4, 1.4, 29)
         for abs_a in (0.05, 0.3, 0.6, 0.9, 0.99):
-            k2 = (1.0 - abs_a) * (1.0 + abs_a)
+            k = math.sqrt((1.0 - abs_a) * (1.0 + abs_a))
             bmax = beta_domain_max(abs_a)
-            for long, arg, time in ((False, arg_short, time_short), (True, arg_long, time_long)):
-                f = arc_phase(abs_a, k2, long)
+            boundary = math.pi * (1.0 - abs_a) / 2.0
+            for long, arg, time, ends in (
+                (False, arg_short, time_short, (0.0, boundary)),
+                (True, arg_long, time_long, (math.pi, boundary)),
+            ):
+                f = arc_equation(abs_a, k, long)
                 for psi in psis:
                     beta = bmax * math.sin(psi)
-                    value, slope = f(psi)
-                    assert value == pytest.approx(arg(beta, abs_a), abs=1e-12)
+                    x, sign = abs(psi), math.copysign(1.0, psi)
+                    value, slope, _, (got_beta, t) = f(x)
+                    phase = sign * (math.pi - value if long else value)
+                    assert phase == pytest.approx(arg(beta, abs_a), abs=1e-12)
+                    assert got_beta == pytest.approx(abs(beta), rel=1e-12, abs=1e-15)
+                    assert t == pytest.approx(time(beta, abs_a), abs=1e-12)
                     h = 1e-6
-                    diff = (f(psi + h)[0] - f(psi - h)[0]) / (2.0 * h)
+                    diff = (f(x + h)[0] - f(x - h)[0]) / (2.0 * h)
                     assert slope == pytest.approx(diff, rel=1e-6)
-                    got_beta, t = solve_arc(abs_a, k2, value, long)
-                    assert got_beta == pytest.approx(beta, rel=1e-9, abs=1e-12)
+                    got_beta, t = solve_monotone(f, value, ends, 0.7)
+                    assert got_beta == pytest.approx(abs(beta), rel=1e-9, abs=1e-12)
                     assert t == pytest.approx(time(beta, abs_a), abs=1e-12)
 
     def test_evaluation_count(self, monkeypatch):
-        # Mean per Haar draws and per edge band |A| = 1e-k, 1 - |A| = 1e-k
-        # (about 4.2 on Haar draws, as the range ends are never evaluated);
-        # 55 is the count of the bisection this solve replaced.
+        # Mean per Haar draws, per edge band |A| = 1e-k, 1 - |A| = 1e-k and
+        # per band just off the branch-3 boundary on each of those |A|
+        # (about 4.1 on Haar draws, at most 3 off the boundary); 55 is the
+        # count of the bisection this solve replaced.
         counts = []
 
         def counting(f, *args):
@@ -167,6 +183,14 @@ class TestSolveMonotone:
                 counts.clear()
                 for theta, phase in rng.uniform(-math.pi, math.pi, (100, 2)):
                     distance_su2(from_polar(abs_a, theta, phase))
+                means.append(np.mean(counts))
+                worst = max(worst, max(counts))
+                counts.clear()
+                boundary = math.pi * (1.0 - abs_a) / 2.0
+                for _ in range(100):
+                    off = rng.choice([-1.0, 1.0]) * rng.uniform(1e-12, 1e-6)
+                    theta = rng.choice([-1.0, 1.0]) * boundary * (1.0 + off)
+                    distance_su2(from_polar(abs_a, theta, rng.uniform(-math.pi, math.pi)))
                 means.append(np.mean(counts))
                 worst = max(worst, max(counts))
         assert max(means) <= 5
@@ -296,6 +320,30 @@ class TestDistance:
                 (end.b_im, g.b_im),
             ]:
                 assert got == pytest.approx(want, abs=1e-8)
+
+    def test_tiny_b_routes_on_exact_zeros(self):
+        # Only B = 0 (or subnormal |B|) takes the |A| = 1 formula.  At
+        # |B| = 1e-200, where |A| rounds to 1 and |B|^2 underflows, theta = 0
+        # is a short arc of length 2|B|, not the boundary pi|B| nor 0.
+        res = distance_su2(SU2Element(1.0, 0.0, 1e-200, 0.0))
+        assert res.case is DistanceCase.SHORT
+        assert res.t == 2e-200 and res.beta == 0.0
+        for abs_b in (1e-309, 1e-320, 5e-324):
+            for theta in (0.0, 0.3, -2.0):
+                res = distance_su2(SU2Element(math.cos(theta), math.sin(theta), abs_b, 0.0))
+                assert res.case is DistanceCase.ABS_A_ONE
+                closed = 2.0 * math.sqrt(abs(theta) * (TWO_PI - abs(theta)))
+                assert abs(res.t - closed) <= 1e-15
+
+    def test_boundary_where_abs_a_rounds_to_one(self):
+        # |B| = 1e-10: |A| is 1.0 in floats, so beta = +-|A|/|B|, not b*.
+        abs_b = 1e-10
+        theta = math.pi * abs_b * abs_b / 4.0
+        for sign in (1.0, -1.0):
+            res = distance_su2(SU2Element(math.cos(theta), sign * math.sin(theta), abs_b, 0.0))
+            assert res.case is DistanceCase.BOUNDARY
+            assert res.t == math.pi * abs_b
+            assert res.beta == sign / abs_b
 
     def test_boundary_continuity(self):
         abs_a = 0.5
