@@ -8,10 +8,12 @@ An SU(2) element is stored as the complex pair (A, B) of the matrix
 The Klein map sends (A, B) to a rotation matrix acting on R^3.  It is a
 2-to-1 group homomorphism: (A, B) and (-A, -B) cover the same rotation.
 `lift_so3` inverts it, returning the canonical lift (Re(A) >= 0) and its
-negation.
+negation; `cover_pair` reads the canonical lift off identities linear in
+the matrix entries.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -208,6 +210,39 @@ def klein_omega(g: SU2Element) -> SO3Element:
     """Covering epimorphism SU(2) -> SO(3) (entries from `klein_entries`)."""
     m = klein_entries(g.a_re, g.a_im, g.b_re, g.b_im)
     return SO3Element(np.array(m).reshape(3, 3))
+
+
+def cover_pair(c: SO3Element) -> tuple[complex, complex]:
+    """Unit covering pair (A, B) of the rotation c, with Re A >= 0.
+
+    Three covering identities are linear in the entries:
+
+        A^2       = (c22 + c33 + i(c32 - c23))/2
+        B^2       = (c22 - c33 + i(c32 + c23))/2
+        A conj(B) = (c13 + i c12)/2
+
+    When c11 = |A|^2 - |B|^2 >= 0, A is the principal root of A^2 and B
+    follows from A conj(B); otherwise B is a root of B^2 and A follows.
+    Each path divides only by the larger of |A| and |B|, so no digits are
+    lost near half turns (Re A = 0) or axis-1 rotations (B = 0; entries
+    c12 = c13 = 0 give B = 0 exactly).
+    """
+    (c11, c12, c13), (_, c22, c23), (_, c32, c33) = c.m.tolist()
+    a_conj_b = complex(0.5 * c13, 0.5 * c12)
+    # "+ 0.0" turns a signed zero into +0, so that the root of a negative
+    # real square is +i|.| whatever the sign of its zero imaginary part.
+    if c11 >= 0.0:
+        a = cmath.sqrt(complex(0.5 * (c22 + c33), 0.5 * (c32 - c23) + 0.0))
+        b = (a_conj_b / a).conjugate()
+    else:
+        b = cmath.sqrt(complex(0.5 * (c22 - c33), 0.5 * (c32 + c23) + 0.0))
+        a = a_conj_b * b / (b.real * b.real + b.imag * b.imag)
+        if a.real < 0.0:
+            a, b = -a, -b
+    # Normalizing keeps the pair on the unit sphere when the entries are
+    # noisy, so that |A| and k^2 = |B|^2 come from the same pair.
+    norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    return a / norm, b / norm
 
 
 def lift_so3(c: SO3Element) -> tuple[SU2Element, SU2Element]:

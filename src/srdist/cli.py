@@ -19,7 +19,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .algebra import InvalidElementError, SO3Element, SU2Element
-from .cutlocus import classify_cut_locus_so3, in_cut_locus_su2_l2
+from .cutlocus import classify_cut_locus_so3, classify_pair
 from .geodesics import GeodesicParams, geodesic_point, geodesic_point_so3
 from .so3_distance import SO3_DIAMETER_BOUND, distance_so3
 from .su2_distance import distance_su2
@@ -170,12 +170,13 @@ def cmd_sphere(args) -> int:
 def cmd_cutlocus(args) -> int:
     if args.matrix is not None:
         cls = classify_cut_locus_so3(_parse_matrix(args.matrix))
-        print(cls.tag.value)
-        if cls.witness:
-            print(cls.witness)
     else:
         vals = _parse_floats(args.su2, 4, "--su2 expects a_re,a_im,b_re,b_im", "component")
-        print(in_cut_locus_su2_l2(SU2Element(*vals)).value)
+        g = SU2Element(*vals)
+        cls = classify_pair(g.a_re, g.a_im, g.b_re, g.b_im)
+    print(cls.tag.value)
+    if cls.witness:
+        print(cls.witness)
     return EXIT_OK
 
 

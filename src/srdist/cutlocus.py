@@ -1,24 +1,31 @@
-"""Cut-locus classification on SO(3) and the matching SU(2) predicates.
+"""Cut-locus classification on SO(3) and on its double cover SU(2).
 
-The cut locus of the identity splits into two strata:
+The cut locus of the identity in SO(3) has two strata, stated on a unit
+covering pair (A, B) of the rotation:
 
-  Sym: involutions, i.e. M != E with M^2 = E (half turns about any axis);
-       on the double cover these are the elements with Re(A) = 0.
-  Loc: nontrivial rotations about axis 1, i.e. block-diag(1, R(angle));
-       on the double cover, B = 0 with Im(A) != 0.
+  Sym: Re A = 0, the half turns about any axis (involutions);
+  Loc: B = 0 with Im A != 0, the nontrivial rotations about axis 1,
+       which are also the conjugate locus.
 
-The Loc stratum coincides with the conjugate locus.
+One rule (`_tag`) with one tolerance, MEMBERSHIP_TOL, decides both
+groups: Sym when |Re A| <= tol, else Loc when |B| <= tol < |Im A|, else
+NotCut.  Sym goes first, so the half turn about axis 1 keeps its two
+minimizing geodesics visible.  The rule reads absolute values only, so
+g and -g get one tag; a rotation is read as its `algebra.cover_pair`.
+The witness is the distance to the stratum ("|Re A| = ...", "|B| = ..."),
+or "identity" where |B| and |Im A| are both within tol.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import SO3Element, SU2Element, identity_residual, mat3_mul
+from .algebra import SO3Element, SU2Element, cover_pair
 
-# Max-norm residual tolerance for stratum membership; inputs typically
-# come out of covering-map chains carrying ~1e-12 noise.
+# Membership tolerance on |Re A| and |B|; inputs typically come out of
+# covering-map chains carrying ~1e-12 noise.
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -34,50 +41,37 @@ class CutLocusClass:
     witness: Optional[str] = None
 
 
-def _axis1_residual(rows) -> Optional[float]:
-    """Max-norm residual from the axis-1 rotations block-diag(1, R); None at the identity."""
-    if identity_residual(rows) <= MEMBERSHIP_TOL:
-        return None
-    (c11, c12, c13), (c21, _, _), (c31, _, _) = rows
-    return max(abs(c11 - 1.0), abs(c12), abs(c13), abs(c21), abs(c31))
-
-
-def classify_cut_locus_so3(c: SO3Element) -> CutLocusClass:
-    """Stratum of a rotation: Sym before Loc, identity is NotCut.
-
-    The half turn about axis 1 satisfies both descriptions; Sym wins, so
-    its multiple minimizing geodesics stay visible in the classification.
-    """
-    rows = c.m.tolist()
-    axis_res = _axis1_residual(rows)
-    if axis_res is None:
-        return CutLocusClass(CutTag.NOT_CUT, "identity")
-    invol_res = identity_residual(mat3_mul(rows, rows))
-    if invol_res <= MEMBERSHIP_TOL:
-        return CutLocusClass(CutTag.SYM, f"max |M^2 - E| = {invol_res:.3e}")
-    if axis_res <= MEMBERSHIP_TOL:
-        return CutLocusClass(CutTag.LOC, f"axis-1 block residual = {axis_res:.3e}")
-    return CutLocusClass(CutTag.NOT_CUT)
-
-
-def in_cut_locus_su2_l2(g: SU2Element) -> CutTag:
-    """Cut-locus predicate on the double cover for the order-2 lens quotient.
-
-    Sym reduces to Re(A) = 0 (the remaining equation is the unit-norm
-    identity, reading the B term as |B|^2); Loc is B = 0 with Im(A) != 0.
-    """
-    if abs(g.a_re) <= MEMBERSHIP_TOL:
+def _tag(a_re: float, a_im: float, b_re: float, b_im: float) -> CutTag:
+    """The stratum of the unit pair (a_re + i a_im, b_re + i b_im); the |Re B| test spares the hypot."""
+    if abs(a_re) <= MEMBERSHIP_TOL:
         return CutTag.SYM
-    if (
-        abs(g.b_re) <= MEMBERSHIP_TOL
-        and abs(g.b_im) <= MEMBERSHIP_TOL
-        and abs(g.a_im) > MEMBERSHIP_TOL
-    ):
+    if abs(b_re) <= MEMBERSHIP_TOL and math.hypot(b_re, b_im) <= MEMBERSHIP_TOL < abs(a_im):
         return CutTag.LOC
     return CutTag.NOT_CUT
 
 
+def classify_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> CutLocusClass:
+    """The stratum of a unit pair and its witness (see the module docstring)."""
+    tag, abs_b = _tag(a_re, a_im, b_re, b_im), math.hypot(b_re, b_im)
+    if tag is CutTag.SYM:
+        return CutLocusClass(tag, f"|Re A| = {abs(a_re):.3e}")
+    if tag is CutTag.LOC:
+        return CutLocusClass(tag, f"|B| = {abs_b:.3e}")
+    return CutLocusClass(tag, "identity" if abs_b <= MEMBERSHIP_TOL else None)
+
+
+def classify_cut_locus_so3(c: SO3Element) -> CutLocusClass:
+    """Stratum of a rotation, read on its covering pair."""
+    a, b = cover_pair(c)
+    return classify_pair(a.real, a.imag, b.real, b.imag)
+
+
+def in_cut_locus_su2_l2(g: SU2Element) -> CutTag:
+    """Stratum of the rotation that g covers: the order-2 lens quotient SU(2)/{+-1}."""
+    return _tag(g.a_re, g.a_im, g.b_re, g.b_im)
+
+
 def conjugate_locus_so3(c: SO3Element) -> bool:
-    """True iff c is a nontrivial rotation about axis 1 (the conjugate locus)."""
-    axis_res = _axis1_residual(c.m.tolist())
-    return axis_res is not None and axis_res <= MEMBERSHIP_TOL
+    """True iff c is a nontrivial rotation about axis 1 (the conjugate locus): |B| <= tol < |Im A|."""
+    a, b = cover_pair(c)
+    return abs(b) <= MEMBERSHIP_TOL < abs(a.imag)

@@ -2,16 +2,7 @@
 
 The production route reads the covering pair (A, B) of the rotation C,
 with Re A >= 0, off three covering identities, each linear in the
-matrix entries:
-
-    A^2       = (c22 + c33 + i(c32 - c23))/2
-    B^2       = (c22 - c33 + i(c32 + c23))/2
-    A conj(B) = (c13 + i c12)/2
-
-When c11 = |A|^2 - |B|^2 >= 0, A is the principal root of A^2 and B
-follows from A conj(B); otherwise B is a root of B^2 and A follows.  Each
-path divides only by the larger of |A| and |B|, so no digits are lost
-near half turns or axis-1 rotations.
+matrix entries (`algebra.cover_pair`).
 
 The pair then goes through the SU(2) case analysis,
 `su2_distance.distance_from_pair`.  The paper's SO(3) theorem routes
@@ -30,10 +21,9 @@ agree, also next to the branch-3 boundary as |A| -> 1
 """
 from __future__ import annotations
 
-import cmath
 import math
 
-from .algebra import SO3Element, lift_so3
+from .algebra import SO3Element, cover_pair, lift_so3
 from .su2_distance import DistanceResult, distance_from_pair, distance_su2
 
 # Largest distance observed on SO(3): attained at diag(1, -1, -1), the
@@ -42,29 +32,9 @@ from .su2_distance import DistanceResult, distance_from_pair, distance_su2
 SO3_DIAMETER_BOUND = math.pi * math.sqrt(3.0)
 
 
-def _cover_pair(rows) -> tuple[complex, complex]:
-    """Unit covering pair (A, B) with Re A >= 0 of a rotation given as rows."""
-    (c11, c12, c13), (_, c22, c23), (_, c32, c33) = rows
-    a_conj_b = complex(0.5 * c13, 0.5 * c12)
-    # "+ 0.0" turns a signed zero into +0, so that the root of a negative
-    # real square is +i|.| whatever the sign of its zero imaginary part.
-    if c11 >= 0.0:
-        a = cmath.sqrt(complex(0.5 * (c22 + c33), 0.5 * (c32 - c23) + 0.0))
-        b = (a_conj_b / a).conjugate()
-    else:
-        b = cmath.sqrt(complex(0.5 * (c22 - c33), 0.5 * (c32 + c23) + 0.0))
-        a = a_conj_b * b / (b.real * b.real + b.imag * b.imag)
-        if a.real < 0.0:
-            a, b = -a, -b
-    # Normalizing keeps the pair on the unit sphere when the entries are
-    # noisy, so that |A| and k^2 = |B|^2 come from the same pair.
-    norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
-    return a / norm, b / norm
-
-
 def distance_so3(c: SO3Element) -> DistanceResult:
     """Distance from the rotation c to the identity: its covering pair through the SU(2) branches."""
-    a, b = _cover_pair(c.m.tolist())
+    a, b = cover_pair(c)
     return distance_from_pair(a.real, a.imag, b.real, b.imag)
 
 
@@ -85,8 +55,8 @@ def distance_so3_pair(c1: SO3Element, c2: SO3Element) -> float:
     c1^T c2 is covered by g1^-1 g2 of the covering pairs, exactly the
     identity when c1 = c2, as the rounded matrix product is not.
     """
-    a1, b1 = _cover_pair(c1.m.tolist())
-    a2, b2 = _cover_pair(c2.m.tolist())
+    a1, b1 = cover_pair(c1)
+    a2, b2 = cover_pair(c2)
     a = a1.conjugate() * a2 + b1 * b2.conjugate()
     b = a1.conjugate() * b2 - b1 * a2.conjugate()
     if a.real < 0.0:

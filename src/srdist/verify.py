@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .algebra import SO3Element, SU2Element, klein_omega, random_so3, random_su2
-from .cutlocus import classify_cut_locus_so3, in_cut_locus_su2_l2
-from .geodesics import GeodesicParams, cut_time_bound, geodesic_point, geodesic_point_exp
+from .algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, random_su2
+from .cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3, in_cut_locus_su2_l2
+from .geodesics import GeodesicParams, cut_time_bound, endpoint_coords, geodesic_point, geodesic_point_exp
 from .flawed_system import demonstrate_br_nonuniqueness
 from .oracle import REFINED_TOL, GridSpec, shoot_min_time, shoot_min_time_so3
 from .so3_distance import distance_so3, distance_so3_via_lifts, lift_distance_results
@@ -156,27 +156,47 @@ def _minimizer_gap(expected: DistanceResult, found: tuple[float, float, float]) 
     return _worst(gaps)
 
 
+def _sym_band_pair(rng: np.random.Generator, re_a: float) -> SU2Element:
+    """Unit pair with Re A = +-re_a and the rest random."""
+    v = rng.standard_normal(3)
+    v *= math.sqrt(1.0 - re_a * re_a) / np.linalg.norm(v)
+    return SU2Element(rng.choice([-1.0, 1.0]) * re_a, *v.tolist())
+
+
+def _loc_band_pair(rng: np.random.Generator, abs_b: float) -> SU2Element:
+    """Unit pair with |B| = abs_b, random arg B, and arg A in +-[0.1, pi - 0.1]."""
+    alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, math.pi - 0.1)
+    gamma = rng.uniform(-math.pi, math.pi)
+    abs_a = math.sqrt(1.0 - abs_b * abs_b)
+    return SU2Element(
+        abs_a * math.cos(alpha), abs_a * math.sin(alpha),
+        abs_b * math.cos(gamma), abs_b * math.sin(gamma),
+    )
+
+
 def check_minimizers(
     rng: np.random.Generator, n: int, grid: GridSpec = GridSpec()
 ) -> list[CheckResult]:
-    """The oracle's minimizer sets against the lifts' case analysis, on and next to Sym.
+    """The oracle's minimizer sets against the lifts' case analysis on and next to Sym, and on Loc.
 
     n half turns, which two geodesics reach, then n rotations whose lift
-    has Re A cycling over 1e-4, 1e-3 and 5e-3, which one reaches, all shot
+    has |Re A| cycling over 1e-4, 1e-3 and 5e-3, which one reaches, all shot
     on `grid`.  The expected set is the (phi0, beta, t) of the two lifts'
     distances (`lift_distance_results`) at the least t, ties within
     REFINED_TOL; each is matched to the nearest oracle minimizer.
+
+    Then n pairs with B = 0 (`_loc_band_pair`), shot on SU(2) and as their
+    axis-1 rotations on SO(3).  On B = 0 every phi0 is minimizing and the
+    oracle lists one per root, so at each listed (beta, t) the 8 phi0 =
+    2*pi*k/8 must each reach the target, or one of its lifts, within
+    REFINED_TOL.
     """
     rotations = []
     for _ in range(n):
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
         rotations.append(SO3Element(2.0 * np.outer(v, v) - np.eye(3)))
-    for i in range(n):
-        re_a = (1e-4, 1e-3, 5e-3)[i % 3]
-        v = rng.standard_normal(3)
-        v *= math.sqrt(1.0 - re_a * re_a) / np.linalg.norm(v)
-        rotations.append(klein_omega(SU2Element(re_a, *v)))
+    rotations += [klein_omega(_sym_band_pair(rng, (1e-4, 1e-3, 5e-3)[i % 3])) for i in range(n)]
     mismatches, gaps = 0, []
     for c in rotations:
         found = shoot_min_time_so3(c, grid).minimizers
@@ -185,9 +205,29 @@ def check_minimizers(
         expected = [r for r in lifts if r.t <= t_min + REFINED_TOL]
         mismatches += len(found) != len(expected)
         gaps += [min(_minimizer_gap(r, m) for m in found) for r in expected]
+    loc = []
+    for _ in range(n):
+        g = _loc_band_pair(rng, 0.0)
+        c = klein_omega(g)
+        loc += _phi0_circle_gaps([g], shoot_min_time(g, grid).minimizers)
+        loc += _phi0_circle_gaps(lift_so3(c), shoot_min_time_so3(c, grid).minimizers)
     return [
         CheckResult(f"minimizer-set size mismatches ({n} half turns, {n} near-Sym rotations)", mismatches, 0),
         CheckResult("minimizers vs the lifts' case analysis", _worst(gaps), 1e-12),
+        CheckResult(
+            f"Loc: every phi0 reaches the target ({n} B = 0 pairs, {n} axis-1 rotations)",
+            _worst(loc), REFINED_TOL,
+        ),
+    ]
+
+
+def _phi0_circle_gaps(targets, minimizers) -> list[float]:
+    """Max-norm gap to the nearest target of the endpoints at 8 evenly spaced phi0, per listed (beta, t)."""
+    coords = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in targets]
+    return [
+        min(max(abs(e - q) for e, q in zip(endpoint_coords(k * TWO_PI / 8, beta, t), target)) for target in coords)
+        for _, beta, t in minimizers
+        for k in range(8)
     ]
 
 
@@ -209,25 +249,35 @@ def check_flawed_system() -> list[CheckResult]:
 
 
 def check_cover(rng: np.random.Generator, n: int) -> list[CheckResult]:
-    """Cut-locus tags agree across the covering map.
+    """Cut-locus tags agree across the covering map, on Haar draws and in the tolerance band.
 
-    Random elements almost never land on a stratum, so every third sample
-    is forced onto Sym (Re A = 0) and every seventh of the rest onto Loc
-    (an axis-1 rotation).
+    n Haar elements must get the same tag on SU(2) and on their rotation.
+    Then, per distance in the bands below, max(1, n // 10) elements at that
+    |Re A| and as many at that |B| (Sym and Loc bands) must each get the
+    tag the distance gives, the stratum within MEMBERSHIP_TOL and NotCut
+    beyond it, on both groups.  One record per band.
     """
-    mismatches = 0
-    for i in range(n):
-        if i % 3 == 0:
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            g = SU2Element(0.0, v[0], v[1], v[2])
-        elif i % 7 == 0:
-            psi = rng.uniform(0.1, math.pi - 0.1)
-            g = SU2Element(math.cos(psi), math.sin(psi), 0.0, 0.0)
-        else:
-            g = random_su2(rng)
-        mismatches += in_cut_locus_su2_l2(g) is not classify_cut_locus_so3(klein_omega(g)).tag
-    return [CheckResult(f"cut-locus tag mismatches across the cover ({n} samples)", mismatches, 0)]
+    def mismatches(elements, expected=None) -> int:
+        tags = [(in_cut_locus_su2_l2(g), classify_cut_locus_so3(klein_omega(g)).tag) for g in elements]
+        return sum(su2 is not so3 or (expected is not None and su2 is not expected) for su2, so3 in tags)
+
+    results = [CheckResult(
+        f"cut-locus tag mismatches across the cover ({n} Haar samples)",
+        mismatches(random_su2(rng) for _ in range(n)), 0,
+    )]
+    # Exact members, then both sides of MEMBERSHIP_TOL = 1e-9.  1e-9 itself
+    # is left out: there an ulp of the covering map's rounding decides the tag.
+    bands = (0.0, 1e-13, 1e-12, 1e-10, 5e-10, 8e-10, 2e-9)
+    m = max(1, n // 10)
+    strata = ((CutTag.SYM, "|Re A|", _sym_band_pair), (CutTag.LOC, "|B|", _loc_band_pair))
+    for stratum, label, draw in strata:
+        for dist in bands:
+            expected = stratum if dist <= MEMBERSHIP_TOL else CutTag.NOT_CUT
+            results.append(CheckResult(
+                f"cut-locus tag mismatches, {stratum.value} band {label} = {dist:g} ({m} samples)",
+                mismatches((draw(rng, dist) for _ in range(m)), expected), 0,
+            ))
+    return results
 
 
 def check_geodesics(samples: Iterable[tuple[float, float, float]]) -> list[CheckResult]:

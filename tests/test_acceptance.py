@@ -145,7 +145,7 @@ def test_criterion_8_cut_locus():
     rng = np.random.default_rng(104)
     grid = GridSpec(n_phi=128, n_beta=128, beta_max=8.0, n_t=256)
     # The cover samples continue on the same generator, after the 20 half
-    # turns and 20 near-Sym rotations.
+    # turns, 20 near-Sym rotations and 20 B = 0 pairs.
     report("criterion 8 (cut locus)", *check_minimizers(rng, 20, grid), *check_cover(rng, 1000))
 
 

@@ -209,6 +209,13 @@ def test_cutlocus_matrix(capsys):
     assert out.splitlines()[0] == "Sym"
     code, out, _ = run_cli(capsys, "cutlocus", "--su2", "0.6,0,0.8,0")
     assert out.strip() == "NotCut"
+    # --su2 prints the same tag and witness as --matrix of the rotation it covers
+    for su2, matrix, expected in (
+        ("0,0,1,0", "-1,0,0,0,1,0,0,0,-1", ["Sym", "|Re A| = 0.000e+00"]),
+        ("0.6,0.8,0,0", "1,0,0,0,-0.28,-0.96,0,0.96,-0.28", ["Loc", "|B| = 0.000e+00"]),
+    ):
+        assert run_cli(capsys, "cutlocus", "--su2", su2)[1].splitlines() == expected
+        assert run_cli(capsys, "cutlocus", f"--matrix={matrix}")[1].splitlines() == expected
 
 
 def test_cutlocus_requires_input(capsys):

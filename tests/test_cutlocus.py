@@ -5,6 +5,7 @@ import pytest
 
 from srdist.algebra import SO3Element, SU2Element, klein_omega, random_so3, random_su2
 from srdist.cutlocus import (
+    MEMBERSHIP_TOL,
     CutTag,
     classify_cut_locus_so3,
     conjugate_locus_so3,
@@ -35,13 +36,16 @@ def test_half_turns_are_sym():
     for _ in range(100):
         res = classify_cut_locus_so3(random_half_turn(rng))
         assert res.tag is CutTag.SYM
-        assert "M^2" in res.witness
+        assert res.witness.startswith("|Re A| = ")
+        assert float(res.witness.removeprefix("|Re A| = ")) <= MEMBERSHIP_TOL
 
 
 def test_axis1_rotation_is_loc():
     for psi in (0.3, 1.0, 2.8, -1.2):
         res = classify_cut_locus_so3(axis1_rotation(psi))
         assert res.tag is CutTag.LOC
+        # the covering pair of an axis-1 rotation has B = 0 exactly
+        assert res.witness == "|B| = 0.000e+00"
 
 
 def test_axis1_half_turn_prefers_sym():
@@ -95,12 +99,24 @@ def test_conjugate_locus():
         assert not conjugate_locus_so3(random_so3(rng))
 
 
-def test_membership_tolerance_band():
-    eps = 1e-10
-    c, s = math.cos(eps), math.sin(eps)
-    near_half_turn = SO3Element(
-        np.diag([1.0, -1.0, -1.0]) @ np.array(
-            [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
-        )
-    )
-    assert classify_cut_locus_so3(near_half_turn).tag is CutTag.SYM
+def band_pair(stratum, dist):
+    """Unit pair at distance dist from Sym (|Re A| = dist) or Loc (|B| = dist), off the other stratum."""
+    r = math.sqrt(1.0 - dist * dist)
+    if stratum is CutTag.SYM:
+        return SU2Element(dist, 0.48 * r, 0.6 * r, 0.64 * r)
+    return SU2Element(0.6 * r, 0.8 * r, 0.28 * dist, 0.96 * dist)
+
+
+@pytest.mark.parametrize("dist", [1e-12, 5e-10, 8e-10, 2e-9, 1e-8])
+@pytest.mark.parametrize("stratum", [CutTag.SYM, CutTag.LOC], ids=lambda t: t.value)
+def test_membership_tolerance_band(stratum, dist):
+    # Both predicates read the covering pair, so they tag each side of
+    # MEMBERSHIP_TOL alike, and the witness is the distance to the stratum.
+    g = band_pair(stratum, dist)
+    expected = stratum if dist <= MEMBERSHIP_TOL else CutTag.NOT_CUT
+    assert in_cut_locus_su2_l2(g) is expected
+    assert in_cut_locus_su2_l2(g.negate()) is expected
+    res = classify_cut_locus_so3(klein_omega(g))
+    assert res.tag is expected
+    if expected is not CutTag.NOT_CUT:
+        assert abs(float(res.witness.split(" = ")[1]) - dist) <= 1e-15

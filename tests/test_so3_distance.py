@@ -228,7 +228,7 @@ def test_direct_route_is_independent_of_lifts(monkeypatch):
 
 def test_signed_zeros_keep_beta_sign():
     # The half turn about axis 1 with every sign pattern of its zero
-    # entries: the "+ 0.0" of `_cover_pair` fixes the sign of beta
+    # entries: the "+ 0.0" of `algebra.cover_pair` fixes the sign of beta
     # whatever the zeros' signs.
     expected = distance_so3(SO3Element(np.diag([1.0, -1.0, -1.0])))
     assert expected.t == pytest.approx(math.pi * math.sqrt(3.0), abs=1e-15)
