@@ -3,15 +3,16 @@
 The geodesics from the identity that match the target's B before the
 cut time u = pi form one closed loop, on which A_end = |A|*exp(i*psi):
 only the loop phase psi is left to match (see `_kernels`).  One numpy
-scan of psi, which reads |A| and |B| only, serves both lifts g and -g of
-an SO(3) target (`algebra.lift_so3`).  Each crossing of a lift's level
-arg(A) + 2*pi*n between neighbouring samples brackets a root, solved in
-one dimension on F = psi - level, written without cancellation, by
-Newton steps kept inside the bracket, else bisection.  The endpoint
-(`geodesics.endpoint_coords`) is evaluated once per root: the root
-counts only if it is within REFINED_TOL of the target in all four
-coordinates.  The oracle shares only the geodesic formulas with the case
-analysis, and assumes no monotonicity: it solves every bracket.
+scan of psi at fixed points of the loop, which reads |A| and |B| only,
+serves both lifts g and -g of an SO(3) target (`algebra.lift_so3`).
+Each crossing of a lift's level arg(A) + 2*pi*n between neighbouring
+samples brackets a root, solved in one dimension on F = psi - level,
+written without cancellation, by Newton steps kept inside the bracket,
+else bisection.  The endpoint (`geodesics.endpoint_coords`) is evaluated
+once per root: the root counts only if it is within REFINED_TOL of the
+target in all four coordinates.  The oracle shares only the geodesic
+formulas with the case analysis, and assumes no monotonicity of psi: it
+solves every bracket.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -35,28 +36,19 @@ TWO_PI = 2.0 * math.pi
 # well below this bound.
 REFINED_TOL = 1e-12
 
-# Safety net on the evaluations per bracket; bisection alone needs about 55.
+# Safety net on the evaluations per bracket; bisection alone needs about 55
+# steps in tau', and about 85 in |beta| on the B = 0 row.
 _MAX_STEPS = 120
+_EIGHT_EPS = 8.0 * math.ulp(1.0)  # a phase's rounding floor per unit size of F's terms
 
 
 class ShootNoMatchError(RuntimeError):
-    """No root reached the target: the grid is too coarse for it, or it is the identity (t = 0)."""
+    """No root reached the target, or the target is within REFINED_TOL of the identity (t = 0)."""
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Scan grid of n_beta rows of momentum beta.
-
-    The beta rows are beta_j = c*tan(chi_j) at the midpoints
-    chi_j = -pi/2 + (j + 1/2)*pi/n_beta of n_beta equal steps over
-    (-pi/2, pi/2), with c = 2*beta_max/pi: near beta = 0 they are
-    2*beta_max/n_beta apart, as on a linear grid over [-beta_max,
-    beta_max], and the outer rows reach |beta| of about
-    4*beta_max*n_beta/pi**2 (830 at the defaults).  The rows inside the
-    target's loop are among the scan's sample points.  n_phi, n_t and
-    refine_steps are validated but no longer read: callers, the benchmark
-    among them, pass them.
-    """
+    """Former scan-grid sizes, validated and unread: kept for callers that pass grids (perfbench)."""
 
     n_phi: int = 256
     n_beta: int = 256
@@ -91,18 +83,6 @@ class ShootResult:
     minimizers: list[tuple[float, float, float]]  # (phi0, beta, t)
 
 
-@lru_cache(maxsize=16)
-def _betas(grid: GridSpec) -> np.ndarray:
-    """The grid's rows beta = c*tan(chi) at the chi midpoints (see GridSpec), read-only.
-
-    Every shot on one grid shares the array.
-    """
-    chi = (np.arange(grid.n_beta) + 0.5) * (math.pi / grid.n_beta) - 0.5 * math.pi
-    betas = (2.0 * grid.beta_max / math.pi) * np.tan(chi)
-    betas.flags.writeable = False
-    return betas
-
-
 def _hit(target: tuple, beta: float, t: float) -> tuple[tuple, float]:
     """((phi0, beta, t), max-norm deviation) with phi0 putting B on the target's phase."""
     a_re, a_im, b_re, b_im = target
@@ -112,14 +92,15 @@ def _hit(target: tuple, beta: float, t: float) -> tuple[tuple, float]:
 
 
 def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, tau: float) -> tuple:
-    """(F, dF/dtau', (beta, t)) for F = psi - theta - 2*pi*n at tau' on one half of the loop.
+    """(F, dF/dtau', (beta, t), floor) for F = psi - theta - 2*pi*n at tau' on one half of the loop.
 
     With sigma = sign(beta), w = s*(s + |beta|) = 1/(1 - |beta|/s) and
     d = u - |tau'| as one atan2, psi = sigma*(u/w - d) on branch 0: no two
     terms of size u cancel (see `_kernels` for the loop).  Branch 1 is
     sigma*((u - pi)/w - d) + pi*(1 + sigma) in branch 0's beta and u; its
     2*pi goes into n, so a small level is not rounded at ulp(2*pi).
-    dpsi/dtau = (s - u*b* cos(tau))/s^3 only proposes steps.
+    dpsi/dtau = (s - u*b* cos(tau))/s^3 only proposes steps.  u/w and d
+    are up to pi/2, so F's rounding floor is absolute.
     """
     st, ct = math.sin(tau), math.cos(tau)
     beta = a / b * st
@@ -128,25 +109,31 @@ def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, tau: floa
     u = math.atan2(b * s, a * ct)
     d = math.atan2(b * ct / s_plus, a * ct * ct + b * s * abs(st))
     w, sigma, s3 = s * s_plus, math.copysign(1.0, beta), s * s * s
+    floor = _EIGHT_EPS * (1.0 + abs(theta + TWO_PI * n))
     if branch:
         f = sigma * ((u - math.pi) / w - d) - theta - TWO_PI * (n - (sigma > 0.0))
-        return f, (s + (math.pi - u) * a / b * ct) / s3, (-beta, 2.0 * (math.pi - u) / s)
-    return sigma * (u / w - d) - theta - TWO_PI * n, (s - u * a / b * ct) / s3, (beta, 2.0 * u / s)
+        return f, (s + (math.pi - u) * a / b * ct) / s3, (-beta, 2.0 * (math.pi - u) / s), floor
+    return sigma * (u / w - d) - theta - TWO_PI * n, (s - u * a / b * ct) / s3, (beta, 2.0 * u / s), floor
 
 
-def _cut_phase(theta: float, n: int, beta: float) -> tuple:
-    """(F, dF/dbeta, (beta, t)) at the cut time, psi = pi*(1 - beta/s) = sigma*pi/w + pi*(1 - sigma)."""
-    s = math.hypot(1.0, beta)
-    sigma = math.copysign(1.0, beta)
-    f = sigma * math.pi / (s * (s + abs(beta))) - theta - TWO_PI * (n - (sigma < 0.0))
-    return f, -math.pi / (s * s * s), (beta, TWO_PI / s)
+def _cut_phase(row: int, theta: float, n: int, x: float) -> tuple:
+    """(F, dF/dx, (beta, t), floor) for F = psi - theta - 2*pi*n at the cut time, beta = +-x on row 0, 1.
+
+    psi = sigma*pi/w, w = s*(s + x), sigma = 1 on row 0 and -1 on row 1
+    (see `_kernels`).  Both terms of F are exact to a few ulps, so its
+    floor is relative to them: a level of 1e-15 is solved to a few ulps.
+    """
+    s, sigma = math.hypot(1.0, x), 1.0 - 2.0 * row
+    psi, level = sigma * math.pi / (s * (s + x)), theta + TWO_PI * n
+    floor = _EIGHT_EPS * (abs(psi) + abs(level))
+    return psi - level, -sigma * math.pi / (s * s * s), (sigma * x, TWO_PI / s), floor
 
 
 def _brackets(x: np.ndarray, psi: np.ndarray, thetas: list[float]):
     """(lift, row, n, bracket) for each crossing of a level between samples j and j + 1 of a row.
 
-    bracket is (x_j, x_j+1, F_j, F_j+1, level), the arguments of `_solve`.
-    A lift's levels are theta + 2*pi*n, theta = arg(A) of the lift, and
+    bracket is (x_j, x_j+1, F_j, F_j+1), the arguments of `_solve`.  A
+    lift's levels are theta + 2*pi*n, theta = arg(A) of the lift, and
     F = psi - level.  psi lies in (-pi, 5*pi/2), so n = -1, 0, 1 hold
     every crossing.  One numpy pass counts the levels of both lifts below
     each sample, and a crossing is a change of that count.  The items hold
@@ -158,25 +145,24 @@ def _brackets(x: np.ndarray, psi: np.ndarray, thetas: list[float]):
         k = sorted((below.item(row, j), below.item(row, j + 1)))
         for level, lift, n in levels[k[0] : k[1]]:
             f_lo, f_hi = psi.item(row, j) - level, psi.item(row, j + 1) - level
-            yield lift, row, n, (x.item(j), x.item(j + 1), f_lo, f_hi, level)
+            yield lift, row, n, (x.item(j), x.item(j + 1), f_lo, f_hi)
 
 
-def _solve(phase, lo: float, hi: float, f_lo: float, f_hi: float, level: float) -> tuple:
+def _solve(phase, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple:
     """The point (beta, t) of the least |F| found in the bracket [lo, hi], with F = psi - level.
 
-    phase(x) gives (F, dF/dx, point); f_lo and f_hi, F at the ends, lie on
-    opposite sides of 0.  The first trial is the secant through the ends,
-    each later one a Newton step from the best point so far, or the
-    midpoint when that step leaves the bracket or the last trial did not
-    lower |F|.  The solve stops on a Newton step within the rounding of x,
-    when |F| stops falling at its rounding floor, about 8*eps*(1 + |level|),
-    or when the bracket cannot be split further.
+    phase(x) gives (F, dF/dx, point, F's rounding floor); f_lo and f_hi, F
+    at the ends, lie on opposite sides of 0.  The first trial is the secant
+    through the ends, each later one a Newton step from the best point so
+    far, or the midpoint when that step leaves the bracket or the last
+    trial did not lower |F|.  The solve stops on a Newton step within the
+    rounding of x, when |F| stops falling at its floor, or when the
+    bracket cannot be split further.
     """
-    floor = 8.0 * math.ulp(1.0) * (1.0 + abs(level))
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     f_best = math.inf
     for _ in range(_MAX_STEPS):
-        f, df, point = phase(x)
+        f, df, point, floor = phase(x)
         lo, hi = (x, hi) if (f > 0.0) == (f_lo > 0.0) else (lo, x)
         if abs(f) < f_best:
             f_best, best = abs(f), point
@@ -193,26 +179,20 @@ def _solve(phase, lo: float, hi: float, f_lo: float, f_hi: float, level: float) 
     return best
 
 
-def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
+def _shoot(lifts: list[SU2Element]) -> ShootResult:
     # An SO(3) target is reached through either of its two lifts.
     targets = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lifts]
-    if (1.0, 0.0, 0.0, 0.0) in targets:
-        raise ShootNoMatchError("the identity is reached at t = 0, which no root gives")
     a, b = math.hypot(*targets[0][:2]), math.hypot(*targets[0][2:])
     if b < sys.float_info.min:
         # b* = a/b would overflow: shoot on B = 0; the 4-D gate sees the target's B.
         b = 0.0
-    if a == 0.0:
-        # The loop shrinks to one point: beta = 0 at u = pi/2.
-        roots = [_hit(target, 0.0, math.pi) for target in targets]
-    else:
-        x, psi = _kernels.scan_su2(a, b, _betas(grid))
-        thetas = [math.atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
-        roots = []
-        for lift, row, n, bracket in _brackets(x, psi, thetas):
-            phase = (partial(_cut_phase, thetas[lift], n) if b == 0.0
-                     else partial(_loop_phase, a, b, row, thetas[lift], n))
-            roots.append(_hit(targets[lift], *_solve(phase, *bracket)))
+    x, psi = _kernels.scan_su2(a, b)
+    thetas = [math.atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
+    roots = []
+    for lift, row, n, bracket in _brackets(x, psi, thetas):
+        phase = (partial(_cut_phase, row, thetas[lift], n) if b == 0.0
+                 else partial(_loop_phase, a, b, row, thetas[lift], n))
+        roots.append(_hit(targets[lift], *_solve(phase, *bracket)))
 
     exact = sorted(
         ((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),
@@ -222,12 +202,16 @@ def _shoot(lifts: list[SU2Element], grid: GridSpec) -> ShootResult:
         best = f"best deviation {min(dev for _, dev in roots):.3e}" if roots else "no roots"
         raise ShootNoMatchError(f"no root within {REFINED_TOL} of the target ({best})")
     t_min = exact[0][2]
+    if t_min <= REFINED_TOL:
+        # The identity's own root lies at the end of the B = 0 row, t = 4e-16.
+        raise ShootNoMatchError(f"t_min = {t_min:.3e} is within {REFINED_TOL} of t = 0: the gate "
+                                "cannot tell the target from the identity")
     return ShootResult(t_min, [p for p in exact if p[2] <= t_min + REFINED_TOL])
 
 
 def shoot_min_time(target: SU2Element, grid: GridSpec = GridSpec()) -> ShootResult:
-    """Minimal geodesic arrival time at an SU(2) target, by a scan of its loop and 1-D solves."""
-    return _shoot([target], grid)
+    """Minimal arrival time at an SU(2) target, by a scan of its loop and 1-D solves; `grid` is unread."""
+    return _shoot([target])
 
 
 def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> ShootResult:
@@ -240,4 +224,4 @@ def shoot_min_time_so3(target: SO3Element, grid: GridSpec = GridSpec()) -> Shoot
     `lift_so3` returns exact unit pairs, so a target whose entries are off
     SO(3) by rounding is matched as its nearby exact rotation.
     """
-    return _shoot(list(lift_so3(target)), grid)
+    return _shoot(list(lift_so3(target)))

@@ -3,7 +3,7 @@
 Each check function takes its samples, or a `np.random.Generator` to draw
 them from, and returns `CheckResult` records.  The `verify` suites call
 them with `(np.random.default_rng(seed), n)`; `tests/test_acceptance.py`
-calls them with each criterion's own seed, count, grid and tolerance:
+calls them with each criterion's own seed, count and tolerance:
 
     suite               check function         acceptance criterion
     submetry            check_submetry         2
@@ -26,7 +26,8 @@ from .algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, 
 from .cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3, in_cut_locus_su2_l2
 from .geodesics import GeodesicParams, cut_time_bound, endpoint_coords, geodesic_point, geodesic_point_exp
 from .flawed_system import demonstrate_br_nonuniqueness
-from .oracle import REFINED_TOL, GridSpec, shoot_min_time, shoot_min_time_so3
+from . import _kernels
+from .oracle import REFINED_TOL, _brackets, shoot_min_time, shoot_min_time_so3
 from .so3_distance import distance_so3, distance_so3_via_lifts, lift_distance_results
 from .su2_distance import (
     DistanceResult, arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short,
@@ -67,12 +68,13 @@ def _near_boundary_rotations(rng: np.random.Generator, n: int) -> Iterator[SO3El
     for i in range(n):
         d = 10.0 ** -(7 + i % 4)
         theta = rng.choice([-1.0, 1.0]) * math.pi * d / 2.0 * rng.uniform(0.5, 2.0)
-        gamma = rng.uniform(0.0, TWO_PI)
-        abs_a, abs_b = 1.0 - d, math.sqrt(d * (2.0 - d))
-        yield klein_omega(SU2Element(
-            abs_a * math.cos(theta), abs_a * math.sin(theta),
-            abs_b * math.cos(gamma), abs_b * math.sin(gamma),
-        ))
+        yield klein_omega(_pair(1.0 - d, math.sqrt(d * (2.0 - d)), theta, rng.uniform(0.0, TWO_PI)))
+
+
+def _pair(abs_a: float, abs_b: float, alpha: float, gamma: float) -> SU2Element:
+    """The pair A = |A|*exp(i*alpha), B = |B|*exp(i*gamma)."""
+    return SU2Element(abs_a * math.cos(alpha), abs_a * math.sin(alpha),
+                      abs_b * math.cos(gamma), abs_b * math.sin(gamma))
 
 
 def check_submetry(rng: np.random.Generator, n: int) -> list[CheckResult]:
@@ -129,21 +131,36 @@ def check_lemmas(abs_as: Iterable[float], n_beta: int) -> list[CheckResult]:
     ]
 
 
-def check_oracle(
-    rng: np.random.Generator, n: int, grid: GridSpec = GridSpec()
-) -> list[CheckResult]:
-    """Shooting-oracle minimal times against the case-analysis distances.
+def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
+    """Shooting-oracle minimal times against the case-analysis distances, and SU(2) uniqueness.
 
-    n Haar SU(2) targets, then n Haar rotations from the same generator,
-    all shot on `grid`.
+    n Haar SU(2) targets, then n Haar rotations.  Then the level crossings
+    the oracle's scan brackets on both lifts g, -g of the Haar targets, n
+    steep and n near-identity (t = 10^U(-8, -2)) geodesic endpoints and
+    max(1, n // 10) pairs at each |A|, 1 - |A| = 1e-1 ... 1e-12: off B = 0,
+    the SU(2) cut locus, each lift crosses one level.
     """
     targets = [random_su2(rng) for _ in range(n)]
-    gaps = [shoot_min_time(g, grid).t_min - distance_su2(g).t for g in targets]
+    gaps = [shoot_min_time(g).t_min - distance_su2(g).t for g in targets]
     rotations = [random_so3(rng) for _ in range(n)]
-    gaps_so3 = [shoot_min_time_so3(c, grid).t_min - distance_so3(c).t for c in rotations]
+    gaps_so3 = [shoot_min_time_so3(c).t_min - distance_so3(c).t for c in rotations]
+    for _ in range(n):
+        beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.8, 3.5)
+        t = rng.uniform(0.05, 0.97) * cut_time_bound(beta)
+        targets.append(geodesic_point(GeodesicParams(rng.uniform(0.0, TWO_PI), beta), t))
+        p = GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-50.0, 50.0))
+        targets.append(geodesic_point(p, 10.0 ** rng.uniform(-8.0, -2.0)))
+    for d in [10.0**-k for k in range(1, 13)] * max(1, n // 10):
+        targets.append(_pair(d, math.sqrt((1.0 - d) * (1.0 + d)), *rng.uniform(-math.pi, math.pi, 2)))
+        targets.append(_pair(1.0 - d, math.sqrt(d * (2.0 - d)), *rng.uniform(-math.pi, math.pi, 2)))
+    lifts, miscounts = [h for g in targets for h in (g, g.negate())], 0
+    for h in lifts:
+        x, psi = _kernels.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
+        miscounts += sum(1 for _ in _brackets(x, psi, [math.atan2(h.a_im, h.a_re)])) != 1
     return [
         CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 1e-12),
         CheckResult(f"SO(3) oracle vs case analysis ({n} rotations)", _worst(gaps_so3), 1e-12),
+        CheckResult(f"lifts off B = 0 with a crossing count other than one ({len(lifts)} lifts)", miscounts, 0),
     ]
 
 
@@ -166,24 +183,17 @@ def _sym_band_pair(rng: np.random.Generator, re_a: float) -> SU2Element:
 def _loc_band_pair(rng: np.random.Generator, abs_b: float) -> SU2Element:
     """Unit pair with |B| = abs_b, random arg B, and arg A in +-[0.1, pi - 0.1]."""
     alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, math.pi - 0.1)
-    gamma = rng.uniform(-math.pi, math.pi)
-    abs_a = math.sqrt(1.0 - abs_b * abs_b)
-    return SU2Element(
-        abs_a * math.cos(alpha), abs_a * math.sin(alpha),
-        abs_b * math.cos(gamma), abs_b * math.sin(gamma),
-    )
+    return _pair(math.sqrt(1.0 - abs_b * abs_b), abs_b, alpha, rng.uniform(-math.pi, math.pi))
 
 
-def check_minimizers(
-    rng: np.random.Generator, n: int, grid: GridSpec = GridSpec()
-) -> list[CheckResult]:
+def check_minimizers(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """The oracle's minimizer sets against the lifts' case analysis on and next to Sym, and on Loc.
 
     n half turns, which two geodesics reach, then n rotations whose lift
-    has |Re A| cycling over 1e-4, 1e-3 and 5e-3, which one reaches, all shot
-    on `grid`.  The expected set is the (phi0, beta, t) of the two lifts'
-    distances (`lift_distance_results`) at the least t, ties within
-    REFINED_TOL; each is matched to the nearest oracle minimizer.
+    has |Re A| cycling over 1e-4, 1e-3 and 5e-3, which one reaches.  The
+    expected set is the (phi0, beta, t) of the two lifts' distances
+    (`lift_distance_results`) at the least t, ties within REFINED_TOL;
+    each is matched to the nearest oracle minimizer.
 
     Then n pairs with B = 0 (`_loc_band_pair`), shot on SU(2) and as their
     axis-1 rotations on SO(3).  On B = 0 every phi0 is minimizing and the
@@ -199,7 +209,7 @@ def check_minimizers(
     rotations += [klein_omega(_sym_band_pair(rng, (1e-4, 1e-3, 5e-3)[i % 3])) for i in range(n)]
     mismatches, gaps = 0, []
     for c in rotations:
-        found = shoot_min_time_so3(c, grid).minimizers
+        found = shoot_min_time_so3(c).minimizers
         lifts = lift_distance_results(c)
         t_min = min(r.t for r in lifts)
         expected = [r for r in lifts if r.t <= t_min + REFINED_TOL]
@@ -209,8 +219,8 @@ def check_minimizers(
     for _ in range(n):
         g = _loc_band_pair(rng, 0.0)
         c = klein_omega(g)
-        loc += _phi0_circle_gaps([g], shoot_min_time(g, grid).minimizers)
-        loc += _phi0_circle_gaps(lift_so3(c), shoot_min_time_so3(c, grid).minimizers)
+        loc += _phi0_circle_gaps([g], shoot_min_time(g).minimizers)
+        loc += _phi0_circle_gaps(lift_so3(c), shoot_min_time_so3(c).minimizers)
     return [
         CheckResult(f"minimizer-set size mismatches ({n} half turns, {n} near-Sym rotations)", mismatches, 0),
         CheckResult("minimizers vs the lifts' case analysis", _worst(gaps), 1e-12),

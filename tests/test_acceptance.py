@@ -13,7 +13,6 @@ import numpy as np
 
 from srdist.algebra import SO3Element, SU2Element, lift_so3, random_so3, random_su2, su2_inv
 from srdist.geodesics import cut_time_bound
-from srdist.oracle import GridSpec
 from srdist.so3_distance import distance_so3, distance_so3_pair, lift_distance_results
 from srdist.su2_distance import (
     DistanceCase,
@@ -76,8 +75,7 @@ def test_criterion_2_submetry_agreement():
 
 
 def test_criterion_3_oracle_equivalence():
-    grid = GridSpec(n_phi=256, n_beta=256, beta_max=8.0, n_t=512)
-    report("criterion 3 (oracle equivalence)", *check_oracle(np.random.default_rng(102), 50, grid))
+    report("criterion 3 (oracle equivalence)", *check_oracle(np.random.default_rng(102), 50))
 
 
 def test_criterion_4_geodesic_cross_route():
@@ -143,10 +141,9 @@ def test_criterion_7_flawed_system_counterexample():
 
 def test_criterion_8_cut_locus():
     rng = np.random.default_rng(104)
-    grid = GridSpec(n_phi=128, n_beta=128, beta_max=8.0, n_t=256)
     # The cover samples continue on the same generator, after the 20 half
     # turns, 20 near-Sym rotations and 20 B = 0 pairs.
-    report("criterion 8 (cut locus)", *check_minimizers(rng, 20, grid), *check_cover(rng, 1000))
+    report("criterion 8 (cut locus)", *check_minimizers(rng, 20), *check_cover(rng, 1000))
 
 
 def test_criterion_9_metric_axioms():

@@ -21,7 +21,9 @@ reading of the covering pair must not cancel there.
 
 On 30 steep geodesic endpoints the shooting oracle is held to 2e-15 of
 the reference, where its 1-D solve on the loop phase is written without
-cancellation, and the case analysis to TOL.
+cancellation, and the case analysis to TOL.  On endpoints near the
+identity, t from 1e-2 down to 1e-8, the oracle is held to relative TOL
+and must list one minimizer per target.
 
 Tolerance: 1e-13 on every band, for SU(2), for the SO(3) images
 through both routes and for the half turns.  At 1 - |A| = d this holds
@@ -156,6 +158,25 @@ def test_half_turns_against_reference():
         if res.beta is not None and res.phi0 is not None:
             miss = np.max(np.abs(geodesic_point_so3(GeodesicParams(res.phi0, res.beta), res.t).m - c.m))
             assert miss <= GEODESIC_TOL, (n, miss)
+
+
+@pytest.mark.parametrize("k", range(3, 9), ids=[f"t_1e-{k}" for k in range(3, 9)])
+def test_near_identity_oracle_against_reference(k):
+    # Endpoints near the identity, t = 10^U(-k, 1 - k), |beta| < 50: the
+    # loop phase is about beta*t^3/24, so the scan's psi must be written
+    # without cancellation, or spurious crossings list extra minimizers
+    # (up to 114 at t in [1e-8, 1e-7) with psi = tau' - (beta/s)*u).  The
+    # float endpoint pins beta only to about eps/t^2, so t_min is compared
+    # with the reference distance of the float target, not the generating t.
+    rng = np.random.default_rng(sum(map(ord, f"near_identity_{k}")))
+    for i in range(PER_BAND):
+        p = GeodesicParams(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-50.0, 50.0))
+        g = geodesic_point(p, 10.0 ** rng.uniform(-k, 1 - k))
+        res = shoot_min_time(g)
+        assert len(res.minimizers) == 1, (k, g, res.minimizers)
+        if i < 4:
+            ref = reference.su2_distance((g.a_re, g.a_im, g.b_re, g.b_im))
+            assert abs(res.t_min - ref) <= TOL * ref, (k, g, res.t_min - ref)
 
 
 def test_steep_oracle_against_reference():

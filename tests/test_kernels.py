@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from srdist import BACKEND, oracle
 from srdist._kernels import scan_su2
@@ -17,7 +16,6 @@ TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
 
 PHIS = np.linspace(0.0, TWO_PI, 48, endpoint=False)
-BETAS = np.linspace(-6.0, 6.0, 49)
 
 
 def _vec(g):
@@ -44,7 +42,7 @@ def _loop_point(target, branch, tau):
 
 
 def _ab(target):
-    """(|A|, |B|) of a target, the scan's only inputs besides the rows."""
+    """(|A|, |B|) of a target, the scan's only inputs."""
     return math.hypot(target[0], target[1]), math.hypot(target[2], target[3])
 
 
@@ -78,9 +76,9 @@ def test_python_scan_matches_direct_evaluation():
     for _ in range(4):
         target = _vec(random_su2(rng))
         a = _ab(target)[0]
-        tau, psi = scan_su2(*_ab(target), BETAS)
-        assert psi.shape == (2, len(tau))
-        assert np.all(np.diff(tau) >= 0.0)
+        tau, psi = scan_su2(*_ab(target))
+        assert psi.shape == (2, len(tau)) == (2, oracle._kernels.LOOP_FLOOR + 1)
+        assert np.all(np.diff(tau) > 0.0)
         assert tau[0] == -math.pi / 2 and tau[-1] == math.pi / 2
         for b in range(2):
             for j, x in enumerate(tau):
@@ -94,23 +92,6 @@ def test_python_scan_matches_direct_evaluation():
                 assert _phi_gap(math.atan2(end[1], end[0]), psi[b, j]) <= 1e-12
 
 
-def test_scan_finds_exact_grid_point():
-    # Put the target exactly on a row's geodesic; the scan must sample
-    # that row on the target's loop, with psi = arg(A_target) to the
-    # rounding floor, at the target's t and phi0.
-    phi0, beta = PHIS[5], BETAS[30]
-    t = 0.3 * cut_time_bound(beta)
-    target = _vec(geodesic_point(GeodesicParams(phi0, beta), t))
-    tau, psi = scan_su2(*_ab(target), BETAS)
-    gaps = [_phase_gap(p, target) for p in psi[0]]
-    j = int(np.argmin(gaps))
-    assert gaps[j] < 1e-15
-    phi_j, beta_j, t_j = _loop_point(target, 0, tau[j])
-    assert beta_j == pytest.approx(beta, abs=1e-14)
-    assert t_j == pytest.approx(t, abs=1e-15)
-    assert _phi_gap(phi_j, phi0) < 1e-15
-
-
 def test_scan_within_sqrt2_of_phi0_grid_scan():
     # At a loop point's (beta, t) the endpoint's A does not depend on
     # phi0, and phase alignment minimizes |B - B_target|; a max-norm
@@ -121,7 +102,7 @@ def test_scan_within_sqrt2_of_phi0_grid_scan():
     for _ in range(3):
         target = _vec(random_su2(rng))
         a = _ab(target)[0]
-        tau, psi = scan_su2(*_ab(target), BETAS)
+        tau, psi = scan_su2(*_ab(target))
         for (b, j), p in np.ndenumerate(psi):
             dev = max(abs(a * math.cos(p) - target[0]), abs(a * math.sin(p) - target[1]))
             _, beta, t = _loop_point(target, b, tau[j])
@@ -135,7 +116,6 @@ def test_scan_matches_b_target(monkeypatch):
     # each), and every bracket the oracle solves starts from two
     # neighbouring loop points of the scan.
     rng = np.random.default_rng(62)
-    betas = oracle._betas(oracle.GridSpec())
     brackets, solve = [], oracle._solve
 
     def spy(phase, lo, hi, *ends):
@@ -145,7 +125,7 @@ def test_scan_matches_b_target(monkeypatch):
     monkeypatch.setattr(oracle, "_solve", spy)
     for target in _targets(rng, 20):
         b_abs, theta = math.hypot(target[2], target[3]), math.atan2(target[3], target[2])
-        tau = scan_su2(*_ab(target), betas)[0]
+        tau = scan_su2(*_ab(target))[0]
         for b in range(2):
             for x in tau:
                 end = endpoint_coords(*_loop_point(target, b, x))
@@ -159,36 +139,43 @@ def test_scan_matches_b_target(monkeypatch):
             assert (tau[j], tau[j + 1]) == (lo, hi)
 
 
-def test_target_on_a_row_is_found_on_that_row():
-    # A target on a row's geodesic, at any t up to the cut time, has a
-    # loop point on that row whose psi matches arg(A_target) at the
-    # rounding floor, 2e-15: the loop takes cos(u) = a*cos(tau), so no
-    # asin amplifies the rounding near u = pi/2.  Branch 1 samples the
-    # rows mirrored to -beta, so the scan is given the row and its mirror.
+def test_every_sample_matches_its_endpoint():
+    # On loops through geodesics of momentum beta, at t up to the cut
+    # time, each sample's a*exp(i*psi) matches A of its own endpoint at
+    # the rounding floor, 2e-15: psi is written without cancellation, and
+    # the loop takes cos(u) = a*cos(tau), so no asin amplifies the
+    # rounding near u = pi/2.
     rng = np.random.default_rng(63)
-    betas = oracle._betas(oracle.GridSpec())
-    for j in range(0, len(betas), 5):
-        beta = betas[j]
+    for beta in (-300.0, -20.0, -2.0, -0.1, 0.0, 0.5, 6.0, 80.0):
         cut = cut_time_bound(beta)
-        for k in range(1, 65):
-            t = k / 64.0 * cut
-            target = np.array(endpoint_coords(rng.uniform(0.0, TWO_PI), beta, t))
-            _, psi = scan_su2(*_ab(target), np.sort([beta, -beta]))
-            mismatch = min(_phase_gap(p, target) for p in psi.ravel())
-            assert mismatch <= 2e-15, (j, k)
+        for k in range(1, 65, 3):
+            target = np.array(endpoint_coords(rng.uniform(0.0, TWO_PI), beta, k / 64.0 * cut))
+            a = _ab(target)[0]
+            tau, psi = scan_su2(*_ab(target))
+            for (b, j), p in np.ndenumerate(psi):
+                end = endpoint_coords(*_loop_point(target, b, tau[j]))
+                assert abs(a * np.exp(1j * p) - complex(end[0], end[1])) <= 2e-15, (beta, k, b, j)
 
 
 def test_special_targets():
-    # B = 0: the loop is the cut time u = pi of every row, on branch 1
-    # only, where A = -exp(-i*pi*beta/s) = exp(i*psi).  A = 0: the loop
-    # shrinks to one point, and every sample has A = 0.
-    x, psi = scan_su2(1.0, 0.0, BETAS)
-    assert x is BETAS and psi.shape == (1, len(BETAS))
-    s = np.sqrt(1.0 + BETAS**2)
-    assert np.allclose(np.exp(1j * psi[0]), -np.exp(-1j * math.pi * BETAS / s), rtol=0.0, atol=1e-15)
-    assert np.all(np.diff(psi[0]) < 0.0) and 0.0 < psi.min() and psi.max() < TWO_PI
+    # B = 0: the loop is the cut time u = pi of every beta, where
+    # A = -exp(-i*pi*beta/s) = exp(i*psi).  x is |beta|, evenly spaced in
+    # atan|beta| from 0 to a finite tan(pi/2); row 0 is beta = |beta| and
+    # row 1 beta = -|beta|, less 2*pi, so both rows end at psi = 0 to the
+    # bit.  A = 0: the loop shrinks to one point, and every sample has A = 0.
+    x, psi = scan_su2(1.0, 0.0)
+    assert psi.shape == (2, len(x)) == (2, oracle._kernels.LOOP_FLOOR + 1)
+    assert x[0] == 0.0 and x[-1] == np.tan(math.pi / 2) > 1e16
+    assert np.allclose(np.diff(np.arctan(x)), math.pi / 2 / (len(x) - 1), rtol=0.0, atol=1e-15)
+    assert not x.flags.writeable and not psi.flags.writeable
+    for sign, row in ((1.0, psi[0]), (-1.0, psi[1])):
+        beta = sign * x
+        s = np.sqrt(1.0 + beta**2)
+        assert np.allclose(np.exp(1j * row), -np.exp(-1j * math.pi * beta / s), rtol=0.0, atol=1e-15)
+        assert np.all(sign * np.diff(row) < 0.0) and row[-1] == 0.0
+    assert psi[0, 0] == math.pi and psi[1, 0] == -math.pi
     target = (0.0, 0.0, math.cos(1.0), math.sin(1.0))
-    tau, psi = scan_su2(0.0, 1.0, BETAS)
+    tau, psi = scan_su2(0.0, 1.0)
     assert len(tau) == oracle._kernels.LOOP_FLOOR + 1
     for b in range(2):
         for x in tau:

@@ -7,7 +7,7 @@ import pytest
 
 from srdist import _kernels, oracle
 from srdist.algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, random_su2
-from srdist.cutlocus import CutTag, classify_cut_locus_so3
+from srdist.cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3
 from srdist.flawed_system import br_system_residual, demonstrate_br_nonuniqueness
 from srdist.geodesics import (
     GeodesicParams,
@@ -25,8 +25,7 @@ from srdist.oracle import (
 from srdist.so3_distance import distance_so3
 from srdist.su2_distance import distance_su2
 
-# Coarse grid keeping the unit tests quick; the acceptance suite runs the
-# full 256 x 256 x 512 configuration.
+# A grid is accepted and unread: the scan samples fixed points of the loop.
 SMALL = GridSpec(n_phi=64, n_beta=64, beta_max=8.0, n_t=128)
 
 TWO_PI = 2.0 * math.pi
@@ -92,25 +91,31 @@ def test_oracle_imports_no_distance_code(name):
 def test_nothing_to_refine_is_typed(monkeypatch):
     monkeypatch.setattr(oracle, "_brackets", lambda x, psi, thetas: [])
     with pytest.raises(ShootNoMatchError):
-        shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0), SMALL)
+        shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0))
 
 
-def test_grid_rows_are_built_once_and_read_only(monkeypatch):
-    rows = []
+def test_fixed_samples_are_built_once_and_read_only(monkeypatch):
+    # The loop's tau' samples and the B = 0 row are built at import; every
+    # shot shares them, whatever grid it is passed.
+    samples = []
     scan = _kernels.scan_su2
 
-    def spy(a, b, betas):
-        rows.append(betas)
-        return scan(a, b, betas)
+    def spy(a, b):
+        x, psi = scan(a, b)
+        samples.append(x)
+        return x, psi
 
     monkeypatch.setattr(_kernels, "scan_su2", spy)
-    g = random_su2(np.random.default_rng(57))
-    shoot_min_time(g, SMALL)
-    shoot_min_time(g, GridSpec(n_phi=64, n_beta=64, beta_max=8.0, n_t=128))
-    assert rows[0] is rows[1]
-    assert not rows[0].flags.writeable
-    with pytest.raises(ValueError):
-        rows[0][0] = 0.0
+    rng = np.random.default_rng(57)
+    for g in (random_su2(rng), random_su2(rng), SU2Element(0.6, 0.8, 0.0, 0.0), SU2Element(0.8, -0.6, 0.0, 0.0)):
+        shoot_min_time(g, SMALL)
+        shoot_min_time(g)
+    assert samples[0] is samples[1] is samples[2] is samples[3]
+    assert samples[4] is samples[5] is samples[6] is samples[7]
+    for x in samples[::4]:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
 
 class TestShootSU2:
@@ -118,13 +123,13 @@ class TestShootSU2:
         rng = np.random.default_rng(51)
         for _ in range(10):
             g = random_su2(rng)
-            res = shoot_min_time(g, SMALL)
+            res = shoot_min_time(g)
             assert abs(res.t_min - distance_su2(g).t) <= 1e-12
 
     def test_minimizers_reproduce_target(self):
         rng = np.random.default_rng(52)
         g = random_su2(rng)
-        res = shoot_min_time(g, SMALL)
+        res = shoot_min_time(g)
         assert res.minimizers
         for phi0, beta, t in res.minimizers:
             end = geodesic_point(GeodesicParams(phi0 % TWO_PI, beta), t)
@@ -139,14 +144,14 @@ class TestShootSU2:
         assert res.t_min == res.minimizers[0][2]
 
     def test_a_zero_target(self):
-        res = shoot_min_time(SU2Element(0.0, 0.0, 1.0, 0.0), SMALL)
+        res = shoot_min_time(SU2Element(0.0, 0.0, 1.0, 0.0))
         assert abs(res.t_min - math.pi) <= 1e-12
         phi0, beta, t = res.minimizers[0]
         assert abs(beta) < 1e-3
         assert phi0 % TWO_PI == pytest.approx(0.0, abs=1e-3)
 
     def test_known_short_arc(self):
-        res = shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0), SMALL)
+        res = shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0))
         assert abs(res.t_min - 2 * math.asin(0.8)) <= 1e-12
 
 
@@ -206,7 +211,7 @@ class TestNearIdentity:
     def test_hit_or_typed_error(self, phi0, beta, d):
         g = geodesic_point(GeodesicParams(phi0, beta), d)
         try:
-            res = shoot_min_time(g, SMALL)
+            res = shoot_min_time(g)
         except ShootNoMatchError:
             return
         assert abs(res.t_min - distance_su2(g).t) <= 1e-12
@@ -218,7 +223,7 @@ class TestNearIdentity:
     )
     def test_no_early_stalled_candidate(self, phi0, beta, d):
         g = geodesic_point(GeodesicParams(phi0, beta), d)
-        assert abs(shoot_min_time(g, SMALL).t_min - distance_su2(g).t) <= 1e-12
+        assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
 
     # A solve cut off before convergence arrived 1.0e-11 to 1.5e-11 early
     # on these targets at the default grid.
@@ -265,9 +270,10 @@ def _work_targets():
     return {"haar": haar, "steep": steep, "near_identity": near}
 
 
-# (brackets solved, loop-phase evaluations) per set of ten shots at the
-# default grid: measured (10, 38), (10, 46) and (10, 36), bounded 25 %
-# above.  A phase evaluation is one `_loop_phase` call, F and its slope
+# (brackets solved, loop-phase evaluations) per set of ten shots: bounded
+# 25 % above (10, 38), (10, 46) and (10, 36), measured with grid rows; the
+# fixed samples' wider brackets measure (10, 44), (10, 50) and (10, 45).
+# A phase evaluation is one `_loop_phase` call, F and its slope
 # at one trial point; the endpoint is evaluated once per solved bracket,
 # for the root's gate and point.  Counts repeat exactly, unlike timings.
 WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45)}
@@ -305,7 +311,7 @@ def test_brackets_hold_python_numbers():
     for g in [random_su2(rng), *lift_so3(random_so3(rng))[:1], SU2Element(0.6, 0.8, 0.0, 0.0)]:
         lifts = [(g.a_re, g.a_im), (-g.a_re, -g.a_im)]
         a, b = math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im)
-        x, psi = _kernels.scan_su2(a, b, oracle._betas(GridSpec()))
+        x, psi = _kernels.scan_su2(a, b)
         brackets = list(oracle._brackets(x, psi, [math.atan2(im, re) for re, im in lifts]))
         assert {lift for lift, *_ in brackets} == {0, 1}
         for lift, row, n, bracket in brackets:
@@ -332,16 +338,42 @@ def _steep_endpoints(n):
     return out
 
 
-def test_t_min_does_not_depend_on_the_grid():
-    # The rows only place the brackets; each root is solved to its
-    # rounding floor on the same loop, so t_min agrees across grids.
-    # That needs an F whose small levels carry no 2*pi of branch 1, and a
-    # solve that bisects when |F| fails to fall above its rounding floor:
-    # on draw 3 (beta = -332.124..., t = 0.9654 of the cut time) at 64
-    # rows, stopping there misses the target.
-    for g in _steep_endpoints(60):
-        t = [shoot_min_time(g, GridSpec(n_beta=n)).t_min for n in (64, 128, 256, 512)]
-        assert max(t) - min(t) <= 2e-15
+def _unit_pair(rng, abs_a, abs_b):
+    alpha, gamma = rng.uniform(-math.pi, math.pi, 2)
+    return SU2Element(abs_a * math.cos(alpha), abs_a * math.sin(alpha), abs_b * math.cos(gamma), abs_b * math.sin(gamma))
+
+
+def _uniqueness_targets(kind):
+    """200 SU(2) targets off B = 0 of one kind, default_rng(98)."""
+    rng = np.random.default_rng(98)
+    if kind == "haar":
+        return [random_su2(rng) for _ in range(200)]
+    if kind == "steep":
+        return _steep_endpoints(200)
+    if kind == "near_identity":
+        # t = 10^U(-8, -2): psi is about beta*t^3/24 there, far below the
+        # rounding of the two terms of tau' - (beta/s)*u.
+        return [
+            geodesic_point(GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-50.0, 50.0)), 10.0 ** rng.uniform(-8.0, -2.0))
+            for _ in range(200)
+        ]
+    ds = [10.0**-k for k in range(1, 13) for _ in range(16)]
+    if kind == "abs_a":
+        return [_unit_pair(rng, d, math.sqrt((1.0 - d) * (1.0 + d))) for d in ds]
+    return [_unit_pair(rng, 1.0 - d, math.sqrt(d * (2.0 - d))) for d in ds]
+
+
+@pytest.mark.parametrize("kind", ["haar", "steep", "near_identity", "abs_a", "one_minus_abs_a"])
+def test_each_lift_off_b_zero_crosses_one_level(kind):
+    # The SU(2) cut locus is B = 0 (the paper's uniqueness theorem): psi
+    # rises strictly along the loop and gains 2*pi, so each lift g and -g
+    # crosses exactly one level arg(A) + 2*pi*n, and lists one minimizer.
+    # The oracle does not assume this; it solves every bracket it finds.
+    for g in _uniqueness_targets(kind):
+        for h in (g, g.negate()):
+            x, psi = _kernels.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
+            assert len(list(oracle._brackets(x, psi, [math.atan2(h.a_im, h.a_re)]))) == 1, h
+            assert len(shoot_min_time(h).minimizers) == 1, h
 
 
 class TestOneRootPerMinimizer:
@@ -381,7 +413,7 @@ class TestShootSO3:
     def test_random_rotation(self):
         rng = np.random.default_rng(53)
         c = klein_omega(random_su2(rng))
-        res = shoot_min_time_so3(c, SMALL)
+        res = shoot_min_time_so3(c)
         assert abs(res.t_min - distance_so3(c).t) <= 1e-12
 
     def test_haar_rotations_reach_nearer_lift(self):
@@ -390,7 +422,7 @@ class TestShootSO3:
         rng = np.random.default_rng(53)
         for _ in range(50):
             c = klein_omega(random_su2(rng))
-            res = shoot_min_time_so3(c, SMALL)
+            res = shoot_min_time_so3(c)
             assert abs(res.t_min - distance_so3(c).t) <= 1e-12
 
     def test_target_off_so3_by_rounding(self):
@@ -400,13 +432,13 @@ class TestShootSO3:
         rng = np.random.default_rng(56)
         for _ in range(5):
             c = SO3Element(klein_omega(random_su2(rng)).m + 1e-10 * rng.standard_normal((3, 3)))
-            assert abs(shoot_min_time_so3(c, SMALL).t_min - distance_so3(c).t) <= 1e-8
+            assert abs(shoot_min_time_so3(c).t_min - distance_so3(c).t) <= 1e-8
 
     def test_sym_target_has_two_minimizers(self):
         # a half turn about a generic axis is reached by two geodesics
         c = _half_turn(np.random.default_rng(54))
         assert classify_cut_locus_so3(c).tag is CutTag.SYM
-        res = shoot_min_time_so3(c, SMALL)
+        res = shoot_min_time_so3(c)
         assert abs(res.t_min - distance_so3(c).t) <= 1e-12
         assert len(res.minimizers) == 2
 
@@ -425,17 +457,17 @@ class TestSO3LiftsInOnePass:
         calls = []
         scan = _kernels.scan_su2
 
-        def spy(a, b, betas):
+        def spy(a, b):
             calls.append((a, b))
-            return scan(a, b, betas)
+            return scan(a, b)
 
         monkeypatch.setattr(_kernels, "scan_su2", spy)
         rng = np.random.default_rng(106)
         g = random_su2(rng)
-        shoot_min_time(g, SMALL)
+        shoot_min_time(g)
         assert calls == [(math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im))]
         c = klein_omega(random_su2(rng))
-        shoot_min_time_so3(c, SMALL)
+        shoot_min_time_so3(c)
         g = lift_so3(c)[0]
         assert calls[1:] == [(math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im))]
 
@@ -459,39 +491,38 @@ class TestSO3LiftsInOnePass:
     def test_shared_rows_are_the_standalone_rows(self):
         # The SO(3) shot reads -g's phases from g's scan: the scan depends
         # on |A| and |B| only, so it is a scan of -g alone, to the byte.
-        betas = oracle._betas(self.GRID)
         for c in self._targets():
-            scans = [_kernels.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im), betas)
+            scans = [_kernels.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
                      for h in lift_so3(c)]
             assert [x.tobytes() for x in scans[0]] == [x.tobytes() for x in scans[1]]
 
 
 class TestDegenerateLoops:
     # Loops that shrink to a point (A = 0), lie at the cut time (B = 0)
-    # or hold no grid row (b* below the row spacing).
+    # or are short (b* below 0.1).
     @pytest.mark.parametrize("phase", [0.0, 1.0, -2.5])
     def test_a_zero(self, phase):
         g = SU2Element(0.0, 0.0, math.cos(phase), math.sin(phase))
-        assert abs(shoot_min_time(g, SMALL).t_min - distance_su2(g).t) <= 1e-12
+        assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
         c = klein_omega(g)
-        res = shoot_min_time_so3(c, SMALL)
+        res = shoot_min_time_so3(c)
         assert abs(res.t_min - distance_so3(c).t) <= 1e-12
         assert len(res.minimizers) == 2
 
     def test_loc(self):
         for psi in np.linspace(-3.0, 3.0, 12):  # 0, the identity, left out
             g = SU2Element(math.cos(psi), math.sin(psi), 0.0, 0.0)
-            assert abs(shoot_min_time(g, SMALL).t_min - distance_su2(g).t) <= 1e-12
+            assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
             c = klein_omega(g)
-            assert abs(shoot_min_time_so3(c, SMALL).t_min - distance_so3(c).t) <= 1e-12
+            assert abs(shoot_min_time_so3(c).t_min - distance_so3(c).t) <= 1e-12
 
     def test_identity_has_no_root(self):
         # Only t = 0 reaches the identity; -1, the SO(3) identity's other
         # lift, is reached at the cut time 2*pi but is not the least time.
         with pytest.raises(ShootNoMatchError):
-            shoot_min_time(SU2Element(1.0, 0.0, 0.0, 0.0), SMALL)
+            shoot_min_time(SU2Element(1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ShootNoMatchError):
-            shoot_min_time_so3(SO3Element(np.eye(3)), SMALL)
+            shoot_min_time_so3(SO3Element(np.eye(3)))
 
     def test_near_sym(self):
         # Rotations whose lift has Re A = 1e-3, next to the half turns.
@@ -500,36 +531,39 @@ class TestDegenerateLoops:
             v = rng.standard_normal(3)
             v *= math.sqrt(1.0 - 1e-6) / np.linalg.norm(v)
             c = klein_omega(SU2Element(1e-3, *v))
-            assert abs(shoot_min_time_so3(c, SMALL).t_min - distance_so3(c).t) <= 1e-12
+            assert abs(shoot_min_time_so3(c).t_min - distance_so3(c).t) <= 1e-12
 
     PROBE = GridSpec(64, 64, 8.0, 64, refine_steps=1)  # perfbench's probe grid
 
     @pytest.mark.parametrize("grid", [SMALL, PROBE], ids=["small", "probe"])
     def test_short_loop_half_turn(self, grid):
         # Half turn #4 of default_rng(104): a = 0.0756 and b* = 0.0758,
-        # below the 64-row grids' spacing of 0.25 near beta = 0, so only
-        # the loop's sample floor brackets its roots.
+        # once below the spacing of every grid's rows near beta = 0; the
+        # loop's fixed samples bracket its roots at any b*.
         rng = np.random.default_rng(104)
         for _ in range(5):
             c = _half_turn(rng)
-        g = lift_so3(c)[0]
-        b_star = math.hypot(g.a_re, g.a_im) / math.hypot(g.b_re, g.b_im)
-        assert not np.any(np.abs(oracle._betas(grid)) < b_star)
         res = shoot_min_time_so3(c, grid)
         assert abs(res.t_min - distance_so3(c).t) <= 1e-12
         assert len(res.minimizers) == 2
 
 
+# theta = arg(A) of B = 0 targets, down to where the least time is 1.6e-8.
+AXIS1_THETAS = [sign * 10.0**-k for k in range(17) for sign in (1.0, -1.0)]
+
+
 class TestAxis1Targets:
     # B = 0: the endpoint does not depend on phi0, so every phi0 is
-    # minimizing and the oracle lists representatives only.
-    PSI = 2.0
-
-    def test_su2(self):
-        g = SU2Element(math.cos(self.PSI), math.sin(self.PSI), 0.0, 0.0)
-        res = shoot_min_time(g, SMALL)
-        assert abs(res.t_min - distance_su2(g).t) <= 1e-12
-        assert res.minimizers
+    # minimizing and the oracle lists one representative.  Small |theta|
+    # puts the root at |beta| of about sqrt(pi/(2|theta|)), far beyond any
+    # row of a finite grid: an axis-1 rotation by 2e-6 once came out 2*pi.
+    @pytest.mark.parametrize("theta", AXIS1_THETAS, ids=[f"{t:g}" for t in AXIS1_THETAS])
+    def test_su2(self, theta):
+        g = SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0)
+        res = shoot_min_time(g)
+        d = distance_su2(g).t
+        assert abs(res.t_min - d) <= 1e-13 * d
+        assert len(res.minimizers) == 1
         for phi0, beta, t in res.minimizers:
             end = geodesic_point(GeodesicParams(phi0, beta), t)
             assert max(
@@ -539,15 +573,30 @@ class TestAxis1Targets:
                 abs(end.b_im - g.b_im),
             ) <= REFINED_TOL
 
-    def test_so3(self):
-        c = klein_omega(SU2Element(math.cos(self.PSI), math.sin(self.PSI), 0.0, 0.0))
-        assert classify_cut_locus_so3(c).tag is CutTag.LOC
-        res = shoot_min_time_so3(c, SMALL)
-        assert abs(res.t_min - distance_so3(c).t) <= 1e-12
-        assert res.minimizers
+    @pytest.mark.parametrize("theta", AXIS1_THETAS, ids=[f"{t:g}" for t in AXIS1_THETAS])
+    def test_so3(self, theta):
+        c = klein_omega(SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0))
+        # Within MEMBERSHIP_TOL of the identity the tag is NotCut.
+        assert classify_cut_locus_so3(c).tag is (CutTag.LOC if abs(theta) > MEMBERSHIP_TOL else CutTag.NOT_CUT)
+        res = shoot_min_time_so3(c)
+        d = distance_so3(c).t
+        assert abs(res.t_min - d) <= 1e-13 * d
+        assert len(res.minimizers) == 1
         for phi0, beta, t in res.minimizers:
             end = geodesic_point_so3(GeodesicParams(phi0, beta), t)
             assert np.max(np.abs(end.m - c.m)) <= REFINED_TOL
+
+    @pytest.mark.parametrize("theta", [1e-30, -1e-30, 1e-40])
+    def test_least_time_within_the_gate_of_zero_raises(self, theta):
+        # The least time, sqrt(8*pi*|theta|) = 5e-15 at 1e-30, is within
+        # REFINED_TOL of the identity's t = 0, which the 4-D gate cannot
+        # tell apart; the root past the row's last sample, 1.6e16, would
+        # come out at t = 4e-16.
+        g = SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0)
+        with pytest.raises(ShootNoMatchError):
+            shoot_min_time(g)
+        with pytest.raises(ShootNoMatchError):
+            shoot_min_time_so3(klein_omega(g))
 
 
 class TestFlawedSystem:
