@@ -1,4 +1,4 @@
-"""The shooting oracle's numpy scan of the phase along a target's fibre loop.
+"""The shooting oracle's scan of the phase along a target's fibre loop.
 
 On the geodesic of momentum beta, with s = sqrt(1 + beta^2), u = t*s/2
 and h = beta*t/2 = (beta/s)*u,
@@ -22,45 +22,56 @@ psi gains 2*pi around the loop and lies in (-pi, 5*pi/2).  psi rises
 strictly along the loop, since dpsi/dtau' = (sin u - u cos u)/(b s^3)
 on branch 0 (u -> pi - u on branch 1) is positive; `verify.check_oracle`
 counts one crossing per lift, and the oracle does not assume it.
+
+The scan is one plain-float loop over the 17 tau' samples, whose cos,
+|sin| and sign are tuples built at import: at this size each numpy call
+costs more than the arithmetic it would run.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from math import atan2, hypot, pi
 
 # Even steps per half loop, ends included: in tau', or in atan|beta| on B = 0.
 LOOP_FLOOR = 16
-_TAU = np.linspace(-0.5 * math.pi, 0.5 * math.pi, LOOP_FLOOR + 1)
-_SIN, _COS = np.sin(_TAU), np.cos(_TAU)
+_STEP = pi / LOOP_FLOOR
+_TAU = tuple(k * _STEP - 0.5 * pi for k in range(LOOP_FLOOR + 1))
+# (cos tau', |sin tau'|, sigma = sign of beta, pi*(1 + sigma)) per sample.
 # Both halves take the ends at cos(tau') = 0, so they agree there.
-_COS[0] = _COS[-1] = 0.0
+_TRIG = tuple((0.0 if abs(x) == 0.5 * pi else math.cos(x), abs(math.sin(x)), math.copysign(1.0, x),
+               2.0 * pi if x >= 0.0 else 0.0) for x in _TAU)
 # tan(pi/2) is a finite 1.6e16, where beta/s = 1 and psi is 0 to the bit.
-_LOC_X = np.tan(np.linspace(0.0, 0.5 * math.pi, LOOP_FLOOR + 1))
-_LOC_PSI = math.pi * (1.0 - _LOC_X / np.hypot(1.0, _LOC_X)) * np.array([[1.0], [-1.0]])
-_TAU.flags.writeable = _LOC_X.flags.writeable = _LOC_PSI.flags.writeable = False
+_LOC_X = tuple(math.tan(0.5 * k * _STEP) for k in range(LOOP_FLOOR + 1))
+_LOC_ROW = tuple(pi * (1.0 - x / hypot(1.0, x)) for x in _LOC_X)
+_LOC_PSI = (_LOC_ROW, tuple(-p for p in _LOC_ROW))
 
 
-def scan_su2(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def scan_su2(a: float, b: float) -> tuple[tuple, tuple]:
     """Samples x and the loop phase psi, one row per branch, on the loop of |A| = a, |B| = b.
 
     x is tau' at LOOP_FLOOR + 1 fixed points; psi is written as the
     oracle's 1-D solve writes it (`oracle._loop_phase`), without
-    cancellation.  At A = 0 the loop is the one point beta = 0, t = pi,
-    and psi = tau' (+ pi on branch 1) is the arbitrary phase of A = 0.
-    With B = 0 (the Loc stratum) the loop is the cut time u = pi of every
-    beta, where A = -exp(-i*pi*beta/s) = exp(i*psi) for any phi0: x is
-    |beta|, row 0 is beta = x and row 1 beta = -x, written as psi - 2*pi,
-    so both rows end at psi = 0 and a level near 0 is not rounded at
-    ulp(2*pi).
+    cancellation, as two lists of Python floats.  At A = 0 the loop is
+    the one point beta = 0, t = pi, and psi = tau' (+ pi on branch 1) is
+    the arbitrary phase of A = 0.  With B = 0 (the Loc stratum) the loop
+    is the cut time u = pi of every beta, where A = -exp(-i*pi*beta/s) =
+    exp(i*psi) for any phi0: x is |beta|, row 0 is beta = x and row 1
+    beta = -x, written as psi - 2*pi, so both rows end at psi = 0 and a
+    level near 0 is not rounded at ulp(2*pi).  x and the B = 0 rows are
+    tuples built at import and shared by every call.
     """
     if b == 0.0:
         return _LOC_X, _LOC_PSI
-    beta = (a / b) * _SIN
-    s = np.hypot(1.0, beta)
-    s_plus = s + np.abs(beta)
-    w, sigma = s * s_plus, np.copysign(1.0, beta)
-    u = np.arctan2(b * s, a * _COS)
-    d = np.arctan2(b * _COS / s_plus, a * _COS * _COS + b * s * np.abs(_SIN))
-    psi = sigma * (u / w - d)
-    return _TAU, np.array((psi, sigma * ((u - math.pi) / w - d) + math.pi * (1.0 + sigma)))
+    ratio = a / b
+    row0, row1 = [], []
+    for c, abs_sin, sigma, shift in _TRIG:
+        abs_beta = ratio * abs_sin
+        s = hypot(1.0, abs_beta)
+        s_plus = s + abs_beta
+        w = s * s_plus
+        ac, bs = a * c, b * s
+        u = atan2(bs, ac)
+        d = atan2(b * c / s_plus, ac * c + bs * abs_sin)
+        row0.append(sigma * (u / w - d))
+        row1.append(sigma * ((u - pi) / w - d) + shift)
+    return _TAU, (row0, row1)

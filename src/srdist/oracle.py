@@ -2,27 +2,30 @@
 
 The geodesics from the identity that match the target's B before the
 cut time u = pi form one closed loop, on which A_end = |A|*exp(i*psi):
-only the loop phase psi is left to match (see `_kernels`).  One numpy
-scan of psi at fixed points of the loop, which reads |A| and |B| only,
-serves both lifts g and -g of an SO(3) target (`algebra.lift_so3`).
-Each crossing of a lift's level arg(A) + 2*pi*n between neighbouring
-samples brackets a root, solved in one dimension on F = psi - level,
-written without cancellation, by Newton steps kept inside the bracket,
-else bisection.  The endpoint (`geodesics.endpoint_coords`) is evaluated
-once per root: the root counts only if it is within REFINED_TOL of the
-target in all four coordinates.  The oracle shares only the geodesic
-formulas with the case analysis, and assumes no monotonicity of psi: it
-solves every bracket.
+only the loop phase psi is left to match (see `_kernels`).  One scan
+of psi at 2 x 17 fixed points of the loop, which reads |A| and |B|
+only, serves both lifts g and -g of an SO(3) target
+(`algebra.lift_so3`).  Each crossing of a lift's level arg(A) + 2*pi*n
+between neighbouring samples brackets a root, solved in one dimension
+on F = psi - level, written without cancellation, from a secant start
+by Newton steps kept inside the bracket, else bisection.  The scan, the
+bracket pass and the solves run in plain Python floats, which at this
+size cost less than numpy calls.  The endpoint
+(`geodesics.endpoint_coords`) is evaluated once per root: the root
+counts only if it is within REFINED_TOL of the target in all four
+coordinates.  The oracle shares only the geodesic formulas with the
+case analysis, and assumes no monotonicity of psi: it solves every
+bracket.
 """
 from __future__ import annotations
 
 import math
 import operator
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
+from itertools import repeat
 
 from . import _kernels
 from .algebra import SO3Element, SU2Element, lift_so3
@@ -129,37 +132,43 @@ def _cut_phase(row: int, theta: float, n: int, x: float) -> tuple:
     return psi - level, -sigma * math.pi / (s * s * s), (sigma * x, TWO_PI / s), floor
 
 
-def _brackets(x: np.ndarray, psi: np.ndarray, thetas: list[float]):
+def _brackets(x: tuple, psi: tuple, thetas: list[float]):
     """(lift, row, n, bracket) for each crossing of a level between samples j and j + 1 of a row.
 
-    bracket is (x_j, x_j+1, F_j, F_j+1), the arguments of `_solve`.  A
+    bracket is (x_j, x_j+1, F_j, F_j+1), the bracket of a `_solve`.  A
     lift's levels are theta + 2*pi*n, theta = arg(A) of the lift, and
     F = psi - level.  psi lies in (-pi, 5*pi/2), so n = -1, 0, 1 hold
-    every crossing.  One numpy pass counts the levels of both lifts below
-    each sample, and a crossing is a change of that count.  The items hold
-    Python ints and floats, so the solves run in plain float arithmetic.
+    every crossing.  The levels of both lifts below each sample are
+    counted by bisection, and a crossing is a change of that count.  The
+    items hold Python ints and floats, so the solves run in plain float
+    arithmetic.
     """
     levels = sorted((theta + TWO_PI * n, lift, n) for lift, theta in enumerate(thetas) for n in (-1, 0, 1))
-    below = np.array([level for level, _, _ in levels]).searchsorted(psi)
-    for row, j in zip(*(i.tolist() for i in np.nonzero(below[:, 1:] != below[:, :-1]))):
-        k = sorted((below.item(row, j), below.item(row, j + 1)))
-        for level, lift, n in levels[k[0] : k[1]]:
-            f_lo, f_hi = psi.item(row, j) - level, psi.item(row, j + 1) - level
-            yield lift, row, n, (x.item(j), x.item(j + 1), f_lo, f_hi)
+    values = [level for level, _, _ in levels]
+    for row, phases in enumerate(psi):
+        below = list(map(bisect_left, repeat(values), phases))
+        for j, (k_lo, k_hi) in enumerate(zip(below, below[1:])):
+            if k_lo != k_hi:
+                for level, lift, n in levels[min(k_lo, k_hi) : max(k_lo, k_hi)]:
+                    yield lift, row, n, (x[j], x[j + 1], phases[j] - level, phases[j + 1] - level)
 
 
-def _solve(phase, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple:
+def _secant(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Where the chord through (lo, f_lo) and (hi, f_hi) meets 0."""
+    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+
+
+def _solve(phase, lo: float, hi: float, f_lo: float, f_hi: float, x: float) -> tuple:
     """The point (beta, t) of the least |F| found in the bracket [lo, hi], with F = psi - level.
 
     phase(x) gives (F, dF/dx, point, F's rounding floor); f_lo and f_hi, F
-    at the ends, lie on opposite sides of 0.  The first trial is the secant
-    through the ends, each later one a Newton step from the best point so
+    at the ends, lie on opposite sides of 0.  The first trial is x, a
+    secant start, each later one a Newton step from the best point so
     far, or the midpoint when that step leaves the bracket or the last
     trial did not lower |F|.  The solve stops on a Newton step within the
     rounding of x, when |F| stops falling at its floor, or when the
     bracket cannot be split further.
     """
-    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     f_best = math.inf
     for _ in range(_MAX_STEPS):
         f, df, point, floor = phase(x)
@@ -189,10 +198,18 @@ def _shoot(lifts: list[SU2Element]) -> ShootResult:
     x, psi = _kernels.scan_su2(a, b)
     thetas = [math.atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
     roots = []
-    for lift, row, n, bracket in _brackets(x, psi, thetas):
-        phase = (partial(_cut_phase, row, thetas[lift], n) if b == 0.0
-                 else partial(_loop_phase, a, b, row, thetas[lift], n))
-        roots.append(_hit(targets[lift], *_solve(phase, *bracket)))
+    for lift, row, n, (lo, hi, f_lo, f_hi) in _brackets(x, psi, thetas):
+        if b == 0.0:
+            # The row is sampled evenly in atan|beta|, in which psi is far
+            # nearer a chord than in |beta| up to 1.6e16: start from the
+            # secant there, and solve in |beta|, which holds tiny levels'
+            # roots near 1e8 to full relative precision.
+            phase = partial(_cut_phase, row, thetas[lift], n)
+            start = math.tan(_secant(math.atan(lo), math.atan(hi), f_lo, f_hi))
+        else:
+            phase = partial(_loop_phase, a, b, row, thetas[lift], n)
+            start = _secant(lo, hi, f_lo, f_hi)
+        roots.append(_hit(targets[lift], *_solve(phase, lo, hi, f_lo, f_hi, start)))
 
     exact = sorted(
         ((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),

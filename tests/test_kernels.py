@@ -77,7 +77,8 @@ def test_python_scan_matches_direct_evaluation():
         target = _vec(random_su2(rng))
         a = _ab(target)[0]
         tau, psi = scan_su2(*_ab(target))
-        assert psi.shape == (2, len(tau)) == (2, oracle._kernels.LOOP_FLOOR + 1)
+        assert len(psi) == 2 and len(tau) == oracle._kernels.LOOP_FLOOR + 1
+        assert all(len(row) == len(tau) for row in psi)
         assert np.all(np.diff(tau) > 0.0)
         assert tau[0] == -math.pi / 2 and tau[-1] == math.pi / 2
         for b in range(2):
@@ -89,7 +90,7 @@ def test_python_scan_matches_direct_evaluation():
                 end = endpoint_coords(phi0, beta, t)
                 assert _max_dev(end[2:], target[2:]) <= 1e-15
                 assert abs(math.hypot(end[0], end[1]) - a) <= 1e-15
-                assert _phi_gap(math.atan2(end[1], end[0]), psi[b, j]) <= 1e-12
+                assert _phi_gap(math.atan2(end[1], end[0]), psi[b][j]) <= 1e-12
 
 
 def test_scan_within_sqrt2_of_phi0_grid_scan():
@@ -164,16 +165,19 @@ def test_special_targets():
     # row 1 beta = -|beta|, less 2*pi, so both rows end at psi = 0 to the
     # bit.  A = 0: the loop shrinks to one point, and every sample has A = 0.
     x, psi = scan_su2(1.0, 0.0)
-    assert psi.shape == (2, len(x)) == (2, oracle._kernels.LOOP_FLOOR + 1)
+    assert len(psi) == 2 and len(x) == oracle._kernels.LOOP_FLOOR + 1
+    assert all(len(row) == len(x) for row in psi)
     assert x[0] == 0.0 and x[-1] == np.tan(math.pi / 2) > 1e16
     assert np.allclose(np.diff(np.arctan(x)), math.pi / 2 / (len(x) - 1), rtol=0.0, atol=1e-15)
-    assert not x.flags.writeable and not psi.flags.writeable
+    # Built once at import, immutable, and shared by every B = 0 scan.
+    assert type(x) is tuple and type(psi) is tuple and all(type(row) is tuple for row in psi)
+    assert scan_su2(0.3, 0.0) == (x, psi) and scan_su2(0.3, 0.0)[1] is psi
     for sign, row in ((1.0, psi[0]), (-1.0, psi[1])):
-        beta = sign * x
+        beta = sign * np.array(x)
         s = np.sqrt(1.0 + beta**2)
-        assert np.allclose(np.exp(1j * row), -np.exp(-1j * math.pi * beta / s), rtol=0.0, atol=1e-15)
+        assert np.allclose(np.exp(1j * np.array(row)), -np.exp(-1j * math.pi * beta / s), rtol=0.0, atol=1e-15)
         assert np.all(sign * np.diff(row) < 0.0) and row[-1] == 0.0
-    assert psi[0, 0] == math.pi and psi[1, 0] == -math.pi
+    assert psi[0][0] == math.pi and psi[1][0] == -math.pi
     target = (0.0, 0.0, math.cos(1.0), math.sin(1.0))
     tau, psi = scan_su2(0.0, 1.0)
     assert len(tau) == oracle._kernels.LOOP_FLOOR + 1
@@ -181,3 +185,22 @@ def test_special_targets():
         for x in tau:
             end = endpoint_coords(*_loop_point(target, b, x))
             assert math.hypot(end[0], end[1]) <= 1e-16
+
+
+def test_scan_phase_is_the_solve_phase():
+    # The scan and the 1-D solve (`oracle._loop_phase`) write psi in the
+    # same cancellation-free form, once each: at every sample they agree
+    # within the solve's own rounding floor (level 0, n = 0), so the two
+    # copies cannot drift apart.
+    rng = np.random.default_rng(65)
+    targets = _targets(rng, 20)
+    for d in (1e-1, 1e-6, 1e-12):
+        targets += [(d, 0.0, math.sqrt((1.0 - d) * (1.0 + d)), 0.0), (1.0 - d, 0.0, math.sqrt(d * (2.0 - d)), 0.0)]
+    targets.append((0.0, 0.0, 1.0, 0.0))
+    for target in targets:
+        a, b = _ab(target)
+        tau, psi = scan_su2(a, b)
+        for branch, row in enumerate(psi):
+            for x, p in zip(tau, row):
+                f, _, _, floor = oracle._loop_phase(a, b, branch, 0.0, 0, x)
+                assert abs(p - f) <= floor, (target, branch, x)

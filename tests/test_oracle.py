@@ -83,8 +83,9 @@ def _imported_modules(path):
 def test_oracle_imports_no_distance_code(name):
     # The oracle checks the case analysis, so it must not run any of it:
     # not the distance modules, and not the package root, which imports them.
+    # Nor numpy: on 17 samples a numpy call costs more than its arithmetic.
     path = Path(oracle.__file__).parent / name
-    fenced = {"srdist", "srdist.su2_distance", "srdist.so3_distance"}
+    fenced = {"srdist", "srdist.su2_distance", "srdist.so3_distance", "numpy"}
     assert not fenced & set(_imported_modules(path))
 
 
@@ -95,14 +96,14 @@ def test_nothing_to_refine_is_typed(monkeypatch):
 
 
 def test_fixed_samples_are_built_once_and_read_only(monkeypatch):
-    # The loop's tau' samples and the B = 0 row are built at import; every
-    # shot shares them, whatever grid it is passed.
+    # The loop's tau' samples and the B = 0 rows are tuples built at
+    # import; every shot shares them, whatever grid it is passed.
     samples = []
     scan = _kernels.scan_su2
 
     def spy(a, b):
         x, psi = scan(a, b)
-        samples.append(x)
+        samples.append((x, psi))
         return x, psi
 
     monkeypatch.setattr(_kernels, "scan_su2", spy)
@@ -110,12 +111,15 @@ def test_fixed_samples_are_built_once_and_read_only(monkeypatch):
     for g in (random_su2(rng), random_su2(rng), SU2Element(0.6, 0.8, 0.0, 0.0), SU2Element(0.8, -0.6, 0.0, 0.0)):
         shoot_min_time(g, SMALL)
         shoot_min_time(g)
-    assert samples[0] is samples[1] is samples[2] is samples[3]
-    assert samples[4] is samples[5] is samples[6] is samples[7]
-    for x in samples[::4]:
-        assert not x.flags.writeable
-        with pytest.raises(ValueError):
-            x[0] = 0.0
+    xs = [x for x, _ in samples]
+    assert xs[0] is xs[1] is xs[2] is xs[3]
+    assert xs[4] is xs[5] is xs[6] is xs[7]
+    loc_rows = [psi for _, psi in samples[4:]]
+    assert loc_rows[0] is loc_rows[1] is loc_rows[2] is loc_rows[3]
+    for seq in [*xs[::4], loc_rows[0], *loc_rows[0]]:
+        assert type(seq) is tuple
+        with pytest.raises(TypeError):
+            seq[0] = 0.0
 
 
 class TestShootSU2:
@@ -250,8 +254,9 @@ class TestNearIdentity:
 
 
 # Fixed targets for the work guard, default_rng(81): 10 Haar, 10 steep
-# (|beta| in 6..316, t up to 0.95 of the cut time) and 10 near the
-# identity (|beta| < 30, t in 1e-3..1e-2).
+# (|beta| in 6..316, t up to 0.95 of the cut time), 10 near the identity
+# (|beta| < 30, t in 1e-3..1e-2) and 10 rotations about axis 1 (B = 0,
+# |arg A| = 10^U(-5, 0.49)).
 def _work_targets():
     rng = np.random.default_rng(81)
     haar = [random_su2(rng) for _ in range(10)]
@@ -267,16 +272,23 @@ def _work_targets():
         )
         for _ in range(10)
     ]
-    return {"haar": haar, "steep": steep, "near_identity": near}
+    axis1 = []
+    for _ in range(10):
+        theta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 0.49)
+        axis1.append(SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0))
+    return {"haar": haar, "steep": steep, "near_identity": near, "axis1": axis1}
 
 
-# (brackets solved, loop-phase evaluations) per set of ten shots: bounded
+# (brackets solved, phase evaluations) per set of ten shots: bounded
 # 25 % above (10, 38), (10, 46) and (10, 36), measured with grid rows; the
 # fixed samples' wider brackets measure (10, 44), (10, 50) and (10, 45).
-# A phase evaluation is one `_loop_phase` call, F and its slope
-# at one trial point; the endpoint is evaluated once per solved bracket,
-# for the root's gate and point.  Counts repeat exactly, unlike timings.
-WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45)}
+# Axis-1 shots solve on the B = 0 row: 8 evaluations per shot, (12, 80),
+# against a measured (10, 72) with the secant start in atan|beta| and
+# (10, 393) with the start in |beta|.  A phase evaluation is one
+# `_loop_phase` or `_cut_phase` call, F and its slope at one trial point;
+# the endpoint is evaluated once per solved bracket, for the root's gate
+# and point.  Counts repeat exactly, unlike timings.
+WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45), "axis1": (12, 80)}
 
 
 def test_work_per_shot_is_bounded(monkeypatch):
@@ -293,6 +305,7 @@ def test_work_per_shot_is_bounded(monkeypatch):
 
     counted("_solve", "brackets")
     counted("_loop_phase", "phases")
+    counted("_cut_phase", "phases")
     counted("endpoint_coords", "endpoints")
     for name, targets in _work_targets().items():
         counts.update(brackets=0, phases=0, endpoints=0)
@@ -305,13 +318,14 @@ def test_work_per_shot_is_bounded(monkeypatch):
 
 
 def test_brackets_hold_python_numbers():
-    # A numpy integer or float in a bracket would turn every phase of its
-    # solve into numpy-scalar arithmetic, several times slower.
+    # A numpy integer or float in the scan or a bracket would turn every
+    # phase of its solve into numpy-scalar arithmetic, several times slower.
     rng = np.random.default_rng(82)
     for g in [random_su2(rng), *lift_so3(random_so3(rng))[:1], SU2Element(0.6, 0.8, 0.0, 0.0)]:
         lifts = [(g.a_re, g.a_im), (-g.a_re, -g.a_im)]
         a, b = math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im)
         x, psi = _kernels.scan_su2(a, b)
+        assert all(type(v) is float for v in (*x, *psi[0], *psi[1]))
         brackets = list(oracle._brackets(x, psi, [math.atan2(im, re) for re, im in lifts]))
         assert {lift for lift, *_ in brackets} == {0, 1}
         for lift, row, n, bracket in brackets:
@@ -490,11 +504,14 @@ class TestSO3LiftsInOnePass:
 
     def test_shared_rows_are_the_standalone_rows(self):
         # The SO(3) shot reads -g's phases from g's scan: the scan depends
-        # on |A| and |B| only, so it is a scan of -g alone, to the byte.
+        # on |A| and |B| only, so it is a scan of -g alone, to the bit
+        # (float.hex tells signed zeros apart).
         for c in self._targets():
             scans = [_kernels.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
                      for h in lift_so3(c)]
-            assert [x.tobytes() for x in scans[0]] == [x.tobytes() for x in scans[1]]
+            bits = [[x.hex() for x in scan[0]] + [p.hex() for row in scan[1] for p in row] for scan in scans]
+            assert len(bits[0]) == 3 * (_kernels.LOOP_FLOOR + 1)
+            assert bits[0] == bits[1]
 
 
 class TestDegenerateLoops:
