@@ -2,9 +2,9 @@
 
 Usage (from the repository root):
 
-    python3 benchmarks/oracle_layers.py [--n 200] [--seed 0]
+    python3 benchmarks/oracle_layers.py
 
-Draws n Haar SU(2) targets and n Haar rotations from default_rng(seed),
+Draws N Haar SU(2) targets and N Haar rotations from default_rng(SEED),
 shoots each once while recording the arguments of every `scan_su2`,
 `_brackets` and `_solve` call, then times each layer by replaying those
 calls and each shot by repeating it: `timeit`, best of 5, divided by the
@@ -14,7 +14,6 @@ calls.  It imports srdist from `src/` next to this directory.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import sys
@@ -27,6 +26,9 @@ import numpy as np  # noqa: E402
 
 from srdist import _kernels, oracle  # noqa: E402
 from srdist.algebra import random_so3, random_su2  # noqa: E402
+
+N = 200
+SEED = 0
 
 
 def _record(owner, name: str, calls: list):
@@ -45,14 +47,10 @@ def _best_us(run, calls: int) -> float:
     return min(timeit.repeat(run, number=1, repeat=5)) / calls * 1e6
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
-    su2 = [random_su2(rng) for _ in range(args.n)]
-    so3 = [random_so3(rng) for _ in range(args.n)]
+def main() -> None:
+    rng = np.random.default_rng(SEED)
+    su2 = [random_su2(rng) for _ in range(N)]
+    so3 = [random_so3(rng) for _ in range(N)]
 
     recorded = {"scan_su2": [], "_brackets": [], "_solve": []}
     originals = {
@@ -81,7 +79,7 @@ def main(argv=None) -> None:
     print(json.dumps({
         "us_per_call": {k: round(v, 2) for k, v in us.items()},
         "calls": {k: len(v) for k, v in recorded.items()},
-        "targets": {"su2": len(su2), "so3": len(so3), "seed": args.seed},
+        "targets": {"su2": len(su2), "so3": len(so3), "seed": SEED},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
