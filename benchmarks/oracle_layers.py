@@ -10,11 +10,16 @@ shoots each once while recording the arguments of every `scan_su2`,
 calls and each shot by repeating it: `timeit`, best of 5, divided by the
 number of calls.  The layers are timed on the arguments the shots gave
 them, so the script runs unchanged on any version whose shots make those
-calls.  It imports srdist from `src/` next to this directory.
+calls.  It also times `shoot_min_time` on N rotations about axis 1
+(B = 0, the Loc stratum, |arg A| = 10^U(-5, 0.49)), drawn after the Haar
+draws from the same generator, as `shoot_min_time_axis1`: no Haar draw
+has B = 0, so that key alone times the oracle's cut-locus path.  It
+imports srdist from `src/` next to this directory.
 """
 from __future__ import annotations
 
 import json
+import math
 import platform
 import sys
 import timeit
@@ -25,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from srdist import _kernels, oracle  # noqa: E402
-from srdist.algebra import random_so3, random_su2  # noqa: E402
+from srdist.algebra import SU2Element, random_so3, random_su2  # noqa: E402
 
 N = 200
 SEED = 0
@@ -51,6 +56,8 @@ def main() -> None:
     rng = np.random.default_rng(SEED)
     su2 = [random_su2(rng) for _ in range(N)]
     so3 = [random_so3(rng) for _ in range(N)]
+    thetas = [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 0.49) for _ in range(N)]
+    axis1 = [SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0) for theta in thetas]
 
     recorded = {"scan_su2": [], "_brackets": [], "_solve": []}
     originals = {
@@ -75,11 +82,12 @@ def main() -> None:
         "_solve": replay("_solve"),
         "shoot_min_time": _best_us(lambda: [oracle.shoot_min_time(g) for g in su2], len(su2)),
         "shoot_min_time_so3": _best_us(lambda: [oracle.shoot_min_time_so3(c) for c in so3], len(so3)),
+        "shoot_min_time_axis1": _best_us(lambda: [oracle.shoot_min_time(g) for g in axis1], len(axis1)),
     }
     print(json.dumps({
         "us_per_call": {k: round(v, 2) for k, v in us.items()},
         "calls": {k: len(v) for k, v in recorded.items()},
-        "targets": {"su2": len(su2), "so3": len(so3), "seed": SEED},
+        "targets": {"su2": len(su2), "so3": len(so3), "axis1": len(axis1), "seed": SEED},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

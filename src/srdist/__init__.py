@@ -52,7 +52,7 @@ from .su2_distance import (
 
 __version__ = "0.1.0"
 
-# The oracle's scan has one implementation, in numpy.
+# The oracle's scan has one implementation, in plain Python floats.
 BACKEND = "python"
 
 __all__ = [

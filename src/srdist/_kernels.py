@@ -23,6 +23,11 @@ strictly along the loop, since dpsi/dtau' = (sin u - u cos u)/(b s^3)
 on branch 0 (u -> pi - u on branch 1) is positive; `verify.check_oracle`
 counts one crossing per lift, and the oracle does not assume it.
 
+With B = 0 (the Loc stratum) there is no loop: a minimizer reaches
+B = 0 only at t = 0 or at its cut time u = pi, where A =
+-exp(-i*pi*beta/s) for every phi0.  The oracle inverts that phase in
+closed form (`oracle._cut_root`) and scans nothing.
+
 The scan is one plain-float loop over the 17 tau' samples, whose cos,
 |sin| and sign are tuples built at import: at this size each numpy call
 costs more than the arithmetic it would run.
@@ -32,7 +37,7 @@ from __future__ import annotations
 import math
 from math import atan2, hypot, pi
 
-# Even steps per half loop, ends included: in tau', or in atan|beta| on B = 0.
+# Even steps in tau' per half loop, ends included.
 LOOP_FLOOR = 16
 _STEP = pi / LOOP_FLOOR
 _TAU = tuple(k * _STEP - 0.5 * pi for k in range(LOOP_FLOOR + 1))
@@ -40,28 +45,17 @@ _TAU = tuple(k * _STEP - 0.5 * pi for k in range(LOOP_FLOOR + 1))
 # Both halves take the ends at cos(tau') = 0, so they agree there.
 _TRIG = tuple((0.0 if abs(x) == 0.5 * pi else math.cos(x), abs(math.sin(x)), math.copysign(1.0, x),
                2.0 * pi if x >= 0.0 else 0.0) for x in _TAU)
-# tan(pi/2) is a finite 1.6e16, where beta/s = 1 and psi is 0 to the bit.
-_LOC_X = tuple(math.tan(0.5 * k * _STEP) for k in range(LOOP_FLOOR + 1))
-_LOC_ROW = tuple(pi * (1.0 - x / hypot(1.0, x)) for x in _LOC_X)
-_LOC_PSI = (_LOC_ROW, tuple(-p for p in _LOC_ROW))
 
 
 def scan_su2(a: float, b: float) -> tuple[tuple, tuple]:
-    """Samples x and the loop phase psi, one row per branch, on the loop of |A| = a, |B| = b.
+    """Samples x and the loop phase psi, one row per branch, on the loop of |A| = a, |B| = b > 0.
 
-    x is tau' at LOOP_FLOOR + 1 fixed points; psi is written as the
-    oracle's 1-D solve writes it (`oracle._loop_phase`), without
-    cancellation, as two lists of Python floats.  At A = 0 the loop is
-    the one point beta = 0, t = pi, and psi = tau' (+ pi on branch 1) is
-    the arbitrary phase of A = 0.  With B = 0 (the Loc stratum) the loop
-    is the cut time u = pi of every beta, where A = -exp(-i*pi*beta/s) =
-    exp(i*psi) for any phi0: x is |beta|, row 0 is beta = x and row 1
-    beta = -x, written as psi - 2*pi, so both rows end at psi = 0 and a
-    level near 0 is not rounded at ulp(2*pi).  x and the B = 0 rows are
-    tuples built at import and shared by every call.
+    x is tau' at LOOP_FLOOR + 1 fixed points, a tuple built at import and
+    shared by every call; psi is written as the oracle's 1-D solve writes
+    it (`oracle._loop_phase`), without cancellation, as two lists of
+    Python floats.  At A = 0 the loop is the one point beta = 0, t = pi,
+    and psi = tau' (+ pi on branch 1) is the arbitrary phase of A = 0.
     """
-    if b == 0.0:
-        return _LOC_X, _LOC_PSI
     ratio = a / b
     row0, row1 = [], []
     for c, abs_sin, sigma, shift in _TRIG:

@@ -10,12 +10,14 @@ between neighbouring samples brackets a root, solved in one dimension
 on F = psi - level, written without cancellation, from a secant start
 by Newton steps kept inside the bracket, else bisection.  The scan, the
 bracket pass and the solves run in plain Python floats, which at this
-size cost less than numpy calls.  The endpoint
-(`geodesics.endpoint_coords`) is evaluated once per root: the root
-counts only if it is within REFINED_TOL of the target in all four
-coordinates.  The oracle shares only the geodesic formulas with the
-case analysis, and assumes no monotonicity of psi: it solves every
-bracket.
+size cost less than numpy calls.  On B = 0 (the Loc stratum) a
+minimizer reaches the target only at its cut time, where the phase has
+an elementary inverse: each lift has one root in closed form
+(`_cut_root`), and nothing is scanned.  The endpoint (`geodesics.endpoint_coords`) is
+evaluated once per root: the root counts only if it is within
+REFINED_TOL of the target in all four coordinates.  The oracle shares
+only the geodesic formulas with the case analysis, and assumes no
+monotonicity of psi: it solves every bracket.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 
 from . import _kernels
@@ -40,7 +41,7 @@ TWO_PI = 2.0 * math.pi
 REFINED_TOL = 1e-12
 
 # Safety net on the evaluations per bracket; bisection alone needs about 55
-# steps in tau', and about 85 in |beta| on the B = 0 row.
+# steps in tau'.
 _MAX_STEPS = 120
 _EIGHT_EPS = 8.0 * math.ulp(1.0)  # a phase's rounding floor per unit size of F's terms
 
@@ -95,15 +96,14 @@ def _hit(target: tuple, beta: float, t: float) -> tuple[tuple, float]:
 
 
 def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, tau: float) -> tuple:
-    """(F, dF/dtau', (beta, t), floor) for F = psi - theta - 2*pi*n at tau' on one half of the loop.
+    """(F, dF/dtau', (beta, t)) for F = psi - theta - 2*pi*n at tau' on one half of the loop.
 
     With sigma = sign(beta), w = s*(s + |beta|) = 1/(1 - |beta|/s) and
     d = u - |tau'| as one atan2, psi = sigma*(u/w - d) on branch 0: no two
     terms of size u cancel (see `_kernels` for the loop).  Branch 1 is
     sigma*((u - pi)/w - d) + pi*(1 + sigma) in branch 0's beta and u; its
     2*pi goes into n, so a small level is not rounded at ulp(2*pi).
-    dpsi/dtau = (s - u*b* cos(tau))/s^3 only proposes steps.  u/w and d
-    are up to pi/2, so F's rounding floor is absolute.
+    dpsi/dtau = (s - u*b* cos(tau))/s^3 only proposes steps.
     """
     st, ct = math.sin(tau), math.cos(tau)
     beta = a / b * st
@@ -112,24 +112,26 @@ def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, tau: floa
     u = math.atan2(b * s, a * ct)
     d = math.atan2(b * ct / s_plus, a * ct * ct + b * s * abs(st))
     w, sigma, s3 = s * s_plus, math.copysign(1.0, beta), s * s * s
-    floor = _EIGHT_EPS * (1.0 + abs(theta + TWO_PI * n))
     if branch:
         f = sigma * ((u - math.pi) / w - d) - theta - TWO_PI * (n - (sigma > 0.0))
-        return f, (s + (math.pi - u) * a / b * ct) / s3, (-beta, 2.0 * (math.pi - u) / s), floor
-    return sigma * (u / w - d) - theta - TWO_PI * n, (s - u * a / b * ct) / s3, (beta, 2.0 * u / s), floor
+        return f, (s + (math.pi - u) * a / b * ct) / s3, (-beta, 2.0 * (math.pi - u) / s)
+    return sigma * (u / w - d) - theta - TWO_PI * n, (s - u * a / b * ct) / s3, (beta, 2.0 * u / s)
 
 
-def _cut_phase(row: int, theta: float, n: int, x: float) -> tuple:
-    """(F, dF/dx, (beta, t), floor) for F = psi - theta - 2*pi*n at the cut time, beta = +-x on row 0, 1.
+def _cut_root(theta: float) -> tuple[float, float]:
+    """(beta, t) of the geodesics that reach A = exp(i*theta), B = 0, for theta in [-pi, pi].
 
-    psi = sigma*pi/w, w = s*(s + x), sigma = 1 on row 0 and -1 on row 1
-    (see `_kernels`).  Both terms of F are exact to a few ulps, so its
-    floor is relative to them: a level of 1e-15 is solved to a few ulps.
+    A minimizer reaches B = 0 only at t = 0 or its cut time u = pi, t = 2*pi/s,
+    where A = -exp(-i*pi*beta/s) for every phi0 (see `_kernels`).  Its
+    phase sign(beta)*pi*(1 - |beta|/s) takes each value in (-pi, pi]
+    once, so |beta|/s = 1 - |theta|/pi and 1/s^2 = |theta|*(2*pi - |theta|)/pi^2:
+    t = 2*sqrt(|theta|*(2*pi - |theta|)) and beta = sign(theta)*(pi - |theta|)/(t/2),
+    with no cancellation beyond the rounding of theta and pi.  theta = 0
+    is the identity, which only t = 0 reaches; beta is 0 there.
     """
-    s, sigma = math.hypot(1.0, x), 1.0 - 2.0 * row
-    psi, level = sigma * math.pi / (s * (s + x)), theta + TWO_PI * n
-    floor = _EIGHT_EPS * (abs(psi) + abs(level))
-    return psi - level, -sigma * math.pi / (s * s * s), (sigma * x, TWO_PI / s), floor
+    x = abs(theta)
+    t = 2.0 * math.sqrt(x * (TWO_PI - x))
+    return (math.copysign(math.pi - x, theta) / (0.5 * t) if t else 0.0), t
 
 
 def _brackets(x: tuple, psi: tuple, thetas: list[float]):
@@ -153,25 +155,24 @@ def _brackets(x: tuple, psi: tuple, thetas: list[float]):
                     yield lift, row, n, (x[j], x[j + 1], phases[j] - level, phases[j + 1] - level)
 
 
-def _secant(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Where the chord through (lo, f_lo) and (hi, f_hi) meets 0."""
-    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+def _solve(a: float, b: float, branch: int, theta: float, n: int, bracket: tuple) -> tuple:
+    """The point (beta, t) of the least |F| found in a bracket of `_loop_phase`'s F on one half of the loop.
 
-
-def _solve(phase, lo: float, hi: float, f_lo: float, f_hi: float, x: float) -> tuple:
-    """The point (beta, t) of the least |F| found in the bracket [lo, hi], with F = psi - level.
-
-    phase(x) gives (F, dF/dx, point, F's rounding floor); f_lo and f_hi, F
-    at the ends, lie on opposite sides of 0.  The first trial is x, a
-    secant start, each later one a Newton step from the best point so
-    far, or the midpoint when that step leaves the bracket or the last
-    trial did not lower |F|.  The solve stops on a Newton step within the
-    rounding of x, when |F| stops falling at its floor, or when the
-    bracket cannot be split further.
+    bracket is (lo, hi, F(lo), F(hi)) in tau', the ends on opposite sides
+    of 0 (`_brackets`).  The first trial is the secant start, each later
+    one a Newton step from the best point so far, or the midpoint when
+    that step leaves the bracket or the last trial did not lower |F|.  The
+    solve stops on a Newton step within the rounding of tau', when |F|
+    stops falling at its rounding floor, or when the bracket cannot be
+    split further.  u/w and d in F are up to pi/2, so that floor is
+    absolute, 8 eps per unit of 1 + |level|.
     """
+    lo, hi, f_lo, f_hi = bracket
+    floor = _EIGHT_EPS * (1.0 + abs(theta + TWO_PI * n))
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     f_best = math.inf
     for _ in range(_MAX_STEPS):
-        f, df, point, floor = phase(x)
+        f, df, point = _loop_phase(a, b, branch, theta, n, x)
         lo, hi = (x, hi) if (f > 0.0) == (f_lo > 0.0) else (lo, x)
         if abs(f) < f_best:
             f_best, best = abs(f), point
@@ -191,25 +192,16 @@ def _solve(phase, lo: float, hi: float, f_lo: float, f_hi: float, x: float) -> t
 def _shoot(lifts: list[SU2Element]) -> ShootResult:
     # An SO(3) target is reached through either of its two lifts.
     targets = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lifts]
+    thetas = [math.atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
     a, b = math.hypot(*targets[0][:2]), math.hypot(*targets[0][2:])
     if b < sys.float_info.min:
-        # b* = a/b would overflow: shoot on B = 0; the 4-D gate sees the target's B.
-        b = 0.0
-    x, psi = _kernels.scan_su2(a, b)
-    thetas = [math.atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
-    roots = []
-    for lift, row, n, (lo, hi, f_lo, f_hi) in _brackets(x, psi, thetas):
-        if b == 0.0:
-            # The row is sampled evenly in atan|beta|, in which psi is far
-            # nearer a chord than in |beta| up to 1.6e16: start from the
-            # secant there, and solve in |beta|, which holds tiny levels'
-            # roots near 1e8 to full relative precision.
-            phase = partial(_cut_phase, row, thetas[lift], n)
-            start = math.tan(_secant(math.atan(lo), math.atan(hi), f_lo, f_hi))
-        else:
-            phase = partial(_loop_phase, a, b, row, thetas[lift], n)
-            start = _secant(lo, hi, f_lo, f_hi)
-        roots.append(_hit(targets[lift], *_solve(phase, lo, hi, f_lo, f_hi, start)))
+        # B = 0, or a subnormal |B| whose b* = a/b would overflow: one root
+        # per lift at the cut time; the 4-D gate sees the target's own B.
+        roots = [_hit(target, *_cut_root(theta)) for target, theta in zip(targets, thetas)]
+    else:
+        x, psi = _kernels.scan_su2(a, b)
+        roots = [_hit(targets[lift], *_solve(a, b, row, thetas[lift], n, bracket))
+                 for lift, row, n, bracket in _brackets(x, psi, thetas)]
 
     exact = sorted(
         ((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),
@@ -220,7 +212,7 @@ def _shoot(lifts: list[SU2Element]) -> ShootResult:
         raise ShootNoMatchError(f"no root within {REFINED_TOL} of the target ({best})")
     t_min = exact[0][2]
     if t_min <= REFINED_TOL:
-        # The identity's own root lies at the end of the B = 0 row, t = 4e-16.
+        # The identity's own root is the cut root of theta = 0, at t = 0.
         raise ShootNoMatchError(f"t_min = {t_min:.3e} is within {REFINED_TOL} of t = 0: the gate "
                                 "cannot tell the target from the identity")
     return ShootResult(t_min, [p for p in exact if p[2] <= t_min + REFINED_TOL])

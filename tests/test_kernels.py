@@ -119,9 +119,9 @@ def test_scan_matches_b_target(monkeypatch):
     rng = np.random.default_rng(62)
     brackets, solve = [], oracle._solve
 
-    def spy(phase, lo, hi, *ends):
-        brackets.append((lo, hi))
-        return solve(phase, lo, hi, *ends)
+    def spy(a, b, branch, theta, n, bracket):
+        brackets.append(bracket[:2])
+        return solve(a, b, branch, theta, n, bracket)
 
     monkeypatch.setattr(oracle, "_solve", spy)
     for target in _targets(rng, 20):
@@ -159,25 +159,29 @@ def test_every_sample_matches_its_endpoint():
 
 
 def test_special_targets():
-    # B = 0: the loop is the cut time u = pi of every beta, where
-    # A = -exp(-i*pi*beta/s) = exp(i*psi).  x is |beta|, evenly spaced in
-    # atan|beta| from 0 to a finite tan(pi/2); row 0 is beta = |beta| and
-    # row 1 beta = -|beta|, less 2*pi, so both rows end at psi = 0 to the
-    # bit.  A = 0: the loop shrinks to one point, and every sample has A = 0.
-    x, psi = scan_su2(1.0, 0.0)
-    assert len(psi) == 2 and len(x) == oracle._kernels.LOOP_FLOOR + 1
-    assert all(len(row) == len(x) for row in psi)
-    assert x[0] == 0.0 and x[-1] == np.tan(math.pi / 2) > 1e16
-    assert np.allclose(np.diff(np.arctan(x)), math.pi / 2 / (len(x) - 1), rtol=0.0, atol=1e-15)
-    # Built once at import, immutable, and shared by every B = 0 scan.
-    assert type(x) is tuple and type(psi) is tuple and all(type(row) is tuple for row in psi)
-    assert scan_su2(0.3, 0.0) == (x, psi) and scan_su2(0.3, 0.0)[1] is psi
-    for sign, row in ((1.0, psi[0]), (-1.0, psi[1])):
-        beta = sign * np.array(x)
-        s = np.sqrt(1.0 + beta**2)
-        assert np.allclose(np.exp(1j * np.array(row)), -np.exp(-1j * math.pi * beta / s), rtol=0.0, atol=1e-15)
-        assert np.all(sign * np.diff(row) < 0.0) and row[-1] == 0.0
-    assert psi[0][0] == math.pi and psi[1][0] == -math.pi
+    # B = 0: a minimizer reaches B = 0 only at its cut time u = pi, where
+    # A = -exp(-i*pi*beta/s) for every phi0, and the oracle inverts that
+    # phase in closed form.  Each theta in [-pi, pi] has one root, at the
+    # cut time, with the sign of theta; |beta| falls strictly as |theta|
+    # grows, to 0 at the half turn about axis 1 (t = 2*pi), and the
+    # identity (theta = 0) gives t = 0 with beta taken as 0.  The root's
+    # endpoint is exp(i*theta) at the rounding floor.  A = 0: the loop
+    # shrinks to one point, and every sample has A = 0.
+    assert oracle._cut_root(0.0) == (0.0, 0.0)
+    abs_thetas = sorted([10.0**-k for k in range(1, 17)] + [k * math.pi / 64.0 for k in range(1, 65)])
+    for sign in (1.0, -1.0):
+        previous = math.inf
+        for theta in (sign * x for x in abs_thetas):
+            beta, t = oracle._cut_root(theta)
+            assert type(beta) is float and type(t) is float
+            assert math.copysign(1.0, beta) == sign and abs(beta) < previous, theta
+            previous = abs(beta)
+            s = math.hypot(1.0, beta)
+            assert abs(t - cut_time_bound(beta)) <= 4.0 * EPS * t, theta
+            assert abs(-np.exp(-1j * math.pi * beta / s) - np.exp(1j * theta)) <= 1e-15, theta
+            end = endpoint_coords(0.0, beta, t)
+            assert _max_dev(end, (math.cos(theta), math.sin(theta), 0.0, 0.0)) <= 2e-15, theta
+        assert beta == 0.0 and abs(t - TWO_PI) <= 4.0 * EPS * TWO_PI
     target = (0.0, 0.0, math.cos(1.0), math.sin(1.0))
     tau, psi = scan_su2(0.0, 1.0)
     assert len(tau) == oracle._kernels.LOOP_FLOOR + 1
@@ -190,7 +194,7 @@ def test_special_targets():
 def test_scan_phase_is_the_solve_phase():
     # The scan and the 1-D solve (`oracle._loop_phase`) write psi in the
     # same cancellation-free form, once each: at every sample they agree
-    # within the solve's own rounding floor (level 0, n = 0), so the two
+    # within the solve's own rounding floor at level 0, 8 eps, so the two
     # copies cannot drift apart.
     rng = np.random.default_rng(65)
     targets = _targets(rng, 20)
@@ -202,5 +206,5 @@ def test_scan_phase_is_the_solve_phase():
         tau, psi = scan_su2(a, b)
         for branch, row in enumerate(psi):
             for x, p in zip(tau, row):
-                f, _, _, floor = oracle._loop_phase(a, b, branch, 0.0, 0, x)
-                assert abs(p - f) <= floor, (target, branch, x)
+                f, _, _ = oracle._loop_phase(a, b, branch, 0.0, 0, x)
+                assert abs(p - f) <= 8.0 * EPS, (target, branch, x)

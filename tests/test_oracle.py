@@ -96,30 +96,31 @@ def test_nothing_to_refine_is_typed(monkeypatch):
 
 
 def test_fixed_samples_are_built_once_and_read_only(monkeypatch):
-    # The loop's tau' samples and the B = 0 rows are tuples built at
-    # import; every shot shares them, whatever grid it is passed.
+    # The loop's tau' samples are a tuple built at import; every shot
+    # shares it, whatever grid it is passed.  B = 0 shots scan nothing:
+    # their roots are in closed form.
     samples = []
     scan = _kernels.scan_su2
 
     def spy(a, b):
         x, psi = scan(a, b)
-        samples.append((x, psi))
+        samples.append(x)
         return x, psi
 
     monkeypatch.setattr(_kernels, "scan_su2", spy)
     rng = np.random.default_rng(57)
-    for g in (random_su2(rng), random_su2(rng), SU2Element(0.6, 0.8, 0.0, 0.0), SU2Element(0.8, -0.6, 0.0, 0.0)):
+    for g in (random_su2(rng), random_su2(rng)):
         shoot_min_time(g, SMALL)
         shoot_min_time(g)
-    xs = [x for x, _ in samples]
-    assert xs[0] is xs[1] is xs[2] is xs[3]
-    assert xs[4] is xs[5] is xs[6] is xs[7]
-    loc_rows = [psi for _, psi in samples[4:]]
-    assert loc_rows[0] is loc_rows[1] is loc_rows[2] is loc_rows[3]
-    for seq in [*xs[::4], loc_rows[0], *loc_rows[0]]:
-        assert type(seq) is tuple
-        with pytest.raises(TypeError):
-            seq[0] = 0.0
+    assert len(samples) == 4 and samples[0] is samples[1] is samples[2] is samples[3]
+    assert type(samples[0]) is tuple
+    with pytest.raises(TypeError):
+        samples[0][0] = 0.0
+    for g in (SU2Element(0.6, 0.8, 0.0, 0.0), SU2Element(0.8, -0.6, 0.0, 0.0)):
+        shoot_min_time(g, SMALL)
+        shoot_min_time(g)
+        shoot_min_time_so3(klein_omega(g))
+    assert len(samples) == 4
 
 
 class TestShootSU2:
@@ -282,17 +283,16 @@ def _work_targets():
 # (brackets solved, phase evaluations) per set of ten shots: bounded
 # 25 % above (10, 38), (10, 46) and (10, 36), measured with grid rows; the
 # fixed samples' wider brackets measure (10, 44), (10, 50) and (10, 45).
-# Axis-1 shots solve on the B = 0 row: 8 evaluations per shot, (12, 80),
-# against a measured (10, 72) with the secant start in atan|beta| and
-# (10, 393) with the start in |beta|.  A phase evaluation is one
-# `_loop_phase` or `_cut_phase` call, F and its slope at one trial point;
-# the endpoint is evaluated once per solved bracket, for the root's gate
-# and point.  Counts repeat exactly, unlike timings.
-WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45), "axis1": (12, 80)}
+# Axis-1 shots (B = 0) solve nothing: each lift's root is in closed form
+# (`_cut_root`).  A phase evaluation is one `_loop_phase` call, F and its
+# slope at one trial point; the endpoint is evaluated once per root, for
+# its gate and point: once per solved bracket, and once per lift on
+# B = 0.  Counts repeat exactly, unlike timings.
+WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45), "axis1": (0, 0)}
 
 
 def test_work_per_shot_is_bounded(monkeypatch):
-    counts = {"brackets": 0, "phases": 0, "endpoints": 0}
+    counts = {"brackets": 0, "phases": 0, "cut_roots": 0, "endpoints": 0}
 
     def counted(name, key):
         original = getattr(oracle, name)
@@ -305,23 +305,25 @@ def test_work_per_shot_is_bounded(monkeypatch):
 
     counted("_solve", "brackets")
     counted("_loop_phase", "phases")
-    counted("_cut_phase", "phases")
+    counted("_cut_root", "cut_roots")
     counted("endpoint_coords", "endpoints")
     for name, targets in _work_targets().items():
-        counts.update(brackets=0, phases=0, endpoints=0)
+        counts.update(brackets=0, phases=0, cut_roots=0, endpoints=0)
         for g in targets:
             shoot_min_time(g)
         max_brackets, max_phases = WORK_BOUNDS[name]
         assert counts["brackets"] <= max_brackets, name
         assert counts["phases"] <= max_phases, name
-        assert counts["endpoints"] == counts["brackets"], name
+        assert counts["cut_roots"] == (len(targets) if name == "axis1" else 0), name
+        assert counts["endpoints"] == counts["brackets"] + counts["cut_roots"], name
 
 
 def test_brackets_hold_python_numbers():
     # A numpy integer or float in the scan or a bracket would turn every
     # phase of its solve into numpy-scalar arithmetic, several times slower.
     rng = np.random.default_rng(82)
-    for g in [random_su2(rng), *lift_so3(random_so3(rng))[:1], SU2Element(0.6, 0.8, 0.0, 0.0)]:
+    steep = geodesic_point(GeodesicParams(1.0, 30.0), 0.1)
+    for g in [random_su2(rng), *lift_so3(random_so3(rng))[:1], steep]:
         lifts = [(g.a_re, g.a_im), (-g.a_re, -g.a_im)]
         a, b = math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im)
         x, psi = _kernels.scan_su2(a, b)
@@ -331,6 +333,10 @@ def test_brackets_hold_python_numbers():
         for lift, row, n, bracket in brackets:
             assert type(lift) is int and type(row) is int and type(n) is int
             assert all(type(v) is float for v in bracket)
+    # A B = 0 target reaches no bracket pass: each lift's root is closed-form.
+    g = SU2Element(0.6, 0.8, 0.0, 0.0)
+    for re, im in [(g.a_re, g.a_im), (-g.a_re, -g.a_im)]:
+        assert all(type(v) is float for v in oracle._cut_root(math.atan2(im, re)))
 
 
 @pytest.mark.parametrize("abs_b", [1e-310, 5e-324])
@@ -607,13 +613,41 @@ class TestAxis1Targets:
     def test_least_time_within_the_gate_of_zero_raises(self, theta):
         # The least time, sqrt(8*pi*|theta|) = 5e-15 at 1e-30, is within
         # REFINED_TOL of the identity's t = 0, which the 4-D gate cannot
-        # tell apart; the root past the row's last sample, 1.6e16, would
-        # come out at t = 4e-16.
+        # tell apart.
         g = SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0)
         with pytest.raises(ShootNoMatchError):
             shoot_min_time(g)
         with pytest.raises(ShootNoMatchError):
             shoot_min_time_so3(klein_omega(g))
+
+
+# The cut row sampled by brute force: |beta| at 4,097 points evenly spaced
+# in atan|beta|, from 0 to tan(pi/2), a finite 1.6e16, and
+# psi = pi*(1 - |beta|/s) = pi/(s*(s + |beta|)) on beta = +|beta|.
+_CUT_X = [math.tan(0.5 * math.pi * k / 4096) for k in range(4097)]
+_CUT_PSI = [math.pi / (s * (s + x)) for x in _CUT_X for s in [math.sqrt(1.0 + x * x)]]
+CUT_THETAS = [sign * x for x in [10.0**-k for k in range(13)] + [3.0] for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("theta", CUT_THETAS, ids=[f"{t:g}" for t in CUT_THETAS])
+def test_each_lift_on_b_zero_crosses_one_level(theta):
+    # On B = 0 (Loc) a minimizer arrives only at its cut time u = pi, where
+    # A = -exp(-i*pi*beta/s): psi = +-pi/(s*(s + |beta|)) on beta = +-|beta|.
+    # Sampled on both signs, the levels arg(A) + 2*pi*n of each lift, on
+    # SU(2) and on both SO(3) lifts, are crossed exactly once, between
+    # samples that hold `_cut_root`'s beta.  The oracle's scan does not
+    # sample this row; this keeps a sampled check of B = 0 uniqueness.
+    g = SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0)
+    for h in (g, *lift_so3(klein_omega(g))):
+        arg = math.atan2(h.a_im, h.a_re)
+        crossings = []
+        for sign in (1.0, -1.0):
+            for n in (-1, 0, 1):
+                f = [sign * p - arg - TWO_PI * n for p in _CUT_PSI]
+                crossings += [(sign, _CUT_X[j], _CUT_X[j + 1]) for j in range(4096) if (f[j] > 0.0) != (f[j + 1] > 0.0)]
+        assert len(crossings) == 1, (arg, crossings)
+        (sign, lo, hi), (beta, _) = crossings[0], oracle._cut_root(arg)
+        assert math.copysign(1.0, beta) == sign and lo <= abs(beta) <= hi, (arg, beta, lo, hi)
 
 
 class TestFlawedSystem:
