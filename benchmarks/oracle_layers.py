@@ -1,4 +1,4 @@
-"""Per-call time of each layer of the shooting oracle, as one JSON line.
+"""Per-call time of each oracle layer and each rotation layer, as one JSON line.
 
 Usage (from the repository root):
 
@@ -13,8 +13,13 @@ them, so the script runs unchanged on any version whose shots make those
 calls.  It also times `shoot_min_time` on N rotations about axis 1
 (B = 0, the Loc stratum, |arg A| = 10^U(-5, 0.49)), drawn after the Haar
 draws from the same generator, as `shoot_min_time_axis1`: no Haar draw
-has B = 0, so that key alone times the oracle's cut-locus path.  It
-imports srdist from `src/` next to this directory.
+has B = 0, so that key alone times the oracle's cut-locus path.
+
+On the same draws it times the rotation layers per call: `SO3Element`
+built from a float 3x3 array (the form perfbench passes), `klein_omega`
+and `distance_su2` on the SU(2) targets, and `cover_pair`, `lift_so3` and
+`distance_so3` on the rotations.  It imports srdist from `src/` next to
+this directory.
 """
 from __future__ import annotations
 
@@ -30,7 +35,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from srdist import _kernels, oracle  # noqa: E402
-from srdist.algebra import SU2Element, random_so3, random_su2  # noqa: E402
+from srdist.algebra import (  # noqa: E402
+    SO3Element,
+    SU2Element,
+    cover_pair,
+    klein_omega,
+    lift_so3,
+    random_so3,
+    random_su2,
+)
+from srdist.so3_distance import distance_so3  # noqa: E402
+from srdist.su2_distance import distance_su2  # noqa: E402
 
 N = 200
 SEED = 0
@@ -58,6 +73,7 @@ def main() -> None:
     so3 = [random_so3(rng) for _ in range(N)]
     thetas = [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 0.49) for _ in range(N)]
     axis1 = [SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0) for theta in thetas]
+    arrays = [np.array(c.m, dtype=float) for c in so3]
 
     recorded = {"scan_su2": [], "_brackets": [], "_solve": []}
     originals = {
@@ -83,6 +99,12 @@ def main() -> None:
         "shoot_min_time": _best_us(lambda: [oracle.shoot_min_time(g) for g in su2], len(su2)),
         "shoot_min_time_so3": _best_us(lambda: [oracle.shoot_min_time_so3(c) for c in so3], len(so3)),
         "shoot_min_time_axis1": _best_us(lambda: [oracle.shoot_min_time(g) for g in axis1], len(axis1)),
+        "SO3Element_array": _best_us(lambda: [SO3Element(m) for m in arrays], len(arrays)),
+        "klein_omega": _best_us(lambda: [klein_omega(g) for g in su2], len(su2)),
+        "cover_pair": _best_us(lambda: [cover_pair(c) for c in so3], len(so3)),
+        "lift_so3": _best_us(lambda: [lift_so3(c) for c in so3], len(so3)),
+        "distance_su2": _best_us(lambda: [distance_su2(g) for g in su2], len(su2)),
+        "distance_so3": _best_us(lambda: [distance_so3(c) for c in so3], len(so3)),
     }
     print(json.dumps({
         "us_per_call": {k: round(v, 2) for k, v in us.items()},

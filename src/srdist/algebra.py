@@ -5,8 +5,9 @@ An SU(2) element is stored as the complex pair (A, B) of the matrix
     [[ A,        B      ],
      [ -conj(B), conj(A)]],    |A|^2 + |B|^2 = 1.
 
-The Klein map sends (A, B) to a rotation matrix acting on R^3.  It is a
-2-to-1 group homomorphism: (A, B) and (-A, -B) cover the same rotation.
+The Klein map sends (A, B) to a rotation of R^3, an `SO3Element` held as
+rows of floats that compares and hashes by value.  It is a 2-to-1 group
+homomorphism: (A, B) and (-A, -B) cover the same rotation.
 `lift_so3` inverts it, returning the canonical lift (Re(A) >= 0) and its
 negation; `cover_pair` reads the canonical lift off identities linear in
 the matrix entries.
@@ -39,7 +40,11 @@ class SU2Element:
 
     def __post_init__(self):
         vals = (self.a_re, self.a_im, self.b_re, self.b_im)
-        if not all(math.isfinite(v) for v in vals):
+        try:
+            finite = all(math.isfinite(v) for v in vals)
+        except TypeError as exc:
+            raise InvalidElementError(f"SU(2) components must be real numbers: {exc}") from None
+        if not finite:
             raise InvalidElementError("SU(2) components must be finite")
         norm = math.sqrt(sum(v * v for v in vals))
         if abs(norm - 1.0) > CONSTRUCTION_TOL:
@@ -104,15 +109,24 @@ def identity_residual(rows) -> float:
 
 @dataclass(frozen=True)
 class SO3Element:
-    """3x3 rotation matrix (orthogonal, determinant 1)."""
+    """3x3 rotation matrix (orthogonal, determinant 1) from any 3x3 array-like of reals.
 
-    m: np.ndarray
+    `m` holds the rows as tuples of floats; elements compare and hash by value.
+    """
+
+    m: tuple
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+        try:
+            m = np.asarray(self.m)
+            # Checked before the cast, which would drop an imaginary part with only a warning.
+            if m.dtype.kind == "c":
+                raise TypeError(f"complex entries ({m.dtype})")
+            rows = m.astype(float, copy=False).tolist()
+        except (TypeError, ValueError) as exc:
+            raise InvalidElementError(f"rotation matrix must be a 3x3 array of reals: {exc}") from None
         if m.shape != (3, 3):
             raise InvalidElementError(f"rotation matrix must be 3x3, got {m.shape}")
-        rows = m.tolist()
         if not all(math.isfinite(v) for row in rows for v in row):
             raise InvalidElementError("rotation matrix entries must be finite")
         ortho_res = identity_residual(mat3_mul(zip(*rows), rows))
@@ -127,19 +141,14 @@ class SO3Element:
         det_res = abs(det - 1.0)
         if det_res > CONSTRUCTION_TOL:
             raise InvalidElementError(f"determinant violation: |det - 1| = {det_res:.3e}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", ((c11, c12, c13), (c21, c22, c23), (c31, c32, c33)))
 
     @classmethod
     def identity(cls) -> "SO3Element":
         return cls(np.eye(3))
 
     def transpose(self) -> "SO3Element":
-        return SO3Element(self.m.T)
-
-    def __getitem__(self, idx):
-        return self.m[idx]
+        return SO3Element(tuple(zip(*self.m)))
 
 
 @dataclass(frozen=True)
@@ -182,7 +191,7 @@ def su2_exp(v: AlgebraVector, t: float) -> SU2Element:
 
 
 def so3_mul(c1: SO3Element, c2: SO3Element) -> SO3Element:
-    return SO3Element(c1.m @ c2.m)
+    return SO3Element(mat3_mul(c1.m, c2.m))
 
 
 def klein_entries(a1: float, a2: float, b1: float, b2: float) -> tuple:
@@ -209,7 +218,7 @@ def klein_entries(a1: float, a2: float, b1: float, b2: float) -> tuple:
 def klein_omega(g: SU2Element) -> SO3Element:
     """Covering epimorphism SU(2) -> SO(3) (entries from `klein_entries`)."""
     m = klein_entries(g.a_re, g.a_im, g.b_re, g.b_im)
-    return SO3Element(np.array(m).reshape(3, 3))
+    return SO3Element((m[0:3], m[3:6], m[6:9]))
 
 
 def cover_pair(c: SO3Element) -> tuple[complex, complex]:
@@ -227,7 +236,7 @@ def cover_pair(c: SO3Element) -> tuple[complex, complex]:
     lost near half turns (Re A = 0) or axis-1 rotations (B = 0; entries
     c12 = c13 = 0 give B = 0 exactly).
     """
-    (c11, c12, c13), (_, c22, c23), (_, c32, c33) = c.m.tolist()
+    (c11, c12, c13), (_, c22, c23), (_, c32, c33) = c.m
     a_conj_b = complex(0.5 * c13, 0.5 * c12)
     # "+ 0.0" turns a signed zero into +0, so that the root of a negative
     # real square is +i|.| whatever the sign of its zero imaginary part.
@@ -256,7 +265,7 @@ def lift_so3(c: SO3Element) -> tuple[SU2Element, SU2Element]:
     every half turn.  The canonical lift has the first nonzero component
     of q positive, so Re(A) >= 0.
     """
-    (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = c.m.tolist()
+    (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = c.m
     rows = (
         (1.0 + c11 + c22 + c33, c32 - c23, c13 - c31, c21 - c12),
         (c32 - c23, 1.0 + c11 - c22 - c33, c21 + c12, c13 + c31),

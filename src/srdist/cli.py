@@ -56,7 +56,7 @@ def _parse_floats(text: str, count: int, usage: str, item: str) -> list[float]:
 
 def _parse_matrix(text: str) -> SO3Element:
     vals = _parse_floats(text, 9, "--matrix expects 9 comma-separated reals (row-major)", "matrix entry")
-    return SO3Element(np.array(vals).reshape(3, 3))
+    return SO3Element((vals[0:3], vals[3:6], vals[6:9]))
 
 
 def _su2_endpoint(p: GeodesicParams, t: float) -> tuple[SU2Element, list[float]]:
@@ -66,7 +66,7 @@ def _su2_endpoint(p: GeodesicParams, t: float) -> tuple[SU2Element, list[float]]
 
 def _so3_endpoint(p: GeodesicParams, t: float) -> tuple[SO3Element, list[float]]:
     c = geodesic_point_so3(p, t)
-    return c, [float(v) for v in c.m.reshape(9)]
+    return c, [v for row in c.m for v in row]
 
 
 # Per group: the element's columns, a geodesic's endpoint as (element,

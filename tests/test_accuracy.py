@@ -156,7 +156,7 @@ def test_half_turns_against_reference():
         assert abs(lift_err) <= TOL, (n, lift_err)
         assert abs(res.t - ref) <= TOL, (n, res.t - ref)
         if res.beta is not None and res.phi0 is not None:
-            miss = np.max(np.abs(geodesic_point_so3(GeodesicParams(res.phi0, res.beta), res.t).m - c.m))
+            miss = np.max(np.abs(np.subtract(geodesic_point_so3(GeodesicParams(res.phi0, res.beta), res.t).m, c.m)))
             assert miss <= GEODESIC_TOL, (n, miss)
 
 

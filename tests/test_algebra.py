@@ -45,6 +45,46 @@ def test_so3_rejects_non_rotation():
         SO3Element(np.diag([1.0, 1.0, -1.0]))  # det = -1
 
 
+@pytest.mark.parametrize("m, cause", [
+    (np.eye(3) + 1e-3j * np.ones((3, 3)), "complex entries"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1j]], "complex entries"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "inhomogeneous shape"),
+    ([[1.0, 0.0, 0.0], [0.0, "a", 0.0], [0.0, 0.0, 1.0]], "could not convert string to float"),
+], ids=["complex-array", "complex-entry", "ragged", "string-entry"])
+def test_so3_rejects_malformed_input(m, cause):
+    # The complex cases raise before numpy's cast, which would warn and drop
+    # the imaginary part; under filterwarnings = error a warning fails here.
+    with pytest.raises(InvalidElementError, match=cause):
+        SO3Element(m)
+
+
+@pytest.mark.parametrize("bad", ["a", 1j, None])
+def test_su2_rejects_non_real_components(bad):
+    with pytest.raises(InvalidElementError, match="must be real numbers"):
+        SU2Element(bad, 0.0, 0.0, 0.0)
+
+
+def test_so3_rows_are_python_floats_for_any_array_like():
+    rows = ((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    for m in (np.array(rows), np.array(rows, dtype=int), [list(r) for r in rows], rows):
+        c = SO3Element(m)
+        assert type(c.m) is tuple and len(c.m) == 3
+        assert all(type(row) is tuple and len(row) == 3 for row in c.m)
+        assert all(type(v) is float for row in c.m for v in row)
+        assert c.m == rows
+
+
+def test_rotations_compare_and_hash_by_value():
+    assert SO3Element(np.eye(3)) == SO3Element.identity()
+    assert len({SO3Element(np.eye(3)), SO3Element.identity()}) == 1
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        g = random_su2(rng)
+        # Every entry is quadratic in (A, B), so the two covers give equal bits.
+        assert klein_omega(g) == klein_omega(g.negate())
+        assert len({klein_omega(g), klein_omega(g.negate())}) == 1
+
+
 def test_scalar_3x3_helpers_match_numpy():
     rng = np.random.default_rng(41)
     for x, y in rng.standard_normal((50, 2, 3, 3)):
@@ -153,9 +193,9 @@ def test_klein_homomorphism_and_double_cover():
     for _ in range(1000):
         g, h = random_su2(rng), random_su2(rng)
         lhs = klein_omega(su2_mul(g, h)).m
-        rhs = klein_omega(g).m @ klein_omega(h).m
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
-        assert np.max(np.abs(klein_omega(g).m - klein_omega(g.negate()).m)) < 1e-14
+        rhs = np.asarray(klein_omega(g).m) @ klein_omega(h).m
+        assert np.max(np.abs(np.subtract(lhs, rhs))) < 1e-9
+        assert np.max(np.abs(np.subtract(klein_omega(g).m, klein_omega(g.negate()).m))) < 1e-14
 
 
 def test_lift_identity():
@@ -182,8 +222,8 @@ def test_lift_then_project_roundtrip():
         c = random_so3(rng)
         lift, neg = lift_so3(c)
         assert lift.a_re >= 0.0
-        assert np.max(np.abs(klein_omega(lift).m - c.m)) < 1e-9
-        assert np.max(np.abs(klein_omega(neg).m - c.m)) < 1e-9
+        assert np.max(np.abs(np.subtract(klein_omega(lift).m, c.m))) < 1e-9
+        assert np.max(np.abs(np.subtract(klein_omega(neg).m, c.m))) < 1e-9
 
 
 def test_lift_pair_is_an_exact_negation():

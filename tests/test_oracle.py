@@ -607,7 +607,7 @@ class TestAxis1Targets:
         assert len(res.minimizers) == 1
         for phi0, beta, t in res.minimizers:
             end = geodesic_point_so3(GeodesicParams(phi0, beta), t)
-            assert np.max(np.abs(end.m - c.m)) <= REFINED_TOL
+            assert np.max(np.abs(np.subtract(end.m, c.m))) <= REFINED_TOL
 
     @pytest.mark.parametrize("theta", [1e-30, -1e-30, 1e-40])
     def test_least_time_within_the_gate_of_zero_raises(self, theta):

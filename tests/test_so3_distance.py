@@ -93,7 +93,7 @@ def test_geodesic_parameters_reproduce_rotation():
         if res.beta is None or res.phi0 is None:
             continue
         end = geodesic_point_so3(GeodesicParams(res.phi0, res.beta), res.t)
-        assert np.max(np.abs(end.m - c.m)) < 1e-8
+        assert np.max(np.abs(np.subtract(end.m, c.m))) < 1e-8
 
 
 def test_axis1_conjugation_invariance():
@@ -157,7 +157,7 @@ def test_near_involutions_lift_and_distance(abs_a):
             b * math.cos(b_phase), b * math.sin(b_phase),
         ))
         lift, _ = lift_so3(c)
-        assert np.max(np.abs(klein_omega(lift).m - c.m)) <= 1e-12
+        assert np.max(np.abs(np.subtract(klein_omega(lift).m, c.m))) <= 1e-12
         t = distance_so3(c).t
         assert 0.0 <= t <= SO3_DIAMETER_BOUND
         assert abs(t - distance_so3_via_lifts(c)) <= 1e-9
@@ -221,7 +221,7 @@ def test_direct_route_is_independent_of_lifts(monkeypatch):
     assert res.case is DistanceCase.BOUNDARY
     assert res.t == pytest.approx(math.pi * math.sqrt(0.75), abs=1e-15)
     end = geodesic_point_so3(GeodesicParams(res.phi0, res.beta), res.t)
-    assert np.max(np.abs(end.m - boundary.m)) < 1e-12
+    assert np.max(np.abs(np.subtract(end.m, boundary.m))) < 1e-12
     for c, t in zip(haar, via_lifts):
         assert abs(distance_so3(c).t - t) <= 1e-12
 
