@@ -1,25 +1,26 @@
-"""Per-call time of each oracle layer and each rotation layer, as one JSON line.
+"""Per-call time of each oracle layer and each element layer, as one JSON line.
 
 Usage (from the repository root):
 
     python3 benchmarks/oracle_layers.py
 
 Draws N Haar SU(2) targets and N Haar rotations from default_rng(SEED),
-shoots each once while recording the arguments of every `scan_su2`,
-`_brackets` and `_solve` call, then times each layer by replaying those
-calls and each shot by repeating it: `timeit`, best of 5, divided by the
-number of calls.  The layers are timed on the arguments the shots gave
-them, so the script runs unchanged on any version whose shots make those
-calls.  It also times `shoot_min_time` on N rotations about axis 1
-(B = 0, the Loc stratum, |arg A| = 10^U(-5, 0.49)), drawn after the Haar
-draws from the same generator, as `shoot_min_time_axis1`: no Haar draw
-has B = 0, so that key alone times the oracle's cut-locus path.
+shoots each once while recording the arguments of every
+`oracle.scan_su2`, `oracle._brackets` and `oracle._solve` call, then
+times each layer by replaying those calls and each shot by repeating
+it: `timeit`, best of 5, divided by the number of calls.  The layers are
+timed on the arguments the shots gave them, so the script runs
+unchanged on any version whose shots make those calls.  It also times
+`shoot_min_time` on N rotations about axis 1 (B = 0, the Loc stratum,
+|arg A| = 10^U(-5, 0.49)), drawn after the Haar draws from the same
+generator, as `shoot_min_time_axis1`: no Haar draw has B = 0, so that
+key alone times the oracle's cut-locus path.
 
-On the same draws it times the rotation layers per call: `SO3Element`
-built from a float 3x3 array (the form perfbench passes), `klein_omega`
-and `distance_su2` on the SU(2) targets, and `cover_pair`, `lift_so3` and
-`distance_so3` on the rotations.  It imports srdist from `src/` next to
-this directory.
+On the same draws it times the element and rotation layers per call:
+`SU2Element` built from four floats, `klein_omega` and `distance_su2` on
+the SU(2) targets, and `SO3Element` built from a float 3x3 array (the
+form perfbench passes), `cover_pair`, `lift_so3` and `distance_so3` on
+the rotations.  It imports srdist from `src/` next to this directory.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from srdist import _kernels, oracle  # noqa: E402
+from srdist import oracle  # noqa: E402
 from srdist.algebra import (  # noqa: E402
     SO3Element,
     SU2Element,
@@ -74,10 +75,11 @@ def main() -> None:
     thetas = [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 0.49) for _ in range(N)]
     axis1 = [SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0) for theta in thetas]
     arrays = [np.array(c.m, dtype=float) for c in so3]
+    coords = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in su2]
 
     recorded = {"scan_su2": [], "_brackets": [], "_solve": []}
     originals = {
-        "scan_su2": _record(_kernels, "scan_su2", recorded["scan_su2"]),
+        "scan_su2": _record(oracle, "scan_su2", recorded["scan_su2"]),
         "_brackets": _record(oracle, "_brackets", recorded["_brackets"]),
         "_solve": _record(oracle, "_solve", recorded["_solve"]),
     }
@@ -85,8 +87,8 @@ def main() -> None:
         oracle.shoot_min_time(g)
     for c in so3:
         oracle.shoot_min_time_so3(c)
-    _kernels.scan_su2 = originals["scan_su2"]
-    oracle._brackets, oracle._solve = originals["_brackets"], originals["_solve"]
+    for name, original in originals.items():
+        setattr(oracle, name, original)
 
     def replay(name, consume=lambda r: r):
         f, calls = originals[name], recorded[name]
@@ -99,6 +101,7 @@ def main() -> None:
         "shoot_min_time": _best_us(lambda: [oracle.shoot_min_time(g) for g in su2], len(su2)),
         "shoot_min_time_so3": _best_us(lambda: [oracle.shoot_min_time_so3(c) for c in so3], len(so3)),
         "shoot_min_time_axis1": _best_us(lambda: [oracle.shoot_min_time(g) for g in axis1], len(axis1)),
+        "SU2Element_floats": _best_us(lambda: [SU2Element(*q) for q in coords], len(coords)),
         "SO3Element_array": _best_us(lambda: [SO3Element(m) for m in arrays], len(arrays)),
         "klein_omega": _best_us(lambda: [klein_omega(g) for g in su2], len(su2)),
         "cover_pair": _best_us(lambda: [cover_pair(c) for c in so3], len(so3)),

@@ -41,12 +41,16 @@ class SU2Element:
     def __post_init__(self):
         vals = (self.a_re, self.a_im, self.b_re, self.b_im)
         try:
-            finite = all(math.isfinite(v) for v in vals)
+            norm2 = sum(v * v for v in vals)
+            # A numpy complex would pass isfinite with only a warning, dropping its imaginary part.
+            if isinstance(norm2, np.complexfloating):
+                raise TypeError(f"must be real number, not {type(norm2).__name__}")
+            finite = math.isfinite(norm2) or all(math.isfinite(v) for v in vals)
         except TypeError as exc:
             raise InvalidElementError(f"SU(2) components must be real numbers: {exc}") from None
         if not finite:
             raise InvalidElementError("SU(2) components must be finite")
-        norm = math.sqrt(sum(v * v for v in vals))
+        norm = math.sqrt(norm2)
         if abs(norm - 1.0) > CONSTRUCTION_TOL:
             raise InvalidElementError(
                 f"unit-norm violation: |A|^2+|B|^2 deviates by {abs(norm * norm - 1.0):.3e}"

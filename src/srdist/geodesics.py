@@ -55,18 +55,17 @@ def endpoint_coords(phi0: float, beta: float, t: float) -> tuple[float, float, f
 
 
 def endpoint_jacobian(phi0: float, beta: float, t: float) -> tuple[tuple, tuple[tuple, tuple, tuple]]:
-    """The endpoint and its partials in phi0, beta and t, from one evaluation.
+    """The endpoint and its partials in phi0, beta and t.
 
-    Returns (end, (d_phi0, d_beta, d_t)): end equals `endpoint_coords`
-    bit for bit, and each partial is a 4-tuple in the same coordinates.
-    Both share one set of sqrt, sin and cos, so a caller that needs the
-    residual and the Jacobian at a point pays for one evaluation.  With
+    Returns (end, (d_phi0, d_beta, d_t)): end is `endpoint_coords`' own
+    value, and each partial is a 4-tuple in the same coordinates.  With
     c = beta/s, m = sin(u)/s and the chain factors du/dbeta =
     t*beta/(2s), du/dt = s/2, dh/dbeta = t/2, dh/dt = beta/2,
     dc/dbeta = 1/s^3 and dm/dbeta = cos(u)/s * du/dbeta - m*beta/s^2.
     A does not depend on phi0, so d_phi0 = (0, 0, -Im B, Re B), and
     d(A)/dh = -i*A.
     """
+    end = a_re, a_im, b_re, b_im = endpoint_coords(phi0, beta, t)
     s = math.hypot(1.0, beta)
     s2 = s * s
     u = t * s / 2.0
@@ -74,18 +73,14 @@ def endpoint_jacobian(phi0: float, beta: float, t: float) -> tuple[tuple, tuple[
     su, cu = math.sin(u), math.cos(u)
     sh, ch = math.sin(h), math.cos(h)
     c = beta / s
-    a_re = c * su * sh + cu * ch
-    a_im = c * su * ch - cu * sh
     # d/du of (Re A, Im A) at fixed c and h
     a_re_u = c * cu * sh - su * ch
     a_im_u = c * cu * ch + su * sh
     u_beta = t * beta / (2.0 * s)
     c_beta = 1.0 / (s * s2)
-    m = su / s
-    m_beta = cu / s * u_beta - m * beta / s2
+    m_beta = cu / s * u_beta - su / s * beta / s2
     cp, sp = math.cos(h + phi0), math.sin(h + phi0)
-    b_re, b_im = m * cp, m * sp
-    return (a_re, a_im, b_re, b_im), (
+    return end, (
         (0.0, 0.0, -b_im, b_re),
         (
             c_beta * su * sh + a_re_u * u_beta + a_im * t / 2.0,

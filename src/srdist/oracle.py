@@ -1,23 +1,51 @@
 """Brute-force geodesic-shooting oracle.
 
-The geodesics from the identity that match the target's B before the
-cut time u = pi form one closed loop, on which A_end = |A|*exp(i*psi):
-only the loop phase psi is left to match (see `_kernels`).  One scan
-of psi at 2 x 17 fixed points of the loop, which reads |A| and |B|
-only, serves both lifts g and -g of an SO(3) target
-(`algebra.lift_so3`).  Each crossing of a lift's level arg(A) + 2*pi*n
-between neighbouring samples brackets a root, solved in one dimension
-on F = psi - level, written without cancellation, from a secant start
-by Newton steps kept inside the bracket, else bisection.  The scan, the
-bracket pass and the solves run in plain Python floats, which at this
-size cost less than numpy calls.  On B = 0 (the Loc stratum) a
-minimizer reaches the target only at its cut time, where the phase has
-an elementary inverse: each lift has one root in closed form
-(`_cut_root`), and nothing is scanned.  The endpoint (`geodesics.endpoint_coords`) is
-evaluated once per root: the root counts only if it is within
-REFINED_TOL of the target in all four coordinates.  The oracle shares
-only the geodesic formulas with the case analysis, and assumes no
-monotonicity of psi: it solves every bracket.
+On the geodesic of momentum beta, with s = sqrt(1 + beta^2), u = t*s/2
+and h = beta*t/2 = (beta/s)*u,
+
+    A = (cos(u) + i*(beta/s)*sin(u)) * exp(-i*h),
+    B = (sin(u)/s) * exp(i*(h + phi0)).
+
+A minimizer on SU(2) stops at u = pi, the cut time.  For a target with
+a = |A|, b = |B| > 0 and b* = a/b, phi0 = arg(B_target) - h puts B on
+the target's phase, and the geodesics that reach |B| = b form one loop:
+
+    beta = b* sin(tau),  cos(u) = a cos(tau),  sin(u) = b*s.
+
+There beta*sin(u)/s = a sin(tau), so A = a*exp(i*psi), psi = tau - h:
+only the loop phase psi, which depends on a and b alone, is left to
+match arg(A_target) mod 2*pi.  Each half of the loop is walked by tau'
+in [-pi/2, pi/2]: tau = tau' is branch 0 (u <= pi/2) and tau = tau' + pi
+branch 1, where u -> pi - u and beta -> -beta.  With sigma = sign(beta),
+w = s*(s + |beta|) = 1/(1 - |beta|/s) and d = u - |tau'| as one atan2,
+
+    psi = sigma*(u/w - d)                            on branch 0,
+    psi = sigma*((u - pi)/w - d) + pi*(1 + sigma)    on branch 1,
+
+in branch 0's beta and u: no two terms of size u cancel.  The halves
+meet at tau' = +-pi/2; psi gains 2*pi around the loop, lies in
+(-pi, 5*pi/2), and rises strictly along it, since dpsi/dtau' =
+(sin u - u cos u)/(b s^3) > 0 on branch 0 (u -> pi - u on branch 1).
+`verify.check_oracle` counts one crossing per lift; the oracle does not
+assume it, and solves every bracket.
+
+One scan of psi at 2 x 17 fixed tau' (`scan_su2`), which reads a and b
+only, serves both lifts g and -g of an SO(3) target.  Each crossing of
+a lift's level arg(A) + 2*pi*n between neighbouring samples brackets a
+root (`_brackets`), solved in one dimension on F = psi - level
+(`_solve`).  A root counts only if its endpoint
+(`geodesics.endpoint_coords`) is within REFINED_TOL of the target in
+all four coordinates.  With B = 0 (the Loc stratum) there is no loop:
+a minimizer reaches B = 0 only at t = 0 or at its cut time u = pi,
+where A = -exp(-i*pi*beta/s) for every phi0, and each lift's one root
+inverts that phase (`_cut_root`).  The oracle shares only these
+geodesic formulas with the case analysis.
+
+Everything runs in plain Python floats: on 17 samples a numpy call
+costs more than its arithmetic.  For the same reason psi is written
+twice, inlined in the scan's loop and per point in `_loop_phase`: a
+helper shared by the two adds a call per sample, a third to a half of
+the scan's time.
 """
 from __future__ import annotations
 
@@ -27,8 +55,8 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
+from math import atan2, hypot, pi
 
-from . import _kernels
 from .algebra import SO3Element, SU2Element, lift_so3
 from .geodesics import endpoint_coords
 
@@ -44,6 +72,14 @@ REFINED_TOL = 1e-12
 # steps in tau'.
 _MAX_STEPS = 120
 _EIGHT_EPS = 8.0 * math.ulp(1.0)  # a phase's rounding floor per unit size of F's terms
+
+# Even steps in tau' per half loop, ends included.
+LOOP_FLOOR = 16
+_TAU = tuple(k * (pi / LOOP_FLOOR) - 0.5 * pi for k in range(LOOP_FLOOR + 1))
+# (cos tau', |sin tau'|, sigma = sign of beta, pi*(1 + sigma)) per sample.
+# Both halves take the ends at cos(tau') = 0, so they agree there.
+_TRIG = tuple((0.0 if abs(x) == 0.5 * pi else math.cos(x), abs(math.sin(x)), math.copysign(1.0, x),
+               2.0 * pi if x >= 0.0 else 0.0) for x in _TAU)
 
 
 class ShootNoMatchError(RuntimeError):
@@ -95,14 +131,33 @@ def _hit(target: tuple, beta: float, t: float) -> tuple[tuple, float]:
     return (phi0, beta, t), max(abs(e0 - a_re), abs(e1 - a_im), abs(e2 - b_re), abs(e3 - b_im))
 
 
+def scan_su2(a: float, b: float) -> tuple[list, list]:
+    """psi at the samples `_TAU`, one list of Python floats per branch, on the loop of |A| = a, |B| = b > 0.
+
+    psi is the module docstring's form, inlined.  At A = 0 the loop is the
+    one point beta = 0, t = pi, and psi = tau' (+ pi on branch 1) is the
+    arbitrary phase of A = 0.
+    """
+    ratio = a / b
+    row0, row1 = [], []
+    for c, abs_sin, sigma, shift in _TRIG:
+        abs_beta = ratio * abs_sin
+        s = hypot(1.0, abs_beta)
+        s_plus = s + abs_beta
+        w = s * s_plus
+        ac, bs = a * c, b * s
+        u = atan2(bs, ac)
+        d = atan2(b * c / s_plus, ac * c + bs * abs_sin)
+        row0.append(sigma * (u / w - d))
+        row1.append(sigma * ((u - pi) / w - d) + shift)
+    return row0, row1
+
+
 def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, tau: float) -> tuple:
     """(F, dF/dtau', (beta, t)) for F = psi - theta - 2*pi*n at tau' on one half of the loop.
 
-    With sigma = sign(beta), w = s*(s + |beta|) = 1/(1 - |beta|/s) and
-    d = u - |tau'| as one atan2, psi = sigma*(u/w - d) on branch 0: no two
-    terms of size u cancel (see `_kernels` for the loop).  Branch 1 is
-    sigma*((u - pi)/w - d) + pi*(1 + sigma) in branch 0's beta and u; its
-    2*pi goes into n, so a small level is not rounded at ulp(2*pi).
+    psi is the module docstring's form.  Branch 1's pi*(1 + sigma) goes
+    into n, so a small level is not rounded at ulp(2*pi).
     dpsi/dtau = (s - u*b* cos(tau))/s^3 only proposes steps.
     """
     st, ct = math.sin(tau), math.cos(tau)
@@ -121,8 +176,8 @@ def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, tau: floa
 def _cut_root(theta: float) -> tuple[float, float]:
     """(beta, t) of the geodesics that reach A = exp(i*theta), B = 0, for theta in [-pi, pi].
 
-    A minimizer reaches B = 0 only at t = 0 or its cut time u = pi, t = 2*pi/s,
-    where A = -exp(-i*pi*beta/s) for every phi0 (see `_kernels`).  Its
+    The root lies at the cut time u = pi, t = 2*pi/s, where A =
+    -exp(-i*pi*beta/s) for every phi0 (module docstring).  Its
     phase sign(beta)*pi*(1 - |beta|/s) takes each value in (-pi, pi]
     once, so |beta|/s = 1 - |theta|/pi and 1/s^2 = |theta|*(2*pi - |theta|)/pi^2:
     t = 2*sqrt(|theta|*(2*pi - |theta|)) and beta = sign(theta)*(pi - |theta|)/(t/2),
@@ -134,16 +189,16 @@ def _cut_root(theta: float) -> tuple[float, float]:
     return (math.copysign(math.pi - x, theta) / (0.5 * t) if t else 0.0), t
 
 
-def _brackets(x: tuple, psi: tuple, thetas: list[float]):
+def _brackets(psi: tuple, thetas: list[float]):
     """(lift, row, n, bracket) for each crossing of a level between samples j and j + 1 of a row.
 
-    bracket is (x_j, x_j+1, F_j, F_j+1), the bracket of a `_solve`.  A
-    lift's levels are theta + 2*pi*n, theta = arg(A) of the lift, and
-    F = psi - level.  psi lies in (-pi, 5*pi/2), so n = -1, 0, 1 hold
-    every crossing.  The levels of both lifts below each sample are
-    counted by bisection, and a crossing is a change of that count.  The
-    items hold Python ints and floats, so the solves run in plain float
-    arithmetic.
+    psi is the rows of `scan_su2`, and bracket is (tau'_j, tau'_j+1, F_j,
+    F_j+1) with tau' from `_TAU`, the bracket of a `_solve`.  A lift's
+    levels are theta + 2*pi*n, theta = arg(A) of the lift, and F = psi -
+    level.  psi lies in (-pi, 5*pi/2), so n = -1, 0, 1 hold every
+    crossing.  The levels of both lifts below each sample are counted by
+    bisection, and a crossing is a change of that count.  The items hold
+    Python ints and floats, so the solves run in plain float arithmetic.
     """
     levels = sorted((theta + TWO_PI * n, lift, n) for lift, theta in enumerate(thetas) for n in (-1, 0, 1))
     values = [level for level, _, _ in levels]
@@ -152,7 +207,7 @@ def _brackets(x: tuple, psi: tuple, thetas: list[float]):
         for j, (k_lo, k_hi) in enumerate(zip(below, below[1:])):
             if k_lo != k_hi:
                 for level, lift, n in levels[min(k_lo, k_hi) : max(k_lo, k_hi)]:
-                    yield lift, row, n, (x[j], x[j + 1], phases[j] - level, phases[j + 1] - level)
+                    yield lift, row, n, (_TAU[j], _TAU[j + 1], phases[j] - level, phases[j + 1] - level)
 
 
 def _solve(a: float, b: float, branch: int, theta: float, n: int, bracket: tuple) -> tuple:
@@ -199,9 +254,8 @@ def _shoot(lifts: list[SU2Element]) -> ShootResult:
         # per lift at the cut time; the 4-D gate sees the target's own B.
         roots = [_hit(target, *_cut_root(theta)) for target, theta in zip(targets, thetas)]
     else:
-        x, psi = _kernels.scan_su2(a, b)
         roots = [_hit(targets[lift], *_solve(a, b, row, thetas[lift], n, bracket))
-                 for lift, row, n, bracket in _brackets(x, psi, thetas)]
+                 for lift, row, n, bracket in _brackets(scan_su2(a, b), thetas)]
 
     exact = sorted(
         ((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),

@@ -26,8 +26,7 @@ from .algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, 
 from .cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3, in_cut_locus_su2_l2
 from .geodesics import GeodesicParams, cut_time_bound, endpoint_coords, geodesic_point, geodesic_point_exp
 from .flawed_system import demonstrate_br_nonuniqueness
-from . import _kernels
-from .oracle import REFINED_TOL, _brackets, shoot_min_time, shoot_min_time_so3
+from .oracle import REFINED_TOL, _brackets, scan_su2, shoot_min_time, shoot_min_time_so3
 from .so3_distance import distance_so3, distance_so3_via_lifts, lift_distance_results
 from .su2_distance import (
     DistanceResult, arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short,
@@ -155,8 +154,8 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
         targets.append(_pair(1.0 - d, math.sqrt(d * (2.0 - d)), *rng.uniform(-math.pi, math.pi, 2)))
     lifts, miscounts = [h for g in targets for h in (g, g.negate())], 0
     for h in lifts:
-        x, psi = _kernels.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
-        miscounts += sum(1 for _ in _brackets(x, psi, [math.atan2(h.a_im, h.a_re)])) != 1
+        psi = scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
+        miscounts += sum(1 for _ in _brackets(psi, [math.atan2(h.a_im, h.a_re)])) != 1
     return [
         CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 1e-12),
         CheckResult(f"SO(3) oracle vs case analysis ({n} rotations)", _worst(gaps_so3), 1e-12),
@@ -200,6 +199,11 @@ def check_minimizers(rng: np.random.Generator, n: int) -> list[CheckResult]:
     oracle lists one per root, so at each listed (beta, t) the 8 phi0 =
     2*pi*k/8 must each reach the target, or one of its lifts, within
     REFINED_TOL.
+
+    Last, the cut-locus tag against the minimizer count: n half turns
+    (`_sym_band_pair` at Re A = 0) must be tagged Sym and list two
+    minimizers, and n rotations at each |Re A| = 2*MEMBERSHIP_TOL and
+    1e-8 must be tagged NotCut and list one.
     """
     rotations = []
     for _ in range(n):
@@ -221,12 +225,23 @@ def check_minimizers(rng: np.random.Generator, n: int) -> list[CheckResult]:
         c = klein_omega(g)
         loc += _phi0_circle_gaps([g], shoot_min_time(g).minimizers)
         loc += _phi0_circle_gaps(lift_so3(c), shoot_min_time_so3(c).minimizers)
+    band = (0.0, 2.0 * MEMBERSHIP_TOL, 1e-8)
+    tag_counts = 0
+    for re_a in band:
+        expected = (CutTag.SYM, 2) if re_a == 0.0 else (CutTag.NOT_CUT, 1)
+        for _ in range(n):
+            c = klein_omega(_sym_band_pair(rng, re_a))
+            tag_counts += (classify_cut_locus_so3(c).tag, len(shoot_min_time_so3(c).minimizers)) != expected
     return [
         CheckResult(f"minimizer-set size mismatches ({n} half turns, {n} near-Sym rotations)", mismatches, 0),
         CheckResult("minimizers vs the lifts' case analysis", _worst(gaps), 1e-12),
         CheckResult(
             f"Loc: every phi0 reaches the target ({n} B = 0 pairs, {n} axis-1 rotations)",
             _worst(loc), REFINED_TOL,
+        ),
+        CheckResult(
+            f"cut-locus tag vs minimizer count ({n} each at |Re A| = {', '.join(f'{x:g}' for x in band)})",
+            tag_counts, 0,
         ),
     ]
 

@@ -142,7 +142,8 @@ def test_criterion_7_flawed_system_counterexample():
 def test_criterion_8_cut_locus():
     rng = np.random.default_rng(104)
     # The cover samples continue on the same generator, after the 20 half
-    # turns, 20 near-Sym rotations and 20 B = 0 pairs.
+    # turns, 20 near-Sym rotations, 20 B = 0 pairs and the 3 x 20 rotations
+    # of the tag-count record.
     report("criterion 8 (cut locus)", *check_minimizers(rng, 20), *check_cover(rng, 1000))
 
 

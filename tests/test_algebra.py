@@ -64,6 +64,18 @@ def test_su2_rejects_non_real_components(bad):
         SU2Element(bad, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [
+    np.complex128(0.6 + 1e-6j), np.complex128(0.6), np.complex64(0.6 + 1e-3j), np.complex64(0.6),
+], ids=["complex128", "complex128-real", "complex64", "complex64-real"])
+def test_su2_rejects_numpy_complex_components(bad):
+    # numpy converts a complex scalar to float with only a warning, dropping
+    # its imaginary part; under filterwarnings = error a warning fails here.
+    with pytest.raises(InvalidElementError, match="must be real numbers"):
+        SU2Element(bad, 0.0, 0.8, 0.0)
+    with pytest.raises(InvalidElementError, match="must be real numbers"):
+        SU2Element(0.8, 0.0, 0.0, bad)
+
+
 def test_so3_rows_are_python_floats_for_any_array_like():
     rows = ((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     for m in (np.array(rows), np.array(rows, dtype=int), [list(r) for r in rows], rows):

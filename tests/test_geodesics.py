@@ -178,8 +178,8 @@ def test_geodesics_never_beat_the_distance():
 
 
 def test_endpoint_jacobian_matches_central_differences():
-    # The endpoint it returns is `endpoint_coords`' bit for bit, so the
-    # oracle's residual does not depend on which of the two it calls.
+    # The endpoint it returns is `endpoint_coords`' bit for bit: the
+    # endpoint formula is written once, and the Jacobian reads it.
     rng = np.random.default_rng(15)
     h = 1e-6
     worst = 0.0

@@ -3,7 +3,6 @@ import math
 import numpy as np
 
 from srdist import BACKEND, oracle
-from srdist._kernels import scan_su2
 from srdist.algebra import SU2Element, random_su2
 from srdist.geodesics import (
     GeodesicParams,
@@ -11,6 +10,7 @@ from srdist.geodesics import (
     endpoint_coords,
     geodesic_point,
 )
+from srdist.oracle import scan_su2
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
@@ -76,8 +76,8 @@ def test_python_scan_matches_direct_evaluation():
     for _ in range(4):
         target = _vec(random_su2(rng))
         a = _ab(target)[0]
-        tau, psi = scan_su2(*_ab(target))
-        assert len(psi) == 2 and len(tau) == oracle._kernels.LOOP_FLOOR + 1
+        tau, psi = oracle._TAU, scan_su2(*_ab(target))
+        assert len(psi) == 2 and len(tau) == oracle.LOOP_FLOOR + 1
         assert all(len(row) == len(tau) for row in psi)
         assert np.all(np.diff(tau) > 0.0)
         assert tau[0] == -math.pi / 2 and tau[-1] == math.pi / 2
@@ -103,7 +103,7 @@ def test_scan_within_sqrt2_of_phi0_grid_scan():
     for _ in range(3):
         target = _vec(random_su2(rng))
         a = _ab(target)[0]
-        tau, psi = scan_su2(*_ab(target))
+        tau, psi = oracle._TAU, scan_su2(*_ab(target))
         for (b, j), p in np.ndenumerate(psi):
             dev = max(abs(a * math.cos(p) - target[0]), abs(a * math.sin(p) - target[1]))
             _, beta, t = _loop_point(target, b, tau[j])
@@ -126,7 +126,7 @@ def test_scan_matches_b_target(monkeypatch):
     monkeypatch.setattr(oracle, "_solve", spy)
     for target in _targets(rng, 20):
         b_abs, theta = math.hypot(target[2], target[3]), math.atan2(target[3], target[2])
-        tau = scan_su2(*_ab(target))[0]
+        tau = oracle._TAU
         for b in range(2):
             for x in tau:
                 end = endpoint_coords(*_loop_point(target, b, x))
@@ -152,7 +152,7 @@ def test_every_sample_matches_its_endpoint():
         for k in range(1, 65, 3):
             target = np.array(endpoint_coords(rng.uniform(0.0, TWO_PI), beta, k / 64.0 * cut))
             a = _ab(target)[0]
-            tau, psi = scan_su2(*_ab(target))
+            tau, psi = oracle._TAU, scan_su2(*_ab(target))
             for (b, j), p in np.ndenumerate(psi):
                 end = endpoint_coords(*_loop_point(target, b, tau[j]))
                 assert abs(a * np.exp(1j * p) - complex(end[0], end[1])) <= 2e-15, (beta, k, b, j)
@@ -183,8 +183,8 @@ def test_special_targets():
             assert _max_dev(end, (math.cos(theta), math.sin(theta), 0.0, 0.0)) <= 2e-15, theta
         assert beta == 0.0 and abs(t - TWO_PI) <= 4.0 * EPS * TWO_PI
     target = (0.0, 0.0, math.cos(1.0), math.sin(1.0))
-    tau, psi = scan_su2(0.0, 1.0)
-    assert len(tau) == oracle._kernels.LOOP_FLOOR + 1
+    tau, psi = oracle._TAU, scan_su2(0.0, 1.0)
+    assert len(tau) == oracle.LOOP_FLOOR + 1
     for b in range(2):
         for x in tau:
             end = endpoint_coords(*_loop_point(target, b, x))
@@ -203,7 +203,7 @@ def test_scan_phase_is_the_solve_phase():
     targets.append((0.0, 0.0, 1.0, 0.0))
     for target in targets:
         a, b = _ab(target)
-        tau, psi = scan_su2(a, b)
+        tau, psi = oracle._TAU, scan_su2(a, b)
         for branch, row in enumerate(psi):
             for x, p in zip(tau, row):
                 f, _, _ = oracle._loop_phase(a, b, branch, 0.0, 0, x)

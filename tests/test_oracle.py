@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srdist import _kernels, oracle
+from srdist import oracle
 from srdist.algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, random_su2
 from srdist.cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3
 from srdist.flawed_system import br_system_residual, demonstrate_br_nonuniqueness
@@ -79,48 +79,46 @@ def _imported_modules(path):
                 yield f"{base}.{alias.name}" if submodule else base
 
 
-@pytest.mark.parametrize("name", ["oracle.py", "_kernels.py"])
-def test_oracle_imports_no_distance_code(name):
+def test_oracle_imports_no_distance_code():
     # The oracle checks the case analysis, so it must not run any of it:
     # not the distance modules, and not the package root, which imports them.
     # Nor numpy: on 17 samples a numpy call costs more than its arithmetic.
-    path = Path(oracle.__file__).parent / name
+    path = Path(oracle.__file__)
     fenced = {"srdist", "srdist.su2_distance", "srdist.so3_distance", "numpy"}
     assert not fenced & set(_imported_modules(path))
 
 
 def test_nothing_to_refine_is_typed(monkeypatch):
-    monkeypatch.setattr(oracle, "_brackets", lambda x, psi, thetas: [])
+    monkeypatch.setattr(oracle, "_brackets", lambda psi, thetas: [])
     with pytest.raises(ShootNoMatchError):
         shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0))
 
 
 def test_fixed_samples_are_built_once_and_read_only(monkeypatch):
     # The loop's tau' samples are a tuple built at import; every shot
-    # shares it, whatever grid it is passed.  B = 0 shots scan nothing:
+    # reads it, whatever grid it is passed.  B = 0 shots scan nothing:
     # their roots are in closed form.
-    samples = []
-    scan = _kernels.scan_su2
+    scans = []
+    scan = oracle.scan_su2
 
     def spy(a, b):
-        x, psi = scan(a, b)
-        samples.append(x)
-        return x, psi
+        scans.append((a, b))
+        return scan(a, b)
 
-    monkeypatch.setattr(_kernels, "scan_su2", spy)
+    monkeypatch.setattr(oracle, "scan_su2", spy)
     rng = np.random.default_rng(57)
     for g in (random_su2(rng), random_su2(rng)):
         shoot_min_time(g, SMALL)
         shoot_min_time(g)
-    assert len(samples) == 4 and samples[0] is samples[1] is samples[2] is samples[3]
-    assert type(samples[0]) is tuple
+    assert len(scans) == 4
+    assert type(oracle._TAU) is tuple
     with pytest.raises(TypeError):
-        samples[0][0] = 0.0
+        oracle._TAU[0] = 0.0
     for g in (SU2Element(0.6, 0.8, 0.0, 0.0), SU2Element(0.8, -0.6, 0.0, 0.0)):
         shoot_min_time(g, SMALL)
         shoot_min_time(g)
         shoot_min_time_so3(klein_omega(g))
-    assert len(samples) == 4
+    assert len(scans) == 4
 
 
 class TestShootSU2:
@@ -326,9 +324,9 @@ def test_brackets_hold_python_numbers():
     for g in [random_su2(rng), *lift_so3(random_so3(rng))[:1], steep]:
         lifts = [(g.a_re, g.a_im), (-g.a_re, -g.a_im)]
         a, b = math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im)
-        x, psi = _kernels.scan_su2(a, b)
-        assert all(type(v) is float for v in (*x, *psi[0], *psi[1]))
-        brackets = list(oracle._brackets(x, psi, [math.atan2(im, re) for re, im in lifts]))
+        psi = oracle.scan_su2(a, b)
+        assert all(type(v) is float for v in (*oracle._TAU, *psi[0], *psi[1]))
+        brackets = list(oracle._brackets(psi, [math.atan2(im, re) for re, im in lifts]))
         assert {lift for lift, *_ in brackets} == {0, 1}
         for lift, row, n, bracket in brackets:
             assert type(lift) is int and type(row) is int and type(n) is int
@@ -391,8 +389,8 @@ def test_each_lift_off_b_zero_crosses_one_level(kind):
     # The oracle does not assume this; it solves every bracket it finds.
     for g in _uniqueness_targets(kind):
         for h in (g, g.negate()):
-            x, psi = _kernels.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
-            assert len(list(oracle._brackets(x, psi, [math.atan2(h.a_im, h.a_re)]))) == 1, h
+            psi = oracle.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
+            assert len(list(oracle._brackets(psi, [math.atan2(h.a_im, h.a_re)]))) == 1, h
             assert len(shoot_min_time(h).minimizers) == 1, h
 
 
@@ -475,13 +473,13 @@ class TestSO3LiftsInOnePass:
 
     def test_each_shot_scans_once(self, monkeypatch):
         calls = []
-        scan = _kernels.scan_su2
+        scan = oracle.scan_su2
 
         def spy(a, b):
             calls.append((a, b))
             return scan(a, b)
 
-        monkeypatch.setattr(_kernels, "scan_su2", spy)
+        monkeypatch.setattr(oracle, "scan_su2", spy)
         rng = np.random.default_rng(106)
         g = random_su2(rng)
         shoot_min_time(g)
@@ -513,10 +511,10 @@ class TestSO3LiftsInOnePass:
         # on |A| and |B| only, so it is a scan of -g alone, to the bit
         # (float.hex tells signed zeros apart).
         for c in self._targets():
-            scans = [_kernels.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
+            scans = [oracle.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
                      for h in lift_so3(c)]
-            bits = [[x.hex() for x in scan[0]] + [p.hex() for row in scan[1] for p in row] for scan in scans]
-            assert len(bits[0]) == 3 * (_kernels.LOOP_FLOOR + 1)
+            bits = [[p.hex() for row in scan for p in row] for scan in scans]
+            assert len(bits[0]) == 2 * (oracle.LOOP_FLOOR + 1)
             assert bits[0] == bits[1]
 
 
