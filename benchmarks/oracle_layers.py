@@ -21,6 +21,13 @@ On the same draws it times the element and rotation layers per call:
 the SU(2) targets, and `SO3Element` built from a float 3x3 array (the
 form perfbench passes), `cover_pair`, `lift_so3` and `distance_so3` on
 the rotations.  It imports srdist from `src/` next to this directory.
+
+Besides the times, `calls` counts each recorded layer's calls over all
+the shots, and `solves_per_shot` gives the `_solve` calls per Haar SU(2)
+shot and per Haar SO(3) shot.  An SO(3) shot has a bracket for each of
+its two lifts, but solves them in the order of a lower bound on their
+arrival time and stops once no bracket left can reach the best root's
+time, so its count lies between 1 and 2.
 """
 from __future__ import annotations
 
@@ -85,8 +92,10 @@ def main() -> None:
     }
     for g in su2:
         oracle.shoot_min_time(g)
+    su2_solves = len(recorded["_solve"])
     for c in so3:
         oracle.shoot_min_time_so3(c)
+    so3_solves = len(recorded["_solve"]) - su2_solves
     for name, original in originals.items():
         setattr(oracle, name, original)
 
@@ -112,6 +121,7 @@ def main() -> None:
     print(json.dumps({
         "us_per_call": {k: round(v, 2) for k, v in us.items()},
         "calls": {k: len(v) for k, v in recorded.items()},
+        "solves_per_shot": {"su2": su2_solves / len(su2), "so3": so3_solves / len(so3)},
         "targets": {"su2": len(su2), "so3": len(so3), "axis1": len(axis1), "seed": SEED},
         "python": platform.python_version(),
         "numpy": np.__version__,

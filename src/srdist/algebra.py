@@ -48,6 +48,8 @@ class SU2Element:
             finite = math.isfinite(norm2) or all(math.isfinite(v) for v in vals)
         except TypeError as exc:
             raise InvalidElementError(f"SU(2) components must be real numbers: {exc}") from None
+        except OverflowError as exc:  # an int beyond float range
+            raise InvalidElementError(f"SU(2) components overflow float arithmetic: {exc}") from None
         if not finite:
             raise InvalidElementError("SU(2) components must be finite")
         norm = math.sqrt(norm2)
@@ -101,13 +103,21 @@ def mat3_mul(x, y) -> list:
     return [[a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in cols] for a0, a1, a2 in x]
 
 
-def identity_residual(rows) -> float:
-    """max |M - I| over the entries of a 3x3 matrix given as rows."""
+def orthogonality_residual(rows) -> float:
+    """max |M^T M - I| over the entries of a 3x3 matrix given as rows.
+
+    M^T M is symmetric, so only its six distinct entries are formed, each
+    summed in `mat3_mul`'s order: the residual is that of
+    `mat3_mul(zip(*rows), rows)`, to the bit.
+    """
     (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = rows
     return max(
-        abs(c11 - 1.0), abs(c12), abs(c13),
-        abs(c21), abs(c22 - 1.0), abs(c23),
-        abs(c31), abs(c32), abs(c33 - 1.0),
+        abs(c11 * c11 + c21 * c21 + c31 * c31 - 1.0),
+        abs(c11 * c12 + c21 * c22 + c31 * c32),
+        abs(c11 * c13 + c21 * c23 + c31 * c33),
+        abs(c12 * c12 + c22 * c22 + c32 * c32 - 1.0),
+        abs(c12 * c13 + c22 * c23 + c32 * c33),
+        abs(c13 * c13 + c23 * c23 + c33 * c33 - 1.0),
     )
 
 
@@ -127,18 +137,26 @@ class SO3Element:
             if m.dtype.kind == "c":
                 raise TypeError(f"complex entries ({m.dtype})")
             rows = m.astype(float, copy=False).tolist()
+            # The cast parses numeric strings, which SU2Element refuses too.
+            if m.dtype.kind in "SU":
+                raise TypeError(f"string entries ({m.dtype})")
         except (TypeError, ValueError) as exc:
             raise InvalidElementError(f"rotation matrix must be a 3x3 array of reals: {exc}") from None
+        except OverflowError as exc:  # an int beyond float range
+            raise InvalidElementError(f"rotation matrix entries must be finite: {exc}") from None
         if m.shape != (3, 3):
             raise InvalidElementError(f"rotation matrix must be 3x3, got {m.shape}")
-        if not all(math.isfinite(v) for row in rows for v in row):
+        (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = rows
+        # A finite sum has finite terms; entries whose sum overflows are checked one by one.
+        if not math.isfinite(c11 + c12 + c13 + c21 + c22 + c23 + c31 + c32 + c33) and not all(
+            math.isfinite(v) for row in rows for v in row
+        ):
             raise InvalidElementError("rotation matrix entries must be finite")
-        ortho_res = identity_residual(mat3_mul(zip(*rows), rows))
+        ortho_res = orthogonality_residual(rows)
         if ortho_res > CONSTRUCTION_TOL:
             raise InvalidElementError(
                 f"orthogonality violation: max |M^T M - I| = {ortho_res:.3e}"
             )
-        (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = rows
         det = c11 * (c22 * c33 - c23 * c32) - c12 * (c21 * c33 - c23 * c31) + c13 * (
             c21 * c32 - c22 * c31
         )

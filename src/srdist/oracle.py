@@ -27,7 +27,15 @@ meet at tau' = +-pi/2; psi gains 2*pi around the loop, lies in
 (-pi, 5*pi/2), and rises strictly along it, since dpsi/dtau' =
 (sin u - u cos u)/(b s^3) > 0 on branch 0 (u -> pi - u on branch 1).
 `verify.check_oracle` counts one crossing per lift; the oracle does not
-assume it, and solves every bracket.
+assume it, and solves every bracket that can hold a minimizer.
+
+On the loop t = 2u/s on branch 0 and 2(pi - u)/s on branch 1, that is
+2b*u/sin(u) and 2b*(pi - u)/sin(u).  u/sin(u) rises on (0, pi) and u
+rises with |tau'|, so t rises with |tau'| on branch 0 and falls with it
+on branch 1: one end of a bracket bounds the t of every point in it
+(`_least_time`).  A shot with several brackets, as an SO(3) shot with
+both lifts', solves them in the order of that bound and drops the rest
+once it passes the best root on the target by 2*REFINED_TOL (`_shoot`).
 
 One scan of psi at 2 x 17 fixed tau' (`scan_su2`), which reads a and b
 only, serves both lifts g and -g of an SO(3) target.  Each crossing of
@@ -52,9 +60,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
 from math import atan2, hypot, pi
 
 from .algebra import SO3Element, SU2Element, lift_so3
@@ -189,25 +195,36 @@ def _cut_root(theta: float) -> tuple[float, float]:
     return (math.copysign(math.pi - x, theta) / (0.5 * t) if t else 0.0), t
 
 
-def _brackets(psi: tuple, thetas: list[float]):
+def _brackets(psi: tuple, thetas: list[float]) -> list:
     """(lift, row, n, bracket) for each crossing of a level between samples j and j + 1 of a row.
 
     psi is the rows of `scan_su2`, and bracket is (tau'_j, tau'_j+1, F_j,
     F_j+1) with tau' from `_TAU`, the bracket of a `_solve`.  A lift's
     levels are theta + 2*pi*n, theta = arg(A) of the lift, and F = psi -
     level.  psi lies in (-pi, 5*pi/2), so n = -1, 0, 1 hold every
-    crossing.  The levels of both lifts below each sample are counted by
-    bisection, and a crossing is a change of that count.  The items hold
-    Python ints and floats, so the solves run in plain float arithmetic.
+    crossing.  A row crosses a level only if min(row) <= level < max(row);
+    there every change of `level < psi` between neighbouring samples is a
+    crossing, found by `list.index`, so no monotonicity of psi is
+    assumed.  tau' = 0 is a sample, so no bracket straddles it, and t is
+    monotone over each bracket (module docstring).  The items hold Python
+    ints and floats, so the solves run in plain float arithmetic.
     """
-    levels = sorted((theta + TWO_PI * n, lift, n) for lift, theta in enumerate(thetas) for n in (-1, 0, 1))
-    values = [level for level, _, _ in levels]
+    out = []
     for row, phases in enumerate(psi):
-        below = list(map(bisect_left, repeat(values), phases))
-        for j, (k_lo, k_hi) in enumerate(zip(below, below[1:])):
-            if k_lo != k_hi:
-                for level, lift, n in levels[min(k_lo, k_hi) : max(k_lo, k_hi)]:
-                    yield lift, row, n, (_TAU[j], _TAU[j + 1], phases[j] - level, phases[j + 1] - level)
+        lo, hi = min(phases), max(phases)
+        for lift, theta in enumerate(thetas):
+            for n in (-1, 0, 1):
+                level = theta + TWO_PI * n
+                if not lo <= level < hi:
+                    continue
+                above, j = list(map(level.__lt__, phases)), 0
+                while True:
+                    try:
+                        j = above.index(not above[j], j)
+                    except ValueError:
+                        break
+                    out.append((lift, row, n, (_TAU[j - 1], _TAU[j], phases[j - 1] - level, phases[j] - level)))
+    return out
 
 
 def _solve(a: float, b: float, branch: int, theta: float, n: int, bracket: tuple) -> tuple:
@@ -244,7 +261,27 @@ def _solve(a: float, b: float, branch: int, theta: float, n: int, bracket: tuple
     return best
 
 
+def _least_time(a: float, b: float, branch: int, bracket: tuple) -> float:
+    """The least t over a bracket of `_brackets`: t at its end nearer tau' = 0 on branch 0, farther on branch 1.
+
+    t rises with |tau'| on branch 0 and falls with it on branch 1 (module
+    docstring).  The t is `_loop_phase`'s, the formula of a solved root's.
+    """
+    return _loop_phase(a, b, branch, 0.0, 0, (max if branch else min)(bracket[:2], key=abs))[2][1]
+
+
 def _shoot(lifts: list[SU2Element]) -> ShootResult:
+    """The exact roots at the least time over the brackets of every lift (an SO(3) target has two).
+
+    With more than one bracket, they are solved in the order of their
+    least-time bound (`_least_time`), and the rest are dropped once that
+    bound exceeds the best exact root's t by 2*REFINED_TOL.  A dropped
+    bracket's root arrives after t_min + REFINED_TOL, with REFINED_TOL to
+    spare for the rounding of the bound, so it is neither t_min nor a
+    minimizer: the result is that of solving every bracket, to the bit.
+    No bracket is dropped before a root passes the gate, so a shot that
+    finds none solves them all and reports the same best deviation.
+    """
     # An SO(3) target is reached through either of its two lifts.
     targets = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lifts]
     thetas = [math.atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
@@ -254,8 +291,18 @@ def _shoot(lifts: list[SU2Element]) -> ShootResult:
         # per lift at the cut time; the 4-D gate sees the target's own B.
         roots = [_hit(target, *_cut_root(theta)) for target, theta in zip(targets, thetas)]
     else:
-        roots = [_hit(targets[lift], *_solve(a, b, row, thetas[lift], n, bracket))
-                 for lift, row, n, bracket in _brackets(scan_su2(a, b), thetas)]
+        brackets = _brackets(scan_su2(a, b), thetas)
+        bounds = [0.0] * len(brackets)
+        if len(brackets) > 1:
+            bounds = [_least_time(a, b, row, bracket) for _, row, _, bracket in brackets]
+        roots, t_best = [], math.inf
+        for bound, (lift, row, n, bracket) in sorted(zip(bounds, brackets)):
+            if bound > t_best + 2.0 * REFINED_TOL:
+                break
+            roots.append(_hit(targets[lift], *_solve(a, b, row, thetas[lift], n, bracket)))
+            (_, _, t), dev = roots[-1]
+            if dev <= REFINED_TOL and t < t_best:
+                t_best = t
 
     exact = sorted(
         ((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),

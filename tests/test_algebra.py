@@ -10,10 +10,10 @@ from srdist.algebra import (
     InvalidElementError,
     SO3Element,
     SU2Element,
-    identity_residual,
     klein_omega,
     lift_so3,
     mat3_mul,
+    orthogonality_residual,
     random_so3,
     random_su2,
     su2_exp,
@@ -50,12 +50,29 @@ def test_so3_rejects_non_rotation():
     ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1j]], "complex entries"),
     ([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "inhomogeneous shape"),
     ([[1.0, 0.0, 0.0], [0.0, "a", 0.0], [0.0, 0.0, 1.0]], "could not convert string to float"),
-], ids=["complex-array", "complex-entry", "ragged", "string-entry"])
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "string entries"),
+    (np.array([b"1", b"0", b"0", b"0", b"1", b"0", b"0", b"0", b"1"]).reshape(3, 3), "string entries"),
+    ([[10**400, 0, 0], [0, 1, 0], [0, 0, 1]], "must be finite: int too large"),
+    ([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]], "must be finite$"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.inf]], "must be finite$"),
+    ([[-math.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "must be finite$"),
+    ([[1e308, 1e308, 1e308], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "orthogonality violation: .* = inf"),
+    ([[1e308, -1e308, 1e308], [1e308, 1.0, 0.0], [0.0, 0.0, 1.0]], "orthogonality violation: .* = inf"),
+], ids=["complex-array", "complex-entry", "ragged", "string-entry", "numeric-strings", "numeric-bytes",
+        "huge-int", "nan", "inf", "-inf", "overflowing-sum", "overflowing-product"])
 def test_so3_rejects_malformed_input(m, cause):
     # The complex cases raise before numpy's cast, which would warn and drop
     # the imaginary part; under filterwarnings = error a warning fails here.
+    # Numeric strings parse under the cast and are refused after it.  Finite
+    # entries whose sum overflows pass the finiteness check and fail
+    # orthogonality.
     with pytest.raises(InvalidElementError, match=cause):
         SO3Element(m)
+
+
+def test_su2_rejects_an_int_beyond_float_range():
+    with pytest.raises(InvalidElementError, match="overflow float arithmetic"):
+        SU2Element(10**400, 0, 0, 0)
 
 
 @pytest.mark.parametrize("bad", ["a", 1j, None])
@@ -101,7 +118,18 @@ def test_scalar_3x3_helpers_match_numpy():
     rng = np.random.default_rng(41)
     for x, y in rng.standard_normal((50, 2, 3, 3)):
         assert np.allclose(mat3_mul(x.tolist(), y.tolist()), x @ y, rtol=0.0, atol=1e-14)
-        assert identity_residual(x.tolist()) == np.max(np.abs(x - np.eye(3)))
+
+
+def test_orthogonality_residual_is_that_of_the_full_product():
+    # The six distinct entries of M^T M, each summed in mat3_mul's order,
+    # give the residual of the full product to the bit, on rotations and on
+    # matrices off SO(3) by up to 1e-6 (1e-9 passes the check, 1e-6 fails).
+    rng = np.random.default_rng(43)
+    for k in range(300):
+        m = np.asarray(random_so3(rng).m) + (10.0 ** -(6 + k % 12)) * rng.standard_normal((3, 3))
+        rows = m.tolist()
+        full = np.max(np.abs(np.array(mat3_mul(zip(*rows), rows)) - np.eye(3)))
+        assert orthogonality_residual(rows).hex() == float(full).hex()
 
 
 def test_mul_identity():

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -254,8 +255,8 @@ class TestNearIdentity:
 
 # Fixed targets for the work guard, default_rng(81): 10 Haar, 10 steep
 # (|beta| in 6..316, t up to 0.95 of the cut time), 10 near the identity
-# (|beta| < 30, t in 1e-3..1e-2) and 10 rotations about axis 1 (B = 0,
-# |arg A| = 10^U(-5, 0.49)).
+# (|beta| < 30, t in 1e-3..1e-2), 10 rotations about axis 1 (B = 0,
+# |arg A| = 10^U(-5, 0.49)) as SU(2) targets, and 10 Haar rotations.
 def _work_targets():
     rng = np.random.default_rng(81)
     haar = [random_su2(rng) for _ in range(10)]
@@ -275,7 +276,8 @@ def _work_targets():
     for _ in range(10):
         theta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 0.49)
         axis1.append(SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0))
-    return {"haar": haar, "steep": steep, "near_identity": near, "axis1": axis1}
+    so3 = [random_so3(rng) for _ in range(10)]
+    return {"haar": haar, "steep": steep, "near_identity": near, "axis1": axis1, "so3": so3}
 
 
 # (brackets solved, phase evaluations) per set of ten shots: bounded
@@ -285,8 +287,12 @@ def _work_targets():
 # (`_cut_root`).  A phase evaluation is one `_loop_phase` call, F and its
 # slope at one trial point; the endpoint is evaluated once per root, for
 # its gate and point: once per solved bracket, and once per lift on
-# B = 0.  Counts repeat exactly, unlike timings.
-WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45), "axis1": (0, 0)}
+# B = 0.  An SO(3) shot solves its brackets in the order of their
+# least-time bound and stops once no bracket can reach the best exact root:
+# the ten rotations measure (10, 64), where solving both lifts' brackets
+# took 20 solves, and the 64 phases include one bound per bracket.
+# Counts repeat exactly, unlike timings.
+WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45), "axis1": (0, 0), "so3": (12, 80)}
 
 
 def test_work_per_shot_is_bounded(monkeypatch):
@@ -307,13 +313,119 @@ def test_work_per_shot_is_bounded(monkeypatch):
     counted("endpoint_coords", "endpoints")
     for name, targets in _work_targets().items():
         counts.update(brackets=0, phases=0, cut_roots=0, endpoints=0)
+        shoot = shoot_min_time_so3 if name == "so3" else shoot_min_time
         for g in targets:
-            shoot_min_time(g)
+            shoot(g)
         max_brackets, max_phases = WORK_BOUNDS[name]
         assert counts["brackets"] <= max_brackets, name
         assert counts["phases"] <= max_phases, name
         assert counts["cut_roots"] == (len(targets) if name == "axis1" else 0), name
         assert counts["endpoints"] == counts["brackets"] + counts["cut_roots"], name
+
+
+def _every_bracket_solved(c):
+    """(t_min, minimizers) of an SO(3) shot that solves and gates every bracket of both lifts."""
+    targets = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lift_so3(c)]
+    thetas = [math.atan2(q[1], q[0]) for q in targets]
+    a, b = math.hypot(*targets[0][:2]), math.hypot(*targets[0][2:])
+    roots = [oracle._hit(targets[lift], *oracle._solve(a, b, row, thetas[lift], n, bracket))
+             for lift, row, n, bracket in oracle._brackets(oracle.scan_su2(a, b), thetas)]
+    exact = sorted(((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),
+                   key=lambda p: (p[2], p[0], p[1]))
+    t_min = exact[0][2]
+    return t_min, [p for p in exact if p[2] <= t_min + REFINED_TOL]
+
+
+def test_pruned_so3_shots_equal_every_bracket_solved():
+    # An SO(3) shot drops the brackets whose least-time bound exceeds the
+    # best exact root by 2*REFINED_TOL.  Near half turns the two lifts'
+    # times differ by about 4|Re A|, so at |Re A| up to 3e-13 both lifts
+    # are minimizers and neither may be dropped; at 1e-12 and 1e-9 the far
+    # lift's bound lies just past the window, or far past it.  At |A| up to
+    # 1e-15 the loop shrinks towards the one point t = pi: every bound is
+    # within rounding of both lifts' roots, so only the margin keeps both.
+    rng = np.random.default_rng(83)
+    rotations = [random_so3(rng) for _ in range(100)]
+    for re_a in (0.0, 1e-13, 3e-13, 1e-12, 1e-9):
+        for _ in range(10):
+            v = rng.standard_normal(3)
+            v *= math.sqrt((1.0 - re_a) * (1.0 + re_a)) / np.linalg.norm(v)
+            rotations.append(klein_omega(SU2Element(re_a, *v.tolist())))
+    for abs_a in (0.0, 1e-16, 1e-15):
+        for _ in range(10):
+            rotations.append(klein_omega(_unit_pair(rng, abs_a, 1.0)))
+    for c in rotations:
+        res = shoot_min_time_so3(c)
+        t_min, minimizers = _every_bracket_solved(c)
+        assert res.t_min.hex() == t_min.hex()
+        assert [[v.hex() for v in p] for p in res.minimizers] == [[v.hex() for v in p] for p in minimizers]
+
+
+def test_only_roots_on_the_target_drop_brackets(monkeypatch):
+    # A bracket is dropped only against a root that passes the gate.  With
+    # the nearer lift's roots marked as misses the shot is the farther
+    # lift's alone; with every root a miss every bracket is solved, and the
+    # error names the least deviation over all of them.
+    hit = oracle._hit
+    misses = []
+
+    def spy(target, beta, t):
+        point, dev = hit(target, beta, t)
+        return point, (1.0 + t if target in misses else dev)
+
+    monkeypatch.setattr(oracle, "_hit", spy)
+    rng = np.random.default_rng(84)
+    for c in [random_so3(rng) for _ in range(20)]:
+        near, far = sorted(lift_so3(c), key=lambda g: shoot_min_time(g).t_min)
+        misses[:] = [(near.a_re, near.a_im, near.b_re, near.b_im)]
+        res, alone = shoot_min_time_so3(c), shoot_min_time(far)
+        assert res.t_min.hex() == alone.t_min.hex() and res.minimizers == alone.minimizers
+        misses.append((far.a_re, far.a_im, far.b_re, far.b_im))
+        a, b = math.hypot(near.a_re, near.a_im), math.hypot(near.b_re, near.b_im)
+        thetas = [math.atan2(g.a_im, g.a_re) for g in lift_so3(c)]
+        least = min(1.0 + oracle._solve(a, b, row, thetas[lift], n, bracket)[1]
+                    for lift, row, n, bracket in oracle._brackets(oracle.scan_su2(a, b), thetas))
+        with pytest.raises(ShootNoMatchError, match=re.escape(f"best deviation {least:.3e}")):
+            shoot_min_time_so3(c)
+
+
+@pytest.mark.parametrize("kind", ["haar", "steep", "near_identity"])
+def test_least_time_bounds_every_root(kind):
+    # t rises with |tau'| on branch 0 and falls on branch 1, so one end of
+    # a bracket bounds the t of the root solved in it; both lifts' levels
+    # give each target brackets on both branches.
+    for g in _uniqueness_targets(kind):
+        thetas = [math.atan2(g.a_im, g.a_re), math.atan2(-g.a_im, -g.a_re)]
+        a, b = math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im)
+        for lift, row, n, bracket in oracle._brackets(oracle.scan_su2(a, b), thetas):
+            _, t = oracle._solve(a, b, row, thetas[lift], n, bracket)
+            assert oracle._least_time(a, b, row, bracket) <= t, (g, row)
+
+
+def test_brackets_find_every_crossing():
+    # Every change of level < psi between neighbouring samples is a
+    # bracket, on rows that need not rise: random rows, rows that touch a
+    # level at their min, and the scans of Haar targets.
+    rng = np.random.default_rng(85)
+    cases = []
+    for _ in range(200):
+        thetas = rng.uniform(-math.pi, math.pi, 2).tolist()
+        cases.append(([rng.uniform(-math.pi, 2.5 * math.pi, 17).tolist() for _ in range(2)], thetas))
+    cases.append(([[0.0] * 17, [0.0, 1.0] * 8 + [0.0]], [0.0, math.pi]))  # a level at a row's min
+    for g in (random_su2(rng) for _ in range(50)):
+        psi = oracle.scan_su2(math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im))
+        cases.append((psi, [math.atan2(g.a_im, g.a_re), math.atan2(-g.a_im, -g.a_re)]))
+    for psi, thetas in cases:
+        expected = []
+        for row, phases in enumerate(psi):
+            for lift, theta in enumerate(thetas):
+                for n in (-1, 0, 1):
+                    level = theta + TWO_PI * n
+                    for j in range(16):
+                        if (level < phases[j]) != (level < phases[j + 1]):
+                            bracket = (oracle._TAU[j], oracle._TAU[j + 1], phases[j] - level, phases[j + 1] - level)
+                            expected.append((lift, row, n, bracket))
+        assert sorted(oracle._brackets(psi, thetas)) == sorted(expected)
 
 
 def test_brackets_hold_python_numbers():
