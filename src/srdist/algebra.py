@@ -80,21 +80,27 @@ class SU2Element:
         return cls(1.0, 0.0, 0.0, 0.0)
 
     def negate(self) -> "SU2Element":
-        """(-A, -B), exactly.
-
-        The pair is already unit, so it is not renormalized again: a second
-        division by its rounded norm would move some components by an ulp.
-        """
-        neg = object.__new__(SU2Element)
-        object.__setattr__(neg, "a_re", -self.a_re)
-        object.__setattr__(neg, "a_im", -self.a_im)
-        object.__setattr__(neg, "b_re", -self.b_re)
-        object.__setattr__(neg, "b_im", -self.b_im)
-        return neg
+        """(-A, -B), exactly (`_sign_flip`)."""
+        return _sign_flip(-self.a_re, -self.a_im, -self.b_re, -self.b_im)
 
     def as_matrix(self) -> np.ndarray:
         a, b = self.a, self.b
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
+
+
+def _sign_flip(a_re: float, a_im: float, b_re: float, b_im: float) -> SU2Element:
+    """The element of a unit pair's components with some signs flipped, built exactly.
+
+    A sign flip keeps the pair's norm to the bit, so it is not
+    renormalized again: a second division by its rounded norm would move
+    some components by an ulp.
+    """
+    g = object.__new__(SU2Element)
+    object.__setattr__(g, "a_re", a_re)
+    object.__setattr__(g, "a_im", a_im)
+    object.__setattr__(g, "b_re", b_re)
+    object.__setattr__(g, "b_im", b_im)
+    return g
 
 
 def mat3_mul(x, y) -> list:
@@ -137,8 +143,11 @@ class SO3Element:
             if m.dtype.kind == "c":
                 raise TypeError(f"complex entries ({m.dtype})")
             rows = m.astype(float, copy=False).tolist()
-            # The cast parses numeric strings, which SU2Element refuses too.
-            if m.dtype.kind in "SU":
+            # The cast parses numeric strings, which SU2Element refuses too,
+            # also as the entries of an object array.
+            if m.dtype.kind in "SU" or (
+                m.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in m.flat)
+            ):
                 raise TypeError(f"string entries ({m.dtype})")
         except (TypeError, ValueError) as exc:
             raise InvalidElementError(f"rotation matrix must be a 3x3 array of reals: {exc}") from None
@@ -190,8 +199,8 @@ def su2_mul(g: SU2Element, h: SU2Element) -> SU2Element:
 
 
 def su2_inv(g: SU2Element) -> SU2Element:
-    """Inverse (conjugate transpose): (A, B) -> (conj(A), -B)."""
-    return SU2Element(g.a_re, -g.a_im, -g.b_re, -g.b_im)
+    """Inverse (conjugate transpose): (A, B) -> (conj(A), -B), exactly (`_sign_flip`)."""
+    return _sign_flip(g.a_re, -g.a_im, -g.b_re, -g.b_im)
 
 
 def su2_exp(v: AlgebraVector, t: float) -> SU2Element:

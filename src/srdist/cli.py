@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import verify as verify_mod
-from .algebra import InvalidElementError, SO3Element, SU2Element
+from .algebra import SO3Element, SU2Element
 from .cutlocus import classify_cut_locus_so3, classify_pair
 from .geodesics import GeodesicParams, geodesic_point, geodesic_point_so3
 from .so3_distance import SO3_DIAMETER_BOUND, distance_so3
@@ -261,7 +261,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, InvalidElementError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,10 +8,10 @@ one target, refuting its uniqueness claim; the corrected case analysis
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import SU2Element
-from .su2_distance import DistanceCase, distance_su2
+from .su2_distance import distance_su2
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,14 +45,11 @@ def br_system_residual(
 class NonuniquenessReport:
     """Two distinct solutions of the flawed system for one target."""
 
-    abs_a: float
     t_small: float
     t_large: float
     residuals_small: tuple[float, float]
     residuals_large: tuple[float, float]
     true_distance: float
-    true_case: DistanceCase
-    notes: str = field(default="", compare=False)
 
 
 def demonstrate_br_nonuniqueness(abs_a: float) -> NonuniquenessReport:
@@ -70,18 +67,10 @@ def demonstrate_br_nonuniqueness(abs_a: float) -> NonuniquenessReport:
     res_small = br_system_residual(t_small, 0.0, abs_a, 0.0)
     res_large = br_system_residual(t_large, 0.0, abs_a, 0.0)
     g = SU2Element(abs_a, 0.0, math.sqrt(1.0 - abs_a * abs_a), 0.0)
-    ref = distance_su2(g)
-    notes = (
-        f"flawed system admits t = {t_small:.9f} and t = {t_large:.9f}; "
-        f"case analysis gives the unique t = {ref.t:.9f} ({ref.case.value})"
-    )
     return NonuniquenessReport(
-        abs_a=abs_a,
         t_small=t_small,
         t_large=t_large,
         residuals_small=res_small,
         residuals_large=res_large,
-        true_distance=ref.t,
-        true_case=ref.case,
-        notes=notes,
+        true_distance=distance_su2(g).t,
     )

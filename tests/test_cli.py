@@ -79,6 +79,13 @@ def test_bad_matrix_exit_2(capsys):
     assert "9 comma-separated" in err
 
 
+def test_non_numeric_matrix_entry_exit_2(capsys):
+    code, out, err = run_cli(capsys, "dist", "so3", "--matrix", "1,0,0,0,x,0,0,0,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad matrix entry: could not convert string to float: 'x'\n"
+
+
 def test_missing_args_exit_2(capsys):
     assert run_cli(capsys, "dist", "su2")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
@@ -179,6 +186,16 @@ def test_sphere_rejects_bad_radius(capsys, radius):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --radius ")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sphere_rejects_non_positive_samples(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "sphere", "--group", "su2", "--radius", "1.5", f"--samples={samples}",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --samples must be positive\n"
 
 
 def test_sphere_tiny_radius(capsys):

@@ -73,6 +73,15 @@ def test_negative_time_rejected():
         geodesic_point_exp(GeodesicParams(0.0, 0.0), -0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad):
+    for phi0, beta in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="geodesic parameters must be finite"):
+            GeodesicParams(phi0, beta)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        cut_time_bound(bad)
+
+
 def test_cut_time_bound_values():
     assert cut_time_bound(0.0) == pytest.approx(TWO_PI)
     assert cut_time_bound(math.sqrt(3.0)) == pytest.approx(math.pi)

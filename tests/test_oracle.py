@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srdist import oracle
+from srdist import BACKEND, oracle
 from srdist.algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, random_su2
 from srdist.cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3
 from srdist.flawed_system import br_system_residual, demonstrate_br_nonuniqueness
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
+    endpoint_coords,
     geodesic_point,
     geodesic_point_so3,
 )
@@ -20,49 +21,32 @@ from srdist.oracle import (
     GridSpec,
     REFINED_TOL,
     ShootNoMatchError,
+    scan_su2,
     shoot_min_time,
     shoot_min_time_so3,
 )
 from srdist.so3_distance import distance_so3
 from srdist.su2_distance import distance_su2
 
-# A grid is accepted and unread: the scan samples fixed points of the loop.
-SMALL = GridSpec(n_phi=64, n_beta=64, beta_max=8.0, n_t=128)
-
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 
 class TestGridSpec:
-    def test_defaults(self):
-        g = GridSpec()
-        assert (g.n_phi, g.n_beta, g.n_t) == (256, 256, 512)
-        assert g.beta_max == 8.0
-
-    def test_rejects_too_coarse(self):
-        with pytest.raises(ValueError):
-            GridSpec(n_phi=32)
-        with pytest.raises(ValueError):
-            GridSpec(beta_max=1.0)
-
     def test_positional_and_keyword_forms(self):
-        assert GridSpec(64, 64, 8.0, 64, refine_steps=1).refine_steps == 1
-        assert GridSpec(n_phi=128, n_beta=128, beta_max=8.0, n_t=256).n_t == 256
-
-    @pytest.mark.parametrize("beta_max", [math.nan, math.inf])
-    def test_rejects_non_finite_beta_max(self, beta_max):
-        with pytest.raises(ValueError):
-            GridSpec(beta_max=beta_max)
-
-    @pytest.mark.parametrize(
-        "field", [{"n_t": 100.5}, {"n_beta": 128.0}, {"n_phi": 64.0}, {"refine_steps": 2.0}]
-    )
-    def test_rejects_non_integer_sizes(self, field):
-        with pytest.raises(TypeError):
-            GridSpec(**field)
-
-    def test_accepts_numpy_integers(self):
-        g = GridSpec(n_phi=np.int64(64), n_beta=np.int32(64), n_t=np.int64(128), refine_steps=np.int64(5))
-        assert g.n_t == 128
+        # The three grids perfbench passes, by position: a shot reads none
+        # of them, so each gives the shot without a grid, to the bit.
+        rng = np.random.default_rng(57)
+        g = random_su2(rng)
+        c = random_so3(rng)
+        grids = [GridSpec(), GridSpec(n_phi=128, n_beta=128, beta_max=8.0, n_t=256),
+                 GridSpec(64, 64, 8.0, 64, refine_steps=1)]
+        for shoot, target in ((shoot_min_time, g), (shoot_min_time_so3, c)):
+            bare = shoot(target)
+            for grid in grids:
+                res = shoot(target, grid)
+                assert res.t_min.hex() == bare.t_min.hex()
+                assert [[v.hex() for v in p] for p in res.minimizers] == [[v.hex() for v in p] for p in bare.minimizers]
 
 
 def _imported_modules(path):
@@ -97,8 +81,7 @@ def test_nothing_to_refine_is_typed(monkeypatch):
 
 def test_fixed_samples_are_built_once_and_read_only(monkeypatch):
     # The loop's tau' samples are a tuple built at import; every shot
-    # reads it, whatever grid it is passed.  B = 0 shots scan nothing:
-    # their roots are in closed form.
+    # reads it.  B = 0 shots scan nothing: their roots are in closed form.
     scans = []
     scan = oracle.scan_su2
 
@@ -109,17 +92,205 @@ def test_fixed_samples_are_built_once_and_read_only(monkeypatch):
     monkeypatch.setattr(oracle, "scan_su2", spy)
     rng = np.random.default_rng(57)
     for g in (random_su2(rng), random_su2(rng)):
-        shoot_min_time(g, SMALL)
         shoot_min_time(g)
-    assert len(scans) == 4
+    assert len(scans) == 2
     assert type(oracle._TAU) is tuple
     with pytest.raises(TypeError):
         oracle._TAU[0] = 0.0
     for g in (SU2Element(0.6, 0.8, 0.0, 0.0), SU2Element(0.8, -0.6, 0.0, 0.0)):
-        shoot_min_time(g, SMALL)
         shoot_min_time(g)
         shoot_min_time_so3(klein_omega(g))
-    assert len(scans) == 4
+    assert len(scans) == 2
+
+
+# The scan (`scan_su2`) and the closed-form cut root (`_cut_root`), checked
+# against the endpoint formula point by point.
+PHIS = np.linspace(0.0, TWO_PI, 48, endpoint=False)
+
+
+def _vec(g):
+    return np.array([g.a_re, g.a_im, g.b_re, g.b_im])
+
+
+def _max_dev(end, target):
+    return float(np.max(np.abs(np.asarray(end) - target)))
+
+
+def _phi_gap(a, b):
+    d = (a - b) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
+def _loop_point(target, branch, tau):
+    """(phi0, beta, t) of the loop point tau' on one half of the target's loop."""
+    a, b = _ab(target)
+    sign = 1.0 - 2.0 * branch
+    beta = sign * a / b * math.sin(tau)
+    s = math.sqrt(1.0 + beta * beta)
+    t = 2.0 * math.atan2(b * s, sign * a * math.cos(tau)) / s
+    return math.atan2(target[3], target[2]) - beta * t / 2.0, beta, t
+
+
+def _ab(target):
+    """(|A|, |B|) of a target, the scan's only inputs."""
+    return math.hypot(target[0], target[1]), math.hypot(target[2], target[3])
+
+
+def _targets(rng, n):
+    """Haar, steep and near-identity SU(2) targets, n of each, as (Re A, Im A, Re B, Im B)."""
+    out = [_vec(random_su2(rng)) for _ in range(n)]
+    for _ in range(n):
+        beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.78, 2.5)
+        t = rng.uniform(0.05, 0.95) * cut_time_bound(beta)
+        out.append(_vec(geodesic_point(GeodesicParams(rng.uniform(0.0, TWO_PI), beta), t)))
+    out += [_vec(g) for g in _near_identity(rng, n)]
+    return out
+
+
+def test_backend_name_reported():
+    assert BACKEND == "python"
+
+
+def test_python_scan_matches_direct_evaluation():
+    # At each loop point the endpoint formula's A is a*exp(i*psi): its
+    # modulus is the target's and its phase is the scan's psi mod 2*pi,
+    # and the point reaches the target's B.
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        target = _vec(random_su2(rng))
+        a = _ab(target)[0]
+        tau, psi = oracle._TAU, scan_su2(*_ab(target))
+        assert len(psi) == 2 and len(tau) == oracle.LOOP_FLOOR + 1
+        assert all(len(row) == len(tau) for row in psi)
+        assert np.all(np.diff(tau) > 0.0)
+        assert tau[0] == -math.pi / 2 and tau[-1] == math.pi / 2
+        for b in range(2):
+            for j, x in enumerate(tau):
+                phi0, beta, t = _loop_point(target, b, x)
+                # Branch 0 stops at u = pi/2, branch 1 starts there.
+                cut = cut_time_bound(beta)
+                assert (t <= cut / 2.0 + 1e-15) if b == 0 else (cut / 2.0 - 1e-15 <= t <= cut)
+                end = endpoint_coords(phi0, beta, t)
+                assert _max_dev(end[2:], target[2:]) <= 1e-15
+                assert abs(math.hypot(end[0], end[1]) - a) <= 1e-15
+                assert _phi_gap(math.atan2(end[1], end[0]), psi[b][j]) <= 1e-12
+
+
+def test_scan_within_sqrt2_of_phi0_grid_scan():
+    # At a loop point's (beta, t) the endpoint's A does not depend on
+    # phi0, and phase alignment minimizes |B - B_target|; a max-norm
+    # deviation is at least |z|/sqrt(2) of any complex difference z, so
+    # solving phi0 in closed form loses at most a factor sqrt(2) against
+    # a phi0 grid.  The scan's deviation is read from A = a*exp(i*psi).
+    rng = np.random.default_rng(64)
+    for _ in range(3):
+        target = _vec(random_su2(rng))
+        a = _ab(target)[0]
+        tau, psi = oracle._TAU, scan_su2(*_ab(target))
+        for (b, j), p in np.ndenumerate(psi):
+            dev = max(abs(a * math.cos(p) - target[0]), abs(a * math.sin(p) - target[1]))
+            _, beta, t = _loop_point(target, b, tau[j])
+            grid = min(_max_dev(endpoint_coords(phi, beta, t), target) for phi in PHIS)
+            assert dev <= math.sqrt(2.0) * grid + 1e-12
+
+
+def test_scan_matches_b_target(monkeypatch):
+    # Every loop point lands on B_target up to the rounding of t and of
+    # the phases (each below 2*pi, so at most a few ulps of 2*pi, 8.9e-16
+    # each), and every bracket the oracle solves starts from two
+    # neighbouring loop points of the scan.
+    rng = np.random.default_rng(62)
+    brackets, solve = [], oracle._solve
+
+    def spy(a, b, branch, theta, n, bracket):
+        brackets.append(bracket[:2])
+        return solve(a, b, branch, theta, n, bracket)
+
+    monkeypatch.setattr(oracle, "_solve", spy)
+    for target in _targets(rng, 20):
+        b_abs, theta = math.hypot(target[2], target[3]), math.atan2(target[3], target[2])
+        tau = oracle._TAU
+        for b in range(2):
+            for x in tau:
+                end = endpoint_coords(*_loop_point(target, b, x))
+                assert abs(math.hypot(end[2], end[3]) - b_abs) <= 1e-15
+                assert _phi_gap(math.atan2(end[3], end[2]), theta) <= 2e-15
+        del brackets[:]
+        oracle.shoot_min_time(SU2Element(*target))
+        assert brackets
+        for lo, hi in brackets:
+            j = int(np.searchsorted(tau, lo))
+            assert (tau[j], tau[j + 1]) == (lo, hi)
+
+
+def test_every_sample_matches_its_endpoint():
+    # On loops through geodesics of momentum beta, at t up to the cut
+    # time, each sample's a*exp(i*psi) matches A of its own endpoint at
+    # the rounding floor, 2e-15: psi is written without cancellation, and
+    # the loop takes cos(u) = a*cos(tau), so no asin amplifies the
+    # rounding near u = pi/2.
+    rng = np.random.default_rng(63)
+    for beta in (-300.0, -20.0, -2.0, -0.1, 0.0, 0.5, 6.0, 80.0):
+        cut = cut_time_bound(beta)
+        for k in range(1, 65, 3):
+            target = np.array(endpoint_coords(rng.uniform(0.0, TWO_PI), beta, k / 64.0 * cut))
+            a = _ab(target)[0]
+            tau, psi = oracle._TAU, scan_su2(*_ab(target))
+            for (b, j), p in np.ndenumerate(psi):
+                end = endpoint_coords(*_loop_point(target, b, tau[j]))
+                assert abs(a * np.exp(1j * p) - complex(end[0], end[1])) <= 2e-15, (beta, k, b, j)
+
+
+def test_special_targets():
+    # B = 0: a minimizer reaches B = 0 only at its cut time u = pi, where
+    # A = -exp(-i*pi*beta/s) for every phi0, and the oracle inverts that
+    # phase in closed form.  Each theta in [-pi, pi] has one root, at the
+    # cut time, with the sign of theta; |beta| falls strictly as |theta|
+    # grows, to 0 at the half turn about axis 1 (t = 2*pi), and the
+    # identity (theta = 0) gives t = 0 with beta taken as 0.  The root's
+    # endpoint is exp(i*theta) at the rounding floor.  A = 0: the loop
+    # shrinks to one point, and every sample has A = 0.
+    assert oracle._cut_root(0.0) == (0.0, 0.0)
+    abs_thetas = sorted([10.0**-k for k in range(1, 17)] + [k * math.pi / 64.0 for k in range(1, 65)])
+    for sign in (1.0, -1.0):
+        previous = math.inf
+        for theta in (sign * x for x in abs_thetas):
+            beta, t = oracle._cut_root(theta)
+            assert type(beta) is float and type(t) is float
+            assert math.copysign(1.0, beta) == sign and abs(beta) < previous, theta
+            previous = abs(beta)
+            s = math.hypot(1.0, beta)
+            assert abs(t - cut_time_bound(beta)) <= 4.0 * EPS * t, theta
+            assert abs(-np.exp(-1j * math.pi * beta / s) - np.exp(1j * theta)) <= 1e-15, theta
+            end = endpoint_coords(0.0, beta, t)
+            assert _max_dev(end, (math.cos(theta), math.sin(theta), 0.0, 0.0)) <= 2e-15, theta
+        assert beta == 0.0 and abs(t - TWO_PI) <= 4.0 * EPS * TWO_PI
+    target = (0.0, 0.0, math.cos(1.0), math.sin(1.0))
+    tau, psi = oracle._TAU, scan_su2(0.0, 1.0)
+    assert len(tau) == oracle.LOOP_FLOOR + 1
+    for b in range(2):
+        for x in tau:
+            end = endpoint_coords(*_loop_point(target, b, x))
+            assert math.hypot(end[0], end[1]) <= 1e-16
+
+
+def test_scan_phase_is_the_solve_phase():
+    # The scan and the 1-D solve (`oracle._loop_phase`) write psi in the
+    # same cancellation-free form, once each: at every sample they agree
+    # within the solve's own rounding floor at level 0, 8 eps, so the two
+    # copies cannot drift apart.
+    rng = np.random.default_rng(65)
+    targets = _targets(rng, 20)
+    for d in (1e-1, 1e-6, 1e-12):
+        targets += [(d, 0.0, math.sqrt((1.0 - d) * (1.0 + d)), 0.0), (1.0 - d, 0.0, math.sqrt(d * (2.0 - d)), 0.0)]
+    targets.append((0.0, 0.0, 1.0, 0.0))
+    for target in targets:
+        a, b = _ab(target)
+        tau, psi = oracle._TAU, scan_su2(a, b)
+        for branch, row in enumerate(psi):
+            for x, p in zip(tau, row):
+                f, _, _ = oracle._loop_phase(a, b, branch, 0.0, 0, x)
+                assert abs(p - f) <= 8.0 * EPS, (target, branch, x)
 
 
 class TestShootSU2:
@@ -137,13 +308,7 @@ class TestShootSU2:
         assert res.minimizers
         for phi0, beta, t in res.minimizers:
             end = geodesic_point(GeodesicParams(phi0 % TWO_PI, beta), t)
-            dev = max(
-                abs(end.a_re - g.a_re),
-                abs(end.a_im - g.a_im),
-                abs(end.b_re - g.b_re),
-                abs(end.b_im - g.b_im),
-            )
-            assert dev <= REFINED_TOL
+            assert _max_dev(_vec(end), _vec(g)) <= REFINED_TOL
             assert t <= res.t_min + REFINED_TOL
         assert res.t_min == res.minimizers[0][2]
 
@@ -174,6 +339,7 @@ class TestHighMomentumTargets:
         [
             (20.0, 0.25),
             (30.0, 0.1),
+            (100.0, 0.05),
             _at_cut_fraction(-168.0, 0.40),
             _at_cut_fraction(-294.0, 0.57),
             _at_cut_fraction(-283.0, 0.27),
@@ -200,16 +366,10 @@ class TestHighMomentumTargets:
         g = geodesic_point(GeodesicParams(phi0, beta), t)
         assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
 
-    @pytest.mark.parametrize("beta, t", [(20.0, 0.25), (30.0, 0.1), (100.0, 0.05)])
-    def test_small_grid(self, beta, t):
-        g = geodesic_point(GeodesicParams(1.0, beta), t)
-        res = shoot_min_time(g, SMALL)
-        assert abs(res.t_min - distance_su2(g).t) <= 1e-12
-
 
 class TestNearIdentity:
-    # Within 1e-2 of the identity the first grid cells overshoot the
-    # target; the oracle must hit it or raise, never return a wrong time.
+    # Within 1e-2 of the identity the oracle must hit the target or raise,
+    # never return a wrong time.
     @pytest.mark.parametrize("d", [1e-2, 1e-3])
     @pytest.mark.parametrize("phi0, beta", [(0.3, 0.0), (1.0, 2.0), (4.0, -5.0), (2.0, 20.0)])
     def test_hit_or_typed_error(self, phi0, beta, d):
@@ -230,7 +390,7 @@ class TestNearIdentity:
         assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
 
     # A solve cut off before convergence arrived 1.0e-11 to 1.5e-11 early
-    # on these targets at the default grid.
+    # on these targets.
     @pytest.mark.parametrize(
         "phi0, beta, d",
         [
@@ -244,13 +404,24 @@ class TestNearIdentity:
         assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
 
     def test_start_under_refined_tol_still_solved(self):
-        # The default grid's row nearest beta reaches this target within
-        # REFINED_TOL at a t off by 3.9e-13: passing the gate alone does
-        # not pin t to 1e-14, so the solve must run to the rounding floor.
+        # A point within REFINED_TOL of this target can lie at a t off by
+        # 3.9e-13: passing the gate alone does not pin t to 1e-14, so the
+        # solve must run to the rounding floor.
         beta, d = -3.9325966852772183, 0.0005276544964793624
         g = geodesic_point(GeodesicParams(2.465198959605808, beta), d)
         res = shoot_min_time(g)
         assert abs(res.t_min - d) <= 1e-14
+
+
+def _near_identity(rng, n):
+    """n endpoints near the identity: |beta| < 30, t = 10^U(-3, -2)."""
+    return [
+        geodesic_point(
+            GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-30.0, 30.0)),
+            10.0 ** rng.uniform(-3.0, -2.0),
+        )
+        for _ in range(n)
+    ]
 
 
 # Fixed targets for the work guard, default_rng(81): 10 Haar, 10 steep
@@ -265,13 +436,7 @@ def _work_targets():
         beta = rng.choice([-1.0, 1.0]) * rng.uniform(6.0, 316.0)
         p = GeodesicParams(rng.uniform(0.0, TWO_PI), beta)
         steep.append(geodesic_point(p, rng.uniform(0.05, 0.95) * cut_time_bound(beta)))
-    near = [
-        geodesic_point(
-            GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-30.0, 30.0)),
-            10.0 ** rng.uniform(-3.0, -2.0),
-        )
-        for _ in range(10)
-    ]
+    near = _near_identity(rng, 10)
     axis1 = []
     for _ in range(10):
         theta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 0.49)
@@ -280,9 +445,8 @@ def _work_targets():
     return {"haar": haar, "steep": steep, "near_identity": near, "axis1": axis1, "so3": so3}
 
 
-# (brackets solved, phase evaluations) per set of ten shots: bounded
-# 25 % above (10, 38), (10, 46) and (10, 36), measured with grid rows; the
-# fixed samples' wider brackets measure (10, 44), (10, 50) and (10, 45).
+# (brackets solved, phase evaluations) per set of ten shots: the Haar,
+# steep and near-identity sets measure (10, 44), (10, 50) and (10, 45).
 # Axis-1 shots (B = 0) solve nothing: each lift's root is in closed form
 # (`_cut_root`).  A phase evaluation is one `_loop_phase` call, F and its
 # slope at one trial point; the endpoint is evaluated once per root, for
@@ -547,8 +711,8 @@ class TestShootSO3:
         assert abs(res.t_min - distance_so3(c).t) <= 1e-12
 
     def test_haar_rotations_reach_nearer_lift(self):
-        # Each lift's roots are bracketed in the one scan: a grid that
-        # passes closer to the far lift must not hide the near lift's roots.
+        # Each lift's roots are bracketed in the one scan: the far lift's
+        # crossings must not hide the near lift's roots.
         rng = np.random.default_rng(53)
         for _ in range(50):
             c = klein_omega(random_su2(rng))
@@ -576,7 +740,6 @@ class TestShootSO3:
 class TestSO3LiftsInOnePass:
     # An SO(3) shot scans both lifts g and -g in one pass: they share |B|,
     # so only the target's A and phi0 differ between their rows.
-    GRID = GridSpec(n_phi=128, n_beta=128, beta_max=8.0, n_t=256)
 
     @staticmethod
     def _targets():
@@ -606,11 +769,11 @@ class TestSO3LiftsInOnePass:
         # alone, so t_min is the lesser lift time to the bit, and the
         # minimizers are the lifts' within t_min + REFINED_TOL.
         for c in self._targets():
-            res = shoot_min_time_so3(c, self.GRID)
+            res = shoot_min_time_so3(c)
             shots = []
             for g in lift_so3(c):
                 try:
-                    shots.append(shoot_min_time(g, self.GRID))
+                    shots.append(shoot_min_time(g))
                 except ShootNoMatchError:
                     pass
             t_min = min(r.t_min for r in shots)
@@ -666,17 +829,13 @@ class TestDegenerateLoops:
             c = klein_omega(SU2Element(1e-3, *v))
             assert abs(shoot_min_time_so3(c).t_min - distance_so3(c).t) <= 1e-12
 
-    PROBE = GridSpec(64, 64, 8.0, 64, refine_steps=1)  # perfbench's probe grid
-
-    @pytest.mark.parametrize("grid", [SMALL, PROBE], ids=["small", "probe"])
-    def test_short_loop_half_turn(self, grid):
-        # Half turn #4 of default_rng(104): a = 0.0756 and b* = 0.0758,
-        # once below the spacing of every grid's rows near beta = 0; the
-        # loop's fixed samples bracket its roots at any b*.
+    def test_short_loop_half_turn(self):
+        # Half turn #4 of default_rng(104): a = 0.0756 and b* = 0.0758, a
+        # short loop; its fixed samples bracket its roots at any b*.
         rng = np.random.default_rng(104)
         for _ in range(5):
             c = _half_turn(rng)
-        res = shoot_min_time_so3(c, grid)
+        res = shoot_min_time_so3(c)
         assert abs(res.t_min - distance_so3(c).t) <= 1e-12
         assert len(res.minimizers) == 2
 
@@ -688,8 +847,8 @@ AXIS1_THETAS = [sign * 10.0**-k for k in range(17) for sign in (1.0, -1.0)]
 class TestAxis1Targets:
     # B = 0: the endpoint does not depend on phi0, so every phi0 is
     # minimizing and the oracle lists one representative.  Small |theta|
-    # puts the root at |beta| of about sqrt(pi/(2|theta|)), far beyond any
-    # row of a finite grid: an axis-1 rotation by 2e-6 once came out 2*pi.
+    # puts the root at |beta| of about sqrt(pi/(2|theta|)), unbounded as
+    # theta -> 0: an axis-1 rotation by 2e-6 once came out 2*pi.
     @pytest.mark.parametrize("theta", AXIS1_THETAS, ids=[f"{t:g}" for t in AXIS1_THETAS])
     def test_su2(self, theta):
         g = SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0)
@@ -699,12 +858,7 @@ class TestAxis1Targets:
         assert len(res.minimizers) == 1
         for phi0, beta, t in res.minimizers:
             end = geodesic_point(GeodesicParams(phi0, beta), t)
-            assert max(
-                abs(end.a_re - g.a_re),
-                abs(end.a_im - g.a_im),
-                abs(end.b_re - g.b_re),
-                abs(end.b_im - g.b_im),
-            ) <= REFINED_TOL
+            assert _max_dev(_vec(end), _vec(g)) <= REFINED_TOL
 
     @pytest.mark.parametrize("theta", AXIS1_THETAS, ids=[f"{t:g}" for t in AXIS1_THETAS])
     def test_so3(self, theta):

@@ -77,6 +77,11 @@ class TestBranchFunctions:
         with pytest.raises(DomainError):
             arg_long(-0.76, 0.6)
 
+    @pytest.mark.parametrize("abs_a", [0.0, 1.0])
+    def test_beta_domain_max_rejects_the_ends(self, abs_a):
+        with pytest.raises(DomainError, match=r"abs_a must lie in \(0, 1\)"):
+            beta_domain_max(abs_a)
+
     def test_monotonicity_grid(self):
         # full 1e4-point sweep lives in the acceptance suite
         rng = np.random.default_rng(5)
