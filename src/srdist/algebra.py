@@ -39,9 +39,9 @@ class SU2Element:
     b_im: float
 
     def __post_init__(self):
-        vals = (self.a_re, self.a_im, self.b_re, self.b_im)
+        vals = a_re, a_im, b_re, b_im = self.a_re, self.a_im, self.b_re, self.b_im
         try:
-            norm2 = sum(v * v for v in vals)
+            norm2 = a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im
             # A numpy complex would pass isfinite with only a warning, dropping its imaginary part.
             if isinstance(norm2, np.complexfloating):
                 raise TypeError(f"must be real number, not {type(norm2).__name__}")
@@ -57,11 +57,13 @@ class SU2Element:
             raise InvalidElementError(
                 f"unit-norm violation: |A|^2+|B|^2 deviates by {abs(norm * norm - 1.0):.3e}"
             )
-        if norm != 1.0:
-            object.__setattr__(self, "a_re", self.a_re / norm)
-            object.__setattr__(self, "a_im", self.a_im / norm)
-            object.__setattr__(self, "b_re", self.b_re / norm)
-            object.__setattr__(self, "b_im", self.b_im / norm)
+        # Store Python floats on every path: an int, bool or numpy scalar
+        # of norm exactly 1 is converted too (dividing by 1.0 is exact).
+        if norm != 1.0 or not type(a_re) is type(a_im) is type(b_re) is type(b_im) is float:
+            object.__setattr__(self, "a_re", float(a_re) / norm)
+            object.__setattr__(self, "a_im", float(a_im) / norm)
+            object.__setattr__(self, "b_re", float(b_re) / norm)
+            object.__setattr__(self, "b_im", float(b_im) / norm)
 
     @property
     def a(self) -> complex:

@@ -24,8 +24,6 @@ from .geodesics import GeodesicParams, geodesic_point, geodesic_point_so3
 from .so3_distance import SO3_DIAMETER_BOUND, distance_so3
 from .su2_distance import distance_su2
 
-TWO_PI = 2.0 * math.pi
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -133,7 +131,7 @@ def cmd_geodesic(args) -> int:
 def cmd_sphere(args) -> int:
     if not args.radius > 0:  # NaN included
         raise UsageError("--radius must be positive")
-    diameter = TWO_PI if args.group == "su2" else SO3_DIAMETER_BOUND
+    diameter = math.tau if args.group == "su2" else SO3_DIAMETER_BOUND
     if args.radius > diameter + 1e-9:
         raise UsageError(
             f"--radius {args.radius} exceeds the {args.group} diameter bound {diameter:.9f}"
@@ -142,7 +140,7 @@ def cmd_sphere(args) -> int:
         raise UsageError("--samples must be positive")
     # Geodesics of momentum beta stop minimizing by 2*pi/sqrt(1+beta^2), so only
     # |beta| <= sqrt(x^2 - 1), x = 2*pi/R, can realize distance R (x^2 may overflow).
-    x = TWO_PI / args.radius
+    x = math.tau / args.radius
     beta_adm = x * math.sqrt(max(0.0, (1.0 - 1.0 / x) * (1.0 + 1.0 / x)))
     if not math.isfinite(2.0 * beta_adm):
         raise UsageError(f"--radius {args.radius} is too small to sample")
@@ -151,7 +149,7 @@ def cmd_sphere(args) -> int:
     rows = []
     kept = discarded = 0
     for _ in range(args.samples):
-        phi0 = rng.uniform(0.0, TWO_PI)
+        phi0 = rng.uniform(0.0, math.tau)
         beta = rng.uniform(-beta_adm, beta_adm)
         element, values = endpoint(GeodesicParams(phi0, beta), args.radius)
         d = distance(element).t

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from .algebra import SU2Element
 from .su2_distance import distance_su2
 
-TWO_PI = 2.0 * math.pi
-
 
 def br_system_residual(
     t: float, beta: float, abs_a: float, arg_a: float
@@ -63,7 +61,7 @@ def demonstrate_br_nonuniqueness(abs_a: float) -> NonuniquenessReport:
         raise ValueError("abs_a must lie in (0, 1)")
     half = math.asin(math.sqrt(1.0 - abs_a * abs_a))
     t_small = 2.0 * half
-    t_large = TWO_PI - 2.0 * half
+    t_large = math.tau - 2.0 * half
     res_small = br_system_residual(t_small, 0.0, abs_a, 0.0)
     res_large = br_system_residual(t_large, 0.0, abs_a, 0.0)
     g = SU2Element(abs_a, 0.0, math.sqrt(1.0 - abs_a * abs_a), 0.0)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraVector, SO3Element, SU2Element, klein_omega, su2_exp, su2_mul
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class GeodesicParams:
@@ -26,7 +24,7 @@ class GeodesicParams:
     def __post_init__(self):
         if not (math.isfinite(self.phi0) and math.isfinite(self.beta)):
             raise ValueError("geodesic parameters must be finite")
-        object.__setattr__(self, "phi0", self.phi0 % TWO_PI)
+        object.__setattr__(self, "phi0", self.phi0 % math.tau)
 
 
 def endpoint_coords(phi0: float, beta: float, t: float) -> tuple[float, float, float, float]:
@@ -132,4 +130,4 @@ def cut_time_bound(beta: float) -> float:
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    return TWO_PI / math.hypot(1.0, beta)
+    return math.tau / math.hypot(1.0, beta)

@@ -65,8 +65,6 @@ from math import atan2, hypot, pi
 from .algebra import SO3Element, SU2Element, lift_so3
 from .geodesics import endpoint_coords
 
-TWO_PI = 2.0 * math.pi
-
 # Endpoint deviation (max-norm) a root must reach to count as hitting the
 # target, and the arrival-time tie within which such roots are all
 # minimizers.  A root solved to convergence lands at the rounding floor,
@@ -163,9 +161,9 @@ def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, tau: floa
     d = math.atan2(b * ct / s_plus, a * ct * ct + b * s * abs(st))
     w, sigma, s3 = s * s_plus, math.copysign(1.0, beta), s * s * s
     if branch:
-        f = sigma * ((u - math.pi) / w - d) - theta - TWO_PI * (n - (sigma > 0.0))
+        f = sigma * ((u - math.pi) / w - d) - theta - math.tau * (n - (sigma > 0.0))
         return f, (s + (math.pi - u) * a / b * ct) / s3, (-beta, 2.0 * (math.pi - u) / s)
-    return sigma * (u / w - d) - theta - TWO_PI * n, (s - u * a / b * ct) / s3, (beta, 2.0 * u / s)
+    return sigma * (u / w - d) - theta - math.tau * n, (s - u * a / b * ct) / s3, (beta, 2.0 * u / s)
 
 
 def _cut_root(theta: float) -> tuple[float, float]:
@@ -180,7 +178,7 @@ def _cut_root(theta: float) -> tuple[float, float]:
     is the identity, which only t = 0 reaches; beta is 0 there.
     """
     x = abs(theta)
-    t = 2.0 * math.sqrt(x * (TWO_PI - x))
+    t = 2.0 * math.sqrt(x * (math.tau - x))
     return (math.copysign(math.pi - x, theta) / (0.5 * t) if t else 0.0), t
 
 
@@ -203,7 +201,7 @@ def _brackets(psi: tuple, thetas: list[float]) -> list:
         lo, hi = min(phases), max(phases)
         for lift, theta in enumerate(thetas):
             for n in (-1, 0, 1):
-                level = theta + TWO_PI * n
+                level = theta + math.tau * n
                 if not lo <= level < hi:
                     continue
                 above, j = list(map(level.__lt__, phases)), 0
@@ -229,7 +227,7 @@ def _solve(a: float, b: float, branch: int, theta: float, n: int, bracket: tuple
     absolute, 8 eps per unit of 1 + |level|.
     """
     lo, hi, f_lo, f_hi = bracket
-    floor = _EIGHT_EPS * (1.0 + abs(theta + TWO_PI * n))
+    floor = _EIGHT_EPS * (1.0 + abs(theta + math.tau * n))
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     f_best = math.inf
     for _ in range(_MAX_STEPS):
@@ -294,7 +292,7 @@ def _shoot(lifts: list[SU2Element]) -> ShootResult:
                 t_best = t
 
     exact = sorted(
-        ((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),
+        ((phi0 % math.tau, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),
         key=lambda p: (p[2], p[0], p[1]),
     )
     if not exact:

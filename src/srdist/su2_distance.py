@@ -35,8 +35,6 @@ from typing import Callable, Optional
 
 from .algebra import SU2Element, su2_inv, su2_mul
 
-TWO_PI = 2.0 * math.pi
-HALF_PI = 0.5 * math.pi
 _EPS = 2.0 * sys.float_info.epsilon
 
 # Half-width of the classification band around the branch-3 boundary,
@@ -158,7 +156,7 @@ def solve_monotone(f: Callable[[float], tuple], target: float, f_ends: tuple[flo
     if not min(f_lo, f_hi) <= target <= max(f_lo, f_hi):
         raise DomainError(f"target {target} outside monotone range {f_ends}")
     sign = 1.0 if f_hi > f_lo else -1.0
-    lo, hi = 0.0, HALF_PI
+    lo, hi = 0.0, math.pi / 2
     x = min(hi, max(lo, start))
     step = prev = hi - lo
     for _ in range(200):
@@ -246,7 +244,7 @@ def distance_from_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> Di
 
     if abs_a == 0.0:
         # Branch 1: t = pi, beta = 0, phi0 = arg(B).
-        phi0 = math.atan2(b_im, b_re) % TWO_PI
+        phi0 = math.atan2(b_im, b_re) % math.tau
         return DistanceResult(math.pi, DistanceCase.A_ZERO, 0.0, phi0)
 
     theta = math.atan2(a_im, a_re)
@@ -257,7 +255,7 @@ def distance_from_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> Di
         # and beta = (pi - |theta|)/(t/2) takes theta's sign; -beta misses
         # the target.  phi0 is free, and at the identity beta is too.
         # A subnormal |B| moves t by less than the rounding of pi.
-        half_t = math.sqrt(abs(theta) * (TWO_PI - abs(theta)))
+        half_t = math.sqrt(abs(theta) * (math.tau - abs(theta)))
         beta = math.copysign(math.pi - abs(theta), theta) / half_t if half_t else None
         return DistanceResult(2.0 * half_t, DistanceCase.ABS_A_ONE, beta, None)
 
@@ -276,13 +274,13 @@ def distance_from_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> Di
         # theta's sign on both.
         long = ratio > 1.0
         ends = (math.pi if long else 0.0, edge_per_b * abs_b)
-        start = _long_arc_start(abs_a, abs_b, abs(theta)) if long else HALF_PI * ratio
+        start = _long_arc_start(abs_a, abs_b, abs(theta)) if long else math.pi / 2 * ratio
         abs_beta, t = solve_monotone(arc_equation(abs_a, abs_b, long), abs(theta), ends, start)
         beta = math.copysign(abs_beta, theta)
         case = DistanceCase.LONG if long else DistanceCase.SHORT
 
     # |B| is a normal float here, so arg(B) is well defined.
-    phi0 = (math.atan2(b_im, b_re) - beta * t / 2.0) % TWO_PI
+    phi0 = (math.atan2(b_im, b_re) - beta * t / 2.0) % math.tau
     return DistanceResult(t, case, beta, phi0)
 
 

@@ -32,8 +32,6 @@ from .su2_distance import (
     DistanceResult, arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short,
 )
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -67,7 +65,7 @@ def _near_boundary_rotations(rng: np.random.Generator, n: int) -> Iterator[SO3El
     for i in range(n):
         d = 10.0 ** -(7 + i % 4)
         theta = rng.choice([-1.0, 1.0]) * math.pi * d / 2.0 * rng.uniform(0.5, 2.0)
-        yield klein_omega(_pair(1.0 - d, math.sqrt(d * (2.0 - d)), theta, rng.uniform(0.0, TWO_PI)))
+        yield klein_omega(_pair(1.0 - d, math.sqrt(d * (2.0 - d)), theta, rng.uniform(0.0, math.tau)))
 
 
 def _pair(abs_a: float, abs_b: float, alpha: float, gamma: float) -> SU2Element:
@@ -112,7 +110,7 @@ def check_lemmas(abs_as: Iterable[float], n_beta: int) -> list[CheckResult]:
         violations += int(np.sum(slope * np.diff(pos, axis=1) <= 0.0))
         parity.append(_worst(neg - parity_sign * pos))
         s = np.sqrt(1.0 + bs * bs)
-        ident.append(_worst([t1 + t2 - TWO_PI / s, f2 - f1 - math.pi * bs / s]))
+        ident.append(_worst([t1 + t2 - math.tau / s, f2 - f1 - math.pi * bs / s]))
         root = math.sqrt(1.0 - a * a)
         ends.append(_worst([
             t1[0] - 2.0 * math.asin(root),
@@ -146,8 +144,8 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
     for _ in range(n):
         beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.8, 3.5)
         t = rng.uniform(0.05, 0.97) * cut_time_bound(beta)
-        targets.append(geodesic_point(GeodesicParams(rng.uniform(0.0, TWO_PI), beta), t))
-        p = GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-50.0, 50.0))
+        targets.append(geodesic_point(GeodesicParams(rng.uniform(0.0, math.tau), beta), t))
+        p = GeodesicParams(rng.uniform(0.0, math.tau), rng.uniform(-50.0, 50.0))
         targets.append(geodesic_point(p, 10.0 ** rng.uniform(-8.0, -2.0)))
     for d in [10.0**-k for k in range(1, 13)] * max(1, n // 10):
         targets.append(_pair(d, math.sqrt((1.0 - d) * (1.0 + d)), *rng.uniform(-math.pi, math.pi, 2)))
@@ -168,8 +166,15 @@ def _minimizer_gap(expected: DistanceResult, found: tuple[float, float, float]) 
     phi0, beta, t = found
     gaps = [beta - expected.beta, t - expected.t]
     if expected.phi0 is not None:
-        gaps.append(math.remainder(phi0 - expected.phi0, TWO_PI))
+        gaps.append(math.remainder(phi0 - expected.phi0, math.tau))
     return _worst(gaps)
+
+
+def _half_turn(rng: np.random.Generator) -> SO3Element:
+    """Half turn 2vv^T - I about a random axis v, uniform on the sphere."""
+    v = rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    return SO3Element(2.0 * np.outer(v, v) - np.eye(3))
 
 
 def _sym_band_pair(rng: np.random.Generator, re_a: float) -> SU2Element:
@@ -205,11 +210,7 @@ def check_minimizers(rng: np.random.Generator, n: int) -> list[CheckResult]:
     minimizers, and n rotations at each |Re A| = 2*MEMBERSHIP_TOL and
     1e-8 must be tagged NotCut and list one.
     """
-    rotations = []
-    for _ in range(n):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        rotations.append(SO3Element(2.0 * np.outer(v, v) - np.eye(3)))
+    rotations = [_half_turn(rng) for _ in range(n)]
     rotations += [klein_omega(_sym_band_pair(rng, (1e-4, 1e-3, 5e-3)[i % 3])) for i in range(n)]
     mismatches, gaps = 0, []
     for c in rotations:
@@ -250,7 +251,7 @@ def _phi0_circle_gaps(targets, minimizers) -> list[float]:
     """Max-norm gap to the nearest target of the endpoints at 8 evenly spaced phi0, per listed (beta, t)."""
     coords = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in targets]
     return [
-        min(max(abs(e - q) for e, q in zip(endpoint_coords(k * TWO_PI / 8, beta, t), target)) for target in coords)
+        min(max(abs(e - q) for e, q in zip(endpoint_coords(k * math.tau / 8, beta, t), target)) for target in coords)
         for _, beta, t in minimizers
         for k in range(8)
     ]
@@ -331,7 +332,7 @@ def _lemma_suite(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
 def _random_geodesics(rng: np.random.Generator, n: int) -> Iterator[tuple[float, float, float]]:
     for _ in range(n):
-        phi0, beta = rng.uniform(0.0, TWO_PI), rng.uniform(-5.0, 5.0)
+        phi0, beta = rng.uniform(0.0, math.tau), rng.uniform(-5.0, 5.0)
         yield phi0, beta, rng.uniform(0.0, cut_time_bound(beta))
 
 

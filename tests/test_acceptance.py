@@ -2,12 +2,12 @@
 
 Criteria 2, 3, 4, 5, 7 and 8 run the `srdist.verify` checks that back
 `srdist verify` (its docstring maps suites to criteria); criteria 1, 6
-and 9 have no suite and are computed here.  Each test prints one [PASS]/[FAIL] line and records it in RESULTS;
-the conftest echoes the recorded lines in the terminal summary so they
-show up in every run log regardless of capture settings.
+and 9 have no suite and are computed here.  Each test records one
+[PASS]/[FAIL] line in RESULTS, and a failing line is its assertion
+message; the conftest prints the recorded lines in the terminal summary,
+so they show up in every run log regardless of capture settings.
 """
 import math
-import sys
 
 import numpy as np
 
@@ -33,9 +33,7 @@ from srdist.verify import (
     check_oracle,
     check_submetry,
 )
-
-TWO_PI = 2.0 * math.pi
-
+from test_so3_distance import axis1_rotation
 
 RESULTS: list = []
 
@@ -45,13 +43,7 @@ def report(label: str, *checks: CheckResult) -> None:
     details = "; ".join(f"{c.name} {c.detail}" for c in checks)
     line = f"[{'PASS' if ok else 'FAIL'}] {label}: {details}"
     RESULTS.append(line)
-    print(line, file=sys.__stdout__, flush=True)
     assert ok, line
-
-
-def axis1_rotation(psi):
-    c, s = math.cos(psi), math.sin(psi)
-    return SO3Element(np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]]))
 
 
 def test_criterion_1_analytic_golden_values():
@@ -59,7 +51,7 @@ def test_criterion_1_analytic_golden_values():
     checks = [
         (distance_su2(SU2Element(0, 0, 0.28, 0.96)).t, math.pi),
         (distance_su2(SU2Element(0, 1, 0, 0)).t, math.pi * math.sqrt(3.0)),
-        (distance_su2(SU2Element(-1, 0, 0, 0)).t, TWO_PI),
+        (distance_su2(SU2Element(-1, 0, 0, 0)).t, math.tau),
         (distance_su2(SU2Element(0.6, 0, 0.8, 0)).t, 2 * math.asin(0.8)),
         (distance_su2(SU2Element(-0.6, 0, 0.8, 0)).t, 2 * (math.pi - math.asin(0.8))),
         (distance_so3(SO3Element(np.diag([-1.0, 1.0, -1.0]))).t, math.pi),
@@ -79,7 +71,7 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_geodesic_cross_route():
-    phis = np.linspace(0.0, TWO_PI, 50, endpoint=False)
+    phis = np.linspace(0.0, math.tau, 50, endpoint=False)
     betas = np.linspace(-6.0, 6.0, 50)
     fracs = np.linspace(0.0, 1.0, 50)
     samples = (
@@ -170,7 +162,7 @@ def test_criterion_9_metric_axioms():
             abs(distance_su2(g1).t - distance_su2(su2_inv(g1)).t),
             abs(distance_so3(c1).t - distance_so3(c1.transpose()).t),
         )
-        r = axis1_rotation(rng.uniform(0, TWO_PI))
+        r = axis1_rotation(rng.uniform(0, math.tau))
         conj = so3_mul(so3_mul(r, c1), r.transpose())
         worst_conj = max(worst_conj, abs(distance_so3(conj).t - distance_so3(c1).t))
     report("criterion 9 (metric axioms)",

@@ -39,7 +39,7 @@ import pytest
 
 pytest.importorskip("mpmath")
 
-from srdist.algebra import SO3Element, SU2Element, klein_omega, random_su2
+from srdist.algebra import SO3Element, klein_omega, random_su2
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
@@ -50,6 +50,7 @@ from srdist.geodesics import (
 from srdist.oracle import shoot_min_time
 from srdist.so3_distance import distance_so3, distance_so3_via_lifts
 from srdist.su2_distance import distance_su2
+from srdist.verify import _pair
 
 _spec = importlib.util.spec_from_file_location(
     "srdist_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
@@ -63,47 +64,38 @@ TOL = 1e-13
 GEODESIC_TOL = 1e-9
 
 
-def _pair(rng, abs_a, abs_b, theta=None):
-    if theta is None:
-        theta = rng.uniform(-math.pi, math.pi)
-    gamma = rng.uniform(-math.pi, math.pi)
-    return SU2Element(
-        abs_a * math.cos(theta), abs_a * math.sin(theta), abs_b * math.cos(gamma), abs_b * math.sin(gamma)
-    )
-
-
 def _eps_case_pair(rng):
     abs_a = rng.uniform(0.1, 0.9)
     theta = math.pi * (1.0 - abs_a) / 2.0 + rng.uniform(-1e-9, 1e-9)
-    return _pair(rng, abs_a, math.sqrt(1.0 - abs_a * abs_a), theta * rng.choice([-1.0, 1.0]))
+    return _pair(abs_a, math.sqrt(1.0 - abs_a * abs_a), theta * rng.choice([-1.0, 1.0]), rng.uniform(-math.pi, math.pi))
 
 
 def _near_one_pair(rng, d, lo, hi):
     """1 - |A| = d, |theta| = pi*d/2 * U(lo, hi): short arcs below 1, long arcs above."""
     theta = rng.choice([-1.0, 1.0]) * math.pi * d / 2.0 * rng.uniform(lo, hi)
-    return _pair(rng, 1.0 - d, math.sqrt(d * (2.0 - d)), theta)
+    return _pair(1.0 - d, math.sqrt(d * (2.0 - d)), theta, rng.uniform(-math.pi, math.pi))
 
 
 def _steep_endpoint(rng):
     """Endpoint of a steep geodesic, |beta| = round(10^U(0.78, 2.5)): |A| is near 1."""
     beta = rng.choice([-1.0, 1.0]) * round(10.0 ** rng.uniform(0.78, 2.5))
-    p = GeodesicParams(rng.uniform(0.0, 2.0 * math.pi), beta)
+    p = GeodesicParams(rng.uniform(0.0, math.tau), beta)
     return geodesic_point(p, rng.uniform(0.05, 0.95) * cut_time_bound(beta))
 
 
 # (band, generator)
 BANDS = (
     [
-        (f"abs_a_1e-{k}", lambda rng, a=10.0**-k: _pair(rng, a, math.sqrt((1.0 - a) * (1.0 + a))))
+        (f"abs_a_1e-{k}", lambda rng, a=10.0**-k: _pair(a, math.sqrt((1.0 - a) * (1.0 + a)), *rng.uniform(-math.pi, math.pi, 2)))
         for k in range(2, 12)
     ]
     + [
-        (f"one_minus_abs_a_1e-{k}", lambda rng, d=10.0**-k: _pair(rng, 1.0 - d, math.sqrt(d * (2.0 - d))))
+        (f"one_minus_abs_a_1e-{k}", lambda rng, d=10.0**-k: _pair(1.0 - d, math.sqrt(d * (2.0 - d)), *rng.uniform(-math.pi, math.pi, 2)))
         for k in range(2, 12)
     ]
     + [("eps_case_band", _eps_case_pair), ("haar", random_su2)]
     + [
-        (f"abs_b_1e-{k}", lambda rng, b=10.0**-k: _pair(rng, math.sqrt((1.0 - b) * (1.0 + b)), b))
+        (f"abs_b_1e-{k}", lambda rng, b=10.0**-k: _pair(math.sqrt((1.0 - b) * (1.0 + b)), b, *rng.uniform(-math.pi, math.pi, 2)))
         for k in range(6, 11)
     ]
     + [(f"short_one_minus_abs_a_1e-{k}", lambda rng, d=10.0**-k: _near_one_pair(rng, d, 0.0, 1.0))
@@ -170,7 +162,7 @@ def test_near_identity_oracle_against_reference(k):
     # with the reference distance of the float target, not the generating t.
     rng = np.random.default_rng(sum(map(ord, f"near_identity_{k}")))
     for i in range(PER_BAND):
-        p = GeodesicParams(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-50.0, 50.0))
+        p = GeodesicParams(rng.uniform(0.0, math.tau), rng.uniform(-50.0, 50.0))
         g = geodesic_point(p, 10.0 ** rng.uniform(-k, 1 - k))
         res = shoot_min_time(g)
         assert len(res.minimizers) == 1, (k, g, res.minimizers)

@@ -114,6 +114,24 @@ def test_so3_rows_are_python_floats_for_any_array_like():
         assert c.m == rows
 
 
+def test_su2_components_are_python_floats_for_any_real():
+    # Norm exactly 1, where nothing is renormalized, and norm off 1: ints,
+    # bools and numpy scalars are stored as the floats a float build stores.
+    for args, norm_is_one in [
+        ((1, 0, 0, 0), True),
+        ((True, False, 0, 0), True),
+        ((np.int64(0), np.int64(-1), 0, 0), True),
+        ((np.float64(0.6), 0, np.float64(0.8), 0.0), True),
+        ((1, 0, 0, np.float64(1e-6)), False),
+        ((np.float64(0.6), 0, np.float64(0.8), np.float64(1e-6)), False),
+    ]:
+        assert (math.sqrt(sum(v * v for v in args)) == 1.0) is norm_is_one
+        g, want = SU2Element(*args), SU2Element(*map(float, args))
+        got = (g.a_re, g.a_im, g.b_re, g.b_im)
+        assert all(type(x) is float for x in got), args
+        assert got == (want.a_re, want.a_im, want.b_re, want.b_im)
+
+
 def test_rotations_compare_and_hash_by_value():
     assert SO3Element(np.eye(3)) == SO3Element.identity()
     assert len({SO3Element(np.eye(3)), SO3Element.identity()}) == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from srdist.algebra import SO3Element, SU2Element, klein_omega, random_so3, random_su2
+from srdist.algebra import SO3Element, SU2Element, klein_omega, random_so3
 from srdist.cutlocus import (
     MEMBERSHIP_TOL,
     CutTag,
@@ -11,18 +11,8 @@ from srdist.cutlocus import (
     conjugate_locus_so3,
     in_cut_locus_su2_l2,
 )
-
-
-def axis1_rotation(psi):
-    c, s = math.cos(psi), math.sin(psi)
-    return SO3Element(np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]]))
-
-
-def random_half_turn(rng):
-    """Half turn about a random axis: M = 2*n*n^T - E."""
-    n = rng.standard_normal(3)
-    n /= np.linalg.norm(n)
-    return SO3Element(2.0 * np.outer(n, n) - np.eye(3))
+from srdist.verify import _half_turn
+from test_so3_distance import axis1_rotation
 
 
 def test_identity_not_cut():
@@ -34,7 +24,7 @@ def test_identity_not_cut():
 def test_half_turns_are_sym():
     rng = np.random.default_rng(41)
     for _ in range(100):
-        res = classify_cut_locus_so3(random_half_turn(rng))
+        res = classify_cut_locus_so3(_half_turn(rng))
         assert res.tag is CutTag.SYM
         assert res.witness.startswith("|Re A| = ")
         assert float(res.witness.removeprefix("|Re A| = ")) <= MEMBERSHIP_TOL
@@ -63,23 +53,6 @@ def test_generic_rotation_not_cut():
             hits += 1
     # random rotations almost surely miss the measure-zero strata
     assert hits == 200
-
-
-def test_cover_predicate_matches_projection():
-    rng = np.random.default_rng(43)
-    for _ in range(500):
-        g = random_su2(rng)
-        assert in_cut_locus_su2_l2(g) is classify_cut_locus_so3(klein_omega(g)).tag
-
-
-def test_cover_predicate_forced_sym():
-    rng = np.random.default_rng(44)
-    for _ in range(100):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        g = SU2Element(0.0, v[0], v[1], v[2])
-        assert in_cut_locus_su2_l2(g) is CutTag.SYM
-        assert classify_cut_locus_so3(klein_omega(g)).tag is CutTag.SYM
 
 
 def test_cover_predicate_loc_branch():

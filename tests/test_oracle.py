@@ -9,7 +9,6 @@ import pytest
 from srdist import BACKEND, oracle
 from srdist.algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, random_su2
 from srdist.cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3
-from srdist.flawed_system import br_system_residual, demonstrate_br_nonuniqueness
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
@@ -27,8 +26,8 @@ from srdist.oracle import (
 )
 from srdist.so3_distance import distance_so3
 from srdist.su2_distance import distance_su2
+from srdist.verify import _half_turn, _pair
 
-TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
 
 
@@ -105,7 +104,7 @@ def test_fixed_samples_are_built_once_and_read_only(monkeypatch):
 
 # The scan (`scan_su2`) and the closed-form cut root (`_cut_root`), checked
 # against the endpoint formula point by point.
-PHIS = np.linspace(0.0, TWO_PI, 48, endpoint=False)
+PHIS = np.linspace(0.0, math.tau, 48, endpoint=False)
 
 
 def _vec(g):
@@ -117,8 +116,8 @@ def _max_dev(end, target):
 
 
 def _phi_gap(a, b):
-    d = (a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+    d = (a - b) % math.tau
+    return min(d, math.tau - d)
 
 
 def _loop_point(target, branch, tau):
@@ -142,7 +141,7 @@ def _targets(rng, n):
     for _ in range(n):
         beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.78, 2.5)
         t = rng.uniform(0.05, 0.95) * cut_time_bound(beta)
-        out.append(_vec(geodesic_point(GeodesicParams(rng.uniform(0.0, TWO_PI), beta), t)))
+        out.append(_vec(geodesic_point(GeodesicParams(rng.uniform(0.0, math.tau), beta), t)))
     out += [_vec(g) for g in _near_identity(rng, n)]
     return out
 
@@ -233,7 +232,7 @@ def test_every_sample_matches_its_endpoint():
     for beta in (-300.0, -20.0, -2.0, -0.1, 0.0, 0.5, 6.0, 80.0):
         cut = cut_time_bound(beta)
         for k in range(1, 65, 3):
-            target = np.array(endpoint_coords(rng.uniform(0.0, TWO_PI), beta, k / 64.0 * cut))
+            target = np.array(endpoint_coords(rng.uniform(0.0, math.tau), beta, k / 64.0 * cut))
             a = _ab(target)[0]
             tau, psi = oracle._TAU, scan_su2(*_ab(target))
             for (b, j), p in np.ndenumerate(psi):
@@ -264,7 +263,7 @@ def test_special_targets():
             assert abs(-np.exp(-1j * math.pi * beta / s) - np.exp(1j * theta)) <= 1e-15, theta
             end = endpoint_coords(0.0, beta, t)
             assert _max_dev(end, (math.cos(theta), math.sin(theta), 0.0, 0.0)) <= 2e-15, theta
-        assert beta == 0.0 and abs(t - TWO_PI) <= 4.0 * EPS * TWO_PI
+        assert beta == 0.0 and abs(t - math.tau) <= 4.0 * EPS * math.tau
     target = (0.0, 0.0, math.cos(1.0), math.sin(1.0))
     tau, psi = oracle._TAU, scan_su2(0.0, 1.0)
     assert len(tau) == oracle.LOOP_FLOOR + 1
@@ -294,20 +293,13 @@ def test_scan_phase_is_the_solve_phase():
 
 
 class TestShootSU2:
-    def test_random_targets_match_distance(self):
-        rng = np.random.default_rng(51)
-        for _ in range(10):
-            g = random_su2(rng)
-            res = shoot_min_time(g)
-            assert abs(res.t_min - distance_su2(g).t) <= 1e-12
-
     def test_minimizers_reproduce_target(self):
         rng = np.random.default_rng(52)
         g = random_su2(rng)
         res = shoot_min_time(g)
         assert res.minimizers
         for phi0, beta, t in res.minimizers:
-            end = geodesic_point(GeodesicParams(phi0 % TWO_PI, beta), t)
+            end = geodesic_point(GeodesicParams(phi0 % math.tau, beta), t)
             assert _max_dev(_vec(end), _vec(g)) <= REFINED_TOL
             assert t <= res.t_min + REFINED_TOL
         assert res.t_min == res.minimizers[0][2]
@@ -317,7 +309,7 @@ class TestShootSU2:
         assert abs(res.t_min - math.pi) <= 1e-12
         phi0, beta, t = res.minimizers[0]
         assert abs(beta) < 1e-3
-        assert phi0 % TWO_PI == pytest.approx(0.0, abs=1e-3)
+        assert phi0 % math.tau == pytest.approx(0.0, abs=1e-3)
 
     def test_known_short_arc(self):
         res = shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0))
@@ -417,7 +409,7 @@ def _near_identity(rng, n):
     """n endpoints near the identity: |beta| < 30, t = 10^U(-3, -2)."""
     return [
         geodesic_point(
-            GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-30.0, 30.0)),
+            GeodesicParams(rng.uniform(0.0, math.tau), rng.uniform(-30.0, 30.0)),
             10.0 ** rng.uniform(-3.0, -2.0),
         )
         for _ in range(n)
@@ -434,7 +426,7 @@ def _work_targets():
     steep = []
     for _ in range(10):
         beta = rng.choice([-1.0, 1.0]) * rng.uniform(6.0, 316.0)
-        p = GeodesicParams(rng.uniform(0.0, TWO_PI), beta)
+        p = GeodesicParams(rng.uniform(0.0, math.tau), beta)
         steep.append(geodesic_point(p, rng.uniform(0.05, 0.95) * cut_time_bound(beta)))
     near = _near_identity(rng, 10)
     axis1 = []
@@ -494,7 +486,7 @@ def _every_bracket_solved(c):
     a, b = math.hypot(*targets[0][:2]), math.hypot(*targets[0][2:])
     roots = [oracle._hit(targets[lift], *oracle._solve(a, b, row, thetas[lift], n, bracket))
              for lift, row, n, bracket in oracle._brackets(oracle.scan_su2(a, b), thetas)]
-    exact = sorted(((phi0 % TWO_PI, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),
+    exact = sorted(((phi0 % math.tau, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),
                    key=lambda p: (p[2], p[0], p[1]))
     t_min = exact[0][2]
     return t_min, [p for p in exact if p[2] <= t_min + REFINED_TOL]
@@ -517,7 +509,7 @@ def test_pruned_so3_shots_equal_every_bracket_solved():
             rotations.append(klein_omega(SU2Element(re_a, *v.tolist())))
     for abs_a in (0.0, 1e-16, 1e-15):
         for _ in range(10):
-            rotations.append(klein_omega(_unit_pair(rng, abs_a, 1.0)))
+            rotations.append(klein_omega(_pair(abs_a, 1.0, *rng.uniform(-math.pi, math.pi, 2))))
     for c in rotations:
         res = shoot_min_time_so3(c)
         t_min, minimizers = _every_bracket_solved(c)
@@ -584,7 +576,7 @@ def test_brackets_find_every_crossing():
         for row, phases in enumerate(psi):
             for lift, theta in enumerate(thetas):
                 for n in (-1, 0, 1):
-                    level = theta + TWO_PI * n
+                    level = theta + math.tau * n
                     for j in range(16):
                         if (level < phases[j]) != (level < phases[j + 1]):
                             bracket = (oracle._TAU[j], oracle._TAU[j + 1], phases[j] - level, phases[j + 1] - level)
@@ -627,14 +619,9 @@ def _steep_endpoints(n):
     out = []
     for _ in range(n):
         beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.8, 3.2)
-        p = GeodesicParams(rng.uniform(0.0, TWO_PI), beta)
+        p = GeodesicParams(rng.uniform(0.0, math.tau), beta)
         out.append(geodesic_point(p, rng.uniform(0.5, 0.97) * cut_time_bound(beta)))
     return out
-
-
-def _unit_pair(rng, abs_a, abs_b):
-    alpha, gamma = rng.uniform(-math.pi, math.pi, 2)
-    return SU2Element(abs_a * math.cos(alpha), abs_a * math.sin(alpha), abs_b * math.cos(gamma), abs_b * math.sin(gamma))
 
 
 def _uniqueness_targets(kind):
@@ -648,13 +635,13 @@ def _uniqueness_targets(kind):
         # t = 10^U(-8, -2): psi is about beta*t^3/24 there, far below the
         # rounding of the two terms of tau' - (beta/s)*u.
         return [
-            geodesic_point(GeodesicParams(rng.uniform(0.0, TWO_PI), rng.uniform(-50.0, 50.0)), 10.0 ** rng.uniform(-8.0, -2.0))
+            geodesic_point(GeodesicParams(rng.uniform(0.0, math.tau), rng.uniform(-50.0, 50.0)), 10.0 ** rng.uniform(-8.0, -2.0))
             for _ in range(200)
         ]
     ds = [10.0**-k for k in range(1, 13) for _ in range(16)]
     if kind == "abs_a":
-        return [_unit_pair(rng, d, math.sqrt((1.0 - d) * (1.0 + d))) for d in ds]
-    return [_unit_pair(rng, 1.0 - d, math.sqrt(d * (2.0 - d))) for d in ds]
+        return [_pair(d, math.sqrt((1.0 - d) * (1.0 + d)), *rng.uniform(-math.pi, math.pi, 2)) for d in ds]
+    return [_pair(1.0 - d, math.sqrt(d * (2.0 - d)), *rng.uniform(-math.pi, math.pi, 2)) for d in ds]
 
 
 @pytest.mark.parametrize("kind", ["haar", "steep", "near_identity", "abs_a", "one_minus_abs_a"])
@@ -680,7 +667,9 @@ class TestOneRootPerMinimizer:
 
     def test_haar_rotations_list_one_minimizer(self):
         # Off the cut locus one geodesic is minimizing; a time window of
-        # 2e-2 listed the other lift's root too on 3 of these.
+        # 2e-2 listed the other lift's root too on 3 of these.  Each lift's
+        # roots are bracketed in the one scan: the far lift's crossings
+        # must not hide the near lift's roots.
         rng = np.random.default_rng(0)
         for _ in range(300):
             c = random_so3(rng)
@@ -697,28 +686,7 @@ class TestOneRootPerMinimizer:
             assert first.t_min.hex() == second.t_min.hex()
 
 
-def _half_turn(rng):
-    n = rng.standard_normal(3)
-    n /= np.linalg.norm(n)
-    return SO3Element(2.0 * np.outer(n, n) - np.eye(3))
-
-
 class TestShootSO3:
-    def test_random_rotation(self):
-        rng = np.random.default_rng(53)
-        c = klein_omega(random_su2(rng))
-        res = shoot_min_time_so3(c)
-        assert abs(res.t_min - distance_so3(c).t) <= 1e-12
-
-    def test_haar_rotations_reach_nearer_lift(self):
-        # Each lift's roots are bracketed in the one scan: the far lift's
-        # crossings must not hide the near lift's roots.
-        rng = np.random.default_rng(53)
-        for _ in range(50):
-            c = klein_omega(random_su2(rng))
-            res = shoot_min_time_so3(c)
-            assert abs(res.t_min - distance_so3(c).t) <= 1e-12
-
     def test_target_off_so3_by_rounding(self):
         # Entries off SO(3) by 1e-10 pass SO3Element's check; the oracle
         # matches the exact rotation of the target's lift, which moves the
@@ -907,34 +875,9 @@ def test_each_lift_on_b_zero_crosses_one_level(theta):
         crossings = []
         for sign in (1.0, -1.0):
             for n in (-1, 0, 1):
-                f = [sign * p - arg - TWO_PI * n for p in _CUT_PSI]
+                f = [sign * p - arg - math.tau * n for p in _CUT_PSI]
                 crossings += [(sign, _CUT_X[j], _CUT_X[j + 1]) for j in range(4096) if (f[j] > 0.0) != (f[j + 1] > 0.0)]
         assert len(crossings) == 1, (arg, crossings)
         (sign, lo, hi), (beta, _) = crossings[0], oracle._cut_root(arg)
         assert math.copysign(1.0, beta) == sign and lo <= abs(beta) <= hi, (arg, beta, lo, hi)
 
-
-class TestFlawedSystem:
-    def test_counterexample_two_roots(self):
-        rep = demonstrate_br_nonuniqueness(0.6)
-        assert rep.t_small == pytest.approx(2 * math.asin(0.8), abs=1e-12)
-        assert rep.t_large == pytest.approx(TWO_PI - 2 * math.asin(0.8), abs=1e-12)
-        for r in rep.residuals_small + rep.residuals_large:
-            assert abs(r) < 1e-10
-        assert rep.true_distance == pytest.approx(rep.t_small, abs=1e-12)
-
-    def test_intermediate_time_fails_system(self):
-        # t = 1.0 lies between the two roots and does not solve the system
-        r1, r2 = br_system_residual(1.0, 0.0, 0.6, 0.0)
-        assert max(abs(r1), abs(r2)) > 0.1
-
-    def test_residual_zero_at_roots(self):
-        for abs_a in (0.3, 0.6, 0.9):
-            t1 = 2 * math.asin(math.sqrt(1 - abs_a * abs_a))
-            for t in (t1, TWO_PI - t1):
-                r1, r2 = br_system_residual(t, 0.0, abs_a, 0.0)
-                assert max(abs(r1), abs(r2)) < 1e-12
-
-    def test_rejects_bad_abs_a(self):
-        with pytest.raises(ValueError):
-            demonstrate_br_nonuniqueness(1.0)
