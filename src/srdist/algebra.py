@@ -16,13 +16,29 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Construction-time validation tolerance; SU(2) elements are renormalized
 # after validation so invariants survive long computation chains.
 CONSTRUCTION_TOL = 1e-9
+
+# numpy, bound on first use, where an array is parsed or built: `import
+# srdist` loads no numpy.  A global name is read faster than an import
+# statement runs.
+_np = None
+
+
+def _numpy():
+    global _np
+    import numpy
+
+    _np = numpy
+    return numpy
 
 
 class InvalidElementError(ValueError):
@@ -42,9 +58,16 @@ class SU2Element:
         vals = a_re, a_im, b_re, b_im = self.a_re, self.a_im, self.b_re, self.b_im
         try:
             norm2 = a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im
-            # A numpy complex would pass isfinite with only a warning, dropping its imaginary part.
-            if isinstance(norm2, np.complexfloating):
-                raise TypeError(f"must be real number, not {type(norm2).__name__}")
+            if type(norm2) is not float:  # an int, bool, complex or numpy scalar is involved
+                # float() would drop a numpy complex's imaginary part with only a
+                # warning.  A numpy scalar cannot exist before numpy is imported.
+                np = sys.modules.get("numpy")
+                if isinstance(norm2, complex) or (np is not None and isinstance(norm2, np.complexfloating)):
+                    raise TypeError(f"must be real number, not {type(norm2).__name__}")
+                # Check the norm of the floats that are stored: in float32
+                # arithmetic a pair far off unit norm can round to norm 1.
+                vals = a_re, a_im, b_re, b_im = float(a_re), float(a_im), float(b_re), float(b_im)
+                norm2 = a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im
             finite = math.isfinite(norm2) or all(math.isfinite(v) for v in vals)
         except TypeError as exc:
             raise InvalidElementError(f"SU(2) components must be real numbers: {exc}") from None
@@ -59,7 +82,7 @@ class SU2Element:
             )
         # Store Python floats on every path: an int, bool or numpy scalar
         # of norm exactly 1 is converted too (dividing by 1.0 is exact).
-        if norm != 1.0 or not type(a_re) is type(a_im) is type(b_re) is type(b_im) is float:
+        if norm != 1.0 or not type(self.a_re) is type(self.a_im) is type(self.b_re) is type(self.b_im) is float:
             object.__setattr__(self, "a_re", float(a_re) / norm)
             object.__setattr__(self, "a_im", float(a_im) / norm)
             object.__setattr__(self, "b_re", float(b_re) / norm)
@@ -86,6 +109,7 @@ class SU2Element:
         return _sign_flip(-self.a_re, -self.a_im, -self.b_re, -self.b_im)
 
     def as_matrix(self) -> np.ndarray:
+        np = _np or _numpy()
         a, b = self.a, self.b
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
 
@@ -139,6 +163,7 @@ class SO3Element:
     m: tuple
 
     def __post_init__(self):
+        np = _np or _numpy()
         try:
             m = np.asarray(self.m)
             # Checked before the cast, which would drop an imaginary part with only a warning.
@@ -178,7 +203,7 @@ class SO3Element:
 
     @classmethod
     def identity(cls) -> "SO3Element":
-        return cls(np.eye(3))
+        return cls(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
     def transpose(self) -> "SO3Element":
         return SO3Element(tuple(zip(*self.m)))
@@ -317,7 +342,7 @@ def random_su2(rng: np.random.Generator) -> SU2Element:
     """Random SU(2) element from a normalized 4-dimensional Gaussian."""
     while True:
         v = rng.standard_normal(4)
-        n = np.linalg.norm(v)
+        n = math.sqrt(v.dot(v))  # np.linalg.norm(v), to the bit
         if n > 1e-6:
             return SU2Element(*(v / n).tolist())
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +33,10 @@ unit_quaternions = st.tuples(
 def test_construction_rejects_non_unit():
     with pytest.raises(InvalidElementError):
         SU2Element(2.0, 0.0, 0.0, 0.0)
+    # In float32 0.6^2 + 0.8^2 rounds to 1, but the float64 values stored
+    # are off unit norm by 4.8e-8.
+    with pytest.raises(InvalidElementError, match="unit-norm violation"):
+        SU2Element(np.float32(0.6), 0.0, np.float32(0.8), 0.0)
 
 
 def test_construction_renormalizes_within_tolerance():
@@ -122,6 +128,7 @@ def test_su2_components_are_python_floats_for_any_real():
         ((True, False, 0, 0), True),
         ((np.int64(0), np.int64(-1), 0, 0), True),
         ((np.float64(0.6), 0, np.float64(0.8), 0.0), True),
+        ((np.float32(0.5),) * 4, True),
         ((1, 0, 0, np.float64(1e-6)), False),
         ((np.float64(0.6), 0, np.float64(0.8), np.float64(1e-6)), False),
     ]:
@@ -130,6 +137,29 @@ def test_su2_components_are_python_floats_for_any_real():
         got = (g.a_re, g.a_im, g.b_re, g.b_im)
         assert all(type(x) is float for x in got), args
         assert got == (want.a_re, want.a_im, want.b_re, want.b_im)
+
+
+_SU2_ONLY = """
+import sys
+import srdist
+g = srdist.geodesic_point(srdist.GeodesicParams(1.0, 0.5), 2.0)
+r = srdist.distance_su2(g)
+srdist.distance_su2_pair(g, srdist.SU2Element(0.6, 0.0, 0.0, 0.8))
+srdist.shoot_min_time(g)
+srdist.geodesic_point_exp(srdist.GeodesicParams(r.phi0, r.beta), r.t)
+srdist.in_cut_locus_su2_l2(g)
+srdist.arg_short(r.beta, abs(g.a))
+srdist.time_long(r.beta, abs(g.a))
+assert "numpy" not in sys.modules, "an SU(2) call imported numpy"
+srdist.SO3Element(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+assert "numpy" in sys.modules, "building a rotation did not import numpy"
+"""
+
+
+def test_su2_calls_import_no_numpy(child_env):
+    # numpy is imported only where an array is parsed, built or drawn.
+    proc = subprocess.run([sys.executable, "-c", _SU2_ONLY], capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rotations_compare_and_hash_by_value():
@@ -319,13 +349,17 @@ def test_lift_pair_is_an_exact_negation():
 
 def test_random_su2_components_are_python_floats():
     # numpy scalars would make every formula downstream numpy-scalar arithmetic.
-    rng, same = np.random.default_rng(4), np.random.default_rng(4)
-    for _ in range(20):
+    # The draws are those of np.linalg.norm, to the bit: every test sampler
+    # depends on them.
+    rng, same = np.random.default_rng(0), np.random.default_rng(0)
+    for _ in range(1000):
         g = random_su2(rng)
         v = same.standard_normal(4)
-        want = SU2Element(*(v / np.linalg.norm(v)))  # the numpy-scalar build, same values
+        want = SU2Element(*(v / np.linalg.norm(v)).tolist())
         assert all(type(x) is float for x in (g.a_re, g.a_im, g.b_re, g.b_im))
-        assert (g.a_re, g.a_im, g.b_re, g.b_im) == (want.a_re, want.a_im, want.b_re, want.b_im)
+        assert [x.hex() for x in (g.a_re, g.a_im, g.b_re, g.b_im)] == [
+            x.hex() for x in (want.a_re, want.a_im, want.b_re, want.b_im)
+        ]
 
 
 def test_lift_rejects_non_rotation():
