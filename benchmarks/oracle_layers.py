@@ -22,10 +22,6 @@ the SU(2) targets, and `SO3Element` built from a float 3x3 array (the
 form perfbench passes), `cover_pair`, `lift_so3` and `distance_so3` on
 the rotations.  It imports srdist from `src/` next to this directory.
 
-`import_srdist_ms` is the cost of `import srdist` in a fresh
-interpreter: the best of 5 `python -c "import srdist"` runs minus the
-best of 5 `python -c pass` runs, the two alternating.
-
 Besides the times, `calls` counts each recorded layer's calls over all
 the shots, and `solves_per_shot` gives the `_solve` calls per Haar SU(2)
 shot and per Haar SO(3) shot.  An SO(3) shot has a bracket for each of
@@ -37,16 +33,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import platform
-import subprocess
 import sys
-import time
 import timeit
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-sys.path.insert(0, SRC)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -81,17 +73,6 @@ def _record(owner, name: str, calls: list):
 
 def _best_us(run, calls: int) -> float:
     return min(timeit.repeat(run, number=1, repeat=5)) / calls * 1e6
-
-
-def _import_ms() -> float:
-    env = dict(os.environ, PYTHONPATH=SRC)
-    best = {"pass": math.inf, "import srdist": math.inf}
-    for _ in range(5):
-        for code in best:
-            t = time.perf_counter()
-            subprocess.run([sys.executable, "-c", code], env=env, check=True)
-            best[code] = min(best[code], time.perf_counter() - t)
-    return (best["import srdist"] - best["pass"]) * 1e3
 
 
 def main() -> None:
@@ -139,7 +120,6 @@ def main() -> None:
     }
     print(json.dumps({
         "us_per_call": {k: round(v, 2) for k, v in us.items()},
-        "import_srdist_ms": round(_import_ms(), 1),
         "calls": {k: len(v) for k, v in recorded.items()},
         "solves_per_shot": {"su2": su2_solves / len(su2), "so3": so3_solves / len(so3)},
         "targets": {"su2": len(su2), "so3": len(so3), "axis1": len(axis1), "seed": SEED},

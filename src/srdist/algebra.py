@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,20 +26,6 @@ if TYPE_CHECKING:
 # Construction-time validation tolerance; SU(2) elements are renormalized
 # after validation so invariants survive long computation chains.
 CONSTRUCTION_TOL = 1e-9
-
-# numpy, bound on first use, where an array is parsed or built: `import
-# srdist` loads no numpy.  A global name is read faster than an import
-# statement runs.
-_np = None
-
-
-def _numpy():
-    global _np
-    import numpy
-
-    _np = numpy
-    return numpy
-
 
 class InvalidElementError(ValueError):
     """Input violates a group invariant (non-unit pair, non-rotation matrix)."""
@@ -60,9 +46,8 @@ class SU2Element:
             norm2 = a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im
             if type(norm2) is not float:  # an int, bool, complex or numpy scalar is involved
                 # float() would drop a numpy complex's imaginary part with only a
-                # warning.  A numpy scalar cannot exist before numpy is imported.
-                np = sys.modules.get("numpy")
-                if isinstance(norm2, complex) or (np is not None and isinstance(norm2, np.complexfloating)):
+                # warning; numpy registers its complex scalars as numbers.Complex.
+                if isinstance(norm2, numbers.Complex) and not isinstance(norm2, numbers.Real):
                     raise TypeError(f"must be real number, not {type(norm2).__name__}")
                 # Check the norm of the floats that are stored: in float32
                 # arithmetic a pair far off unit norm can round to norm 1.
@@ -109,7 +94,8 @@ class SU2Element:
         return _sign_flip(-self.a_re, -self.a_im, -self.b_re, -self.b_im)
 
     def as_matrix(self) -> np.ndarray:
-        np = _np or _numpy()
+        import numpy as np
+
         a, b = self.a, self.b
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
 
@@ -163,7 +149,8 @@ class SO3Element:
     m: tuple
 
     def __post_init__(self):
-        np = _np or _numpy()
+        import numpy as np  # here, not at module level: `import srdist` loads no numpy
+
         try:
             m = np.asarray(self.m)
             # Checked before the cast, which would drop an imaginary part with only a warning.
