@@ -6,10 +6,12 @@ Usage (from the repository root):
 
 Draws N Haar SU(2) targets and N Haar rotations from default_rng(SEED),
 shoots each once while recording the arguments of every
-`oracle.scan_su2`, `oracle._brackets` and `oracle._solve` call, then
-times each layer by replaying those calls and each shot by repeating
-it: `timeit`, best of 5, divided by the number of calls.  The layers are
-timed on the arguments the shots gave them, so the script runs
+`oracle.scan_su2`, `oracle._brackets`, `oracle._least_time`,
+`oracle._solve` and `oracle._hit` call, then times each layer by
+replaying those calls and each shot by repeating it: `timeit`, best of
+5, divided by the number of calls.  `_least_time` runs only on shots
+with two or more brackets, so its calls come from the SO(3) shots.  The
+layers are timed on the arguments the shots gave them, so the script runs
 unchanged on any version whose shots make those calls.  It also times
 `shoot_min_time` on N rotations about axis 1 (B = 0, the Loc stratum,
 |arg A| = 10^U(-5, 0.49)), drawn after the Haar draws from the same
@@ -84,12 +86,8 @@ def main() -> None:
     arrays = [np.array(c.m, dtype=float) for c in so3]
     coords = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in su2]
 
-    recorded = {"scan_su2": [], "_brackets": [], "_solve": []}
-    originals = {
-        "scan_su2": _record(oracle, "scan_su2", recorded["scan_su2"]),
-        "_brackets": _record(oracle, "_brackets", recorded["_brackets"]),
-        "_solve": _record(oracle, "_solve", recorded["_solve"]),
-    }
+    recorded = {name: [] for name in ("scan_su2", "_brackets", "_least_time", "_solve", "_hit")}
+    originals = {name: _record(oracle, name, calls) for name, calls in recorded.items()}
     for g in su2:
         oracle.shoot_min_time(g)
     su2_solves = len(recorded["_solve"])
@@ -106,7 +104,9 @@ def main() -> None:
     us = {
         "scan_su2": replay("scan_su2"),
         "_brackets": replay("_brackets", list),
+        "_least_time": replay("_least_time"),
         "_solve": replay("_solve"),
+        "_hit": replay("_hit"),
         "shoot_min_time": _best_us(lambda: [oracle.shoot_min_time(g) for g in su2], len(su2)),
         "shoot_min_time_so3": _best_us(lambda: [oracle.shoot_min_time_so3(c) for c in so3], len(so3)),
         "shoot_min_time_axis1": _best_us(lambda: [oracle.shoot_min_time(g) for g in axis1], len(axis1)),

@@ -38,7 +38,18 @@ both lifts', solves them in the order of that bound and drops the rest
 once it passes the best root on the target by 2*REFINED_TOL (`_shoot`).
 
 One scan of psi at 2 x 17 fixed tau' (`scan_su2`), which reads a and b
-only, serves both lifts g and -g of an SO(3) target.  Each crossing of
+only, serves both lifts g and -g of an SO(3) target.  u, s, w and d
+depend on |tau'| alone and sigma flips with tau', so
+
+    psi(-tau') = -psi(tau')          on branch 0,
+    psi(-tau') = 2*pi - psi(tau')    on branch 1.
+
+The samples +-k*pi/16, k = 0 ... 8, mirror to the bit, so the scan
+evaluates u and d at the 9 distinct |tau'| and writes each phase to both
+of its slots.  Its rows equal the per-sample formula to the bit: that
+formula takes the same cos and |sin| at -tau' and tau', its sigma = -1
+is an exact negation, and its pi*(1 + sigma) = 2*pi at tau' >= 0 is
+added to the same value.  Each crossing of
 a lift's level arg(A) + 2*pi*n between neighbouring samples brackets a
 root (`_brackets`), solved in one dimension on F = psi - level
 (`_solve`).  A root counts only if its endpoint
@@ -57,10 +68,9 @@ the scan's time.
 """
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
-from math import atan2, hypot, pi
+from math import atan2, copysign, cos, hypot, inf, pi, sin, sqrt, tau, ulp
 
 from .algebra import SO3Element, SU2Element, lift_so3
 from .geodesics import endpoint_coords
@@ -71,18 +81,27 @@ from .geodesics import endpoint_coords
 # well below this bound.
 REFINED_TOL = 1e-12
 
-# Safety net on the evaluations per bracket; bisection alone needs about 55
-# steps in tau'.
+# Safety net on the evaluations per bracket.  A solve takes a handful; one
+# at a target with |B| down to the normal floor takes up to about 40, with
+# the split below.
 _MAX_STEPS = 120
-_EIGHT_EPS = 8.0 * math.ulp(1.0)  # a phase's rounding floor per unit size of F's terms
+# A bisection whose midpoint has |tau'|*b* beyond this splits at the
+# geometric mean of the ends' |tau'| instead.  b* = |A|/|B| reaches 4.5e307
+# as |B| nears the normal floor, and a root then lies near |tau'| =
+# |beta|/b*: up to about 1,000 halvings from the samples, but about 10
+# such splits.  No bracket of a target with |B| >= 2e-8 reaches it.
+_WIDE_BETA = 1e8
+_EIGHT_EPS = 8.0 * ulp(1.0)  # a phase's rounding floor per unit size of F's terms
 
-# Even steps in tau' per half loop, ends included.
+# Even steps in tau' per half loop, ends included, mirrored about tau' = 0
+# to the bit: _TAU[LOOP_FLOOR - j] == -_TAU[j].
 LOOP_FLOOR = 16
-_TAU = tuple(k * (pi / LOOP_FLOOR) - 0.5 * pi for k in range(LOOP_FLOOR + 1))
-# (cos tau', |sin tau'|, sigma = sign of beta, pi*(1 + sigma)) per sample.
-# Both halves take the ends at cos(tau') = 0, so they agree there.
-_TRIG = tuple((0.0 if abs(x) == 0.5 * pi else math.cos(x), abs(math.sin(x)), math.copysign(1.0, x),
-               2.0 * pi if x >= 0.0 else 0.0) for x in _TAU)
+_MID = LOOP_FLOOR // 2
+_TAU = tuple(-k * (pi / LOOP_FLOOR) for k in range(_MID, 0, -1)) + tuple(k * (pi / LOOP_FLOOR) for k in range(_MID + 1))
+# (slot of -|tau'|, slot of |tau'|, cos tau', |sin tau'|) per distinct
+# |tau'|.  Both halves take the ends at cos(tau') = 0, so they agree there.
+_TRIG = tuple((_MID - k, _MID + k, 0.0 if k == _MID else cos(_TAU[_MID + k]), sin(_TAU[_MID + k]))
+              for k in range(_MID + 1))
 
 
 class ShootNoMatchError(RuntimeError):
@@ -119,7 +138,7 @@ class ShootResult:
 def _hit(target: tuple, beta: float, t: float) -> tuple[tuple, float]:
     """((phi0, beta, t), max-norm deviation) with phi0 putting B on the target's phase."""
     a_re, a_im, b_re, b_im = target
-    phi0 = math.atan2(b_im, b_re) - 0.5 * beta * t
+    phi0 = atan2(b_im, b_re) - 0.5 * beta * t
     e0, e1, e2, e3 = endpoint_coords(phi0, beta, t)
     return (phi0, beta, t), max(abs(e0 - a_re), abs(e1 - a_im), abs(e2 - b_re), abs(e3 - b_im))
 
@@ -127,13 +146,16 @@ def _hit(target: tuple, beta: float, t: float) -> tuple[tuple, float]:
 def scan_su2(a: float, b: float) -> tuple[list, list]:
     """psi at the samples `_TAU`, one list of Python floats per branch, on the loop of |A| = a, |B| = b > 0.
 
-    psi is the module docstring's form, inlined.  At A = 0 the loop is the
-    one point beta = 0, t = pi, and psi = tau' (+ pi on branch 1) is the
-    arbitrary phase of A = 0.
+    psi is the module docstring's form, inlined, evaluated once per
+    distinct |tau'| and mirrored: sigma flips the sign of branch 0's psi
+    and adds 2*pi to branch 1's flipped one.  The slot of tau' < 0 is
+    written first, so tau' = 0 keeps sigma = +1.  At A = 0 the loop is
+    the one point beta = 0, t = pi, and psi = tau' (+ pi on branch 1) is
+    the arbitrary phase of A = 0.
     """
     ratio = a / b
-    row0, row1 = [], []
-    for c, abs_sin, sigma, shift in _TRIG:
+    row0, row1 = [0.0] * (LOOP_FLOOR + 1), [0.0] * (LOOP_FLOOR + 1)
+    for neg, pos, c, abs_sin in _TRIG:
         abs_beta = ratio * abs_sin
         s = hypot(1.0, abs_beta)
         s_plus = s + abs_beta
@@ -141,29 +163,30 @@ def scan_su2(a: float, b: float) -> tuple[list, list]:
         ac, bs = a * c, b * s
         u = atan2(bs, ac)
         d = atan2(b * c / s_plus, ac * c + bs * abs_sin)
-        row0.append(sigma * (u / w - d))
-        row1.append(sigma * ((u - pi) / w - d) + shift)
+        psi0, psi1 = u / w - d, (u - pi) / w - d
+        row0[neg], row1[neg] = -psi0, -psi1
+        row0[pos], row1[pos] = psi0, psi1 + tau
     return row0, row1
 
 
-def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, tau: float) -> tuple:
-    """(F, dF/dtau', (beta, t)) for F = psi - theta - 2*pi*n at tau' on one half of the loop.
+def _loop_phase(a: float, b: float, branch: int, theta: float, n: int, x: float) -> tuple:
+    """(F, dF/dtau', (beta, t)) for F = psi - theta - 2*pi*n at tau' = x on one half of the loop.
 
     psi is the module docstring's form.  Branch 1's pi*(1 + sigma) goes
     into n, so a small level is not rounded at ulp(2*pi).
     dpsi/dtau = (s - u*b* cos(tau))/s^3 only proposes steps.
     """
-    st, ct = math.sin(tau), math.cos(tau)
+    st, ct = sin(x), cos(x)
     beta = a / b * st
-    s = math.hypot(1.0, beta)
+    s = hypot(1.0, beta)
     s_plus = s + abs(beta)
-    u = math.atan2(b * s, a * ct)
-    d = math.atan2(b * ct / s_plus, a * ct * ct + b * s * abs(st))
-    w, sigma, s3 = s * s_plus, math.copysign(1.0, beta), s * s * s
+    u = atan2(b * s, a * ct)
+    d = atan2(b * ct / s_plus, a * ct * ct + b * s * abs(st))
+    w, sigma, s3 = s * s_plus, copysign(1.0, beta), s * s * s
     if branch:
-        f = sigma * ((u - math.pi) / w - d) - theta - math.tau * (n - (sigma > 0.0))
-        return f, (s + (math.pi - u) * a / b * ct) / s3, (-beta, 2.0 * (math.pi - u) / s)
-    return sigma * (u / w - d) - theta - math.tau * n, (s - u * a / b * ct) / s3, (beta, 2.0 * u / s)
+        f = sigma * ((u - pi) / w - d) - theta - tau * (n - (sigma > 0.0))
+        return f, (s + (pi - u) * a / b * ct) / s3, (-beta, 2.0 * (pi - u) / s)
+    return sigma * (u / w - d) - theta - tau * n, (s - u * a / b * ct) / s3, (beta, 2.0 * u / s)
 
 
 def _cut_root(theta: float) -> tuple[float, float]:
@@ -178,8 +201,8 @@ def _cut_root(theta: float) -> tuple[float, float]:
     is the identity, which only t = 0 reaches; beta is 0 there.
     """
     x = abs(theta)
-    t = 2.0 * math.sqrt(x * (math.tau - x))
-    return (math.copysign(math.pi - x, theta) / (0.5 * t) if t else 0.0), t
+    t = 2.0 * sqrt(x * (tau - x))
+    return (copysign(pi - x, theta) / (0.5 * t) if t else 0.0), t
 
 
 def _brackets(psi: tuple, thetas: list[float]) -> list:
@@ -196,21 +219,20 @@ def _brackets(psi: tuple, thetas: list[float]) -> list:
     monotone over each bracket (module docstring).  The items hold Python
     ints and floats, so the solves run in plain float arithmetic.
     """
+    levels = [(lift, n, theta + tau * n) for lift, theta in enumerate(thetas) for n in (-1, 0, 1)]
     out = []
     for row, phases in enumerate(psi):
         lo, hi = min(phases), max(phases)
-        for lift, theta in enumerate(thetas):
-            for n in (-1, 0, 1):
-                level = theta + math.tau * n
-                if not lo <= level < hi:
-                    continue
-                above, j = list(map(level.__lt__, phases)), 0
-                while True:
-                    try:
-                        j = above.index(not above[j], j)
-                    except ValueError:
-                        break
-                    out.append((lift, row, n, (_TAU[j - 1], _TAU[j], phases[j - 1] - level, phases[j] - level)))
+        for lift, n, level in levels:
+            if not lo <= level < hi:
+                continue
+            # The sentinel past the last sample ends the walk at j = len(phases).
+            above = [level < p for p in phases]
+            above.append(not above[-1])
+            j = above.index(not above[0])
+            while j < len(phases):
+                out.append((lift, row, n, (_TAU[j - 1], _TAU[j], phases[j - 1] - level, phases[j] - level)))
+                j = above.index(not above[j], j)
     return out
 
 
@@ -219,30 +241,36 @@ def _solve(a: float, b: float, branch: int, theta: float, n: int, bracket: tuple
 
     bracket is (lo, hi, F(lo), F(hi)) in tau', the ends on opposite sides
     of 0 (`_brackets`).  The first trial is the secant start, each later
-    one a Newton step from the best point so far, or the midpoint when
-    that step leaves the bracket or the last trial did not lower |F|.  The
+    one a Newton step from the best point so far, or a split of the
+    bracket when that step leaves it, the last trial did not lower |F|, or
+    the slope is 0 (s^3 overflows once |beta| passes about 1e102).  The
+    split is the midpoint, or the geometric mean past `_WIDE_BETA`.  The
     solve stops on a Newton step within the rounding of tau', when |F|
     stops falling at its rounding floor, or when the bracket cannot be
     split further.  u/w and d in F are up to pi/2, so that floor is
     absolute, 8 eps per unit of 1 + |level|.
     """
     lo, hi, f_lo, f_hi = bracket
-    floor = _EIGHT_EPS * (1.0 + abs(theta + math.tau * n))
+    floor = _EIGHT_EPS * (1.0 + abs(theta + tau * n))
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    f_best = math.inf
+    f_best = inf
     for _ in range(_MAX_STEPS):
         f, df, point = _loop_phase(a, b, branch, theta, n, x)
         lo, hi = (x, hi) if (f > 0.0) == (f_lo > 0.0) else (lo, x)
         if abs(f) < f_best:
             f_best, best = abs(f), point
-            step = x - f / df if df else x
-            if abs(step - x) <= math.ulp(x):
+            step = x - f / df if df else inf
+            if abs(step - x) <= ulp(x):
                 break
-            x = step if lo < step < hi else 0.5 * (lo + hi)
+            if lo < step < hi:
+                x = step
+                continue
         elif f_best <= floor:
             break
-        else:
-            x = 0.5 * (lo + hi)
+        x = 0.5 * (lo + hi)
+        if abs(x) * a > _WIDE_BETA * b:
+            near, far = sorted((abs(lo), abs(hi)))
+            x = copysign(sqrt(max(near, sys.float_info.min)) * sqrt(far), x)
         if not lo < x < hi:
             break
     return best
@@ -252,9 +280,14 @@ def _least_time(a: float, b: float, branch: int, bracket: tuple) -> float:
     """The least t over a bracket of `_brackets`: t at its end nearer tau' = 0 on branch 0, farther on branch 1.
 
     t rises with |tau'| on branch 0 and falls with it on branch 1 (module
-    docstring).  The t is `_loop_phase`'s, the formula of a solved root's.
+    docstring); a bracket does not straddle tau' = 0, so hi <= 0 puts the
+    nearer end at hi.  t is `_loop_phase`'s formula, to the bit.
     """
-    return _loop_phase(a, b, branch, 0.0, 0, (max if branch else min)(bracket[:2], key=abs))[2][1]
+    lo, hi = bracket[0], bracket[1]
+    x = (lo if hi <= 0.0 else hi) if branch else (hi if hi <= 0.0 else lo)
+    s = hypot(1.0, a / b * sin(x))
+    u = atan2(b * s, a * cos(x))
+    return 2.0 * (pi - u) / s if branch else 2.0 * u / s
 
 
 def _shoot(lifts: list[SU2Element]) -> ShootResult:
@@ -271,19 +304,19 @@ def _shoot(lifts: list[SU2Element]) -> ShootResult:
     """
     # An SO(3) target is reached through either of its two lifts.
     targets = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lifts]
-    thetas = [math.atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
-    a, b = math.hypot(*targets[0][:2]), math.hypot(*targets[0][2:])
+    thetas = [atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
+    a, b = hypot(*targets[0][:2]), hypot(*targets[0][2:])
     if b < sys.float_info.min:
         # B = 0, or a subnormal |B| whose b* = a/b would overflow: one root
         # per lift at the cut time; the 4-D gate sees the target's own B.
         roots = [_hit(target, *_cut_root(theta)) for target, theta in zip(targets, thetas)]
     else:
         brackets = _brackets(scan_su2(a, b), thetas)
-        bounds = [0.0] * len(brackets)
+        ranked = zip((0.0,), brackets)  # one bracket or none: nothing to rank
         if len(brackets) > 1:
-            bounds = [_least_time(a, b, row, bracket) for _, row, _, bracket in brackets]
-        roots, t_best = [], math.inf
-        for bound, (lift, row, n, bracket) in sorted(zip(bounds, brackets)):
+            ranked = sorted(zip([_least_time(a, b, row, bracket) for _, row, _, bracket in brackets], brackets))
+        roots, t_best = [], inf
+        for bound, (lift, row, n, bracket) in ranked:
             if bound > t_best + 2.0 * REFINED_TOL:
                 break
             roots.append(_hit(targets[lift], *_solve(a, b, row, thetas[lift], n, bracket)))
@@ -291,13 +324,12 @@ def _shoot(lifts: list[SU2Element]) -> ShootResult:
             if dev <= REFINED_TOL and t < t_best:
                 t_best = t
 
-    exact = sorted(
-        ((phi0 % math.tau, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL),
-        key=lambda p: (p[2], p[0], p[1]),
-    )
+    exact = [(phi0 % tau, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL]
     if not exact:
         best = f"best deviation {min(dev for _, dev in roots):.3e}" if roots else "no roots"
         raise ShootNoMatchError(f"no root within {REFINED_TOL} of the target ({best})")
+    if len(exact) > 1:
+        exact.sort(key=lambda p: (p[2], p[0], p[1]))
     t_min = exact[0][2]
     if t_min <= REFINED_TOL:
         # The identity's own root is the cut root of theta = 0, at t = 0.

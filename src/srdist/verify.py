@@ -128,6 +128,19 @@ def check_lemmas(abs_as: Iterable[float], n_beta: int) -> list[CheckResult]:
     ]
 
 
+# |B| = 10^-k of the fixed near-Loc targets: from where b* = |A|/|B| puts
+# a root about 120 halvings below the oracle's samples, past the overflow
+# of s^3 in its slope (k = 103, 104), to the last normal |B| and a
+# subnormal one.
+_TINY_B_EXPONENTS = (36, 37, 50, 80, 103, 104, 160, 230, 307, 308)
+
+
+def _tiny_b_pairs(k: int) -> list[SU2Element]:
+    """Pairs with |B| = 10^-k, arg B = 0.7 and arg A = 0.3, -1, 2.5, 1e-3."""
+    b = 10.0 ** -k
+    return [_pair(math.sqrt((1.0 - b) * (1.0 + b)), b, alpha, 0.7) for alpha in (0.3, -1.0, 2.5, 1e-3)]
+
+
 def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Shooting-oracle minimal times against the case-analysis distances, and SU(2) uniqueness.
 
@@ -135,7 +148,8 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
     the oracle's scan brackets on both lifts g, -g of the Haar targets, n
     steep and n near-identity (t = 10^U(-8, -2)) geodesic endpoints and
     max(1, n // 10) pairs at each |A|, 1 - |A| = 1e-1 ... 1e-12: off B = 0,
-    the SU(2) cut locus, each lift crosses one level.
+    the SU(2) cut locus, each lift crosses one level.  Last, with no
+    draw, the minimal times at the `_tiny_b_pairs` and their rotations.
     """
     targets = [random_su2(rng) for _ in range(n)]
     gaps = [shoot_min_time(g).t_min - distance_su2(g).t for g in targets]
@@ -154,10 +168,17 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
     for h in lifts:
         psi = scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
         miscounts += sum(1 for _ in _brackets(psi, [math.atan2(h.a_im, h.a_re)])) != 1
+    tiny = [g for k in _TINY_B_EXPONENTS for g in _tiny_b_pairs(k)]
+    gaps_tiny = [shoot_min_time(g).t_min - distance_su2(g).t for g in tiny]
+    gaps_tiny += [shoot_min_time_so3(c).t_min - distance_so3(c).t for c in map(klein_omega, tiny)]
     return [
         CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 1e-12),
         CheckResult(f"SO(3) oracle vs case analysis ({n} rotations)", _worst(gaps_so3), 1e-12),
         CheckResult(f"lifts off B = 0 with a crossing count other than one ({len(lifts)} lifts)", miscounts, 0),
+        CheckResult(
+            f"oracle vs case analysis at |B| = 1e-36 ... 1e-308 ({len(tiny)} targets and their rotations)",
+            _worst(gaps_tiny), 1e-12,
+        ),
     ]
 
 

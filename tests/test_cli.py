@@ -313,5 +313,5 @@ def test_package_runs_as_module(child_env):
     )
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert all(line.startswith("[PASS] oracle: ") for line in lines)

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from srdist.oracle import (
 )
 from srdist.so3_distance import distance_so3
 from srdist.su2_distance import distance_su2
-from srdist.verify import _half_turn, _pair
+from srdist.verify import _TINY_B_EXPONENTS, _half_turn, _pair, _tiny_b_pairs
 
 EPS = np.finfo(float).eps
 
@@ -292,6 +293,57 @@ def test_scan_phase_is_the_solve_phase():
                 assert abs(p - f) <= 8.0 * EPS, (target, branch, x)
 
 
+def _scan_per_sample(a, b):
+    """The rows of `scan_su2` written per sample, sigma and the 2*pi shift taken from each tau'."""
+    row0, row1 = [], []
+    for x in oracle._TAU:
+        c, abs_sin = (0.0 if abs(x) == 0.5 * math.pi else math.cos(x)), abs(math.sin(x))
+        sigma, shift = math.copysign(1.0, x), (math.tau if x >= 0.0 else 0.0)
+        abs_beta = a / b * abs_sin
+        s = math.hypot(1.0, abs_beta)
+        s_plus = s + abs_beta
+        w = s * s_plus
+        u = math.atan2(b * s, a * c)
+        d = math.atan2(b * c / s_plus, a * c * c + b * s * abs_sin)
+        row0.append(sigma * (u / w - d))
+        row1.append(sigma * ((u - math.pi) / w - d) + shift)
+    return row0, row1
+
+
+def test_scan_rows_mirror_to_the_bit():
+    # u, s, w and d depend on |tau'| alone, so psi(-tau') = -psi(tau') on
+    # branch 0 and 2*pi - psi(tau') on branch 1.  The samples are mirrored
+    # to the bit with tau' = 0 as +0.0 (sigma = +1), the scan evaluates
+    # each |tau'| once and writes both slots, and its rows are the
+    # per-sample formula's to the bit.
+    tau, last, mid = oracle._TAU, oracle.LOOP_FLOOR, oracle.LOOP_FLOOR // 2
+    assert tau[mid].hex() == (0.0).hex()
+    assert all(tau[last - j].hex() == (-tau[j]).hex() for j in range(mid))
+    rng = np.random.default_rng(66)
+    for target in _targets(rng, 20) + [(0.0, 0.0, math.cos(1.0), math.sin(1.0))]:
+        row0, row1 = scan_su2(*_ab(target))
+        assert [[v.hex() for v in row] for row in (row0, row1)] == [
+            [v.hex() for v in row] for row in _scan_per_sample(*_ab(target))
+        ], target
+        for j in range(mid + 1, last + 1):
+            assert row0[last - j].hex() == (-row0[j]).hex(), (target, j)
+            assert row1[j].hex() == (-row1[last - j] + math.tau).hex(), (target, j)
+
+
+def test_least_time_is_the_solve_time():
+    # The least-time bound of a bracket is `_loop_phase`'s t at the end it
+    # picks, to the bit: the end nearer tau' = 0 on branch 0, farther on 1.
+    rng = np.random.default_rng(67)
+    tau = oracle._TAU
+    for target in _targets(rng, 20):
+        a, b = _ab(target)
+        for branch in (0, 1):
+            for lo, hi in zip(tau, tau[1:]):
+                x = (max if branch else min)((lo, hi), key=abs)
+                t = oracle._loop_phase(a, b, branch, 0.0, 0, x)[2][1]
+                assert oracle._least_time(a, b, branch, (lo, hi, 0.0, 0.0)).hex() == t.hex(), (target, branch, x)
+
+
 class TestShootSU2:
     def test_minimizers_reproduce_target(self):
         rng = np.random.default_rng(52)
@@ -434,7 +486,8 @@ def _work_targets():
         theta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 0.49)
         axis1.append(SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0))
     so3 = [random_so3(rng) for _ in range(10)]
-    return {"haar": haar, "steep": steep, "near_identity": near, "axis1": axis1, "so3": so3}
+    tiny_b = [_tiny_b_pairs(k)[i % 4] for i, k in enumerate(_TINY_B_EXPONENTS) if 10.0 ** -k >= sys.float_info.min]
+    return {"haar": haar, "steep": steep, "near_identity": near, "axis1": axis1, "so3": so3, "tiny_b": tiny_b}
 
 
 # (brackets solved, phase evaluations) per set of ten shots: the Haar,
@@ -445,10 +498,13 @@ def _work_targets():
 # its gate and point: once per solved bracket, and once per lift on
 # B = 0.  An SO(3) shot solves its brackets in the order of their
 # least-time bound and stops once no bracket can reach the best exact root:
-# the ten rotations measure (10, 64), where solving both lifts' brackets
-# took 20 solves, and the 64 phases include one bound per bracket.
-# Counts repeat exactly, unlike timings.
-WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45), "axis1": (0, 0), "so3": (12, 80)}
+# the ten rotations measure (10, 45), where solving both lifts' brackets
+# took 20 solves; the bound is t in closed form, not a phase evaluation.
+# The nine shots at |B| = 1e-36 ... 1e-307 (`_tiny_b_pairs`) measure
+# (9, 221): each root lies far below the samples in tau' (plain halving
+# took up to 1,004 phases per shot).  Counts repeat exactly, unlike timings.
+WORK_BOUNDS = {"haar": (12, 47), "steep": (12, 57), "near_identity": (12, 45), "axis1": (0, 0), "so3": (12, 50),
+               "tiny_b": (10, 240)}
 
 
 def test_work_per_shot_is_bounded(monkeypatch):
@@ -611,6 +667,20 @@ def test_subnormal_b_shoots_on_the_cut_row(abs_b):
     # the 4-D gate, which sees the target's own B, keeps the root.
     g = SU2Element(0.6, 0.8, abs_b, 0.0)
     assert abs(shoot_min_time(g).t_min - distance_su2(g).t) <= 1e-12
+
+
+@pytest.mark.parametrize("k", _TINY_B_EXPONENTS)
+def test_tiny_b_shoots_on_both_groups(k):
+    # |B| = 10^-k: b* = |A|/|B| puts the root near |tau'| = |beta|*10^-k,
+    # about 3.3*k halvings below the samples, and past |B| ~ 1e-103 the
+    # slope's s^3 overflows to a zero slope.  Each target and its rotation
+    # must still reach the case analysis, with one minimizer.
+    for g in _tiny_b_pairs(k):
+        for shoot, distance, target in ((shoot_min_time, distance_su2, g),
+                                         (shoot_min_time_so3, distance_so3, klein_omega(g))):
+            res, t = shoot(target), distance(target).t
+            assert abs(res.t_min - t) <= 1e-12 * t, (k, g)
+            assert len(res.minimizers) == 1, (k, g)
 
 
 def _steep_endpoints(n):
