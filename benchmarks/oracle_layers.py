@@ -21,8 +21,9 @@ key alone times the oracle's cut-locus path.
 On the same draws it times the element and rotation layers per call:
 `SU2Element` built from four floats, `klein_omega` and `distance_su2` on
 the SU(2) targets, and `SO3Element` built from a float 3x3 array (the
-form perfbench passes), `cover_pair`, `lift_so3` and `distance_so3` on
-the rotations.  It imports srdist from `src/` next to this directory.
+form perfbench passes) and from rows of floats (the form `klein_omega`,
+`so3_mul` and the CLI pass), `cover_pair`, `lift_so3` and `distance_so3`
+on the rotations.  It imports srdist from `src/` next to this directory.
 
 Besides the times, `calls` counts each recorded layer's calls over all
 the shots, and `solves_per_shot` gives the `_solve` calls per Haar SU(2)
@@ -84,6 +85,7 @@ def main() -> None:
     thetas = [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 0.49) for _ in range(N)]
     axis1 = [SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0) for theta in thetas]
     arrays = [np.array(c.m, dtype=float) for c in so3]
+    rows = [c.m for c in so3]
     coords = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in su2]
 
     recorded = {name: [] for name in ("scan_su2", "_brackets", "_least_time", "_solve", "_hit")}
@@ -112,6 +114,7 @@ def main() -> None:
         "shoot_min_time_axis1": _best_us(lambda: [oracle.shoot_min_time(g) for g in axis1], len(axis1)),
         "SU2Element_floats": _best_us(lambda: [SU2Element(*q) for q in coords], len(coords)),
         "SO3Element_array": _best_us(lambda: [SO3Element(m) for m in arrays], len(arrays)),
+        "SO3Element_rows": _best_us(lambda: [SO3Element(m) for m in rows], len(rows)),
         "klein_omega": _best_us(lambda: [klein_omega(g) for g in su2], len(su2)),
         "cover_pair": _best_us(lambda: [cover_pair(c) for c in so3], len(so3)),
         "lift_so3": _best_us(lambda: [lift_so3(c) for c in so3], len(so3)),

@@ -8,9 +8,10 @@ An SU(2) element is stored as the complex pair (A, B) of the matrix
 The Klein map sends (A, B) to a rotation of R^3, an `SO3Element` held as
 rows of floats that compares and hashes by value.  It is a 2-to-1 group
 homomorphism: (A, B) and (-A, -B) cover the same rotation.
-`lift_so3` inverts it, returning the canonical lift (Re(A) >= 0) and its
-negation; `cover_pair` reads the canonical lift off identities linear in
-the matrix entries.
+`cover_pair` inverts it, reading the canonical lift (Re A >= 0) off
+identities linear in the matrix entries; `lift_so3` returns that lift and
+its negation.  Both element types store Python floats under one
+real-number rule (`_real_floats`), and neither imports numpy.
 """
 from __future__ import annotations
 
@@ -31,6 +32,29 @@ class InvalidElementError(ValueError):
     """Input violates a group invariant (non-unit pair, non-rotation matrix)."""
 
 
+def _real_floats(vals: tuple, what: str) -> tuple:
+    """vals as Python floats, or InvalidElementError naming `what` and the cause.
+
+    The real-number rule of both element types, for input other than
+    finite Python floats.  The sum of squares probes the types: it raises
+    TypeError on a str, bytes or None entry, and is complex when an entry
+    is.  float() would drop a numpy complex's imaginary part with only a
+    warning; numpy registers its complex scalars as numbers.Complex.
+    """
+    try:
+        norm2 = sum(v * v for v in vals)
+        if isinstance(norm2, numbers.Complex) and not isinstance(norm2, numbers.Real):
+            raise TypeError(f"must be real number, not {type(norm2).__name__}")
+        floats = tuple(map(float, vals))
+    except TypeError as exc:
+        raise InvalidElementError(f"{what} must be real numbers: {exc}") from None
+    except OverflowError as exc:  # an int beyond float range
+        raise InvalidElementError(f"{what} overflow float arithmetic: {exc}") from None
+    if not all(map(math.isfinite, floats)):
+        raise InvalidElementError(f"{what} must be finite")
+    return floats
+
+
 @dataclass(frozen=True)
 class SU2Element:
     """Unit pair (A, B) with A = a_re + i*a_im, B = b_re + i*b_im."""
@@ -41,25 +65,15 @@ class SU2Element:
     b_im: float
 
     def __post_init__(self):
-        vals = a_re, a_im, b_re, b_im = self.a_re, self.a_im, self.b_re, self.b_im
-        try:
+        a_re, a_im, b_re, b_im = self.a_re, self.a_im, self.b_re, self.b_im
+        floats = type(a_re) is type(a_im) is type(b_re) is type(b_im) is float
+        if floats:
             norm2 = a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im
-            if type(norm2) is not float:  # an int, bool, complex or numpy scalar is involved
-                # float() would drop a numpy complex's imaginary part with only a
-                # warning; numpy registers its complex scalars as numbers.Complex.
-                if isinstance(norm2, numbers.Complex) and not isinstance(norm2, numbers.Real):
-                    raise TypeError(f"must be real number, not {type(norm2).__name__}")
-                # Check the norm of the floats that are stored: in float32
-                # arithmetic a pair far off unit norm can round to norm 1.
-                vals = a_re, a_im, b_re, b_im = float(a_re), float(a_im), float(b_re), float(b_im)
-                norm2 = a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im
-            finite = math.isfinite(norm2) or all(math.isfinite(v) for v in vals)
-        except TypeError as exc:
-            raise InvalidElementError(f"SU(2) components must be real numbers: {exc}") from None
-        except OverflowError as exc:  # an int beyond float range
-            raise InvalidElementError(f"SU(2) components overflow float arithmetic: {exc}") from None
-        if not finite:
-            raise InvalidElementError("SU(2) components must be finite")
+        if not floats or not math.isfinite(norm2):
+            a_re, a_im, b_re, b_im = _real_floats((a_re, a_im, b_re, b_im), "SU(2) components")
+            # The norm of the floats that are stored: in float32 arithmetic a
+            # pair far off unit norm can round to norm 1.
+            norm2 = a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im
         norm = math.sqrt(norm2)
         if abs(norm - 1.0) > CONSTRUCTION_TOL:
             raise InvalidElementError(
@@ -67,11 +81,11 @@ class SU2Element:
             )
         # Store Python floats on every path: an int, bool or numpy scalar
         # of norm exactly 1 is converted too (dividing by 1.0 is exact).
-        if norm != 1.0 or not type(self.a_re) is type(self.a_im) is type(self.b_re) is type(self.b_im) is float:
-            object.__setattr__(self, "a_re", float(a_re) / norm)
-            object.__setattr__(self, "a_im", float(a_im) / norm)
-            object.__setattr__(self, "b_re", float(b_re) / norm)
-            object.__setattr__(self, "b_im", float(b_im) / norm)
+        if norm != 1.0 or not floats:
+            object.__setattr__(self, "a_re", a_re / norm)
+            object.__setattr__(self, "a_im", a_im / norm)
+            object.__setattr__(self, "b_re", b_re / norm)
+            object.__setattr__(self, "b_im", b_im / norm)
 
     @property
     def a(self) -> complex:
@@ -90,8 +104,8 @@ class SU2Element:
         return cls(1.0, 0.0, 0.0, 0.0)
 
     def negate(self) -> "SU2Element":
-        """(-A, -B), exactly (`_sign_flip`)."""
-        return _sign_flip(-self.a_re, -self.a_im, -self.b_re, -self.b_im)
+        """(-A, -B), exactly (`_unit_pair`)."""
+        return _unit_pair(-self.a_re, -self.a_im, -self.b_re, -self.b_im)
 
     def as_matrix(self) -> np.ndarray:
         import numpy as np
@@ -100,12 +114,12 @@ class SU2Element:
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]], dtype=complex)
 
 
-def _sign_flip(a_re: float, a_im: float, b_re: float, b_im: float) -> SU2Element:
-    """The element of a unit pair's components with some signs flipped, built exactly.
+def _unit_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> SU2Element:
+    """The element of float components already divided by their norm, built exactly.
 
-    A sign flip keeps the pair's norm to the bit, so it is not
-    renormalized again: a second division by its rounded norm would move
-    some components by an ulp.
+    They are not renormalized again: a second division by their rounded
+    norm would move some components by an ulp.  A sign flip of such
+    components keeps them so, to the bit.
     """
     g = object.__new__(SU2Element)
     object.__setattr__(g, "a_re", a_re)
@@ -143,38 +157,33 @@ def orthogonality_residual(rows) -> float:
 class SO3Element:
     """3x3 rotation matrix (orthogonal, determinant 1) from any 3x3 array-like of reals.
 
-    `m` holds the rows as tuples of floats; elements compare and hash by value.
+    `m` is read through its `.tolist()` when it has one (a numpy array),
+    otherwise as three rows of three entries, which are held to the
+    real-number rule of `SU2Element` (`_real_floats`).  It is stored as
+    rows of Python floats, so elements compare and hash by value.
     """
 
     m: tuple
 
     def __post_init__(self):
-        import numpy as np  # here, not at module level: `import srdist` loads no numpy
-
+        m = self.m
         try:
-            m = np.asarray(self.m)
-            # Checked before the cast, which would drop an imaginary part with only a warning.
-            if m.dtype.kind == "c":
-                raise TypeError(f"complex entries ({m.dtype})")
-            rows = m.astype(float, copy=False).tolist()
-            # The cast parses numeric strings, which SU2Element refuses too,
-            # also as the entries of an object array.
-            if m.dtype.kind in "SU" or (
-                m.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in m.flat)
-            ):
-                raise TypeError(f"string entries ({m.dtype})")
+            r1, r2, r3 = m.tolist() if hasattr(m, "tolist") else m
+            (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = r1, r2, r3
         except (TypeError, ValueError) as exc:
-            raise InvalidElementError(f"rotation matrix must be a 3x3 array of reals: {exc}") from None
-        except OverflowError as exc:  # an int beyond float range
-            raise InvalidElementError(f"rotation matrix entries must be finite: {exc}") from None
-        if m.shape != (3, 3):
-            raise InvalidElementError(f"rotation matrix must be 3x3, got {m.shape}")
-        (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = rows
-        # A finite sum has finite terms; entries whose sum overflows are checked one by one.
-        if not math.isfinite(c11 + c12 + c13 + c21 + c22 + c23 + c31 + c32 + c33) and not all(
-            math.isfinite(v) for row in rows for v in row
+            raise InvalidElementError(f"rotation matrix must be 3x3: {exc}") from None
+        # Floats with a finite sum are finite; any other input goes through the rule.
+        if not (
+            type(c11) is type(c12) is type(c13) is type(c21) is type(c22) is type(c23)
+            is type(c31) is type(c32) is type(c33) is float
+            and math.isfinite(c11 + c12 + c13 + c21 + c22 + c23 + c31 + c32 + c33)
         ):
-            raise InvalidElementError("rotation matrix entries must be finite")
+            if any(isinstance(r, (bytes, bytearray)) for r in (r1, r2, r3)):  # it unpacks into ints
+                raise InvalidElementError("rotation matrix entries must be real numbers, not a 'bytes' row")
+            c11, c12, c13, c21, c22, c23, c31, c32, c33 = _real_floats(
+                (c11, c12, c13, c21, c22, c23, c31, c32, c33), "rotation matrix entries"
+            )
+        rows = (c11, c12, c13), (c21, c22, c23), (c31, c32, c33)
         ortho_res = orthogonality_residual(rows)
         if ortho_res > CONSTRUCTION_TOL:
             raise InvalidElementError(
@@ -186,7 +195,7 @@ class SO3Element:
         det_res = abs(det - 1.0)
         if det_res > CONSTRUCTION_TOL:
             raise InvalidElementError(f"determinant violation: |det - 1| = {det_res:.3e}")
-        object.__setattr__(self, "m", ((c11, c12, c13), (c21, c22, c23), (c31, c32, c33)))
+        object.__setattr__(self, "m", rows)
 
     @classmethod
     def identity(cls) -> "SO3Element":
@@ -213,8 +222,8 @@ def su2_mul(g: SU2Element, h: SU2Element) -> SU2Element:
 
 
 def su2_inv(g: SU2Element) -> SU2Element:
-    """Inverse (conjugate transpose): (A, B) -> (conj(A), -B), exactly (`_sign_flip`)."""
-    return _sign_flip(g.a_re, -g.a_im, -g.b_re, -g.b_im)
+    """Inverse (conjugate transpose): (A, B) -> (conj(A), -B), exactly (`_unit_pair`)."""
+    return _unit_pair(g.a_re, -g.a_im, -g.b_re, -g.b_im)
 
 
 def su2_exp(v: AlgebraVector, t: float) -> SU2Element:
@@ -280,6 +289,11 @@ def cover_pair(c: SO3Element) -> tuple[complex, complex]:
     Each path divides only by the larger of |A| and |B|, so no digits are
     lost near half turns (Re A = 0) or axis-1 rotations (B = 0; entries
     c12 = c13 = 0 give B = 0 exactly).
+
+    At Re A = 0 (half turns) the rule picks, when c11 >= 0, the lift
+    with Im A > 0, and otherwise the one whose B is the principal root of
+    B^2, unless the A it gives rounds to Re A < 0.  `lift_so3` and both
+    SO(3) distance routes read this one inverse of the covering map.
     """
     (c11, c12, c13), (_, c22, c23), (_, c32, c33) = c.m
     a_conj_b = complex(0.5 * c13, 0.5 * c12)
@@ -300,28 +314,13 @@ def cover_pair(c: SO3Element) -> tuple[complex, complex]:
 
 
 def lift_so3(c: SO3Element) -> tuple[SU2Element, SU2Element]:
-    """Both SU(2) preimages of a rotation, canonical lift first.
+    """Both SU(2) preimages of a rotation: `cover_pair`'s canonical lift, then its negation.
 
-    Shepperd's extraction (J. Guidance & Control 1(3), 1978).  With
-    q = (Re A, Im A, Re B, Im B), the covering map gives 4*q_k*q_j for
-    every pair k, j as a sum or difference of entries, e.g. 4*A1^2 = 1 + tr.
-    The row k with the largest 4*q_k^2 is 4*q_k*q, so q is that row over
-    its norm; dividing by the largest component keeps it accurate near
-    every half turn.  The canonical lift has the first nonzero component
-    of q positive, so Re(A) >= 0.
+    Both are built exactly (`_unit_pair`), so the lift is `cover_pair`'s
+    pair to the bit, also at Re A = 0, and the negation is exact.
     """
-    (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = c.m
-    rows = (
-        (1.0 + c11 + c22 + c33, c32 - c23, c13 - c31, c21 - c12),
-        (c32 - c23, 1.0 + c11 - c22 - c33, c21 + c12, c13 + c31),
-        (c13 - c31, c21 + c12, 1.0 - c11 + c22 - c33, c32 + c23),
-        (c21 - c12, c13 + c31, c32 + c23, 1.0 - c11 - c22 + c33),
-    )
-    q0, q1, q2, q3 = rows[max(range(4), key=lambda k: rows[k][k])]
-    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
-    if (q0 or q1 or q2 or q3) < 0.0:  # the first nonzero component
-        norm = -norm
-    lift = SU2Element(q0 / norm, q1 / norm, q2 / norm, q3 / norm)
+    a, b = cover_pair(c)
+    lift = _unit_pair(a.real, a.imag, b.real, b.imag)
     return lift, lift.negate()
 
 

@@ -13,11 +13,16 @@ positive, so the sum is positive, zero or negative exactly when
 |theta| is below, at or above pi (1 - |A|)/2: the SU(2) test on the
 canonical lift.  phi0 is read off the same B.
 
-An independent route takes the minimum of the SU(2) distances of the two
-lifts of C (`lift_so3`).  Both routes are within 1e-13 of a 40-digit
-reference on the accuracy bands, and the test suite checks that they
-agree, also next to the branch-3 boundary as |A| -> 1
-(`verify.check_submetry`).
+A second route takes the minimum of the SU(2) distances of the two
+lifts of C (`lift_so3`: the same covering pair, to the bit, and its
+negation).  The routes share the inverse of the covering map and differ
+in the SO(3) step: the direct route takes the Re A >= 0 lift as the
+nearer one, which is the paper's SO(3) theorem, and the second takes
+the minimum, so their agreement tests that theorem, also next to the
+branch-3 boundary as |A| -> 1 (`verify.check_submetry`).  At Re A = 0
+(half turns) both lifts are at the same distance, and `cover_pair`
+picks one of them by its stated rule.  Both routes are within 1e-13 of
+a 40-digit reference on the accuracy bands.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ def distance_so3(c: SO3Element) -> DistanceResult:
 
 
 def distance_so3_via_lifts(c: SO3Element) -> float:
-    """Independent route: the lesser of the SU(2) distances of the two lifts."""
+    """Second route: the lesser of the SU(2) distances of the two lifts."""
     return min(r.t for r in lift_distance_results(c))
 
 

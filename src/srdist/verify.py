@@ -26,7 +26,7 @@ from .algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, 
 from .cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3, in_cut_locus_su2_l2
 from .geodesics import GeodesicParams, cut_time_bound, endpoint_coords, geodesic_point, geodesic_point_exp
 from .flawed_system import demonstrate_br_nonuniqueness
-from .oracle import REFINED_TOL, _brackets, scan_su2, shoot_min_time, shoot_min_time_so3
+from .oracle import REFINED_TOL, ShootNoMatchError, _brackets, scan_su2, shoot_min_time, shoot_min_time_so3
 from .so3_distance import distance_so3, distance_so3_via_lifts, lift_distance_results
 from .su2_distance import (
     DistanceResult, arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short,
@@ -150,11 +150,14 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
     max(1, n // 10) pairs at each |A|, 1 - |A| = 1e-1 ... 1e-12: off B = 0,
     the SU(2) cut locus, each lift crosses one level.  Last, with no
     draw, the minimal times at the `_tiny_b_pairs` and their rotations.
+    A shot that raises ShootNoMatchError is left out of its record and
+    counted in one more, failing, record (`_failed_shots`).
     """
+    failed: list = []
     targets = [random_su2(rng) for _ in range(n)]
-    gaps = [shoot_min_time(g).t_min - distance_su2(g).t for g in targets]
+    gaps = [r.t_min - distance_su2(g).t for g, r in _shots(shoot_min_time, targets, failed)]
     rotations = [random_so3(rng) for _ in range(n)]
-    gaps_so3 = [shoot_min_time_so3(c).t_min - distance_so3(c).t for c in rotations]
+    gaps_so3 = [r.t_min - distance_so3(c).t for c, r in _shots(shoot_min_time_so3, rotations, failed)]
     for _ in range(n):
         beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.8, 3.5)
         t = rng.uniform(0.05, 0.97) * cut_time_bound(beta)
@@ -169,8 +172,10 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
         psi = scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
         miscounts += sum(1 for _ in _brackets(psi, [math.atan2(h.a_im, h.a_re)])) != 1
     tiny = [g for k in _TINY_B_EXPONENTS for g in _tiny_b_pairs(k)]
-    gaps_tiny = [shoot_min_time(g).t_min - distance_su2(g).t for g in tiny]
-    gaps_tiny += [shoot_min_time_so3(c).t_min - distance_so3(c).t for c in map(klein_omega, tiny)]
+    gaps_tiny = [r.t_min - distance_su2(g).t for g, r in _shots(shoot_min_time, tiny, failed)]
+    gaps_tiny += [
+        r.t_min - distance_so3(c).t for c, r in _shots(shoot_min_time_so3, map(klein_omega, tiny), failed)
+    ]
     return [
         CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 1e-12),
         CheckResult(f"SO(3) oracle vs case analysis ({n} rotations)", _worst(gaps_so3), 1e-12),
@@ -179,7 +184,23 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
             f"oracle vs case analysis at |B| = 1e-36 ... 1e-308 ({len(tiny)} targets and their rotations)",
             _worst(gaps_tiny), 1e-12,
         ),
-    ]
+    ] + _failed_shots(failed)
+
+
+def _shots(shoot, targets, failed: list) -> Iterator[tuple]:
+    """(target, shoot(target)) per target; one whose shot raises ShootNoMatchError goes to `failed` instead."""
+    for target in targets:
+        try:
+            result = shoot(target)
+        except ShootNoMatchError:
+            failed.append(target)
+            continue
+        yield target, result
+
+
+def _failed_shots(failed: list) -> list[CheckResult]:
+    """A failing record counting the shots `_shots` set aside, or none when every shot matched."""
+    return [CheckResult("oracle shots with no root at the target", len(failed), 0)] if failed else []
 
 
 def _minimizer_gap(expected: DistanceResult, found: tuple[float, float, float]) -> float:
@@ -229,31 +250,33 @@ def check_minimizers(rng: np.random.Generator, n: int) -> list[CheckResult]:
     Last, the cut-locus tag against the minimizer count: n half turns
     (`_sym_band_pair` at Re A = 0) must be tagged Sym and list two
     minimizers, and n rotations at each |Re A| = 2*MEMBERSHIP_TOL and
-    1e-8 must be tagged NotCut and list one.
+    1e-8 must be tagged NotCut and list one.  Failed shots are counted as
+    in `check_oracle`.
     """
+    failed: list = []
     rotations = [_half_turn(rng) for _ in range(n)]
     rotations += [klein_omega(_sym_band_pair(rng, (1e-4, 1e-3, 5e-3)[i % 3])) for i in range(n)]
     mismatches, gaps = 0, []
-    for c in rotations:
-        found = shoot_min_time_so3(c).minimizers
+    for c, shot in _shots(shoot_min_time_so3, rotations, failed):
+        found = shot.minimizers
         lifts = lift_distance_results(c)
         t_min = min(r.t for r in lifts)
         expected = [r for r in lifts if r.t <= t_min + REFINED_TOL]
         mismatches += len(found) != len(expected)
         gaps += [min(_minimizer_gap(r, m) for m in found) for r in expected]
+    pairs = [_loc_band_pair(rng, 0.0) for _ in range(n)]
     loc = []
-    for _ in range(n):
-        g = _loc_band_pair(rng, 0.0)
-        c = klein_omega(g)
-        loc += _phi0_circle_gaps([g], shoot_min_time(g).minimizers)
-        loc += _phi0_circle_gaps(lift_so3(c), shoot_min_time_so3(c).minimizers)
+    for g, shot in _shots(shoot_min_time, pairs, failed):
+        loc += _phi0_circle_gaps([g], shot.minimizers)
+    for c, shot in _shots(shoot_min_time_so3, map(klein_omega, pairs), failed):
+        loc += _phi0_circle_gaps(lift_so3(c), shot.minimizers)
     band = (0.0, 2.0 * MEMBERSHIP_TOL, 1e-8)
     tag_counts = 0
     for re_a in band:
         expected = (CutTag.SYM, 2) if re_a == 0.0 else (CutTag.NOT_CUT, 1)
-        for _ in range(n):
-            c = klein_omega(_sym_band_pair(rng, re_a))
-            tag_counts += (classify_cut_locus_so3(c).tag, len(shoot_min_time_so3(c).minimizers)) != expected
+        tagged = [klein_omega(_sym_band_pair(rng, re_a)) for _ in range(n)]
+        for c, shot in _shots(shoot_min_time_so3, tagged, failed):
+            tag_counts += (classify_cut_locus_so3(c).tag, len(shot.minimizers)) != expected
     return [
         CheckResult(f"minimizer-set size mismatches ({n} half turns, {n} near-Sym rotations)", mismatches, 0),
         CheckResult("minimizers vs the lifts' case analysis", _worst(gaps), 1e-12),
@@ -265,7 +288,7 @@ def check_minimizers(rng: np.random.Generator, n: int) -> list[CheckResult]:
             f"cut-locus tag vs minimizer count ({n} each at |Re A| = {', '.join(f'{x:g}' for x in band)})",
             tag_counts, 0,
         ),
-    ]
+    ] + _failed_shots(failed)
 
 
 def _phi0_circle_gaps(targets, minimizers) -> list[float]:

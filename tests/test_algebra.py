@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from srdist.algebra import (
     InvalidElementError,
     SO3Element,
     SU2Element,
+    cover_pair,
     klein_omega,
     lift_so3,
     mat3_mul,
@@ -52,30 +54,36 @@ def test_so3_rejects_non_rotation():
 
 
 @pytest.mark.parametrize("m, cause", [
-    (np.eye(3) + 1e-3j * np.ones((3, 3)), "complex entries"),
-    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1j]], "complex entries"),
-    ([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "inhomogeneous shape"),
-    ([[1.0, 0.0, 0.0], [0.0, "a", 0.0], [0.0, 0.0, 1.0]], "could not convert string to float"),
-    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "string entries"),
-    (np.array([["1", 0, 0], [0, 1, 0], [0, 0, 1]], dtype=object), "string entries"),
-    (np.array([b"1", b"0", b"0", b"0", b"1", b"0", b"0", b"0", b"1"]).reshape(3, 3), "string entries"),
-    ([[10**400, 0, 0], [0, 1, 0], [0, 0, 1]], "must be finite: int too large"),
+    (np.eye(3) + 1e-3j * np.ones((3, 3)), "complex"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1j]], "complex"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "expected 3, got 2"),
+    ([[1.0, 0.0, 0.0], [0.0, "a", 0.0], [0.0, 0.0, 1.0]], "'str'"),
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "'str'"),
+    (np.array([["1", 0, 0], [0, 1, 0], [0, 0, 1]], dtype=object), "'str'"),
+    (np.array([b"1", b"0", b"0", b"0", b"1", b"0", b"0", b"0", b"1"]).reshape(3, 3), "'bytes'"),
+    ([[10**400, 0, 0], [0, 1, 0], [0, 0, 1]], "int too large"),
     ([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]], "must be finite$"),
     ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.inf]], "must be finite$"),
     ([[-math.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "must be finite$"),
     ([[1e308, 1e308, 1e308], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "orthogonality violation: .* = inf"),
     ([[1e308, -1e308, 1e308], [1e308, 1.0, 0.0], [0.0, 0.0, 1.0]], "orthogonality violation: .* = inf"),
-    (np.eye(2), r"must be 3x3, got \(2, 2\)"),
-    (np.eye(3, 4), r"must be 3x3, got \(3, 4\)"),
+    (np.eye(2), "expected 3, got 2"),
+    (np.eye(3, 4), "too many values"),
+    ([[np.complex128(1.0), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "complex"),
+    ([[1.0, 0.0, 0.0], [0.0, None, 0.0], [0.0, 0.0, 1.0]], "'NoneType'"),
+    (np.eye(3).ravel(), "too many values"),
+    ([b"\x01\x00\x00", b"\x00\x01\x00", b"\x00\x00\x01"], "'bytes' row"),
 ], ids=["complex-array", "complex-entry", "ragged", "string-entry", "numeric-strings", "object-string",
-        "numeric-bytes", "huge-int", "nan", "inf", "-inf", "overflowing-sum", "overflowing-product", "2x2", "3x4"])
+        "numeric-bytes", "huge-int", "nan", "inf", "-inf", "overflowing-sum", "overflowing-product", "2x2", "3x4",
+        "numpy-complex-entry", "none-entry", "flat", "bytes-rows"])
 def test_so3_rejects_malformed_input(m, cause):
-    # The complex cases raise before numpy's cast, which would warn and drop
-    # the imaginary part; under filterwarnings = error a warning fails here.
-    # Numeric strings parse under the cast and are refused after it, also
-    # inside an object array.  Finite
-    # entries whose sum overflows pass the finiteness check and fail
-    # orthogonality.
+    # Entries are refused by the real-number rule SU2Element applies, before
+    # any conversion that would warn; under filterwarnings = error a warning
+    # fails here.  A complex entry, numpy's complex scalars included, is
+    # refused with a real part of 1.0 too, and a numeric string with the
+    # other strings; a bytes row, which unpacks into ints, is refused as
+    # such.  Finite entries whose sum overflows pass the finiteness check and
+    # fail orthogonality.
     with pytest.raises(InvalidElementError, match=cause):
         SO3Element(m)
 
@@ -112,7 +120,9 @@ def test_su2_rejects_numpy_complex_components(bad):
 
 def test_so3_rows_are_python_floats_for_any_array_like():
     rows = ((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-    for m in (np.array(rows), np.array(rows, dtype=int), np.array(rows, dtype=object), [list(r) for r in rows], rows):
+    mixed = [[0, -1.0, 0], [1, 0.0, 0], [0, 0, 1.0]]
+    arrays = (np.array(rows), np.array(rows, dtype=int), np.array(rows, dtype=object), np.array(rows, dtype=np.float32))
+    for m in (*arrays, [list(r) for r in rows], rows, mixed):
         c = SO3Element(m)
         assert type(c.m) is tuple and len(c.m) == 3
         assert all(type(row) is tuple and len(row) == 3 for row in c.m)
@@ -139,7 +149,7 @@ def test_su2_components_are_python_floats_for_any_real():
         assert got == (want.a_re, want.a_im, want.b_re, want.b_im)
 
 
-_SU2_ONLY = """
+_NO_NUMPY = """
 import sys
 import srdist
 g = srdist.geodesic_point(srdist.GeodesicParams(1.0, 0.5), 2.0)
@@ -151,14 +161,22 @@ srdist.in_cut_locus_su2_l2(g)
 srdist.arg_short(r.beta, abs(g.a))
 srdist.time_long(r.beta, abs(g.a))
 assert "numpy" not in sys.modules, "an SU(2) call imported numpy"
-srdist.SO3Element(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-assert "numpy" in sys.modules, "building a rotation did not import numpy"
+c = srdist.SO3Element(((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
+h = srdist.klein_omega(g)
+srdist.distance_so3(h)
+srdist.distance_so3_pair(c, h)
+srdist.lift_so3(h)
+srdist.classify_cut_locus_so3(c)
+srdist.shoot_min_time_so3(h)
+srdist.geodesic_point_so3(srdist.GeodesicParams(r.phi0, r.beta), r.t)
+assert "numpy" not in sys.modules, "an SO(3) call imported numpy"
 """
 
 
-def test_su2_calls_import_no_numpy(child_env):
-    # numpy is imported only where an array is parsed, built or drawn.
-    proc = subprocess.run([sys.executable, "-c", _SU2_ONLY], capture_output=True, text=True, env=child_env)
+def test_element_calls_import_no_numpy(child_env):
+    # numpy is imported only where an array is built or drawn: SU(2) and
+    # SO(3) calls on elements built from floats and rows load none.
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -345,6 +363,27 @@ def test_lift_pair_is_an_exact_negation():
         lift, neg = lift_so3(random_so3(rng))
         bits = [v.hex() for v in (neg.a_re, neg.a_im, neg.b_re, neg.b_im)]
         assert bits == [(-v).hex() for v in (lift.a_re, lift.a_im, lift.b_re, lift.b_im)]
+
+
+def test_lift_is_the_covering_pair_to_the_bit():
+    # lift_so3 builds its canonical lift from cover_pair, the one inverse of
+    # the covering map, without renormalizing it: on Haar rotations, on
+    # half turns with Re A = 0 and |B| > |A|, and on the axis-1 half turn
+    # with every sign of its zero entries.
+    rng = np.random.default_rng(5)
+    rotations = [random_so3(rng) for _ in range(1000)]
+    for _ in range(100):
+        a_im, gamma = rng.uniform(-0.7, 0.7), rng.uniform(-math.pi, math.pi)
+        abs_b = math.sqrt(1.0 - a_im * a_im)
+        rotations.append(klein_omega(SU2Element(0.0, a_im, abs_b * math.cos(gamma), abs_b * math.sin(gamma))))
+    for z12, z13, z21, z23, z31, z32 in itertools.product((0.0, -0.0), repeat=6):
+        rotations.append(SO3Element(((1.0, z12, z13), (z21, -1.0, z23), (z31, z32, -1.0))))
+    for c in rotations:
+        lift, _ = lift_so3(c)
+        a, b = cover_pair(c)
+        assert [v.hex() for v in (lift.a_re, lift.a_im, lift.b_re, lift.b_im)] == [
+            v.hex() for v in (a.real, a.imag, b.real, b.imag)
+        ]
 
 
 def test_random_su2_components_are_python_floats():

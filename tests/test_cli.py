@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from srdist import verify
+from srdist import ShootNoMatchError, verify
 from srdist.cli import main
 
 
@@ -294,6 +294,26 @@ def test_verify_failing_check_exits_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "always-fails")
     assert code == 1
     assert out.startswith("[FAIL] always-fails: x")
+
+
+def test_verify_oracle_reports_a_failed_shot(capsys, monkeypatch):
+    # A shot that finds no root fails one record of its own; the other
+    # records still print, and the exit code says a check failed.
+    calls, shoot = [], verify.shoot_min_time
+
+    def third_shot_fails(target):
+        calls.append(target)
+        if len(calls) == 3:
+            raise ShootNoMatchError("no root")
+        return shoot(target)
+
+    monkeypatch.setattr(verify, "shoot_min_time", third_shot_fails)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--n", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert all(line.startswith("[PASS] oracle: ") for line in lines[:4])
+    assert lines[4] == "[FAIL] oracle: oracle shots with no root at the target - 1 (tol 0)"
 
 
 def test_entry_point_subprocess(child_env):
