@@ -19,11 +19,13 @@ generator, as `shoot_min_time_axis1`: no Haar draw has B = 0, so that
 key alone times the oracle's cut-locus path.
 
 On the same draws it times the element and rotation layers per call:
-`SU2Element` built from four floats, `klein_omega` and `distance_su2` on
-the SU(2) targets, and `SO3Element` built from a float 3x3 array (the
-form perfbench passes) and from rows of floats (the form `klein_omega`,
-`so3_mul` and the CLI pass), `cover_pair`, `lift_so3` and `distance_so3`
-on the rotations.  It imports srdist from `src/` next to this directory.
+`SU2Element` built from four floats, `klein_omega`, `distance_su2` and
+`in_cut_locus_su2_l2` on the SU(2) targets, and `SO3Element` built from a
+float 3x3 array (the form perfbench passes) and from rows of floats (the
+form `klein_omega`, `so3_mul` and the CLI pass), `cover_pair`,
+`lift_so3`, `distance_so3` and `classify_cut_locus_so3` on the
+rotations.  So each piece of a perfbench `distance-edge` op (element,
+distance, cut-locus stratum) has a key of its own.  It imports srdist from `src/` next to this directory.
 
 Besides the times, `calls` counts each recorded layer's calls over all
 the shots, and `solves_per_shot` gives the `_solve` calls per Haar SU(2)
@@ -46,6 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from srdist import oracle  # noqa: E402
+from srdist.cutlocus import classify_cut_locus_so3, in_cut_locus_su2_l2  # noqa: E402
 from srdist.algebra import (  # noqa: E402
     SO3Element,
     SU2Element,
@@ -120,6 +123,8 @@ def main() -> None:
         "lift_so3": _best_us(lambda: [lift_so3(c) for c in so3], len(so3)),
         "distance_su2": _best_us(lambda: [distance_su2(g) for g in su2], len(su2)),
         "distance_so3": _best_us(lambda: [distance_so3(c) for c in so3], len(so3)),
+        "in_cut_locus_su2_l2": _best_us(lambda: [in_cut_locus_su2_l2(g) for g in su2], len(su2)),
+        "classify_cut_locus_so3": _best_us(lambda: [classify_cut_locus_so3(c) for c in so3], len(so3)),
     }
     print(json.dumps({
         "us_per_call": {k: round(v, 2) for k, v in us.items()},

@@ -12,6 +12,11 @@ homomorphism: (A, B) and (-A, -B) cover the same rotation.
 identities linear in the matrix entries; `lift_so3` returns that lift and
 its negation.  Both element types store Python floats under one
 real-number rule (`_real_floats`), and neither imports numpy.
+
+Both are frozen value records: each is validated once in its
+constructor, which writes every field a single time, and compares and
+hashes by value.  `dataclasses.replace` builds through the constructor,
+so it validates again.
 """
 from __future__ import annotations
 
@@ -35,16 +40,19 @@ class InvalidElementError(ValueError):
 def _real_floats(vals: tuple, what: str) -> tuple:
     """vals as Python floats, or InvalidElementError naming `what` and the cause.
 
-    The real-number rule of both element types, for input other than
-    finite Python floats.  The sum of squares probes the types: it raises
-    TypeError on a str, bytes or None entry, and is complex when an entry
-    is.  float() would drop a numpy complex's imaginary part with only a
-    warning; numpy registers its complex scalars as numbers.Complex.
+    The real-number rule of the element types and `GeodesicParams`, for
+    input other than finite Python floats.  Unary plus probes each type:
+    it raises TypeError on a str, bytes or None entry, and is complex when
+    the entry is; it does no arithmetic, so a numpy float32 entry cannot
+    overflow into a warning.  float() would drop a numpy complex's
+    imaginary part with only a warning; numpy registers its complex
+    scalars as numbers.Complex.
     """
     try:
-        norm2 = sum(v * v for v in vals)
-        if isinstance(norm2, numbers.Complex) and not isinstance(norm2, numbers.Real):
-            raise TypeError(f"must be real number, not {type(norm2).__name__}")
+        for v in vals:
+            p = +v
+            if isinstance(p, numbers.Complex) and not isinstance(p, numbers.Real):
+                raise TypeError(f"must be real number, not {type(p).__name__}")
         floats = tuple(map(float, vals))
     except TypeError as exc:
         raise InvalidElementError(f"{what} must be real numbers: {exc}") from None
@@ -55,7 +63,7 @@ def _real_floats(vals: tuple, what: str) -> tuple:
     return floats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SU2Element:
     """Unit pair (A, B) with A = a_re + i*a_im, B = b_re + i*b_im."""
 
@@ -64,8 +72,7 @@ class SU2Element:
     b_re: float
     b_im: float
 
-    def __post_init__(self):
-        a_re, a_im, b_re, b_im = self.a_re, self.a_im, self.b_re, self.b_im
+    def __init__(self, a_re: float, a_im: float, b_re: float, b_im: float):
         floats = type(a_re) is type(a_im) is type(b_re) is type(b_im) is float
         if floats:
             norm2 = a_re * a_re + a_im * a_im + b_re * b_re + b_im * b_im
@@ -79,13 +86,14 @@ class SU2Element:
             raise InvalidElementError(
                 f"unit-norm violation: |A|^2+|B|^2 deviates by {abs(norm * norm - 1.0):.3e}"
             )
-        # Store Python floats on every path: an int, bool or numpy scalar
-        # of norm exactly 1 is converted too (dividing by 1.0 is exact).
-        if norm != 1.0 or not floats:
-            object.__setattr__(self, "a_re", a_re / norm)
-            object.__setattr__(self, "a_im", a_im / norm)
-            object.__setattr__(self, "b_re", b_re / norm)
-            object.__setattr__(self, "b_im", b_im / norm)
+        if norm != 1.0:
+            a_re, a_im, b_re, b_im = a_re / norm, a_im / norm, b_re / norm, b_im / norm
+        # Each field is written once, past the frozen __setattr__.
+        d = self.__dict__
+        d["a_re"] = a_re
+        d["a_im"] = a_im
+        d["b_re"] = b_re
+        d["b_im"] = b_im
 
     @property
     def a(self) -> complex:
@@ -122,10 +130,11 @@ def _unit_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> SU2Element
     components keeps them so, to the bit.
     """
     g = object.__new__(SU2Element)
-    object.__setattr__(g, "a_re", a_re)
-    object.__setattr__(g, "a_im", a_im)
-    object.__setattr__(g, "b_re", b_re)
-    object.__setattr__(g, "b_im", b_im)
+    d = g.__dict__
+    d["a_re"] = a_re
+    d["a_im"] = a_im
+    d["b_re"] = b_re
+    d["b_im"] = b_im
     return g
 
 
@@ -153,7 +162,7 @@ def orthogonality_residual(rows) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SO3Element:
     """3x3 rotation matrix (orthogonal, determinant 1) from any 3x3 array-like of reals.
 
@@ -165,8 +174,7 @@ class SO3Element:
 
     m: tuple
 
-    def __post_init__(self):
-        m = self.m
+    def __init__(self, m):
         try:
             r1, r2, r3 = m.tolist() if hasattr(m, "tolist") else m
             (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = r1, r2, r3
@@ -195,7 +203,7 @@ class SO3Element:
         det_res = abs(det - 1.0)
         if det_res > CONSTRUCTION_TOL:
             raise InvalidElementError(f"determinant violation: |det - 1| = {det_res:.3e}")
-        object.__setattr__(self, "m", rows)
+        self.__dict__["m"] = rows
 
     @classmethod
     def identity(cls) -> "SO3Element":

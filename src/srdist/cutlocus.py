@@ -35,10 +35,15 @@ class CutTag(enum.Enum):
     LOC = "Loc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CutLocusClass:
     tag: CutTag
     witness: Optional[str] = None
+
+    def __init__(self, tag: CutTag, witness: Optional[str] = None):
+        d = self.__dict__
+        d["tag"] = tag
+        d["witness"] = witness
 
 
 def _tag(a_re: float, a_im: float, b_re: float, b_im: float) -> CutTag:

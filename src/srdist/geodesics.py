@@ -11,20 +11,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import AlgebraVector, SO3Element, SU2Element, klein_omega, su2_exp, su2_mul
+from .algebra import AlgebraVector, SO3Element, SU2Element, _real_floats, klein_omega, su2_exp, su2_mul
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeodesicParams:
-    """Horizontal direction angle phi0 (normalized to [0, 2*pi)) and beta."""
+    """Horizontal direction angle phi0 (normalized to [0, 2*pi)) and beta.
+
+    Both are held to the elements' real-number rule (`algebra._real_floats`)
+    and stored as Python floats.
+    """
 
     phi0: float
     beta: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.phi0) and math.isfinite(self.beta)):
-            raise ValueError("geodesic parameters must be finite")
-        object.__setattr__(self, "phi0", self.phi0 % math.tau)
+    def __init__(self, phi0: float, beta: float):
+        phi0, beta = _real_floats((phi0, beta), "geodesic parameters")
+        d = self.__dict__
+        d["phi0"] = phi0 % math.tau
+        d["beta"] = beta
 
 
 def endpoint_coords(phi0: float, beta: float, t: float) -> tuple[float, float, float, float]:
@@ -99,8 +104,8 @@ def geodesic_point(p: GeodesicParams, t: float) -> SU2Element:
     """Closed-form geodesic endpoint at time t >= 0 (see `endpoint_coords`)."""
     if t < 0:
         raise ValueError("geodesic parameter t must be nonnegative")
-    # Python floats, the same to the bit: numpy scalars slow every formula downstream.
-    return SU2Element(*endpoint_coords(float(p.phi0), float(p.beta), float(t)))
+    # t as a Python float, the same to the bit: a numpy scalar slows every formula downstream.
+    return SU2Element(*endpoint_coords(p.phi0, p.beta, float(t)))
 
 
 def geodesic_point_exp(p: GeodesicParams, t: float) -> SU2Element:

@@ -56,7 +56,7 @@ class DistanceCase(enum.Enum):
     LONG = "Case5_Long"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DistanceResult:
     """Distance t, the branch used, and the recovered geodesic parameters.
 
@@ -68,6 +68,13 @@ class DistanceResult:
     case: DistanceCase
     beta: Optional[float]
     phi0: Optional[float]
+
+    def __init__(self, t: float, case: DistanceCase, beta: Optional[float], phi0: Optional[float]):
+        d = self.__dict__
+        d["t"] = t
+        d["case"] = case
+        d["beta"] = beta
+        d["phi0"] = phi0
 
 
 def _clamped_asin(x: float) -> float:

@@ -39,6 +39,9 @@ def test_construction_rejects_non_unit():
     # are off unit norm by 4.8e-8.
     with pytest.raises(InvalidElementError, match="unit-norm violation"):
         SU2Element(np.float32(0.6), 0.0, np.float32(0.8), 0.0)
+    # Its float32 square overflows: no numpy warning escapes the real-number rule.
+    with pytest.raises(InvalidElementError, match="unit-norm violation"):
+        SU2Element(np.float32(1e20), 0.0, 0.0, 0.0)
 
 
 def test_construction_renormalizes_within_tolerance():
@@ -73,9 +76,10 @@ def test_so3_rejects_non_rotation():
     ([[1.0, 0.0, 0.0], [0.0, None, 0.0], [0.0, 0.0, 1.0]], "'NoneType'"),
     (np.eye(3).ravel(), "too many values"),
     ([b"\x01\x00\x00", b"\x00\x01\x00", b"\x00\x00\x01"], "'bytes' row"),
+    ([[np.float32(1e20), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "orthogonality violation"),
 ], ids=["complex-array", "complex-entry", "ragged", "string-entry", "numeric-strings", "object-string",
         "numeric-bytes", "huge-int", "nan", "inf", "-inf", "overflowing-sum", "overflowing-product", "2x2", "3x4",
-        "numpy-complex-entry", "none-entry", "flat", "bytes-rows"])
+        "numpy-complex-entry", "none-entry", "flat", "bytes-rows", "float32-overflowing-square"])
 def test_so3_rejects_malformed_input(m, cause):
     # Entries are refused by the real-number rule SU2Element applies, before
     # any conversion that would warn; under filterwarnings = error a warning

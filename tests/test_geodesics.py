@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from srdist.algebra import SU2Element, klein_omega
+from srdist.algebra import InvalidElementError, SU2Element, klein_omega
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
@@ -78,6 +78,27 @@ def test_non_finite_parameters_rejected(bad):
             GeodesicParams(phi0, beta)
     with pytest.raises(ValueError, match="beta must be finite"):
         cut_time_bound(bad)
+
+
+@pytest.mark.parametrize("bad, cause", [
+    (1j, "must be real numbers: must be real number, not complex"),
+    ("a", "must be real numbers: .*'str'"),
+    (None, "must be real numbers: .*'NoneType'"),
+    (10**400, "overflow float arithmetic: int too large"),
+], ids=["complex", "str", "none", "huge-int"])
+def test_non_real_parameters_rejected(bad, cause):
+    # The elements' real-number rule: a typed error naming the cause.
+    for phi0, beta in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(InvalidElementError, match=f"^geodesic parameters {cause}"):
+            GeodesicParams(phi0, beta)
+
+
+def test_parameters_are_python_floats():
+    p = GeodesicParams(np.float64(7.0), np.float32(0.5))
+    assert type(p.phi0) is float and type(p.beta) is float
+    assert (p.phi0, p.beta) == (7.0 % math.tau, 0.5)
+    # A float32 beyond the square's float32 range is finite and kept.
+    assert GeodesicParams(0.0, np.float32(1e20)).beta == float(np.float32(1e20))
 
 
 def test_cut_time_bound_values():
