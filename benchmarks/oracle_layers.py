@@ -16,7 +16,10 @@ unchanged on any version whose shots make those calls.  It also times
 `shoot_min_time` on N rotations about axis 1 (B = 0, the Loc stratum,
 |arg A| = 10^U(-5, 0.49)), drawn after the Haar draws from the same
 generator, as `shoot_min_time_axis1`: no Haar draw has B = 0, so that
-key alone times the oracle's cut-locus path.
+key alone times the oracle's cut-locus path.  `shoot_min_time_tiny_b`
+and `shoot_min_time_so3_tiny_b` time the 40 fixed pairs of
+`verify._tiny_b_pairs` (|B| = 1e-36 ... 1e-308) and their rotations,
+where the root lies far below the samples in tau'.
 
 On the same draws it times the element and rotation layers per call:
 `SU2Element` built from four floats, `klein_omega`, `distance_su2` and
@@ -32,7 +35,8 @@ the shots, and `solves_per_shot` gives the `_solve` calls per Haar SU(2)
 shot and per Haar SO(3) shot.  An SO(3) shot has a bracket for each of
 its two lifts, but solves them in the order of a lower bound on their
 arrival time and stops once no bracket left can reach the best root's
-time, so its count lies between 1 and 2.
+time, so its count lies between 1 and 2.  `tiny_b` and `so3_tiny_b`
+give the same on the tiny-|B| targets and their rotations.
 """
 from __future__ import annotations
 
@@ -60,6 +64,7 @@ from srdist.algebra import (  # noqa: E402
 )
 from srdist.so3_distance import distance_so3  # noqa: E402
 from srdist.su2_distance import distance_su2  # noqa: E402
+from srdist.verify import _TINY_B_EXPONENTS, _tiny_b_pairs  # noqa: E402
 
 N = 200
 SEED = 0
@@ -90,6 +95,8 @@ def main() -> None:
     arrays = [np.array(c.m, dtype=float) for c in so3]
     rows = [c.m for c in so3]
     coords = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in su2]
+    tiny = [g for k in _TINY_B_EXPONENTS for g in _tiny_b_pairs(k)]
+    tiny_so3 = [klein_omega(g) for g in tiny]
 
     recorded = {name: [] for name in ("scan_su2", "_brackets", "_least_time", "_solve", "_hit")}
     originals = {name: _record(oracle, name, calls) for name, calls in recorded.items()}
@@ -101,6 +108,16 @@ def main() -> None:
     so3_solves = len(recorded["_solve"]) - su2_solves
     for name, original in originals.items():
         setattr(oracle, name, original)
+    # The tiny-|B| shots are counted apart, so the replays hold the Haar shots' calls only.
+    tiny_solves = []
+    _record(oracle, "_solve", tiny_solves)
+    for g in tiny:
+        oracle.shoot_min_time(g)
+    tiny_su2_solves = len(tiny_solves)
+    for c in tiny_so3:
+        oracle.shoot_min_time_so3(c)
+    tiny_so3_solves = len(tiny_solves) - tiny_su2_solves
+    oracle._solve = originals["_solve"]
 
     def replay(name, consume=lambda r: r):
         f, calls = originals[name], recorded[name]
@@ -115,6 +132,8 @@ def main() -> None:
         "shoot_min_time": _best_us(lambda: [oracle.shoot_min_time(g) for g in su2], len(su2)),
         "shoot_min_time_so3": _best_us(lambda: [oracle.shoot_min_time_so3(c) for c in so3], len(so3)),
         "shoot_min_time_axis1": _best_us(lambda: [oracle.shoot_min_time(g) for g in axis1], len(axis1)),
+        "shoot_min_time_tiny_b": _best_us(lambda: [oracle.shoot_min_time(g) for g in tiny], len(tiny)),
+        "shoot_min_time_so3_tiny_b": _best_us(lambda: [oracle.shoot_min_time_so3(c) for c in tiny_so3], len(tiny_so3)),
         "SU2Element_floats": _best_us(lambda: [SU2Element(*q) for q in coords], len(coords)),
         "SO3Element_array": _best_us(lambda: [SO3Element(m) for m in arrays], len(arrays)),
         "SO3Element_rows": _best_us(lambda: [SO3Element(m) for m in rows], len(rows)),
@@ -129,8 +148,9 @@ def main() -> None:
     print(json.dumps({
         "us_per_call": {k: round(v, 2) for k, v in us.items()},
         "calls": {k: len(v) for k, v in recorded.items()},
-        "solves_per_shot": {"su2": su2_solves / len(su2), "so3": so3_solves / len(so3)},
-        "targets": {"su2": len(su2), "so3": len(so3), "axis1": len(axis1), "seed": SEED},
+        "solves_per_shot": {"su2": su2_solves / len(su2), "so3": so3_solves / len(so3),
+                            "tiny_b": tiny_su2_solves / len(tiny), "so3_tiny_b": tiny_so3_solves / len(tiny_so3)},
+        "targets": {"su2": len(su2), "so3": len(so3), "axis1": len(axis1), "tiny_b": len(tiny), "seed": SEED},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

@@ -8,9 +8,9 @@ An SU(2) element is stored as the complex pair (A, B) of the matrix
 The Klein map sends (A, B) to a rotation of R^3, an `SO3Element` held as
 rows of floats that compares and hashes by value.  It is a 2-to-1 group
 homomorphism: (A, B) and (-A, -B) cover the same rotation.
-`cover_pair` inverts it, reading the canonical lift (Re A >= 0) off
-identities linear in the matrix entries; `lift_so3` returns that lift and
-its negation.  Both element types store Python floats under one
+`cover_pair` inverts it: the canonical lift (Re A >= 0), as four floats,
+read off identities linear in the matrix entries; `lift_so3` builds it
+and its negation.  Both element types store Python floats under one
 real-number rule (`_real_floats`), and neither imports numpy.
 
 Both are frozen value records: each is validated once in its
@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 CONSTRUCTION_TOL = 1e-9
 
 class InvalidElementError(ValueError):
-    """Input violates a group invariant (non-unit pair, non-rotation matrix)."""
+    """Input outside its domain: a non-unit pair, a non-rotation matrix, a non-real or non-finite number."""
 
 
 def _real_floats(vals: tuple, what: str) -> tuple:
@@ -102,10 +102,6 @@ class SU2Element:
     @property
     def b(self) -> complex:
         return complex(self.b_re, self.b_im)
-
-    @classmethod
-    def from_complex(cls, a: complex, b: complex) -> "SU2Element":
-        return cls(a.real, a.imag, b.real, b.imag)
 
     @classmethod
     def identity(cls) -> "SU2Element":
@@ -226,7 +222,7 @@ def su2_mul(g: SU2Element, h: SU2Element) -> SU2Element:
     """Group product of two SU(2) elements in (A, B) form."""
     a = g.a * h.a - g.b * h.b.conjugate()
     b = g.a * h.b + g.b * h.a.conjugate()
-    return SU2Element.from_complex(a, b)
+    return SU2Element(a.real, a.imag, b.real, b.imag)
 
 
 def su2_inv(g: SU2Element) -> SU2Element:
@@ -283,8 +279,8 @@ def klein_omega(g: SU2Element) -> SO3Element:
     return SO3Element((m[0:3], m[3:6], m[6:9]))
 
 
-def cover_pair(c: SO3Element) -> tuple[complex, complex]:
-    """Unit covering pair (A, B) of the rotation c, with Re A >= 0.
+def cover_pair(c: SO3Element) -> tuple[float, float, float, float]:
+    """(Re A, Im A, Re B, Im B) of the unit covering pair of the rotation c, with Re A >= 0.
 
     Three covering identities are linear in the entries:
 
@@ -300,8 +296,8 @@ def cover_pair(c: SO3Element) -> tuple[complex, complex]:
 
     At Re A = 0 (half turns) the rule picks, when c11 >= 0, the lift
     with Im A > 0, and otherwise the one whose B is the principal root of
-    B^2, unless the A it gives rounds to Re A < 0.  `lift_so3` and both
-    SO(3) distance routes read this one inverse of the covering map.
+    B^2, unless the A it gives rounds to Re A < 0.  Every SO(3) route
+    reads this one inverse of the covering map as its four Python floats.
     """
     (c11, c12, c13), (_, c22, c23), (_, c32, c33) = c.m
     a_conj_b = complex(0.5 * c13, 0.5 * c12)
@@ -318,17 +314,13 @@ def cover_pair(c: SO3Element) -> tuple[complex, complex]:
     # Normalizing keeps the pair on the unit sphere when the entries are
     # noisy, so that |A| and k^2 = |B|^2 come from the same pair.
     norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
-    return a / norm, b / norm
+    a, b = a / norm, b / norm  # as complex numbers: float by float, some zeros would change sign
+    return a.real, a.imag, b.real, b.imag
 
 
 def lift_so3(c: SO3Element) -> tuple[SU2Element, SU2Element]:
-    """Both SU(2) preimages of a rotation: `cover_pair`'s canonical lift, then its negation.
-
-    Both are built exactly (`_unit_pair`), so the lift is `cover_pair`'s
-    pair to the bit, also at Re A = 0, and the negation is exact.
-    """
-    a, b = cover_pair(c)
-    lift = _unit_pair(a.real, a.imag, b.real, b.imag)
+    """Both SU(2) preimages of a rotation: `cover_pair`'s lift and its negation, built exactly (`_unit_pair`)."""
+    lift = _unit_pair(*cover_pair(c))
     return lift, lift.negate()
 
 

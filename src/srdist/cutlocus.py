@@ -8,11 +8,12 @@ covering pair (A, B) of the rotation:
        which are also the conjugate locus.
 
 One rule (`_tag`) with one tolerance, MEMBERSHIP_TOL, decides both
-groups: Sym when |Re A| <= tol, else Loc when |B| <= tol < |Im A|, else
-NotCut.  Sym goes first, so the half turn about axis 1 keeps its two
-minimizing geodesics visible.  The rule reads absolute values only, so
-g and -g get one tag; a rotation is read as its `algebra.cover_pair`.
-The witness is the distance to the stratum ("|Re A| = ...", "|B| = ..."),
+groups: Sym when |Re A| <= tol, else Loc when |B| <= tol < |Im A|
+(`_on_loc`, alone `conjugate_locus_so3`), else NotCut.  Sym goes first,
+so the half turn about axis 1 keeps its two minimizing geodesics
+visible.  The rule reads absolute values only, so g and -g get one tag;
+a rotation is read as the four floats of its `algebra.cover_pair`.  The
+witness is the distance to the stratum ("|Re A| = ...", "|B| = ..."),
 or "identity" where |B| and |Im A| are both within tol.
 """
 from __future__ import annotations
@@ -46,13 +47,16 @@ class CutLocusClass:
         d["witness"] = witness
 
 
+def _on_loc(a_im: float, b_re: float, b_im: float) -> bool:
+    """|B| <= tol < |Im A|: the Loc rule, Sym aside; the |Re B| test spares the hypot."""
+    return abs(b_re) <= MEMBERSHIP_TOL and math.hypot(b_re, b_im) <= MEMBERSHIP_TOL < abs(a_im)
+
+
 def _tag(a_re: float, a_im: float, b_re: float, b_im: float) -> CutTag:
-    """The stratum of the unit pair (a_re + i a_im, b_re + i b_im); the |Re B| test spares the hypot."""
+    """The stratum of the unit pair (a_re + i a_im, b_re + i b_im)."""
     if abs(a_re) <= MEMBERSHIP_TOL:
         return CutTag.SYM
-    if abs(b_re) <= MEMBERSHIP_TOL and math.hypot(b_re, b_im) <= MEMBERSHIP_TOL < abs(a_im):
-        return CutTag.LOC
-    return CutTag.NOT_CUT
+    return CutTag.LOC if _on_loc(a_im, b_re, b_im) else CutTag.NOT_CUT
 
 
 def classify_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> CutLocusClass:
@@ -67,8 +71,7 @@ def classify_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> CutLocu
 
 def classify_cut_locus_so3(c: SO3Element) -> CutLocusClass:
     """Stratum of a rotation, read on its covering pair."""
-    a, b = cover_pair(c)
-    return classify_pair(a.real, a.imag, b.real, b.imag)
+    return classify_pair(*cover_pair(c))
 
 
 def in_cut_locus_su2_l2(g: SU2Element) -> CutTag:
@@ -77,6 +80,5 @@ def in_cut_locus_su2_l2(g: SU2Element) -> CutTag:
 
 
 def conjugate_locus_so3(c: SO3Element) -> bool:
-    """True iff c is a nontrivial rotation about axis 1 (the conjugate locus): |B| <= tol < |Im A|."""
-    a, b = cover_pair(c)
-    return abs(b) <= MEMBERSHIP_TOL < abs(a.imag)
+    """True iff c is a nontrivial rotation about axis 1 (the conjugate locus): `_tag`'s Loc rule, Sym aside."""
+    return _on_loc(*cover_pair(c)[1:])

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import AlgebraVector, SO3Element, SU2Element, _real_floats, klein_omega, su2_exp, su2_mul
+from .algebra import (
+    AlgebraVector, InvalidElementError, SO3Element, SU2Element, _real_floats, klein_omega, su2_exp, su2_mul,
+)
 
 
 @dataclass(frozen=True, init=False)
@@ -100,12 +102,18 @@ def endpoint_jacobian(phi0: float, beta: float, t: float) -> tuple[tuple, tuple[
     )
 
 
+def _time(t: float) -> float:
+    """t >= 0 as a Python float (`_real_floats` off the float path): a numpy scalar slows every formula."""
+    if type(t) is not float or not math.isfinite(t):
+        (t,) = _real_floats((t,), "geodesic parameter t")
+    if t < 0.0:
+        raise InvalidElementError("geodesic parameter t must be nonnegative")
+    return t
+
+
 def geodesic_point(p: GeodesicParams, t: float) -> SU2Element:
     """Closed-form geodesic endpoint at time t >= 0 (see `endpoint_coords`)."""
-    if t < 0:
-        raise ValueError("geodesic parameter t must be nonnegative")
-    # t as a Python float, the same to the bit: a numpy scalar slows every formula downstream.
-    return SU2Element(*endpoint_coords(p.phi0, p.beta, float(t)))
+    return SU2Element(*endpoint_coords(p.phi0, p.beta, _time(t)))
 
 
 def geodesic_point_exp(p: GeodesicParams, t: float) -> SU2Element:
@@ -113,8 +121,7 @@ def geodesic_point_exp(p: GeodesicParams, t: float) -> SU2Element:
 
     Exists as an independent route; agrees with `geodesic_point` to 1e-10.
     """
-    if t < 0:
-        raise ValueError("geodesic parameter t must be nonnegative")
+    t = _time(t)
     first = su2_exp(AlgebraVector(math.cos(p.phi0), math.sin(p.phi0), p.beta), t)
     second = su2_exp(AlgebraVector(0.0, 0.0, p.beta), -t)
     return su2_mul(first, second)
@@ -133,6 +140,6 @@ def cut_time_bound(beta: float) -> float:
     longer after it (the paper's theorem; `tests/test_geodesics.py` checks
     both sides).  On SO(3) a geodesic can stop minimizing earlier.
     """
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
+    if type(beta) is not float or not math.isfinite(beta):
+        (beta,) = _real_floats((beta,), "beta")
     return math.tau / math.hypot(1.0, beta)

@@ -72,7 +72,7 @@ import sys
 from dataclasses import dataclass
 from math import atan2, copysign, cos, hypot, inf, pi, sin, sqrt, tau, ulp
 
-from .algebra import SO3Element, SU2Element, lift_so3
+from .algebra import SO3Element, SU2Element, cover_pair
 from .geodesics import endpoint_coords
 
 # Endpoint deviation (max-norm) a root must reach to count as hitting the
@@ -290,8 +290,8 @@ def _least_time(a: float, b: float, branch: int, bracket: tuple) -> float:
     return 2.0 * (pi - u) / s if branch else 2.0 * u / s
 
 
-def _shoot(lifts: list[SU2Element]) -> ShootResult:
-    """The exact roots at the least time over the brackets of every lift (an SO(3) target has two).
+def _shoot(targets: list[tuple]) -> ShootResult:
+    """The exact roots at the least time over the brackets of each lift (Re A, Im A, Re B, Im B) of one target.
 
     With more than one bracket, they are solved in the order of their
     least-time bound (`_least_time`), and the rest are dropped once that
@@ -302,8 +302,6 @@ def _shoot(lifts: list[SU2Element]) -> ShootResult:
     No bracket is dropped before a root passes the gate, so a shot that
     finds none solves them all and reports the same best deviation.
     """
-    # An SO(3) target is reached through either of its two lifts.
-    targets = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in lifts]
     thetas = [atan2(a_im, a_re) for a_re, a_im, _, _ in targets]
     a, b = hypot(*targets[0][:2]), hypot(*targets[0][2:])
     if b < sys.float_info.min:
@@ -340,7 +338,7 @@ def _shoot(lifts: list[SU2Element]) -> ShootResult:
 
 def shoot_min_time(target: SU2Element, grid: GridSpec | None = None) -> ShootResult:
     """Minimal arrival time at an SU(2) target, by a scan of its loop and 1-D solves; `grid` is unread."""
-    return _shoot([target])
+    return _shoot([(target.a_re, target.a_im, target.b_re, target.b_im)])
 
 
 def shoot_min_time_so3(target: SO3Element, grid: GridSpec | None = None) -> ShootResult:
@@ -349,8 +347,9 @@ def shoot_min_time_so3(target: SO3Element, grid: GridSpec | None = None) -> Shoo
     A geodesic's endpoint covers the target exactly when it equals one of
     the target's lifts g and -g.  One scan covers both lifts, and each
     lift's roots are solved in SU(2) coordinates, as in `shoot_min_time`,
-    so t_min is the lesser of the two lifts' shots, to the bit.
-    `lift_so3` returns exact unit pairs, so a target whose entries are off
+    so t_min is the lesser of the two lifts' shots, to the bit.  The lifts
+    are `cover_pair`'s unit pair and its exact negation, so a target off
     SO(3) by rounding is matched as its nearby exact rotation.
     """
-    return _shoot(list(lift_so3(target)))
+    a_re, a_im, b_re, b_im = cover_pair(target)
+    return _shoot([(a_re, a_im, b_re, b_im), (-a_re, -a_im, -b_re, -b_im)])

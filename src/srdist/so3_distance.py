@@ -1,10 +1,8 @@
 """Exact sub-Riemannian distance from the identity on SO(3).
 
 The production route reads the covering pair (A, B) of the rotation C,
-with Re A >= 0, off three covering identities, each linear in the
-matrix entries (`algebra.cover_pair`).
-
-The pair then goes through the SU(2) case analysis,
+with Re A >= 0, as four floats (`algebra.cover_pair`, linear in the
+matrix entries) and passes them to the SU(2) case analysis,
 `su2_distance.distance_from_pair`.  The paper's SO(3) theorem routes
 short, long and boundary arcs on the sign of cos(pi |A|) + cos(2 theta),
 theta = arg A.  That sum is 2 cos(pi |A|/2 + theta) cos(pi |A|/2 - theta);
@@ -39,8 +37,7 @@ SO3_DIAMETER_BOUND = math.pi * math.sqrt(3.0)
 
 def distance_so3(c: SO3Element) -> DistanceResult:
     """Distance from the rotation c to the identity: its covering pair through the SU(2) branches."""
-    a, b = cover_pair(c)
-    return distance_from_pair(a.real, a.imag, b.real, b.imag)
+    return distance_from_pair(*cover_pair(c))
 
 
 def distance_so3_via_lifts(c: SO3Element) -> float:
@@ -60,10 +57,13 @@ def distance_so3_pair(c1: SO3Element, c2: SO3Element) -> float:
     c1^T c2 is covered by g1^-1 g2 of the covering pairs, exactly the
     identity when c1 = c2, as the rounded matrix product is not.
     """
-    a1, b1 = cover_pair(c1)
-    a2, b2 = cover_pair(c2)
-    a = a1.conjugate() * a2 + b1 * b2.conjugate()
-    b = a1.conjugate() * b2 - b1 * a2.conjugate()
-    if a.real < 0.0:
-        a, b = -a, -b
-    return distance_from_pair(a.real, a.imag, b.real, b.imag).t
+    p1, q1, r1, s1 = cover_pair(c1)
+    p2, q2, r2, s2 = cover_pair(c2)
+    # Summed as the complex product (conj(A1) A2 + B1 conj(B2), conj(A1) B2 - B1 conj(A2)).
+    a_re = (p1 * p2 + q1 * q2) + (r1 * r2 + s1 * s2)
+    a_im = (p1 * q2 - q1 * p2) + (s1 * r2 - r1 * s2)
+    b_re = (p1 * r2 + q1 * s2) - (r1 * p2 + s1 * q2)
+    b_im = (p1 * s2 - q1 * r2) - (s1 * p2 - r1 * q2)
+    if a_re < 0.0:
+        a_re, a_im, b_re, b_im = -a_re, -a_im, -b_re, -b_im
+    return distance_from_pair(a_re, a_im, b_re, b_im).t

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from srdist.algebra import SO3Element, SU2Element, klein_omega, random_so3
+from srdist.algebra import SO3Element, SU2Element, cover_pair, klein_omega, random_so3
 from srdist.cutlocus import (
     MEMBERSHIP_TOL,
     CutTag,
@@ -11,7 +11,7 @@ from srdist.cutlocus import (
     conjugate_locus_so3,
     in_cut_locus_su2_l2,
 )
-from srdist.verify import _half_turn
+from srdist.verify import _half_turn, _loc_band_pair
 from test_so3_distance import axis1_rotation
 
 
@@ -70,6 +70,25 @@ def test_conjugate_locus():
     rng = np.random.default_rng(45)
     for _ in range(100):
         assert not conjugate_locus_so3(random_so3(rng))
+
+
+def test_one_loc_rule():
+    # conjugate_locus_so3 is the cut tag's Loc rule with Sym set aside, on
+    # both sides of MEMBERSHIP_TOL.  |B| is read with math.hypot, as the
+    # rule reads it: abs() of a complex may round otherwise at the tolerance.
+    rng = np.random.default_rng(46)
+    pairs = [_loc_band_pair(rng, abs_b) for abs_b in (0.0, 1e-12, 5e-10, 8e-10, 2e-9) for _ in range(20)]
+    # |B| at MEMBERSHIP_TOL: math.hypot gives the tolerance, abs(B) one ulp above it.
+    pairs.append(SU2Element(-0.5232535752072743, -0.8521770332699687, -3.7176313766342647e-10, 9.283276196874918e-10))
+    sides = set()
+    for c in map(klein_omega, pairs):
+        _, _, b_re, b_im = cover_pair(c)
+        sides.add(math.hypot(b_re, b_im) <= MEMBERSHIP_TOL)
+        assert conjugate_locus_so3(c) == (classify_cut_locus_so3(c).tag is CutTag.LOC)
+    assert sides == {True, False}
+    half_turn = SO3Element(np.diag([1.0, -1.0, -1.0]))
+    assert conjugate_locus_so3(half_turn)
+    assert classify_cut_locus_so3(half_turn).tag is CutTag.SYM
 
 
 def band_pair(stratum, dist):

@@ -64,33 +64,50 @@ def test_so3_route_composition():
     assert np.allclose(g.m, np.diag([-1.0, 1.0, -1.0]), atol=1e-14)
 
 
-def test_negative_time_rejected():
-    with pytest.raises(ValueError):
-        geodesic_point(GeodesicParams(0.0, 0.0), -0.1)
-    with pytest.raises(ValueError):
-        geodesic_point_exp(GeodesicParams(0.0, 0.0), -0.1)
+_REST = GeodesicParams(0.0, 0.0)
+# The entry points that take a real number: the name their errors give it,
+# and the calls that pass it a given value.
+_TAKES_REAL = {
+    "params": ("geodesic parameters", lambda v: [lambda: GeodesicParams(v, 0.0), lambda: GeodesicParams(0.0, v)]),
+    "t": ("geodesic parameter t", lambda v: [lambda: geodesic_point(_REST, v), lambda: geodesic_point_exp(_REST, v)]),
+    "beta": ("beta", lambda v: [lambda: cut_time_bound(v)]),
+}
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_parameters_rejected(bad):
-    for phi0, beta in ((bad, 0.0), (0.0, bad)):
-        with pytest.raises(ValueError, match="geodesic parameters must be finite"):
-            GeodesicParams(phi0, beta)
-    with pytest.raises(ValueError, match="beta must be finite"):
-        cut_time_bound(bad)
+def _cases(values: dict) -> list:
+    """(entry, *value) per entry point and value, with the value's id bare for `GeodesicParams`."""
+    return [pytest.param(entry, *v, id=k if entry == "params" else f"{entry}-{k}")
+            for entry in _TAKES_REAL for k, v in values.items()]
 
 
-@pytest.mark.parametrize("bad, cause", [
-    (1j, "must be real numbers: must be real number, not complex"),
-    ("a", "must be real numbers: .*'str'"),
-    (None, "must be real numbers: .*'NoneType'"),
-    (10**400, "overflow float arithmetic: int too large"),
-], ids=["complex", "str", "none", "huge-int"])
-def test_non_real_parameters_rejected(bad, cause):
+@pytest.mark.parametrize("t", [-0.1, -1, np.float64(-0.1), -5e-324], ids=["float", "int", "numpy", "subnormal"])
+def test_negative_time_rejected(t):
+    for point in (geodesic_point, geodesic_point_exp):
+        with pytest.raises(InvalidElementError, match="^geodesic parameter t must be nonnegative$"):
+            point(_REST, t)
+
+
+@pytest.mark.parametrize("entry, bad", _cases({"nan": (math.nan,), "inf": (math.inf,), "-inf": (-math.inf,)}))
+def test_non_finite_parameters_rejected(entry, bad):
+    # The error names the input: a NaN time is not reported as non-finite SU(2) components.
+    name, calls = _TAKES_REAL[entry]
+    for call in calls(bad):
+        with pytest.raises(InvalidElementError, match=f"^{name} must be finite$"):
+            call()
+
+
+@pytest.mark.parametrize("entry, bad, cause", _cases({
+    "complex": (1j, "must be real numbers: must be real number, not complex"),
+    "str": ("a", "must be real numbers: .*'str'"),
+    "none": (None, "must be real numbers: .*'NoneType'"),
+    "huge-int": (10**400, "overflow float arithmetic: int too large"),
+}))
+def test_non_real_parameters_rejected(entry, bad, cause):
     # The elements' real-number rule: a typed error naming the cause.
-    for phi0, beta in ((bad, 0.0), (0.0, bad)):
-        with pytest.raises(InvalidElementError, match=f"^geodesic parameters {cause}"):
-            GeodesicParams(phi0, beta)
+    name, calls = _TAKES_REAL[entry]
+    for call in calls(bad):
+        with pytest.raises(InvalidElementError, match=f"^{name} {cause}"):
+            call()
 
 
 def test_parameters_are_python_floats():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from srdist import so3_distance
+from srdist import algebra, so3_distance
 from srdist.algebra import (
     InvalidElementError,
     SO3Element,
@@ -13,7 +13,9 @@ from srdist.algebra import (
     lift_so3,
     random_so3,
 )
+from srdist.cutlocus import classify_cut_locus_so3, conjugate_locus_so3
 from srdist.geodesics import GeodesicParams, geodesic_point_so3
+from srdist.oracle import shoot_min_time_so3
 from srdist.so3_distance import (
     SO3_DIAMETER_BOUND,
     distance_so3,
@@ -22,7 +24,7 @@ from srdist.so3_distance import (
     lift_distance_results,
 )
 from srdist.su2_distance import DistanceCase, distance_su2
-from srdist.verify import _pair
+from srdist.verify import _half_turn, _pair
 
 
 def axis1_rotation(psi):
@@ -177,6 +179,27 @@ def test_direct_route_is_independent_of_lifts(monkeypatch):
     assert np.max(np.abs(np.subtract(end.m, boundary.m))) < 1e-12
     for c, t in zip(haar, via_lifts):
         assert abs(distance_so3(c).t - t) <= 1e-12
+
+
+def test_so3_entry_points_build_no_su2_element(monkeypatch):
+    # Every SO(3) entry point reads the covering pair as four floats
+    # (`algebra.cover_pair`): none builds an SU(2) element on the way.
+    rng = np.random.default_rng(41)
+    rotations = [random_so3(rng) for _ in range(20)] + [_half_turn(rng) for _ in range(10)]
+    rotations += [axis1_rotation(psi) for psi in (1e-3, 0.3, -1.0, 2.5, math.pi)]
+
+    def forbidden(*args):
+        raise AssertionError("an SO(3) entry point built an SU(2) element")
+
+    monkeypatch.setattr(algebra, "_unit_pair", forbidden)
+    monkeypatch.setattr(SU2Element, "__init__", forbidden)
+
+    for c, other in zip(rotations, rotations[1:] + rotations[:1]):
+        t = distance_so3(c).t
+        classify_cut_locus_so3(c)
+        conjugate_locus_so3(c)
+        distance_so3_pair(c, other)
+        assert abs(shoot_min_time_so3(c).t_min - t) <= 1e-12 * t
 
 
 def test_signed_zeros_keep_beta_sign():
