@@ -1,4 +1,12 @@
-"""Exact sub-Riemannian distances, geodesics and cut loci on SU(2) and SO(3)."""
+"""Exact sub-Riemannian distances, geodesics and cut loci on SU(2) and SO(3).
+
+The package is pure Python.  numpy is a dependency, but `import srdist`
+loads none, nor does any SU(2) or SO(3) distance, geodesic, cut-locus or
+oracle call on elements built from floats or rows of floats.  numpy is
+imported on the first `SU2Element.as_matrix` call; the `random_*`
+samplers take a numpy generator, and `srdist.verify` and the CLI import
+it.
+"""
 
 from .algebra import (
     AlgebraVector,

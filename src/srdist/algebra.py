@@ -65,7 +65,14 @@ def _real_floats(vals: tuple, what: str) -> tuple:
 
 @dataclass(frozen=True, init=False)
 class SU2Element:
-    """Unit pair (A, B) with A = a_re + i*a_im, B = b_re + i*b_im."""
+    """Unit pair (A, B) with A = a_re + i*a_im, B = b_re + i*b_im.
+
+    The components may be any reals (floats, ints, bools, numpy scalars)
+    and are stored as Python floats (`_real_floats`); a complex or
+    non-numeric one raises InvalidElementError.  The norm is checked on
+    the stored floats, so a float32 pair whose norm rounds to 1 in float32
+    but not in float64 is refused.
+    """
 
     a_re: float
     a_im: float
@@ -165,7 +172,8 @@ class SO3Element:
     `m` is read through its `.tolist()` when it has one (a numpy array),
     otherwise as three rows of three entries, which are held to the
     real-number rule of `SU2Element` (`_real_floats`).  It is stored as
-    rows of Python floats, so elements compare and hash by value.
+    rows of Python floats, so elements compare and hash by value; wrap
+    `c.m` in `np.asarray` for matrix arithmetic.
     """
 
     m: tuple

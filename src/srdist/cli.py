@@ -129,6 +129,11 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_sphere(args) -> int:
+    """Endpoints at time --radius of random geodesics, kept when their distance is within relative 1e-6 of it.
+
+    At small radii fewer samples pass; the run still exits 0 and reports
+    `kept k / discarded m` on stderr.
+    """
     if not args.radius > 0:  # NaN included
         raise UsageError("--radius must be positive")
     diameter = math.tau if args.group == "su2" else SO3_DIAMETER_BOUND
@@ -166,6 +171,7 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_cutlocus(args) -> int:
+    """The tag of exactly one of --matrix and --su2, then the witness line of Sym, Loc or the identity."""
     if args.matrix is not None:
         cls = classify_cut_locus_so3(_parse_matrix(args.matrix))
     else:
@@ -179,6 +185,7 @@ def cmd_cutlocus(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """One `[PASS]`/`[FAIL]` line per `verify.CheckResult`, with its suite, name and detail."""
     if args.n < 1:
         raise UsageError("--n must be positive")
     names = (

@@ -14,7 +14,15 @@ so the half turn about axis 1 keeps its two minimizing geodesics
 visible.  The rule reads absolute values only, so g and -g get one tag;
 a rotation is read as the four floats of its `algebra.cover_pair`.  The
 witness is the distance to the stratum ("|Re A| = ...", "|B| = ..."),
-or "identity" where |B| and |Im A| are both within tol.
+or "identity" where |B| and |Im A| are both within tol.  The half turn
+about axis 1 is on the conjugate locus while its tag is Sym.
+
+The tag and the oracle's minimizer count disagree in one band: a
+rotation whose lift has |Re A| from about 3e-13 (2.5e-13 to 5e-13,
+depending on the rotation) up to MEMBERSHIP_TOL is tagged Sym, but its
+two lifts arrive about 4|Re A| apart, beyond the oracle's time tie of
+1e-12, so one minimizer is listed.  `verify.check_minimizers` checks
+the tag and the count on both sides of the band.
 """
 from __future__ import annotations
 

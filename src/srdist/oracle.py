@@ -26,6 +26,8 @@ in branch 0's beta and u: no two terms of size u cancel.  The halves
 meet at tau' = +-pi/2; psi gains 2*pi around the loop, lies in
 (-pi, 5*pi/2), and rises strictly along it, since dpsi/dtau' =
 (sin u - u cos u)/(b s^3) > 0 on branch 0 (u -> pi - u on branch 1).
+So each lift crosses one level and one geodesic is minimizing: the
+paper's theorem that the SU(2) cut locus is B = 0.
 `verify.check_oracle` counts one crossing per lift; the oracle does not
 assume it, and solves every bracket that can hold a minimizer.
 
@@ -57,8 +59,14 @@ root (`_brackets`), solved in one dimension on F = psi - level
 all four coordinates.  With B = 0 (the Loc stratum) there is no loop:
 a minimizer reaches B = 0 only at t = 0 or at its cut time u = pi,
 where A = -exp(-i*pi*beta/s) for every phi0, and each lift's one root
-inverts that phase (`_cut_root`).  The oracle shares only these
-geodesic formulas with the case analysis.
+inverts that phase (`_cut_root`).  At a tiny normal |B| a root lies
+far out in beta, many halvings below the samples in tau', so `_solve`
+splits such a bracket at the geometric mean of its ends (`_WIDE_BETA`).
+
+The oracle shares only these geodesic formulas with the case analysis,
+and imports neither distance module.  So it checks independently what
+the case analysis decides: the branch (it brackets every crossing on
+the whole loop), the monotone solve and the closed-form time.
 
 Everything runs in plain Python floats: on 17 samples a numpy call
 costs more than its arithmetic.  For the same reason psi is written
@@ -105,7 +113,12 @@ _TRIG = tuple((_MID - k, _MID + k, 0.0 if k == _MID else cos(_TAU[_MID + k]), si
 
 
 class ShootNoMatchError(RuntimeError):
-    """No root reached the target, or the target is within REFINED_TOL of the identity (t = 0)."""
+    """No root reached the target, or its least time is within REFINED_TOL of the identity's t = 0.
+
+    The 4-D gate cannot tell such a target from the identity: the
+    identity itself on both groups, and B = 0 with |arg A| below about
+    4e-26, where t = 2*sqrt(|arg A|*(2*pi - |arg A|)) <= REFINED_TOL.
+    """
 
 
 @dataclass(frozen=True)

@@ -167,10 +167,8 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
     for d in [10.0**-k for k in range(1, 13)] * max(1, n // 10):
         targets.append(_pair(d, math.sqrt((1.0 - d) * (1.0 + d)), *rng.uniform(-math.pi, math.pi, 2)))
         targets.append(_pair(1.0 - d, math.sqrt(d * (2.0 - d)), *rng.uniform(-math.pi, math.pi, 2)))
-    lifts, miscounts = [h for g in targets for h in (g, g.negate())], 0
-    for h in lifts:
-        psi = scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
-        miscounts += sum(1 for _ in _brackets(psi, [math.atan2(h.a_im, h.a_re)])) != 1
+    lifts = [h for g in targets for h in (g, g.negate())]
+    miscounts = sum(_crossing_count(h) != 1 for h in lifts)
     tiny = [g for k in _TINY_B_EXPONENTS for g in _tiny_b_pairs(k)]
     gaps_tiny = [r.t_min - distance_su2(g).t for g, r in _shots(shoot_min_time, tiny, failed)]
     gaps_tiny += [
@@ -185,6 +183,12 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
             _worst(gaps_tiny), 1e-12,
         ),
     ] + _failed_shots(failed)
+
+
+def _crossing_count(h: SU2Element) -> int:
+    """The level crossings arg(A) + 2*pi*n that the oracle's scan brackets for the one lift h."""
+    psi = scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
+    return len(_brackets(psi, [math.atan2(h.a_im, h.a_re)]))
 
 
 def _shots(shoot, targets, failed: list) -> Iterator[tuple]:

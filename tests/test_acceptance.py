@@ -6,6 +6,14 @@ and 9 have no suite and are computed here.  Each test records one
 [PASS]/[FAIL] line in RESULTS, and a failing line is its assertion
 message; the conftest prints the recorded lines in the terminal summary,
 so they show up in every run log regardless of capture settings.
+
+The unit test files do not repeat what a criterion checks.  A property
+that a criterion checks on the same kind of samples, with at least as
+many of them and an equal or tighter tolerance, has no unit test of its
+own; a unit test stays where it adds samples, a tighter tolerance or an
+assertion that no criterion makes.  The test files draw their half turns
+(`verify._half_turn`) and their unit pairs at a given |A|, |B|
+(`verify._pair`) from the helpers that `srdist verify` uses.
 """
 import math
 

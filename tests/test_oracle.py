@@ -27,7 +27,7 @@ from srdist.oracle import (
 )
 from srdist.so3_distance import distance_so3
 from srdist.su2_distance import distance_su2
-from srdist.verify import _TINY_B_EXPONENTS, _half_turn, _pair, _tiny_b_pairs
+from srdist.verify import _TINY_B_EXPONENTS, _crossing_count, _half_turn, _pair, _tiny_b_pairs
 
 EPS = np.finfo(float).eps
 
@@ -722,8 +722,7 @@ def test_each_lift_off_b_zero_crosses_one_level(kind):
     # The oracle does not assume this; it solves every bracket it finds.
     for g in _uniqueness_targets(kind):
         for h in (g, g.negate()):
-            psi = oracle.scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
-            assert len(list(oracle._brackets(psi, [math.atan2(h.a_im, h.a_re)]))) == 1, h
+            assert _crossing_count(h) == 1, h
             assert len(shoot_min_time(h).minimizers) == 1, h
 
 
