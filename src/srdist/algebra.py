@@ -248,7 +248,7 @@ def su2_exp(v: AlgebraVector, t: float) -> SU2Element:
     which in (A, B) coordinates reads
     A = cos(t*w/2) + i*z*sin(t*w/2)/w, B = (x + i*y)*sin(t*w/2)/w.
     """
-    w = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
+    w = math.hypot(v.x, v.y, v.z)
     if w == 0.0:
         return SU2Element.identity()
     c = math.cos(t * w / 2.0)

@@ -59,61 +59,20 @@ def endpoint_coords(phi0: float, beta: float, t: float) -> tuple[float, float, f
     )
 
 
-def endpoint_jacobian(phi0: float, beta: float, t: float) -> tuple[tuple, tuple[tuple, tuple, tuple]]:
-    """The endpoint and its partials in phi0, beta and t.
-
-    Returns (end, (d_phi0, d_beta, d_t)): end is `endpoint_coords`' own
-    value, and each partial is a 4-tuple in the same coordinates.  With
-    c = beta/s, m = sin(u)/s and the chain factors du/dbeta =
-    t*beta/(2s), du/dt = s/2, dh/dbeta = t/2, dh/dt = beta/2,
-    dc/dbeta = 1/s^3 and dm/dbeta = cos(u)/s * du/dbeta - m*beta/s^2.
-    A does not depend on phi0, so d_phi0 = (0, 0, -Im B, Re B), and
-    d(A)/dh = -i*A.
-    """
-    end = a_re, a_im, b_re, b_im = endpoint_coords(phi0, beta, t)
-    s = math.hypot(1.0, beta)
-    s2 = s * s
-    u = t * s / 2.0
-    h = beta * t / 2.0
-    su, cu = math.sin(u), math.cos(u)
-    sh, ch = math.sin(h), math.cos(h)
-    c = beta / s
-    # d/du of (Re A, Im A) at fixed c and h
-    a_re_u = c * cu * sh - su * ch
-    a_im_u = c * cu * ch + su * sh
-    u_beta = t * beta / (2.0 * s)
-    c_beta = 1.0 / (s * s2)
-    m_beta = cu / s * u_beta - su / s * beta / s2
-    cp, sp = math.cos(h + phi0), math.sin(h + phi0)
-    return end, (
-        (0.0, 0.0, -b_im, b_re),
-        (
-            c_beta * su * sh + a_re_u * u_beta + a_im * t / 2.0,
-            c_beta * su * ch + a_im_u * u_beta - a_re * t / 2.0,
-            m_beta * cp - b_im * t / 2.0,
-            m_beta * sp + b_re * t / 2.0,
-        ),
-        (
-            a_re_u * s / 2.0 + a_im * beta / 2.0,
-            a_im_u * s / 2.0 - a_re * beta / 2.0,
-            cu / 2.0 * cp - b_im * beta / 2.0,
-            cu / 2.0 * sp + b_re * beta / 2.0,
-        ),
-    )
-
-
-def _time(t: float) -> float:
-    """t >= 0 as a Python float (`_real_floats` off the float path): a numpy scalar slows every formula."""
+def _time(t: float, beta: float) -> float:
+    """t >= 0 as a float, t*sqrt(1 + beta^2) finite; `_real_floats` off the float path (numpy slows every formula)."""
     if type(t) is not float or not math.isfinite(t):
         (t,) = _real_floats((t,), "geodesic parameter t")
     if t < 0.0:
         raise InvalidElementError("geodesic parameter t must be nonnegative")
+    if t * math.hypot(1.0, beta) == math.inf:
+        raise InvalidElementError(f"geodesic parameter t = {t!r} overflows t*sqrt(1 + beta^2), beta = {beta!r}")
     return t
 
 
 def geodesic_point(p: GeodesicParams, t: float) -> SU2Element:
     """Closed-form geodesic endpoint at time t >= 0 (see `endpoint_coords`)."""
-    return SU2Element(*endpoint_coords(p.phi0, p.beta, _time(t)))
+    return SU2Element(*endpoint_coords(p.phi0, p.beta, _time(t, p.beta)))
 
 
 def geodesic_point_exp(p: GeodesicParams, t: float) -> SU2Element:
@@ -121,7 +80,7 @@ def geodesic_point_exp(p: GeodesicParams, t: float) -> SU2Element:
 
     Exists as an independent route; agrees with `geodesic_point` to 1e-10.
     """
-    t = _time(t)
+    t = _time(t, p.beta)
     first = su2_exp(AlgebraVector(math.cos(p.phi0), math.sin(p.phi0), p.beta), t)
     second = su2_exp(AlgebraVector(0.0, 0.0, p.beta), -t)
     return su2_mul(first, second)

@@ -93,8 +93,9 @@ def _check_beta(beta: float, abs_a: float) -> tuple[float, bool]:
     # beta clamped to [-b*, b*], and whether |beta| >= b*: there the asin
     # argument hits 1, where roundoff in it is amplified by the infinite
     # derivative, so callers substitute the exact limit values instead.
+    # Written as `not <=` so that a NaN beta raises.
     bmax = beta_domain_max(abs_a)
-    if abs(beta) > bmax + 1e-12:
+    if not abs(beta) <= bmax + 1e-12:
         raise DomainError(f"|beta| = {abs(beta)} exceeds domain endpoint {bmax}")
     return min(bmax, max(-bmax, beta)), abs(beta) >= bmax
 

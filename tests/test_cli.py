@@ -157,6 +157,18 @@ def test_geodesic_rejects_bad_t_max(capsys, t_max):
     assert err.startswith("error: --t-max ")
 
 
+def test_geodesic_time_overflow_names_it(capsys):
+    # t*sqrt(1 + beta^2) overflows at the last step: the error says so.
+    code, out, err = run_cli(
+        capsys,
+        "geodesic", "--group", "su2", "--phi0", "0", "--beta", "10",
+        "--t-max", "1e308", "--steps", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: geodesic parameter t = 1e+308 overflows t*sqrt(1 + beta^2), beta = 10.0\n"
+
+
 def test_sphere_samples_lie_on_sphere(capsys):
     code, out, err = run_cli(
         capsys,

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from srdist.algebra import InvalidElementError, SU2Element, klein_omega
+from srdist.cutlocus import conjugate_locus_so3
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
     endpoint_coords,
-    endpoint_jacobian,
     geodesic_point,
     geodesic_point_exp,
     geodesic_point_so3,
@@ -198,20 +198,50 @@ def test_geodesics_never_beat_the_distance():
         assert distance_su2(geodesic_point(p, t)).t <= t + 1e-9
 
 
-def test_endpoint_jacobian_matches_central_differences():
-    # The endpoint it returns is `endpoint_coords`' bit for bit: the
-    # endpoint formula is written once, and the Jacobian reads it.
-    rng = np.random.default_rng(15)
-    h = 1e-6
+def _endpoint_det(phi0, beta, t):
+    # D(t) = det[q, dq/dphi0, dq/dbeta, dq/dt], the partials by central differences.
+    x = np.array([phi0, beta, t])
+    columns = [endpoint_coords(*x)]
+    for i, h in enumerate((1e-6, 1e-6 * max(1.0, abs(beta)), 1e-6 * t)):
+        step = np.zeros(3)
+        step[i] = h
+        columns.append(np.subtract(endpoint_coords(*(x + step)), endpoint_coords(*(x - step))) / (2.0 * h))
+    return np.linalg.det(np.array(columns))
+
+
+def test_first_conjugate_time_is_the_su2_cut_time():
+    # D keeps one sign up to the cut time and changes it just after, so the
+    # first conjugate time is the SU(2) cut time; there the SO(3) endpoint
+    # is a nontrivial rotation about axis 1 (the conjugate locus), and just
+    # before it is not.
+    rng = np.random.default_rng(16)
+    for k in range(300):
+        beta = rng.normal(0.0, 5.0) if k % 2 == 0 else rng.uniform(-50.0, 50.0)
+        p = GeodesicParams(rng.uniform(0.0, math.tau), beta)
+        cut = cut_time_bound(beta)
+        before = {np.sign(_endpoint_det(p.phi0, beta, f * cut)) for f in (0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)}
+        after = np.sign(_endpoint_det(p.phi0, beta, 1.001 * cut))
+        assert after != 0.0 and before == {-after}, (p, before, after)
+        assert conjugate_locus_so3(geodesic_point_so3(p, cut)), p
+        assert not conjugate_locus_so3(geodesic_point_so3(p, 0.999 * cut)), p
+
+
+def test_exp_route_at_huge_beta():
+    # |beta| up to 1e307: the exp route's |v| must not square beta.
+    rng = np.random.default_rng(17)
+    betas = [math.copysign(10.0 ** e, rng.uniform(-1.0, 1.0)) for e in rng.uniform(0.0, 307.0, 400)]
+    betas += [sign * b for b in np.logspace(150, 306, 40) for sign in (1.0, -1.0)]
     worst = 0.0
-    for _ in range(300):
-        x = np.array([rng.uniform(0, math.tau), rng.uniform(-100, 100), 0.0])
-        x[2] = rng.uniform(0, cut_time_bound(x[1]))
-        end, columns = endpoint_jacobian(*x)
-        assert [v.hex() for v in end] == [v.hex() for v in endpoint_coords(*x)]
-        for i, col in enumerate(columns):
-            step = np.zeros(3)
-            step[i] = h
-            fd = np.subtract(endpoint_coords(*(x + step)), endpoint_coords(*(x - step))) / (2 * h)
-            worst = max(worst, np.max(np.abs(fd - col)))
-    assert worst < 1e-7
+    for beta in betas:
+        p = GeodesicParams(rng.uniform(0.0, math.tau), beta)
+        for t in (0.0, rng.uniform(0.0, 1.0) * cut_time_bound(beta)):
+            worst = max(worst, np.max(np.abs(_components(geodesic_point(p, t)) - _components(geodesic_point_exp(p, t)))))
+    assert worst <= 2.2e-16
+
+
+@pytest.mark.parametrize("beta, t", [(10.0, 1e308), (1e300, 1e9), (-1e300, 1e9), (1.0, 1.7e308)])
+def test_time_overflow_rejected(beta, t):
+    # t*sqrt(1 + beta^2) overflows: a typed error names it, on both routes.
+    for point in (geodesic_point, geodesic_point_exp):
+        with pytest.raises(InvalidElementError, match=r"^geodesic parameter t = .* overflows t\*sqrt\(1 \+ beta\^2\)"):
+            point(GeodesicParams(0.0, beta), t)

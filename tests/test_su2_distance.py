@@ -60,6 +60,13 @@ class TestBranchFunctions:
         with pytest.raises(DomainError):
             arg_long(-0.76, 0.6)
 
+    @pytest.mark.parametrize("fn", [time_short, time_long, arg_short, arg_long])
+    @pytest.mark.parametrize("beta", [math.nan, -math.nan], ids=["nan", "-nan"])
+    def test_nan_beta_rejected(self, fn, beta):
+        # Not clamped to -b*: a NaN beta is outside the domain.
+        with pytest.raises(DomainError, match=r"^\|beta\| = nan exceeds domain endpoint "):
+            fn(beta, 0.6)
+
     @pytest.mark.parametrize("abs_a", [0.0, 1.0])
     def test_beta_domain_max_rejects_the_ends(self, abs_a):
         with pytest.raises(DomainError, match=r"abs_a must lie in \(0, 1\)"):
