@@ -28,7 +28,12 @@ float 3x3 array (the form perfbench passes) and from rows of floats (the
 form `klein_omega`, `so3_mul` and the CLI pass), `cover_pair`,
 `lift_so3`, `distance_so3` and `classify_cut_locus_so3` on the
 rotations.  So each piece of a perfbench `distance-edge` op (element,
-distance, cut-locus stratum) has a key of its own.  It imports srdist from `src/` next to this directory.
+distance, cut-locus stratum) has a key of its own.  `distance_su2_edge`
+times `distance_su2` on two of perfbench's edge bands, N pairs at
+|A| = 1e-11 and N at 1 - |A| = 1e-8 with uniform phases, drawn after the
+axis-1 draws: most `distance-edge` strata take about 2 arc evaluations
+per solve, where a Haar draw takes about 4.  It imports srdist from
+`src/` next to this directory.
 
 Besides the times, `calls` counts each recorded layer's calls over all
 the shots, and `solves_per_shot` gives the `_solve` calls per Haar SU(2)
@@ -37,6 +42,9 @@ its two lifts, but solves them in the order of a lower bound on their
 arrival time and stops once no bracket left can reach the best root's
 time, so its count lies between 1 and 2.  `tiny_b` and `so3_tiny_b`
 give the same on the tiny-|B| targets and their rotations.
+`solve_evals_per_distance` gives the arc evaluations per `distance_su2`
+call on the Haar SU(2) targets (`haar`) and on the edge pairs (`edge`),
+counted by wrapping `su2_distance.solve_monotone`'s f.
 """
 from __future__ import annotations
 
@@ -51,7 +59,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from srdist import oracle  # noqa: E402
+from srdist import oracle, su2_distance  # noqa: E402
 from srdist.cutlocus import classify_cut_locus_so3, in_cut_locus_su2_l2  # noqa: E402
 from srdist.algebra import (  # noqa: E402
     SO3Element,
@@ -82,6 +90,34 @@ def _record(owner, name: str, calls: list):
     return original
 
 
+def _edge_pair(rng, abs_a: float, abs_b: float) -> SU2Element:
+    alpha, gamma = rng.uniform(-math.pi, math.pi, 2)
+    return SU2Element(abs_a * math.cos(alpha), abs_a * math.sin(alpha),
+                      abs_b * math.cos(gamma), abs_b * math.sin(gamma))
+
+
+def _evals_per_distance(targets) -> float:
+    """Arc evaluations per `distance_su2` call on targets; a call that solves nothing counts 0."""
+    evals = 0
+    solve = su2_distance.solve_monotone
+
+    def counting(f, *args):
+        def counted(x):
+            nonlocal evals
+            evals += 1
+            return f(x)
+
+        return solve(counted, *args)
+
+    su2_distance.solve_monotone = counting
+    try:
+        for g in targets:
+            distance_su2(g)
+    finally:
+        su2_distance.solve_monotone = solve
+    return evals / len(targets)
+
+
 def _best_us(run, calls: int) -> float:
     return min(timeit.repeat(run, number=1, repeat=5)) / calls * 1e6
 
@@ -92,6 +128,9 @@ def main() -> None:
     so3 = [random_so3(rng) for _ in range(N)]
     thetas = [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 0.49) for _ in range(N)]
     axis1 = [SU2Element(math.cos(theta), math.sin(theta), 0.0, 0.0) for theta in thetas]
+    # Two of perfbench's edge bands: |A| = 1e-11 and 1 - |A| = 1e-8.
+    edge = ([_edge_pair(rng, 1e-11, math.sqrt((1.0 - 1e-11) * (1.0 + 1e-11))) for _ in range(N)]
+            + [_edge_pair(rng, 1.0 - 1e-8, math.sqrt(1e-8 * (2.0 - 1e-8))) for _ in range(N)])
     arrays = [np.array(c.m, dtype=float) for c in so3]
     rows = [c.m for c in so3]
     coords = [(g.a_re, g.a_im, g.b_re, g.b_im) for g in su2]
@@ -141,6 +180,7 @@ def main() -> None:
         "cover_pair": _best_us(lambda: [cover_pair(c) for c in so3], len(so3)),
         "lift_so3": _best_us(lambda: [lift_so3(c) for c in so3], len(so3)),
         "distance_su2": _best_us(lambda: [distance_su2(g) for g in su2], len(su2)),
+        "distance_su2_edge": _best_us(lambda: [distance_su2(g) for g in edge], len(edge)),
         "distance_so3": _best_us(lambda: [distance_so3(c) for c in so3], len(so3)),
         "in_cut_locus_su2_l2": _best_us(lambda: [in_cut_locus_su2_l2(g) for g in su2], len(su2)),
         "classify_cut_locus_so3": _best_us(lambda: [classify_cut_locus_so3(c) for c in so3], len(so3)),
@@ -150,7 +190,9 @@ def main() -> None:
         "calls": {k: len(v) for k, v in recorded.items()},
         "solves_per_shot": {"su2": su2_solves / len(su2), "so3": so3_solves / len(so3),
                             "tiny_b": tiny_su2_solves / len(tiny), "so3_tiny_b": tiny_so3_solves / len(tiny_so3)},
-        "targets": {"su2": len(su2), "so3": len(so3), "axis1": len(axis1), "tiny_b": len(tiny), "seed": SEED},
+        "solve_evals_per_distance": {"haar": _evals_per_distance(su2), "edge": _evals_per_distance(edge)},
+        "targets": {"su2": len(su2), "so3": len(so3), "axis1": len(axis1), "tiny_b": len(tiny),
+                    "edge": len(edge), "seed": SEED},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

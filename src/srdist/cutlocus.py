@@ -44,6 +44,12 @@ class CutTag(enum.Enum):
     LOC = "Loc"
 
 
+# The members as plain module names: a member read through the enum class
+# costs about 0.10 us against 0.02 us for a plain class attribute, and
+# every classification reads one or two.
+_NOT_CUT, _SYM, _LOC = CutTag.NOT_CUT, CutTag.SYM, CutTag.LOC
+
+
 @dataclass(frozen=True, init=False)
 class CutLocusClass:
     tag: CutTag
@@ -63,16 +69,16 @@ def _on_loc(a_im: float, b_re: float, b_im: float) -> bool:
 def _tag(a_re: float, a_im: float, b_re: float, b_im: float) -> CutTag:
     """The stratum of the unit pair (a_re + i a_im, b_re + i b_im)."""
     if abs(a_re) <= MEMBERSHIP_TOL:
-        return CutTag.SYM
-    return CutTag.LOC if _on_loc(a_im, b_re, b_im) else CutTag.NOT_CUT
+        return _SYM
+    return _LOC if _on_loc(a_im, b_re, b_im) else _NOT_CUT
 
 
 def classify_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> CutLocusClass:
     """The stratum of a unit pair and its witness (see the module docstring)."""
     tag, abs_b = _tag(a_re, a_im, b_re, b_im), math.hypot(b_re, b_im)
-    if tag is CutTag.SYM:
+    if tag is _SYM:
         return CutLocusClass(tag, f"|Re A| = {abs(a_re):.3e}")
-    if tag is CutTag.LOC:
+    if tag is _LOC:
         return CutLocusClass(tag, f"|B| = {abs_b:.3e}")
     return CutLocusClass(tag, "identity" if abs_b <= MEMBERSHIP_TOL else None)
 

@@ -36,6 +36,8 @@ from typing import Callable, Optional
 from .algebra import SU2Element, su2_inv, su2_mul
 
 _EPS = 2.0 * sys.float_info.epsilon
+_FLOAT_MIN = sys.float_info.min
+_HALF_PI = math.pi / 2
 
 # Half-width of the classification band around the branch-3 boundary,
 # relative to it: |theta| within EPS_CASE*pi*(1 - |A|)/2 of the boundary
@@ -54,6 +56,13 @@ class DistanceCase(enum.Enum):
     BOUNDARY = "Case3_Boundary"
     SHORT = "Case4_Short"
     LONG = "Case5_Long"
+
+
+# The members as plain module names: a member read through the enum class
+# costs about 0.10 us against 0.02 us for a plain class attribute, and
+# `distance_from_pair` reads one per call.
+_A_ZERO, _ABS_A_ONE, _BOUNDARY = DistanceCase.A_ZERO, DistanceCase.ABS_A_ONE, DistanceCase.BOUNDARY
+_SHORT, _LONG = DistanceCase.SHORT, DistanceCase.LONG
 
 
 @dataclass(frozen=True, init=False)
@@ -151,26 +160,36 @@ def solve_monotone(f: Callable[[float], tuple], target: float, f_ends: tuple[flo
 
     f(x) returns (value, slope, size, point), size being the sum of the
     magnitudes of value's terms (see `arc_equation`), and the caller
-    states (f(0), f(pi/2)) = f_ends.  Safeguarded Newton from `start`:
-    the Newton step is taken when it lands inside the current bracket
-    and is shorter than half the step before last; otherwise the bracket
-    is bisected.  Stops when the residual is within the rounding of
-    value's terms, eps*(size + |target|), or when the next step is within
-    the rounding of x, as a bisection is once the bracket is a few ulps
-    of x wide.  Raises DomainError when the target is outside f's range
-    (signals misclassification upstream).
+    states (f(0), f(pi/2)) = f_ends.  Raises DomainError when the target
+    is outside f's range, f_ends read as rising when f(pi/2) > f(0) and
+    as falling otherwise (signals misclassification upstream; a NaN
+    target raises too).  Safeguarded Newton from `start`, clamped to
+    [0, pi/2] when it lies outside (a NaN start to 0): the Newton step
+    is taken when it lands inside the current bracket and is shorter
+    than half the step before last; otherwise the bracket is bisected.
+    Stops when the residual is within the rounding of value's terms,
+    eps*(size + |target|), or when the next step is within the rounding
+    of x, as a bisection is once the bracket is a few ulps of x wide.
     """
     f_lo, f_hi = f_ends
-    if not min(f_lo, f_hi) <= target <= max(f_lo, f_hi):
+    if f_hi > f_lo:
+        sign = 1.0
+        in_range = f_lo <= target <= f_hi
+    else:
+        sign = -1.0
+        in_range = f_hi <= target <= f_lo
+    if not in_range:
         raise DomainError(f"target {target} outside monotone range {f_ends}")
-    sign = 1.0 if f_hi > f_lo else -1.0
-    lo, hi = 0.0, math.pi / 2
-    x = min(hi, max(lo, start))
-    step = prev = hi - lo
+    x = start
+    if not 0.0 < x < _HALF_PI:
+        x = _HALF_PI if x >= _HALF_PI else 0.0
+    lo, hi = 0.0, _HALF_PI
+    step = prev = _HALF_PI
+    abs_target = abs(target)
     for _ in range(200):
         value, slope, size, point = f(x)
         residual = sign * (value - target)
-        if abs(residual) <= _EPS * (size + abs(target)):
+        if abs(residual) <= _EPS * (size + abs_target):
             break
         lo, hi = (x, hi) if residual < 0.0 else (lo, x)
         newton = residual / (sign * slope) if sign * slope > 0.0 else math.inf
@@ -194,8 +213,9 @@ def _long_arc_start(abs_a: float, k: float, abs_theta: float) -> float:
     the solve starts linearly.
     """
     x = linear = (math.pi - abs_theta) / (1.0 + abs_a)
+    one_m_abs_a = k * k / (1.0 + abs_a)
     for _ in range(2):
-        q = (abs_theta + k * k / (1.0 + abs_a) * x) / math.pi  # 1/w = 1 - beta/s
+        q = (abs_theta + one_m_abs_a * x) / math.pi  # 1/w = 1 - beta/s
         root = abs_a * math.sqrt(q * (2.0 - q))
         if not 0.0 < k * (1.0 - q) < root:
             return linear
@@ -253,39 +273,40 @@ def distance_from_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> Di
     if abs_a == 0.0:
         # Branch 1: t = pi, beta = 0, phi0 = arg(B).
         phi0 = math.atan2(b_im, b_re) % math.tau
-        return DistanceResult(math.pi, DistanceCase.A_ZERO, 0.0, phi0)
+        return DistanceResult(math.pi, _A_ZERO, 0.0, phi0)
 
     theta = math.atan2(a_im, a_re)
+    abs_theta = abs(theta)
 
-    if abs_b < sys.float_info.min:
+    if abs_b < _FLOAT_MIN:
         # Branch 2 (B = 0): the geodesic reaches B = 0 at u = t*s/2 = pi,
         # where A = -exp(-i*h) with h = beta*t/2.  So pi*beta/s = +-pi - theta,
         # and beta = (pi - |theta|)/(t/2) takes theta's sign; -beta misses
         # the target.  phi0 is free, and at the identity beta is too.
         # A subnormal |B| moves t by less than the rounding of pi.
-        half_t = math.sqrt(abs(theta) * (math.tau - abs(theta)))
-        beta = math.copysign(math.pi - abs(theta), theta) / half_t if half_t else None
-        return DistanceResult(2.0 * half_t, DistanceCase.ABS_A_ONE, beta, None)
+        half_t = math.sqrt(abs_theta * (math.tau - abs_theta))
+        beta = math.copysign(math.pi - abs_theta, theta) / half_t if half_t else None
+        return DistanceResult(2.0 * half_t, _ABS_A_ONE, beta, None)
 
     # |theta| over the boundary pi*|B|^2/(2(1 + |A|)), one factor |B| at
     # a time, so that the ratio cannot underflow as |B|^2 would.
     edge_per_b = math.pi * abs_b / (2.0 * (1.0 + abs_a))
-    ratio = abs(theta) / abs_b / edge_per_b
+    ratio = abs_theta / abs_b / edge_per_b
     if abs(ratio - 1.0) <= EPS_CASE:
         # Branch 3: boundary between the short- and long-arc regimes.  The odd,
         # increasing arg_short ends there at beta = +-b*: beta takes theta's sign.
         t = math.pi * abs_b
         beta = math.copysign(abs_a / abs_b, theta)
-        case = DistanceCase.BOUNDARY
+        case = _BOUNDARY
     else:
         # Branch 4 (short arc, ratio < 1) or 5 (long arc); beta takes
         # theta's sign on both.
         long = ratio > 1.0
         ends = (math.pi if long else 0.0, edge_per_b * abs_b)
-        start = _long_arc_start(abs_a, abs_b, abs(theta)) if long else math.pi / 2 * ratio
-        abs_beta, t = solve_monotone(arc_equation(abs_a, abs_b, long), abs(theta), ends, start)
+        start = _long_arc_start(abs_a, abs_b, abs_theta) if long else _HALF_PI * ratio
+        abs_beta, t = solve_monotone(arc_equation(abs_a, abs_b, long), abs_theta, ends, start)
         beta = math.copysign(abs_beta, theta)
-        case = DistanceCase.LONG if long else DistanceCase.SHORT
+        case = _LONG if long else _SHORT
 
     # |B| is a normal float here, so arg(B) is well defined.
     phi0 = (math.atan2(b_im, b_re) - beta * t / 2.0) % math.tau

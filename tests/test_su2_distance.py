@@ -104,6 +104,21 @@ class TestSolveMonotone:
         with pytest.raises(DomainError):
             solve_monotone(self.long, 0.5, self.LONG_ENDS, 0.7)
 
+    def test_nan_target_rejected(self):
+        # Rising (short-arc) and falling (long-arc) ends alike.
+        for f, ends in ((self.short, self.SHORT_ENDS), (self.long, self.LONG_ENDS)):
+            with pytest.raises(DomainError, match=r"^target nan outside monotone range "):
+                solve_monotone(f, math.nan, ends, 0.7)
+
+    @pytest.mark.parametrize("start, clamped", [
+        (-1.0, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (2.0, math.pi / 2), (math.inf, math.pi / 2),
+    ])
+    def test_start_outside_is_clamped(self, start, clamped):
+        for f, target, ends in ((self.short, 0.3, self.SHORT_ENDS), (self.long, 2.0, self.LONG_ENDS)):
+            got = solve_monotone(f, target, ends, start)
+            want = solve_monotone(f, target, ends, clamped)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_psi_form_matches_beta_form(self):
         # Away from the endpoints, where the beta form loses digits to
         # its asin near 1.  x = |psi|, and beta = b* sin(psi) takes psi's
