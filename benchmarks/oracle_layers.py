@@ -284,6 +284,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 

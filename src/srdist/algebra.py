@@ -5,9 +5,13 @@ An SU(2) element is stored as the complex pair (A, B) of the matrix
     [[ A,        B      ],
      [ -conj(B), conj(A)]],    |A|^2 + |B|^2 = 1.
 
-The Klein map sends (A, B) to a rotation of R^3, an `SO3Element` held as
-rows of floats that compares and hashes by value.  It is a 2-to-1 group
-homomorphism: (A, B) and (-A, -B) cover the same rotation.
+The group product of two unit pairs is written once, in `_mul`, on four
+floats each: `su2_mul` builds its element from it, and
+`so3_distance.distance_so3_pair` multiplies covering pairs with it.  The
+Klein map (`klein_omega`) sends (A, B) to a rotation of R^3, an
+`SO3Element` held as rows of floats that compares and hashes by value.
+It is a 2-to-1 group homomorphism: (A, B) and (-A, -B) cover the same
+rotation.
 `cover_pair` inverts it: the canonical lift (Re A >= 0), as four floats,
 read off identities linear in the matrix entries; `lift_so3` builds it
 and its negation.  Both element types store Python floats under one
@@ -167,11 +171,14 @@ def orthogonality_residual(rows) -> float:
 
 @dataclass(frozen=True, init=False)
 class SO3Element:
-    """3x3 rotation matrix (orthogonal, determinant 1) from any 3x3 array-like of reals.
+    """3x3 rotation matrix from any 3x3 array-like of reals.
 
-    `m` is read through its `.tolist()` when it has one (a numpy array),
-    otherwise as three rows of three entries, which are held to the
-    real-number rule of `SU2Element` (`_real_floats`).  It is stored as
+    A matrix is a rotation when it is orthogonal within CONSTRUCTION_TOL
+    (`orthogonality_residual`) and its determinant is positive; a
+    reflection, det < 0, is refused as such.  `m` is read through its
+    `.tolist()` when it has one (a numpy array), otherwise as three rows
+    of three entries, which are held to the real-number rule of
+    `SU2Element` (`_real_floats`).  It is stored as
     rows of Python floats, so elements compare and hash by value; wrap
     `c.m` in `np.asarray` for matrix arithmetic.
     """
@@ -201,12 +208,12 @@ class SO3Element:
             raise InvalidElementError(
                 f"orthogonality violation: max |M^T M - I| = {ortho_res:.3e}"
             )
+        # Orthogonal within the tolerance, det is +-1 to about 1.5 tol: its sign is the orientation.
         det = c11 * (c22 * c33 - c23 * c32) - c12 * (c21 * c33 - c23 * c31) + c13 * (
             c21 * c32 - c22 * c31
         )
-        det_res = abs(det - 1.0)
-        if det_res > CONSTRUCTION_TOL:
-            raise InvalidElementError(f"determinant violation: |det - 1| = {det_res:.3e}")
+        if det < 0.0:
+            raise InvalidElementError(f"reflection, not a rotation: det = {det:.3e}")
         self.__dict__["m"] = rows
 
     @classmethod
@@ -226,11 +233,26 @@ class AlgebraVector:
     z: float
 
 
+def _mul(p: tuple, q: tuple) -> tuple[float, float, float, float]:
+    """The product (A C - B conj(D), A D + B conj(C)) of the pairs p = (A, B) and q = (C, D), as four floats.
+
+    Each pair is (Re, Im, Re, Im).  Every component is summed in the
+    order of CPython's complex product and sum, so the result equals the
+    complex expression's to the bit, signs of zeros included.
+    """
+    a1, a2, b1, b2 = p
+    c1, c2, d1, d2 = q
+    return (
+        (a1 * c1 - a2 * c2) - (b1 * d1 + b2 * d2),
+        (a1 * c2 + a2 * c1) - (b2 * d1 - b1 * d2),
+        (a1 * d1 - a2 * d2) + (b1 * c1 + b2 * c2),
+        (a1 * d2 + a2 * d1) + (b2 * c1 - b1 * c2),
+    )
+
+
 def su2_mul(g: SU2Element, h: SU2Element) -> SU2Element:
-    """Group product of two SU(2) elements in (A, B) form."""
-    a = g.a * h.a - g.b * h.b.conjugate()
-    b = g.a * h.b + g.b * h.a.conjugate()
-    return SU2Element(a.real, a.imag, b.real, b.imag)
+    """Group product of two SU(2) elements in (A, B) form (`_mul`)."""
+    return SU2Element(*_mul((g.a_re, g.a_im, g.b_re, g.b_im), (h.a_re, h.a_im, h.b_re, h.b_im)))
 
 
 def su2_inv(g: SU2Element) -> SU2Element:
@@ -260,31 +282,20 @@ def so3_mul(c1: SO3Element, c2: SO3Element) -> SO3Element:
     return SO3Element(mat3_mul(c1.m, c2.m))
 
 
-def klein_entries(a1: float, a2: float, b1: float, b2: float) -> tuple:
-    """Row-major entries of the rotation covering the unit pair (a1 + i a2, b1 + i b2).
+def klein_omega(g: SU2Element) -> SO3Element:
+    """Covering epimorphism SU(2) -> SO(3): F. Klein's formula for the rotation covered by (A, B).
 
     Every entry is quadratic in (A1, A2, B1, B2), hence invariant under
     the simultaneous sign flip (A, B) -> (-A, -B).
     """
+    a1, a2, b1, b2 = g.a_re, g.a_im, g.b_re, g.b_im
     a11, a22, a12 = a1 * a1, a2 * a2, a1 * a2
     b11, b22, b12 = b1 * b1, b2 * b2, b1 * b2
-    return (
-        a11 + a22 - b11 - b22,
-        2.0 * (a2 * b1 - a1 * b2),
-        2.0 * (a2 * b2 + a1 * b1),
-        2.0 * (a2 * b1 + a1 * b2),
-        a11 - a22 + b11 - b22,
-        2.0 * (b12 - a12),
-        2.0 * (a2 * b2 - a1 * b1),
-        2.0 * (b12 + a12),
-        a11 - a22 - b11 + b22,
-    )
-
-
-def klein_omega(g: SU2Element) -> SO3Element:
-    """Covering epimorphism SU(2) -> SO(3) (entries from `klein_entries`)."""
-    m = klein_entries(g.a_re, g.a_im, g.b_re, g.b_im)
-    return SO3Element((m[0:3], m[3:6], m[6:9]))
+    return SO3Element((
+        (a11 + a22 - b11 - b22, 2.0 * (a2 * b1 - a1 * b2), 2.0 * (a2 * b2 + a1 * b1)),
+        (2.0 * (a2 * b1 + a1 * b2), a11 - a22 + b11 - b22, 2.0 * (b12 - a12)),
+        (2.0 * (a2 * b2 - a1 * b1), 2.0 * (b12 + a12), a11 - a22 - b11 + b22),
+    ))
 
 
 def cover_pair(c: SO3Element) -> tuple[float, float, float, float]:

@@ -20,22 +20,18 @@ def br_system_residual(
     """Residuals of the previously published two-equation distance system.
 
     First equation: -beta*t/2 + arctan((beta/s)*tan(t*s/2)) = arg(A),
-    with the principal-branch arctan of the published formula; at the tan
-    pole t*s/2 = pi/2 the one-sided limit sgn(beta*sin(u))*pi/2 is used.
-    Keeping the principal branch is the point: it is what makes the
+    with the principal-branch arctan of the published formula.  Keeping
+    the principal branch is the point: it is what makes the
     system admit two roots for one target (see
-    demonstrate_br_nonuniqueness).
+    demonstrate_br_nonuniqueness).  The tan pole is never met: no double
+    u has |cos u| below 4.69e-19.
     Second equation: sin(t*s/2)/s = sqrt(1 - |A|^2).
     """
     s = math.sqrt(1.0 + beta * beta)
     u = t * s / 2.0
-    su, cu = math.sin(u), math.cos(u)
-    if abs(cu) < 1e-300:
-        branch = math.copysign(math.pi / 2.0, beta * su) if beta != 0.0 else 0.0
-    else:
-        branch = math.atan(beta * su / (s * cu))
-    r1 = -beta * t / 2.0 + branch - arg_a
-    r2 = math.sin(u) / s - math.sqrt(max(0.0, 1.0 - abs_a * abs_a))
+    su = math.sin(u)
+    r1 = -beta * t / 2.0 + math.atan(beta * su / (s * math.cos(u))) - arg_a
+    r2 = su / s - math.sqrt(max(0.0, 1.0 - abs_a * abs_a))
     return r1, r2
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import SO3Element, cover_pair, lift_so3
+from .algebra import SO3Element, _mul, cover_pair, lift_so3
 from .su2_distance import DistanceResult, distance_from_pair, distance_su2
 
 # Largest distance observed on SO(3): attained at diag(1, -1, -1), the
@@ -54,16 +54,12 @@ def lift_distance_results(c: SO3Element) -> tuple[DistanceResult, DistanceResult
 def distance_so3_pair(c1: SO3Element, c2: SO3Element) -> float:
     """Distance between two rotations via left-invariance: d(c1, c2) = d(e, c1^T c2).
 
-    c1^T c2 is covered by g1^-1 g2 of the covering pairs, exactly the
-    identity when c1 = c2, as the rounded matrix product is not.
+    c1^T c2 is covered by g1^-1 g2 of the covering pairs (`_mul`, g1^-1 =
+    (conj(A1), -B1)), exactly the identity when c1 = c2, as the rounded
+    matrix product is not.
     """
     p1, q1, r1, s1 = cover_pair(c1)
-    p2, q2, r2, s2 = cover_pair(c2)
-    # Summed as the complex product (conj(A1) A2 + B1 conj(B2), conj(A1) B2 - B1 conj(A2)).
-    a_re = (p1 * p2 + q1 * q2) + (r1 * r2 + s1 * s2)
-    a_im = (p1 * q2 - q1 * p2) + (s1 * r2 - r1 * s2)
-    b_re = (p1 * r2 + q1 * s2) - (r1 * p2 + s1 * q2)
-    b_im = (p1 * s2 - q1 * r2) - (s1 * p2 - r1 * q2)
+    a_re, a_im, b_re, b_im = _mul((p1, -q1, -r1, -s1), cover_pair(c2))
     if a_re < 0.0:
         a_re, a_im, b_re, b_im = -a_re, -a_im, -b_re, -b_im
     return distance_from_pair(a_re, a_im, b_re, b_im).t

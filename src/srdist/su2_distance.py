@@ -102,9 +102,13 @@ def _check_beta(beta: float, abs_a: float) -> tuple[float, bool]:
     # beta clamped to [-b*, b*], and whether |beta| >= b*: there the asin
     # argument hits 1, where roundoff in it is amplified by the infinite
     # derivative, so callers substitute the exact limit values instead.
-    # Written as `not <=` so that a NaN beta raises.
+    # Written as `not <=` so that a NaN beta raises.  b* is read off |A|
+    # alone, and 1 - |A|^2 carries a relative rounding of about
+    # eps/(1 - |A|^2) that a beta built from |B| does not share (branch 3's
+    # |A|/|B|, or an arc solve's): 4 eps/(1 - |A|^2) of b* is allowed for
+    # it, on top of 1e-12.
     bmax = beta_domain_max(abs_a)
-    if not abs(beta) <= bmax + 1e-12:
+    if not abs(beta) <= bmax * (1.0 + 2.0 * _EPS / (1.0 - abs_a * abs_a)) + 1e-12:
         raise DomainError(f"|beta| = {abs(beta)} exceeds domain endpoint {bmax}")
     return min(bmax, max(-bmax, beta)), abs(beta) >= bmax
 

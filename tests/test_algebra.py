@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srdist.algebra import (
+    CONSTRUCTION_TOL,
     AlgebraVector,
     InvalidElementError,
     SO3Element,
     SU2Element,
+    _mul,
     cover_pair,
     klein_omega,
     lift_so3,
@@ -52,8 +54,38 @@ def test_construction_renormalizes_within_tolerance():
 def test_so3_rejects_non_rotation():
     with pytest.raises(InvalidElementError):
         SO3Element(np.diag([1.0, 1.0, 2.0]))
-    with pytest.raises(InvalidElementError):
+    with pytest.raises(InvalidElementError, match="reflection"):
         SO3Element(np.diag([1.0, 1.0, -1.0]))  # det = -1
+
+
+@pytest.mark.parametrize("scale", [1.0 + 4.9e-10, 1.0 - 4.9e-10])
+def test_so3_accepts_rotations_scaled_within_the_tolerance(scale):
+    # Orthogonal to 9.8e-10, inside CONSTRUCTION_TOL, with det 1 +- 1.5e-9:
+    # the determinant only decides orientation, so R is accepted and -R
+    # refused as a reflection.
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        rows = tuple(tuple(x * scale for x in row) for row in random_so3(rng).m)
+        assert orthogonality_residual(rows) <= CONSTRUCTION_TOL
+        assert SO3Element(rows).m == rows
+        with pytest.raises(InvalidElementError, match="reflection"):
+            SO3Element([[-x for x in row] for row in rows])
+
+
+def test_so3_rule_is_the_orthogonality_residual():
+    # Rotations scaled by up to 1 +- 6e-10 with 1e-10 entry noise straddle
+    # the tolerance: each is refused exactly when its residual exceeds it.
+    rng = np.random.default_rng(48)
+    refused = 0
+    for _ in range(1000):
+        m = np.asarray(random_so3(rng).m) * (1.0 + rng.uniform(-6e-10, 6e-10)) + 1e-10 * rng.standard_normal((3, 3))
+        if orthogonality_residual(m.tolist()) > CONSTRUCTION_TOL:
+            refused += 1
+            with pytest.raises(InvalidElementError, match="orthogonality violation"):
+                SO3Element(m)
+        else:
+            SO3Element(m)
+    assert 0 < refused < 1000
 
 
 @pytest.mark.parametrize("m, cause", [
@@ -211,6 +243,23 @@ def test_orthogonality_residual_is_that_of_the_full_product():
         rows = m.tolist()
         full = np.max(np.abs(np.array(mat3_mul(zip(*rows), rows)) - np.eye(3)))
         assert orthogonality_residual(rows).hex() == float(full).hex()
+
+
+def test_mul_is_the_complex_product():
+    # _mul sums as CPython's complex arithmetic does: equal to the bit, the
+    # signs of zeros included, on Haar pairs, on the conjugated pairs
+    # distance_so3_pair multiplies, and on pairs with signed zero parts.
+    def complex_product(p, q):
+        a, b, c, d = complex(p[0], p[1]), complex(p[2], p[3]), complex(q[0], q[1]), complex(q[2], q[3])
+        x, y = a * c - b * d.conjugate(), a * d + b * c.conjugate()
+        return x.real, x.imag, y.real, y.imag
+
+    rng = np.random.default_rng(49)
+    pairs = [tuple(v / np.linalg.norm(v)) for v in rng.standard_normal((400, 4))]
+    pairs += [(p, -q, -r, -s) for p, q, r, s in pairs[:100]]
+    pairs += list(itertools.product((0.0, -0.0, 1.0, -1.0), repeat=4))
+    for p, q in zip(pairs, pairs[1:] + pairs[:1]):
+        assert [x.hex() for x in _mul(p, q)] == [x.hex() for x in complex_product(p, q)]
 
 
 def test_mul_identity():

@@ -95,3 +95,11 @@ def test_a_missing_output_counts_as_differing(base_outputs, code):
     seconds, first, _ = _run([seconds, seconds], [{"a": SAME}, {"a": base_outputs}])
     rows, got = oracle_layers.compare(seconds, first)
     assert (rows["a"]["differ"], got) == (code, code)
+
+
+@pytest.mark.parametrize("argv", [["--rounds", "0"], ["--seed", "-1"]], ids=["rounds-0", "negative-seed"])
+def test_bad_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        oracle_layers.main(argv)
+    assert exc.value.code == 2
+    assert "error: --" in capsys.readouterr().err

@@ -79,6 +79,23 @@ def test_nothing_to_refine_is_typed(monkeypatch):
         shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0))
 
 
+def test_solve_stops_on_a_bracket_it_cannot_split(monkeypatch):
+    # F jumps from -1 to 1 at tau' = 0.1 with no root: |F| never falls, each
+    # Newton step leaves the bracket, and the splits close in on 0.1 until
+    # the bracket's ends are adjacent floats, well before _MAX_STEPS.
+    trials = []
+
+    def jump(a, b, branch, theta, n, x):
+        trials.append(x)
+        return (-1.0 if x < 0.1 else 1.0), 1.0, (x, x)
+
+    monkeypatch.setattr(oracle, "_loop_phase", jump)
+    oracle._solve(0.6, 0.8, 0, 0.0, 0, (0.0, math.pi / 16, -1.0, 1.0))
+    assert len(trials) < oracle._MAX_STEPS
+    lo, hi = sorted(trials[-2:])
+    assert lo < 0.1 <= hi == math.nextafter(lo, 1.0)
+
+
 def test_fixed_samples_are_built_once_and_read_only(monkeypatch):
     # The loop's tau' samples are a tuple built at import; every shot
     # reads it.  B = 0 shots scan nothing: their roots are in closed form.

@@ -67,6 +67,26 @@ class TestBranchFunctions:
         with pytest.raises(DomainError, match=r"^\|beta\| = nan exceeds domain endpoint "):
             fn(beta, 0.6)
 
+    @pytest.mark.parametrize(
+        "abs_a", [10.0 ** -k for k in range(1, 13)] + [1.0 - 10.0 ** -k for k in range(1, 13)],
+        ids=[f"abs_a_1e-{k}" for k in range(1, 13)] + [f"one_minus_abs_a_1e-{k}" for k in range(1, 13)],
+    )
+    def test_beta_forms_accept_the_case_analysis_beta(self, abs_a):
+        # theta within relative 1e-9 of the branch-3 boundary: the beta
+        # distance_su2 returns is in its own branch's beta-form domain.  b*
+        # read off |A| alone is off by a relative eps/(1 - |A|^2) as
+        # |A| -> 1, where 1e-12 absolute alone refused hundreds of them.
+        forms = {DistanceCase.SHORT: (arg_short, time_short), DistanceCase.BOUNDARY: (arg_short, time_short),
+                 DistanceCase.LONG: (arg_long, time_long)}
+        rng = np.random.default_rng(5)
+        edge = math.pi * (1.0 - abs_a) / 2.0
+        for _ in range(500):
+            theta = rng.choice((-1.0, 1.0)) * edge * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0))
+            g = _pair(abs_a, math.sqrt(1.0 - abs_a * abs_a), theta, rng.uniform(-math.pi, math.pi))
+            res = distance_su2(g)
+            for form in forms[res.case]:
+                assert math.isfinite(form(res.beta, math.hypot(g.a_re, g.a_im)))
+
     @pytest.mark.parametrize("abs_a", [0.0, 1.0])
     def test_beta_domain_max_rejects_the_ends(self, abs_a):
         with pytest.raises(DomainError, match=r"abs_a must lie in \(0, 1\)"):
@@ -366,3 +386,17 @@ class TestFlawedSystem:
     def test_rejects_bad_abs_a(self):
         with pytest.raises(ValueError):
             demonstrate_br_nonuniqueness(1.0)
+
+    @pytest.mark.parametrize("u", [
+        6381956970095103 * 2.0 ** 797, math.nextafter(math.pi / 2, 0.0), math.pi / 2, math.nextafter(math.pi / 2, 2.0),
+    ], ids=["least-cos", "below-half-pi", "half-pi", "above-half-pi"])
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, -3.0])
+    def test_residuals_finite_at_the_least_cosine(self, u, beta):
+        # No double has |cos| below 4.69e-19, reached at the first u (the
+        # worst case of argument reduction), so the tan in the first
+        # equation never meets its pole.
+        s = math.sqrt(1.0 + beta * beta)
+        t = 2.0 * u / s
+        assert t * s / 2.0 == u
+        assert abs(math.cos(u)) >= 4.68e-19
+        assert all(map(math.isfinite, br_system_residual(t, beta, 0.6, 0.0)))
