@@ -67,6 +67,16 @@ def _real_floats(vals: tuple, what: str) -> tuple:
     return floats
 
 
+def _mod_tau(angle: float) -> float:
+    """angle mod 2*pi, in [0, 2*pi).
+
+    `angle % tau` rounds a negative angle above about -ulp(tau)/2 = -4.4e-16
+    up to tau itself; that result is read as 0.0, the nearer end.
+    """
+    r = angle % math.tau
+    return 0.0 if r == math.tau else r
+
+
 @dataclass(frozen=True, init=False)
 class SU2Element:
     """Unit pair (A, B) with A = a_re + i*a_im, B = b_re + i*b_im.

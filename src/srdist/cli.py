@@ -1,9 +1,28 @@
 """Command-line interface.
 
-Subcommands: dist, geodesic, sphere, cutlocus, verify.  Exit codes:
-0 success, 1 verification failure, 2 usage, input or output-file error.
-All numbers are printed in shortest round-trip decimal form (<= 17
-significant digits), so emitted files diff identically across platforms.
+Subcommands: dist, geodesic, sphere, cutlocus, verify.
+
+One reader: `dist` and `cutlocus` name their element by exactly one of
+`--su2 a_re,a_im,b_re,b_im` (a unit pair of SU(2)) and `--matrix
+m11,...,m33` (a rotation, row-major), and `_read_element` parses either.
+
+One writer: `dist`, `geodesic`, `sphere` and `cutlocus` write their
+records through `_emit`, to stdout or to `--out FILE`.  `--format csv`
+(the default) writes a header, then one row per record; `--format json`
+writes the one payload `{group, command, params, records}`.  A value that
+is not unique (`dist`'s beta or phi0) or absent (`cutlocus`'s witness off
+the cut locus) is an empty CSV field or a JSON null.  `verify` prints one
+`[PASS]`/`[FAIL]` line per check.
+
+A value that starts with `-` must be joined to its option by `=`, as in
+`--su2=-0.6,0,0.8,0` or `--beta=-1e-3`: argparse reads a separate token
+that starts with `-` as an option unless it is a plain negative number
+such as `-1` or `-0.5`.
+
+Exit codes: 0 success, 1 verification failure, 2 usage, input or
+output-file error.  All numbers are printed in shortest round-trip decimal
+form (<= 17 significant digits), so emitted files diff identically across
+platforms.
 """
 from __future__ import annotations
 
@@ -37,10 +56,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_opt(x: Optional[float]) -> str:
-    return "non-unique" if x is None else _fmt(x)
-
-
 def _parse_floats(text: str, count: int, usage: str, item: str) -> list[float]:
     """`count` comma-separated reals; `usage` on a wrong count, "bad <item>: ..." on a non-real."""
     parts = [p.strip() for p in text.split(",")]
@@ -52,9 +67,12 @@ def _parse_floats(text: str, count: int, usage: str, item: str) -> list[float]:
         raise UsageError(f"bad {item}: {exc}") from exc
 
 
-def _parse_matrix(text: str) -> SO3Element:
-    vals = _parse_floats(text, 9, "--matrix expects 9 comma-separated reals (row-major)", "matrix entry")
-    return SO3Element((vals[0:3], vals[3:6], vals[6:9]))
+def _read_element(args) -> tuple[str, SU2Element | SO3Element]:
+    """The group and the element named by exactly one of --su2 and --matrix."""
+    if args.su2 is not None:
+        return "su2", SU2Element(*_parse_floats(args.su2, 4, "--su2 expects a_re,a_im,b_re,b_im", "component"))
+    vals = _parse_floats(args.matrix, 9, "--matrix expects 9 comma-separated reals (row-major)", "matrix entry")
+    return "so3", SO3Element((vals[0:3], vals[3:6], vals[6:9]))
 
 
 def _su2_endpoint(p: GeodesicParams, t: float) -> tuple[SU2Element, list[float]]:
@@ -75,14 +93,11 @@ _GROUPS = {
 }
 
 
-def _json(args, params: dict, records: list[dict]) -> str:
-    payload = {"group": args.group, "command": args.command, "params": params, "records": records}
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def _emit(args, header: list[str], rows: list[list], params: dict) -> None:
+def _emit(args, group: str, header: list[str], rows: list[list], params: dict) -> None:
     if args.format == "json":
-        text = _json(args, params, [dict(zip(header, row)) for row in rows])
+        records = [dict(zip(header, row)) for row in rows]
+        payload = {"group": group, "command": args.command, "params": params, "records": records}
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -98,19 +113,12 @@ def _emit(args, header: list[str], rows: list[list], params: dict) -> None:
 
 
 def cmd_dist(args) -> int:
-    if args.group == "su2":
-        res = distance_su2(SU2Element(args.a_re, args.a_im, args.b_re, args.b_im))
-    else:
-        res = distance_so3(_parse_matrix(args.matrix))
-    if args.json:
-        params = {k: v for k, v in vars(args).items() if k not in ("func", "json")}
-        record = {"t": res.t, "case": res.case.value, "beta": res.beta, "phi0": res.phi0}
-        sys.stdout.write(_json(args, params, [record]))
-    else:
-        print(f"t = {_fmt(res.t)}")
-        print(f"case = {res.case.value}")
-        print(f"beta = {_fmt_opt(res.beta)}")
-        print(f"phi0 = {_fmt_opt(res.phi0)}")
+    """One record: the distance t, the case, and beta and phi0 of a minimizer where it is unique."""
+    group, element = _read_element(args)
+    _, _, distance = _GROUPS[group]
+    res = distance(element)
+    rows = [[res.t, res.case.value, res.beta, res.phi0]]
+    _emit(args, group, ["t", "case", "beta", "phi0"], rows, {"su2": args.su2, "matrix": args.matrix})
     return EXIT_OK
 
 
@@ -124,7 +132,7 @@ def cmd_geodesic(args) -> int:
     times = (args.t_max * i / args.steps for i in range(args.steps + 1))
     rows = [[t] + endpoint(p, t)[1] for t in times]
     params = {"phi0": args.phi0, "beta": args.beta, "t_max": args.t_max, "steps": args.steps}
-    _emit(args, ["t"] + columns, rows, params)
+    _emit(args, args.group, ["t"] + columns, rows, params)
     return EXIT_OK
 
 
@@ -143,6 +151,8 @@ def cmd_sphere(args) -> int:
         )
     if args.samples <= 0:
         raise UsageError("--samples must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     # Geodesics of momentum beta stop minimizing by 2*pi/sqrt(1+beta^2), so only
     # |beta| <= sqrt(x^2 - 1), x = 2*pi/R, can realize distance R (x^2 may overflow).
     x = math.tau / args.radius
@@ -165,22 +175,20 @@ def cmd_sphere(args) -> int:
             discarded += 1
     params = {"radius": args.radius, "samples": args.samples, "seed": args.seed,
               "kept": kept, "discarded": discarded}
-    _emit(args, ["group", "radius", "r", "phi0", "beta"] + columns, rows, params)
+    _emit(args, args.group, ["group", "radius", "r", "phi0", "beta"] + columns, rows, params)
     print(f"kept {kept} / discarded {discarded}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_cutlocus(args) -> int:
-    """The tag of exactly one of --matrix and --su2, then the witness line of Sym, Loc or the identity."""
-    if args.matrix is not None:
-        cls = classify_cut_locus_so3(_parse_matrix(args.matrix))
+    """One record: the stratum's tag, and the witness of Sym, Loc or the identity."""
+    group, element = _read_element(args)
+    if group == "so3":
+        cls = classify_cut_locus_so3(element)
     else:
-        vals = _parse_floats(args.su2, 4, "--su2 expects a_re,a_im,b_re,b_im", "component")
-        g = SU2Element(*vals)
-        cls = classify_pair(g.a_re, g.a_im, g.b_re, g.b_im)
-    print(cls.tag.value)
-    if cls.witness:
-        print(cls.witness)
+        cls = classify_pair(element.a_re, element.a_im, element.b_re, element.b_im)
+    rows = [[cls.tag.value, cls.witness]]
+    _emit(args, group, ["tag", "witness"], rows, {"su2": args.su2, "matrix": args.matrix})
     return EXIT_OK
 
 
@@ -188,6 +196,8 @@ def cmd_verify(args) -> int:
     """One `[PASS]`/`[FAIL]` line per `verify.CheckResult`, with its suite, name and detail."""
     if args.n < 1:
         raise UsageError("--n must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     names = (
         list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     )
@@ -207,43 +217,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_dist = sub.add_parser("dist", help="distance from the identity")
-    dist_sub = p_dist.add_subparsers(dest="group", required=True)
-    p_su2 = dist_sub.add_parser("su2")
-    p_su2.add_argument("--a-re", type=float, required=True)
-    p_su2.add_argument("--a-im", type=float, required=True)
-    p_su2.add_argument("--b-re", type=float, required=True)
-    p_su2.add_argument("--b-im", type=float, required=True)
-    p_su2.add_argument("--json", action="store_true")
-    p_su2.set_defaults(func=cmd_dist)
-    p_so3 = dist_sub.add_parser("so3")
-    p_so3.add_argument("--matrix", type=str, required=True, help="m11,...,m33 row-major")
-    p_so3.add_argument("--json", action="store_true")
-    p_so3.set_defaults(func=cmd_dist)
+    # Options shared by subcommands, each defined once.
+    element = argparse.ArgumentParser(add_help=False)
+    target = element.add_mutually_exclusive_group(required=True)
+    target.add_argument("--su2", help="a_re,a_im,b_re,b_im")
+    target.add_argument("--matrix", help="m11,...,m33 row-major")
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--group", choices=list(_GROUPS), required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["csv", "json"], default="csv")
+    output.add_argument("--out")
 
-    p_geo = sub.add_parser("geodesic", help="sample a geodesic from the identity")
-    p_geo.add_argument("--group", choices=["su2", "so3"], required=True)
+    p_dist = sub.add_parser("dist", parents=[element, output], help="distance from the identity")
+    p_dist.set_defaults(func=cmd_dist)
+
+    p_geo = sub.add_parser("geodesic", parents=[group, output], help="sample a geodesic from the identity")
     p_geo.add_argument("--phi0", type=float, required=True)
     p_geo.add_argument("--beta", type=float, required=True)
     p_geo.add_argument("--t-max", type=float, required=True)
     p_geo.add_argument("--steps", type=int, required=True)
-    p_geo.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_geo.add_argument("--out", type=str, default=None)
     p_geo.set_defaults(func=cmd_geodesic)
 
-    p_sph = sub.add_parser("sphere", help="sample the metric sphere of a given radius")
-    p_sph.add_argument("--group", choices=["su2", "so3"], required=True)
+    p_sph = sub.add_parser("sphere", parents=[group, output], help="sample the metric sphere of a given radius")
     p_sph.add_argument("--radius", type=float, required=True)
     p_sph.add_argument("--samples", type=int, required=True)
     p_sph.add_argument("--seed", type=int, default=0)
-    p_sph.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sph.add_argument("--out", type=str, default=None)
     p_sph.set_defaults(func=cmd_sphere)
 
-    p_cut = sub.add_parser("cutlocus", help="classify cut-locus membership")
-    target = p_cut.add_mutually_exclusive_group(required=True)
-    target.add_argument("--matrix", type=str, help="m11,...,m33 row-major")
-    target.add_argument("--su2", type=str, help="a_re,a_im,b_re,b_im")
+    p_cut = sub.add_parser("cutlocus", parents=[element, output], help="classify cut-locus membership")
     p_cut.set_defaults(func=cmd_cutlocus)
 
     p_ver = sub.add_parser("verify", help="run self-check suites")

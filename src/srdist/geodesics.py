@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import (
-    AlgebraVector, InvalidElementError, SO3Element, SU2Element, _real_floats, klein_omega, su2_exp, su2_mul,
+    AlgebraVector, InvalidElementError, SO3Element, SU2Element, _mod_tau, _real_floats, klein_omega, su2_exp, su2_mul,
 )
 
 
@@ -30,7 +30,7 @@ class GeodesicParams:
     def __init__(self, phi0: float, beta: float):
         phi0, beta = _real_floats((phi0, beta), "geodesic parameters")
         d = self.__dict__
-        d["phi0"] = phi0 % math.tau
+        d["phi0"] = _mod_tau(phi0)
         d["beta"] = beta
 
 

@@ -80,7 +80,7 @@ import sys
 from dataclasses import dataclass
 from math import atan2, copysign, cos, hypot, inf, pi, sin, sqrt, tau, ulp
 
-from .algebra import SO3Element, SU2Element, cover_pair
+from .algebra import SO3Element, SU2Element, _mod_tau, cover_pair
 from .geodesics import endpoint_coords
 
 # Endpoint deviation (max-norm) a root must reach to count as hitting the
@@ -335,7 +335,7 @@ def _shoot(targets: list[tuple]) -> ShootResult:
             if dev <= REFINED_TOL and t < t_best:
                 t_best = t
 
-    exact = [(phi0 % tau, beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL]
+    exact = [(_mod_tau(phi0), beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL]
     if not exact:
         best = f"best deviation {min(dev for _, dev in roots):.3e}" if roots else "no roots"
         raise ShootNoMatchError(f"no root within {REFINED_TOL} of the target ({best})")

@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import SU2Element, su2_inv, su2_mul
+from .algebra import SU2Element, _mod_tau, su2_inv, su2_mul
 
 _EPS = 2.0 * sys.float_info.epsilon
 _FLOAT_MIN = sys.float_info.min
@@ -276,7 +276,7 @@ def distance_from_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> Di
 
     if abs_a == 0.0:
         # Branch 1: t = pi, beta = 0, phi0 = arg(B).
-        phi0 = math.atan2(b_im, b_re) % math.tau
+        phi0 = _mod_tau(math.atan2(b_im, b_re))
         return DistanceResult(math.pi, _A_ZERO, 0.0, phi0)
 
     theta = math.atan2(a_im, a_re)
@@ -313,7 +313,7 @@ def distance_from_pair(a_re: float, a_im: float, b_re: float, b_im: float) -> Di
         case = _LONG if long else _SHORT
 
     # |B| is a normal float here, so arg(B) is well defined.
-    phi0 = (math.atan2(b_im, b_re) - beta * t / 2.0) % math.tau
+    phi0 = _mod_tau(math.atan2(b_im, b_re) - beta * t / 2.0)
     return DistanceResult(t, case, beta, phi0)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -15,24 +17,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def csv_records(out):
+    return list(csv.DictReader(io.StringIO(out)))
+
+
 def test_dist_su2_text(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "dist", "su2", "--a-re", "0.6", "--a-im", "0", "--b-re", "0.8", "--b-im", "0",
-    )
+    code, out, _ = run_cli(capsys, "dist", "--su2", "0.6,0,0.8,0")
     assert code == 0
-    lines = dict(l.split(" = ") for l in out.strip().splitlines())
-    assert float(lines["t"]) == pytest.approx(2 * math.asin(0.8), abs=1e-12)
-    assert lines["case"] == "Case4_Short"
-    assert float(lines["beta"]) == pytest.approx(0.0, abs=1e-12)
+    assert out.splitlines()[0] == "t,case,beta,phi0"
+    (rec,) = csv_records(out)
+    assert float(rec["t"]) == pytest.approx(2 * math.asin(0.8), abs=1e-12)
+    assert rec["case"] == "Case4_Short"
+    assert float(rec["beta"]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dist_su2_json_schema(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "dist", "su2", "--a-re", "0", "--a-im", "0", "--b-re", "1", "--b-im", "0",
-        "--json",
-    )
+    code, out, _ = run_cli(capsys, "dist", "--su2", "0,0,1,0", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["group"] == "su2"
@@ -44,10 +44,12 @@ def test_dist_su2_json_schema(capsys):
 
 def test_dist_so3(capsys):
     code, out, _ = run_cli(
-        capsys, "dist", "so3", "--matrix", "1,0,0,0,-1,0,0,0,-1", "--json"
+        capsys, "dist", "--matrix", "1,0,0,0,-1,0,0,0,-1", "--format", "json"
     )
     assert code == 0
-    rec = json.loads(out)["records"][0]
+    payload = json.loads(out)
+    assert payload["group"] == "so3"
+    rec = payload["records"][0]
     assert rec["t"] == pytest.approx(math.pi * math.sqrt(3.0), abs=1e-12)
     assert rec["case"] == "Case2_AbsAone"
 
@@ -56,7 +58,7 @@ def test_dist_so3_near_involution(capsys):
     # A half turn about axis 2 short of pi by 2e-5: the lift must not
     # divide by the cancelled sqrt(1 + trace).
     code, out, _ = run_cli(
-        capsys, "dist", "so3", "--json",
+        capsys, "dist", "--format", "json",
         "--matrix=-0.9999999998,0,1.9999999998920157e-05,0,1,0,"
         "-1.9999999998920157e-05,0,-0.9999999998",
     )
@@ -65,22 +67,19 @@ def test_dist_so3_near_involution(capsys):
 
 
 def test_dist_rejects_non_unit(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "dist", "su2", "--a-re", "2", "--a-im", "0", "--b-re", "0", "--b-im", "0",
-    )
+    code, _, err = run_cli(capsys, "dist", "--su2", "2,0,0,0")
     assert code == 2
     assert "error" in err
 
 
 def test_bad_matrix_exit_2(capsys):
-    code, _, err = run_cli(capsys, "dist", "so3", "--matrix", "1,0,0")
+    code, _, err = run_cli(capsys, "dist", "--matrix", "1,0,0")
     assert code == 2
     assert "9 comma-separated" in err
 
 
 def test_non_numeric_matrix_entry_exit_2(capsys):
-    code, out, err = run_cli(capsys, "dist", "so3", "--matrix", "1,0,0,0,x,0,0,0,1")
+    code, out, err = run_cli(capsys, "dist", "--matrix", "1,0,0,0,x,0,0,0,1")
     assert code == 2
     assert out == ""
     assert err == "error: bad matrix entry: could not convert string to float: 'x'\n"
@@ -89,6 +88,13 @@ def test_non_numeric_matrix_entry_exit_2(capsys):
 def test_missing_args_exit_2(capsys):
     assert run_cli(capsys, "dist", "su2")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
+    # dist's element is --su2 or --matrix; the old sub-subcommand form is refused.
+    code, out, err = run_cli(
+        capsys, "dist", "su2", "--a-re", "0.6", "--a-im", "0", "--b-re", "0.8", "--b-im", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "one of the arguments --su2 --matrix is required" in err
 
 
 def test_unwritable_out_exit_2(tmp_path, capsys):
@@ -235,20 +241,49 @@ def test_sphere_tolerance_is_relative(capsys):
 def test_cutlocus_matrix(capsys):
     code, out, _ = run_cli(capsys, "cutlocus", "--matrix=-1,0,0,0,1,0,0,0,-1")
     assert code == 0
-    assert out.splitlines()[0] == "Sym"
+    assert csv_records(out)[0]["tag"] == "Sym"
     code, out, _ = run_cli(capsys, "cutlocus", "--su2", "0.6,0,0.8,0")
-    assert out.strip() == "NotCut"
-    # --su2 prints the same tag and witness as --matrix of the rotation it covers
+    assert csv_records(out) == [{"tag": "NotCut", "witness": ""}]
+    # --su2 gives the same tag and witness as --matrix of the rotation it covers
     for su2, matrix, expected in (
-        ("0,0,1,0", "-1,0,0,0,1,0,0,0,-1", ["Sym", "|Re A| = 0.000e+00"]),
-        ("0.6,0.8,0,0", "1,0,0,0,-0.28,-0.96,0,0.96,-0.28", ["Loc", "|B| = 0.000e+00"]),
+        ("0,0,1,0", "-1,0,0,0,1,0,0,0,-1", {"tag": "Sym", "witness": "|Re A| = 0.000e+00"}),
+        ("0.6,0.8,0,0", "1,0,0,0,-0.28,-0.96,0,0.96,-0.28", {"tag": "Loc", "witness": "|B| = 0.000e+00"}),
     ):
-        assert run_cli(capsys, "cutlocus", "--su2", su2)[1].splitlines() == expected
-        assert run_cli(capsys, "cutlocus", f"--matrix={matrix}")[1].splitlines() == expected
+        assert csv_records(run_cli(capsys, "cutlocus", "--su2", su2)[1]) == [expected]
+        assert csv_records(run_cli(capsys, "cutlocus", f"--matrix={matrix}")[1]) == [expected]
+
+
+@pytest.mark.parametrize("command, record", [
+    ("dist", {"t": 0.0, "case": "Case2_AbsAone", "beta": None, "phi0": None}),
+    ("cutlocus", {"tag": "NotCut", "witness": "identity"}),
+])
+@pytest.mark.parametrize("element, group", [("--su2=1,0,0,0", "su2"), ("--matrix=1,0,0,0,1,0,0,0,1", "so3")])
+def test_element_option_names_the_group(tmp_path, capsys, command, record, element, group):
+    # One reader for dist and cutlocus: the option given names the group of
+    # the JSON payload; a value that is not unique or absent is null.
+    out_file = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, command, element, "--format", "json", "--out", str(out_file))
+    assert code == 0
+    assert out == ""
+    payload = json.loads(out_file.read_text())
+    assert (payload["group"], payload["command"], payload["records"]) == (group, command, [record])
 
 
 def test_cutlocus_requires_input(capsys):
     assert run_cli(capsys, "cutlocus")[0] == 2
+
+
+def test_values_starting_with_minus_are_joined_by_equals(capsys):
+    # argparse takes a separate "-1e-3" or "-0.6,0,0.8,0" for an option; "=" joins it.
+    code, out, _ = run_cli(
+        capsys,
+        "geodesic", "--group", "su2", "--phi0", "0", "--beta=-1e-3", "--t-max", "1", "--steps", "1",
+    )
+    assert code == 0
+    assert len(csv_records(out)) == 2
+    code, out, _ = run_cli(capsys, "dist", "--su2=-0.6,0,0.8,0")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[:2] == ["4.428594871176362", "Case5_Long"]
 
 
 def test_cutlocus_rejects_both_inputs(capsys):
@@ -258,6 +293,17 @@ def test_cutlocus_rejects_both_inputs(capsys):
     assert code == 2
     assert out == ""
     assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sphere", "--group", "su2", "--radius", "1", "--samples", "2", "--seed", "-1"],
+    ["verify", "--suite", "lemmas", "--n", "4", "--seed", "-1"],
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be non-negative\n"
 
 
 def test_verify_suite_exit_zero(capsys):
@@ -330,12 +376,11 @@ def test_verify_oracle_reports_a_failed_shot(capsys, monkeypatch):
 
 def test_entry_point_subprocess(child_env):
     proc = subprocess.run(
-        [sys.executable, "-m", "srdist.cli", "dist", "su2",
-         "--a-re", "1", "--a-im", "0", "--b-re", "0", "--b-im", "0"],
+        [sys.executable, "-m", "srdist.cli", "dist", "--su2", "1,0,0,0"],
         capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
-    assert "t = 0.0" in proc.stdout
+    assert proc.stdout == "t,case,beta,phi0\n0.0,Case2_AbsAone,,\n"
 
 
 def test_package_runs_as_module(child_env):

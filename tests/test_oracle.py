@@ -73,6 +73,27 @@ def test_oracle_imports_no_distance_code():
     assert not fenced & set(_imported_modules(path))
 
 
+# Unit pairs whose phi0 is arg B, just below 0: -1e-20 on the SHORT
+# branch and -1e-300 on the A_ZERO branch.  `% tau` rounds such an angle
+# up to tau itself.
+_PHI0_BELOW_ZERO = (
+    SU2Element(0.6, 0.0, 0.8 * math.cos(-1e-20), 0.8 * math.sin(-1e-20)),
+    SU2Element(0.0, 0.0, 1.0, -1e-300),
+)
+
+
+@pytest.mark.parametrize("phi0_of", [
+    lambda g: GeodesicParams(math.atan2(g.b_im, g.b_re), 0.3).phi0,
+    lambda g: distance_su2(g).phi0,
+    lambda g: distance_so3(klein_omega(g)).phi0,
+    lambda g: shoot_min_time(g).minimizers[0][0],
+    lambda g: shoot_min_time_so3(klein_omega(g)).minimizers[0][0],
+], ids=["GeodesicParams", "distance_su2", "distance_so3", "shoot_min_time", "shoot_min_time_so3"])
+@pytest.mark.parametrize("g", _PHI0_BELOW_ZERO, ids=["short", "a_zero"])
+def test_phi0_just_below_zero_is_zero(phi0_of, g):
+    assert phi0_of(g) == 0.0
+
+
 def test_nothing_to_refine_is_typed(monkeypatch):
     monkeypatch.setattr(oracle, "_brackets", lambda psi, thetas: [])
     with pytest.raises(ShootNoMatchError):

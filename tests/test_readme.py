@@ -1,4 +1,4 @@
-"""The README's citations resolve.
+"""The README's citations resolve, and its CLI lines run.
 
 The README is an index: it states a contract per entry point and cites,
 for each figure, the test, check or layer-timer key that produces it.
@@ -18,9 +18,13 @@ import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import srdist
+from srdist import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,3 +107,16 @@ def test_each_fabricated_citation_is_reported():
         "no name oracle.NOWHERE",
         "no oracle_layers key nowhere",
     ]
+
+
+def _cli_lines() -> list[str]:
+    """The `srdist ...` lines of the sh block under the README's `## CLI` heading."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.S | re.M).group(1)
+    return [line for line in block.splitlines() if line.startswith("srdist ")]
+
+
+@pytest.mark.parametrize("line", _cli_lines())
+def test_readme_cli_lines_run(capsys, line):
+    assert cli.main(shlex.split(line)[1:]) == 0
+    assert capsys.readouterr().out
