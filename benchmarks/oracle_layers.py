@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 benchmarks/oracle_layers.py [BASE] [--seed S] [--rounds N]
+    python3 benchmarks/oracle_layers.py [BASE] [--seed S] [--rounds N] [--out PATH]
 
 Draws N Haar SU(2) targets and N Haar rotations from default_rng(S)
 (S = 0 by default), shoots each once while recording the arguments of
@@ -35,7 +35,9 @@ strata take about 2 arc evaluations per solve, where a Haar draw takes
 about 4.  `perfbench_distance_edge` and `perfbench_oracle` time
 perfbench's op of the `distance-edge` and `oracle` workloads on the
 workload's pool for the seed (`perfbench/workloads.py`, the only
-perfbench module imported).
+perfbench module imported), repeated until a batch holds at least N
+calls, as a layer batch does: the `oracle` pool of 16 ops runs 13 times
+per batch, the `distance-edge` pool of 2,176 once.
 
 Besides the times, `calls` counts each recorded layer's calls over all
 the shots, and `solves_per_shot` gives the `_solve` calls per Haar SU(2)
@@ -61,6 +63,12 @@ counts, the keys whose function BASE lacks (skipped) and, per key,
 if any output differs, 2 if BASE cannot be archived or the working tree
 cannot time a layer it records.  `oracle_layers.py HEAD` on a clean tree
 is a null run: its ratios are each key's noise.
+
+The line ends with a `stamp` of the run: the checkout's git SHA and
+whether its tracked files differ from it (`dirty`), Python, numpy,
+machine, CPU count, seed and rounds; with BASE, `base` also holds the
+SHA that BASE names.  It goes to stdout, or with `--out PATH` to PATH,
+which is how a committed `BENCH_<n>.json` trajectory file is written.
 """
 import argparse
 import functools
@@ -69,6 +77,7 @@ import importlib.util
 import json
 import math
 import operator
+import os
 import platform
 import statistics
 import subprocess
@@ -104,6 +113,23 @@ KEYS = {
     "classify_cut_locus_so3": ("cutlocus", "classify_cut_locus_so3", "so3"),
 }
 PERFBENCH = {"perfbench_distance_edge": "distance-edge", "perfbench_oracle": "oracle"}
+
+
+def git(*args: str) -> str | None:
+    """The stripped stdout of a git command in the checkout, or None if it fails."""
+    try:
+        out = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+    except OSError:
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def stamp(seed: int, rounds: int) -> dict:
+    """The provenance of a run: git SHA and dirty flag (None outside a git checkout), versions, machine, seed, rounds."""
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"git_sha": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status),
+            "python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine(),
+            "cpu_count": os.cpu_count(), "seed": seed, "rounds": rounds}
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -229,6 +255,18 @@ def tree(api, inputs: dict, pools: dict) -> tuple[dict, dict]:
     return batches | {key: _batch(functools.partial(op, api), pool) for key, (op, pool) in pools.items()}, counts
 
 
+def perfbench_pools(seed: int) -> dict:
+    """Per perfbench key, the workload's op and its pool for the seed, repeated whole until it holds at least N calls."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    pools = {}
+    for key, name in PERFBENCH.items():
+        pool = [(kind, x) for kind, _, x in workloads.make_pool(name, seed)]
+        pools[key] = (workloads.WORKLOADS[name].op, pool * -(-N // len(pool)))
+    return pools
+
+
 def interleave(sides: list[dict], rounds: int, clock=time.perf_counter) -> tuple[list[dict], list[dict]]:
     """Each side's batch seconds per round and outputs of round 0, by key, for the keys every side has.
 
@@ -281,16 +319,13 @@ def main(argv=None) -> int:
     parser.add_argument("base", nargs="?", metavar="BASE", help="git revision to compare the working tree against")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--out", metavar="PATH", help="write the JSON line to PATH instead of stdout")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
-    pools = {key: (workloads.WORKLOADS[name].op, [(kind, x) for kind, _, x in workloads.make_pool(name, args.seed)])
-             for key, name in PERFBENCH.items()}
+    pools = perfbench_pools(args.seed)
     # The extracted copy stays on disk for the run, in case a submodule is imported lazily.
     with tempfile.TemporaryDirectory() as tmp:
         apis = [load("srdist", ROOT / "src" / "srdist")]
@@ -305,18 +340,22 @@ def main(argv=None) -> int:
         seconds, first = interleave(batches, args.rounds)
 
     result = {"us_per_call": us_per_call(seconds[0], first[0]), **counts[0],
-              "targets": {k: len(inputs[k]) for k in ("su2", "so3", "axis1", "tiny_b", "edge")} | {"seed": args.seed},
-              "rounds": args.rounds, "python": platform.python_version(), "numpy": np.__version__,
-              "machine": platform.machine()}
+              "targets": {k: len(inputs[k]) for k in ("su2", "so3", "axis1", "tiny_b", "edge")},
+              "stamp": stamp(args.seed, args.rounds)}
     code = 0
     if args.base:
-        result["base"] = {"rev": args.base, "us_per_call": us_per_call(seconds[1], first[1]), **counts[1],
+        result["base"] = {"rev": args.base, "sha": git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
+                          "us_per_call": us_per_call(seconds[1], first[1]), **counts[1],
                           "missing": [k for k in batches[0] if k not in batches[1]]}
         result["ab"], code = compare(seconds, first)
         if code:
             print("outputs differ on: " + ", ".join(f"{k} ({row['differ']} of {len(first[0][k])})"
                                                     for k, row in result["ab"].items() if row.get("differ")), file=sys.stderr)
-    print(json.dumps(result))
+    line = json.dumps(result)
+    if args.out:
+        Path(args.out).write_text(line + "\n", encoding="utf-8")
+    else:
+        print(line)
     return code
 
 

@@ -54,12 +54,16 @@ is an exact negation, and its pi*(1 + sigma) = 2*pi at tau' >= 0 is
 added to the same value.  Each crossing of
 a lift's level arg(A) + 2*pi*n between neighbouring samples brackets a
 root (`_brackets`), solved in one dimension on F = psi - level
-(`_solve`).  A root counts only if its endpoint
-(`geodesics.endpoint_coords`) is within REFINED_TOL of the target in
-all four coordinates.  With B = 0 (the Loc stratum) there is no loop:
-a minimizer reaches B = 0 only at t = 0 or at its cut time u = pi,
-where A = -exp(-i*pi*beta/s) for every phi0, and each lift's one root
-inverts that phase (`_cut_root`).  At a tiny normal |B| a root lies
+(`_solve`).  The theorem above makes almost every sampled row
+non-decreasing, and `_brackets` finds such a row's one crossing per
+level by bisection; a row that falls anywhere, as one at |B| = 1e-160
+does by a subnormal next to tau' = 0, is walked sample by sample.  Both
+give the same brackets, so the oracle still assumes no monotonicity.
+A root counts only if its endpoint (`geodesics.endpoint_coords`) is
+within REFINED_TOL of the target in all four coordinates.  With B = 0
+(the Loc stratum) there is no loop: a minimizer reaches B = 0 only at
+t = 0 or at its cut time u = pi, where A = -exp(-i*pi*beta/s) for
+every phi0, and each lift's one root inverts that phase (`_cut_root`).  At a tiny normal |B| a root lies
 far out in beta, many halvings below the samples in tau', so `_solve`
 splits such a bracket at the geometric mean of its ends (`_WIDE_BETA`).
 
@@ -77,6 +81,7 @@ the scan's time.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import atan2, copysign, cos, hypot, inf, pi, sin, sqrt, tau, ulp
 
@@ -225,19 +230,29 @@ def _brackets(psi: tuple, thetas: list[float]) -> list:
     F_j+1) with tau' from `_TAU`, the bracket of a `_solve`.  A lift's
     levels are theta + 2*pi*n, theta = arg(A) of the lift, and F = psi -
     level.  psi lies in (-pi, 5*pi/2), so n = -1, 0, 1 hold every
-    crossing.  A row crosses a level only if min(row) <= level < max(row);
-    there every change of `level < psi` between neighbouring samples is a
-    crossing, found by `list.index`, so no monotonicity of psi is
-    assumed.  tau' = 0 is a sample, so no bracket straddles it, and t is
-    monotone over each bracket (module docstring).  The items hold Python
-    ints and floats, so the solves run in plain float arithmetic.
+    crossing.  Each row is sorted once: its first and last entries are
+    the row's min and max, and a row crosses a level only if min <= level
+    < max.  A row equal to its sorted copy is non-decreasing, so it
+    crosses each such level once, at j = `bisect_right(row, level)`, the
+    first sample above it.  On any other row every change of `level <
+    psi` between neighbouring samples is a crossing, found by walking
+    with `list.index`.  Both find the same brackets on a non-decreasing
+    row, so no monotonicity of psi is assumed: a rising row is only
+    served faster.  tau' = 0 is a sample, so no bracket straddles it, and
+    t is monotone over each bracket (module docstring).  The items hold
+    Python ints and floats, so the solves run in plain float arithmetic.
     """
     levels = [(lift, n, theta + tau * n) for lift, theta in enumerate(thetas) for n in (-1, 0, 1)]
     out = []
     for row, phases in enumerate(psi):
-        lo, hi = min(phases), max(phases)
+        ordered = sorted(phases)
+        lo, hi, rising = ordered[0], ordered[-1], ordered == phases
         for lift, n, level in levels:
             if not lo <= level < hi:
+                continue
+            if rising:
+                j = bisect_right(phases, level)
+                out.append((lift, row, n, (_TAU[j - 1], _TAU[j], phases[j - 1] - level, phases[j] - level)))
                 continue
             # The sentinel past the last sample ends the walk at j = len(phases).
             above = [level < p for p in phases]

@@ -1,18 +1,22 @@
-"""The timing loop of `benchmarks/oracle_layers.py`, on two fake trees.
+"""The timing loop of `benchmarks/oracle_layers.py`, on two fake trees; its perfbench batches and its stamp.
 
 The script is loaded by file path.  Each fake batch logs which side ran
 it, moves a fake clock by a set number of seconds and returns set
 outputs, so the loop's order, its least-time rule and its output
-comparison are checked without git or any srdist timing.
+comparison are checked without git or any srdist timing.  One run of
+the script itself, at one round, checks the line `--out` writes.
 """
 import importlib.util
+import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "oracle_layers", Path(__file__).resolve().parents[1] / "benchmarks" / "oracle_layers.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("oracle_layers", ROOT / "benchmarks" / "oracle_layers.py")
 oracle_layers = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracle_layers)
 
@@ -103,3 +107,31 @@ def test_bad_arguments_are_usage_errors(argv, capsys):
         oracle_layers.main(argv)
     assert exc.value.code == 2
     assert "error: --" in capsys.readouterr().err
+
+
+def test_perfbench_batches_hold_at_least_a_layer_batch():
+    # A batch of the 16-op oracle pool took 16 calls, too few to time
+    # steadily; each pool now repeats whole up to N calls.
+    pools = oracle_layers.perfbench_pools(0)
+    import workloads  # on sys.path once perfbench_pools has run
+
+    for key, name in oracle_layers.PERFBENCH.items():
+        kinds = [kind for kind, _, _ in workloads.make_pool(name, 0)]
+        calls = pools[key][1]
+        assert len(calls) >= oracle_layers.N > len(calls) - len(kinds), key
+        assert [kind for kind, _ in calls] == kinds * (len(calls) // len(kinds)), key
+    assert len(pools["perfbench_oracle"][1]) == 208
+
+
+def test_out_writes_the_line_with_its_stamp(tmp_path, child_env):
+    out = tmp_path / "bench.json"
+    run = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "oracle_layers.py"), "--rounds", "1", "--seed", "3",
+                          "--out", str(out)], capture_output=True, text=True, cwd=ROOT, env=child_env)
+    assert (run.returncode, run.stdout) == (0, "")
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1
+    stamp = json.loads(lines[0])["stamp"]
+    assert set(stamp) == {"git_sha", "dirty", "python", "numpy", "machine", "cpu_count", "seed", "rounds"}
+    assert (stamp["seed"], stamp["rounds"]) == (3, 1)
+    assert stamp["git_sha"] is None or re.fullmatch(r"[0-9a-f]{40}", stamp["git_sha"])
+    assert stamp["dirty"] in (None, True, False)

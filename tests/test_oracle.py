@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from srdist import BACKEND, oracle
-from srdist.algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, random_su2
+from srdist.algebra import SO3Element, SU2Element, cover_pair, klein_omega, lift_so3, random_so3, random_su2
 from srdist.cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3
 from srdist.geodesics import (
     GeodesicParams,
@@ -652,10 +652,22 @@ def test_least_time_bounds_every_root(kind):
             assert oracle._least_time(a, b, row, bracket) <= t, (g, row)
 
 
+def _scan_and_lifts(g):
+    """(scan_su2 rows, [arg A of g, arg A of -g]) of an SU(2) target."""
+    psi = oracle.scan_su2(math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im))
+    return psi, [math.atan2(g.a_im, g.a_re), math.atan2(-g.a_im, -g.a_re)]
+
+
 def test_brackets_find_every_crossing():
     # Every change of level < psi between neighbouring samples is a
     # bracket, on rows that need not rise: random rows, rows that touch a
-    # level at their min, and the scans of Haar targets.
+    # level at their min, and the scans of Haar targets.  A non-decreasing
+    # row is searched by bisection and any other row walked, so the cases
+    # also hold non-decreasing rows with ties (levels on a tied value),
+    # rising rows with one descent (a level in it crosses three times),
+    # the tiny-|B| scans, whose rows at |B| = 1e-160 fall by a subnormal
+    # next to tau' = 0, and the scans at 1 - |A| = 1e-15, half of whose
+    # rows hold ties.
     rng = np.random.default_rng(85)
     cases = []
     for _ in range(200):
@@ -663,8 +675,23 @@ def test_brackets_find_every_crossing():
         cases.append(([rng.uniform(-math.pi, 2.5 * math.pi, 17).tolist() for _ in range(2)], thetas))
     cases.append(([[0.0] * 17, [0.0, 1.0] * 8 + [0.0]], [0.0, math.pi]))  # a level at a row's min
     for g in (random_su2(rng) for _ in range(50)):
-        psi = oracle.scan_su2(math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im))
-        cases.append((psi, [math.atan2(g.a_im, g.a_re), math.atan2(-g.a_im, -g.a_re)]))
+        cases.append(_scan_and_lifts(g))
+    for _ in range(50):
+        rows = [sorted(rng.integers(-3, 8, 17).astype(float).tolist()) for _ in range(2)]
+        cases.append((rows, rng.integers(-3, 4, 2).astype(float).tolist()))
+    for _ in range(50):
+        rows = [sorted(rng.uniform(-math.pi, 2.5 * math.pi, 17).tolist()) for _ in range(2)]
+        j = int(rng.integers(0, 16))
+        rows[0][j], rows[0][j + 1] = rows[0][j + 1], rows[0][j]
+        mid = 0.5 * (rows[0][j] + rows[0][j + 1])
+        cases.append((rows, [mid - math.tau * round(mid / math.tau), rng.uniform(-math.pi, math.pi)]))
+    cases += [_scan_and_lifts(g) for k in _TINY_B_EXPONENTS for g in _tiny_b_pairs(k)]
+    d = 1e-15
+    cases += [_scan_and_lifts(_pair(1.0 - d, math.sqrt(d * (2.0 - d)), *rng.uniform(-math.pi, math.pi, 2)))
+              for _ in range(20)]
+    rows = [phases for psi, _ in cases for phases in psi]
+    assert sum(sorted(phases) != phases for phases in rows) > 200  # walked
+    assert sum(sorted(phases) == phases and len(set(phases)) < 17 for phases in rows) > 100  # bisected, with ties
     for psi, thetas in cases:
         expected = []
         for row, phases in enumerate(psi):
@@ -676,6 +703,16 @@ def test_brackets_find_every_crossing():
                             bracket = (oracle._TAU[j], oracle._TAU[j + 1], phases[j] - level, phases[j + 1] - level)
                             expected.append((lift, row, n, bracket))
         assert sorted(oracle._brackets(psi, thetas)) == sorted(expected)
+
+
+def test_haar_scan_rows_rise():
+    # psi rises strictly along the loop (dpsi/dtau' > 0, module docstring of
+    # oracle), so every sampled row of a Haar target is non-decreasing: the
+    # rows `_brackets` bisects.
+    rng = np.random.default_rng(86)
+    for g in (random_su2(rng) for _ in range(2000)):
+        for phases in _scan_and_lifts(g)[0]:
+            assert sorted(phases) == phases, g
 
 
 def test_brackets_hold_python_numbers():
@@ -719,6 +756,35 @@ def test_tiny_b_shoots_on_both_groups(k):
             res, t = shoot(target), distance(target).t
             assert abs(res.t_min - t) <= 1e-12 * t, (k, g)
             assert len(res.minimizers) == 1, (k, g)
+
+
+def _round_distance(a_re, a_im, b_re, b_im):
+    """d_R = 2*atan2(hypot(Im A, |B|), Re A), the distance from the identity in the round metric of S^3."""
+    return 2.0 * math.atan2(math.hypot(a_im, math.hypot(b_re, b_im)), a_re)
+
+
+@pytest.mark.parametrize("kind", ["haar_su2", "haar_so3", "tiny_b_su2", "tiny_b_so3"])
+def test_t_min_respects_the_comparison_bound(kind):
+    # The sub-Riemannian metric is the bi-invariant one, in which p1, p2
+    # and p3 are orthonormal, restricted to the horizontal plane, so no
+    # horizontal curve is shorter than the round geodesic: t_min >= d_R.
+    # On SO(3) the nearer lift gives d_R with |Re A|.  The bound shares no
+    # code with the oracle.  Least relative gaps t_min/d_R - 1 here: 6.5e-8
+    # on Haar targets, 4.3e-7 on Haar rotations, 0.23 on the tiny-|B| pairs
+    # and 1.3 on their rotations.
+    rng = np.random.default_rng(7)
+    if kind.startswith("haar"):
+        targets = [random_su2(rng) for _ in range(2000)] if kind == "haar_su2" else [random_so3(rng) for _ in range(2000)]
+    else:
+        pairs = [g for k in _TINY_B_EXPONENTS for g in _tiny_b_pairs(k)]
+        targets = pairs if kind == "tiny_b_su2" else [klein_omega(g) for g in pairs]
+    for target in targets:
+        if kind.endswith("su2"):
+            t, d_r = shoot_min_time(target).t_min, _round_distance(target.a_re, target.a_im, target.b_re, target.b_im)
+        else:
+            a_re, a_im, b_re, b_im = cover_pair(target)
+            t, d_r = shoot_min_time_so3(target).t_min, _round_distance(abs(a_re), a_im, b_re, b_im)
+        assert t >= d_r * (1.0 - 4.0 * EPS), (kind, target)
 
 
 def _steep_endpoints(n):
