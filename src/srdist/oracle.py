@@ -27,9 +27,8 @@ meet at tau' = +-pi/2; psi gains 2*pi around the loop, lies in
 (-pi, 5*pi/2), and rises strictly along it, since dpsi/dtau' =
 (sin u - u cos u)/(b s^3) > 0 on branch 0 (u -> pi - u on branch 1).
 So each lift crosses one level and one geodesic is minimizing: the
-paper's theorem that the SU(2) cut locus is B = 0.
-`verify.check_oracle` counts one crossing per lift; the oracle does not
-assume it, and solves every bracket that can hold a minimizer.
+paper's theorem that the SU(2) cut locus is B = 0.  The oracle uses the
+rise, one bisection of the loop per lift, and the checks below test it.
 
 On the loop t = 2u/s on branch 0 and 2(pi - u)/s on branch 1, that is
 2b*u/sin(u) and 2b*(pi - u)/sin(u).  u/sin(u) rises on (0, pi) and u
@@ -51,26 +50,36 @@ evaluates u and d at the 9 distinct |tau'| and writes each phase to both
 of its slots.  Its rows equal the per-sample formula to the bit: that
 formula takes the same cos and |sin| at -tau' and tau', its sigma = -1
 is an exact negation, and its pi*(1 + sigma) = 2*pi at tau' >= 0 is
-added to the same value.  Each crossing of
-a lift's level arg(A) + 2*pi*n between neighbouring samples brackets a
-root (`_brackets`), solved in one dimension on F = psi - level
-(`_solve`).  The theorem above makes almost every sampled row
-non-decreasing, and `_brackets` finds such a row's one crossing per
-level by bisection; a row that falls anywhere, as one at |B| = 1e-160
-does by a subnormal next to tau' = 0, is walked sample by sample.  Both
-give the same brackets, so the oracle still assumes no monotonicity.
-A root counts only if its endpoint (`geodesics.endpoint_coords`) is
-within REFINED_TOL of the target in all four coordinates.  With B = 0
-(the Loc stratum) there is no loop: a minimizer reaches B = 0 only at
-t = 0 or at its cut time u = pi, where A = -exp(-i*pi*beta/s) for
-every phi0, and each lift's one root inverts that phase (`_cut_root`).  At a tiny normal |B| a root lies
-far out in beta, many halvings below the samples in tau', so `_solve`
-splits such a bracket at the geometric mean of its ends (`_WIDE_BETA`).
+added to the same value.
+
+Row 1's first sample is row 0's last, to the bit, so the rows join into
+one closed loop, which rises and gains 2*pi.  A lift's level is arg(A),
+or arg(A) + 2*pi when arg(A) lies below the loop's first sample, and one
+bisection finds the samples that bracket its one crossing
+(`_brackets`), a root solved in one dimension on F = psi - level
+(`_solve`).  As |B| -> 0 the loop's first sample, -pi/(2*w), nears 0,
+and a level arg(A) + 2*pi can round onto the loop's last sample: it has
+no bracket, and the shot raises ShootNoMatchError rather than answer
+with the other lift alone.  A root counts only if its endpoint
+(`geodesics.endpoint_coords`) is within REFINED_TOL of the target in all
+four coordinates.  With B = 0 (the Loc stratum) there is no loop: a
+minimizer reaches B = 0 only at t = 0 or at its cut time u = pi, where
+A = -exp(-i*pi*beta/s) for every phi0, and each lift's one root inverts
+that phase (`_cut_root`).  At a tiny normal |B| a root lies far out in
+beta, many halvings below the samples in tau', so `_solve` splits such
+a bracket at the geometric mean of its ends (`_WIDE_BETA`).
 
 The oracle shares only these geodesic formulas with the case analysis,
 and imports neither distance module.  So it checks independently what
-the case analysis decides: the branch (it brackets every crossing on
-the whole loop), the monotone solve and the closed-form time.
+the case analysis decides: the branch (it searches the whole loop), the
+monotone solve and the closed-form time.  What it relies on instead is
+the rise of psi, a theorem about the geodesics, and that is checked on
+its own: `verify.check_oracle` counts sampled loops that fall, and
+`tests/test_oracle.py::test_scan_loops_rise_on_the_whole_input_family`
+scans 50,000 values of |B|, each with |A| and its neighbouring floats.
+Every loop rises but for falls between two subnormal samples, at |B|
+from about 1e-162 to 1e-154, where w overflows; a bisection there still
+brackets a sign change of F.
 
 Everything runs in plain Python floats: on 17 samples a numpy call
 costs more than its arithmetic.  For the same reason psi is written
@@ -118,11 +127,14 @@ _TRIG = tuple((_MID - k, _MID + k, 0.0 if k == _MID else cos(_TAU[_MID + k]), si
 
 
 class ShootNoMatchError(RuntimeError):
-    """No root reached the target, or its least time is within REFINED_TOL of the identity's t = 0.
+    """No root reached the target, its least time is within REFINED_TOL of t = 0, or a lift has no bracket.
 
-    The 4-D gate cannot tell such a target from the identity: the
-    identity itself on both groups, and B = 0 with |arg A| below about
-    4e-26, where t = 2*sqrt(|arg A|*(2*pi - |arg A|)) <= REFINED_TOL.
+    The 4-D gate cannot tell a target of such a least time from the
+    identity: the identity itself on both groups, and B = 0 with |arg A|
+    below about 4e-26, where t = 2*sqrt(|arg A|*(2*pi - |arg A|)) <=
+    REFINED_TOL.  A lift has no bracket when its level arg(A) + 2*pi
+    rounds onto or past the loop's last sample (`_brackets`): at small
+    |B|, with arg(A) just below the loop's first sample, -pi/(2*w).
     """
 
 
@@ -224,43 +236,34 @@ def _cut_root(theta: float) -> tuple[float, float]:
 
 
 def _brackets(psi: tuple, thetas: list[float]) -> list:
-    """(lift, row, n, bracket) for each crossing of a level between samples j and j + 1 of a row.
+    """(lift, row, n, bracket) for each lift's one crossing of its level between samples j and j + 1 of a row.
 
     psi is the rows of `scan_su2`, and bracket is (tau'_j, tau'_j+1, F_j,
-    F_j+1) with tau' from `_TAU`, the bracket of a `_solve`.  A lift's
-    levels are theta + 2*pi*n, theta = arg(A) of the lift, and F = psi -
-    level.  psi lies in (-pi, 5*pi/2), so n = -1, 0, 1 hold every
-    crossing.  Each row is sorted once: its first and last entries are
-    the row's min and max, and a row crosses a level only if min <= level
-    < max.  A row equal to its sorted copy is non-decreasing, so it
-    crosses each such level once, at j = `bisect_right(row, level)`, the
-    first sample above it.  On any other row every change of `level <
-    psi` between neighbouring samples is a crossing, found by walking
-    with `list.index`.  Both find the same brackets on a non-decreasing
-    row, so no monotonicity of psi is assumed: a rising row is only
-    served faster.  tau' = 0 is a sample, so no bracket straddles it, and
-    t is monotone over each bracket (module docstring).  The items hold
-    Python ints and floats, so the solves run in plain float arithmetic.
+    F_j+1) with tau' from `_TAU`, the bracket of a `_solve`, and F = psi -
+    level.  Row 1's first sample equals row 0's last to the bit, so the
+    rows join into the closed loop psi[0] + psi[1][1:], which rises and
+    gains 2*pi (module docstring).  A lift's level is theta + 2*pi*n, theta
+    = arg(A) of the lift, with n = 1 when theta lies below the loop's first
+    sample and n = 0 otherwise, so the loop crosses it once, at j =
+    `bisect_right(loop, level)`, the first sample above it.  On a loop that
+    fell somewhere that j would still bracket a sign change of F.  A level
+    that rounds onto or past the loop's last sample has no bracket, and
+    raises ShootNoMatchError.  tau' = 0 is a sample, so no bracket
+    straddles it, and t is monotone over each bracket (module docstring).
+    The items hold Python ints and floats, so the solves run in plain float
+    arithmetic.
     """
-    levels = [(lift, n, theta + tau * n) for lift, theta in enumerate(thetas) for n in (-1, 0, 1)]
+    loop = psi[0] + psi[1][1:]
     out = []
-    for row, phases in enumerate(psi):
-        ordered = sorted(phases)
-        lo, hi, rising = ordered[0], ordered[-1], ordered == phases
-        for lift, n, level in levels:
-            if not lo <= level < hi:
-                continue
-            if rising:
-                j = bisect_right(phases, level)
-                out.append((lift, row, n, (_TAU[j - 1], _TAU[j], phases[j - 1] - level, phases[j] - level)))
-                continue
-            # The sentinel past the last sample ends the walk at j = len(phases).
-            above = [level < p for p in phases]
-            above.append(not above[-1])
-            j = above.index(not above[0])
-            while j < len(phases):
-                out.append((lift, row, n, (_TAU[j - 1], _TAU[j], phases[j - 1] - level, phases[j] - level)))
-                j = above.index(not above[j], j)
+    for lift, theta in enumerate(thetas):
+        n = 1 if theta < loop[0] else 0
+        level = theta + tau * n
+        j = bisect_right(loop, level)
+        if j == len(loop):
+            raise ShootNoMatchError(f"level {level!r} of lift {lift} is not below the loop's last sample "
+                                    f"{loop[-1]!r}: its crossing rounds onto the loop's end")
+        row, k = (0, j) if j <= LOOP_FLOOR else (1, j - LOOP_FLOOR)
+        out.append((lift, row, n, (_TAU[k - 1], _TAU[k], loop[j - 1] - level, loop[j] - level)))
     return out
 
 
@@ -338,7 +341,7 @@ def _shoot(targets: list[tuple]) -> ShootResult:
         roots = [_hit(target, *_cut_root(theta)) for target, theta in zip(targets, thetas)]
     else:
         brackets = _brackets(scan_su2(a, b), thetas)
-        ranked = zip((0.0,), brackets)  # one bracket or none: nothing to rank
+        ranked = zip((0.0,), brackets)  # one bracket: nothing to rank
         if len(brackets) > 1:
             ranked = sorted(zip([_least_time(a, b, row, bracket) for _, row, _, bracket in brackets], brackets))
         roots, t_best = [], inf
@@ -352,8 +355,8 @@ def _shoot(targets: list[tuple]) -> ShootResult:
 
     exact = [(_mod_tau(phi0), beta, t) for (phi0, beta, t), dev in roots if dev <= REFINED_TOL]
     if not exact:
-        best = f"best deviation {min(dev for _, dev in roots):.3e}" if roots else "no roots"
-        raise ShootNoMatchError(f"no root within {REFINED_TOL} of the target ({best})")
+        best = min(dev for _, dev in roots)
+        raise ShootNoMatchError(f"no root within {REFINED_TOL} of the target (best deviation {best:.3e})")
     if len(exact) > 1:
         exact.sort(key=lambda p: (p[2], p[0], p[1]))
     t_min = exact[0][2]

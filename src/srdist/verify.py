@@ -17,17 +17,18 @@ calls them with each criterion's own seed, count and tolerance:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .algebra import SO3Element, SU2Element, klein_omega, lift_so3, random_so3, random_su2
+from .algebra import SO3Element, SU2Element, cover_pair, klein_omega, lift_so3, random_so3, random_su2
 from .cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3, in_cut_locus_su2_l2
 from .geodesics import GeodesicParams, cut_time_bound, endpoint_coords, geodesic_point, geodesic_point_exp
 from .flawed_system import demonstrate_br_nonuniqueness
-from .oracle import REFINED_TOL, ShootNoMatchError, _brackets, scan_su2, shoot_min_time, shoot_min_time_so3
-from .so3_distance import distance_so3, distance_so3_via_lifts, lift_distance_results
+from .oracle import REFINED_TOL, ShootNoMatchError, scan_su2, shoot_min_time, shoot_min_time_so3
+from .so3_distance import SO3_DIAMETER_BOUND, distance_so3, distance_so3_via_lifts, lift_distance_results
 from .su2_distance import (
     DistanceResult, arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short,
 )
@@ -142,22 +143,26 @@ def _tiny_b_pairs(k: int) -> list[SU2Element]:
 
 
 def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
-    """Shooting-oracle minimal times against the case-analysis distances, and SU(2) uniqueness.
+    """Shooting-oracle minimal times against the case-analysis distances and two bounds, and SU(2) uniqueness.
 
-    n Haar SU(2) targets, then n Haar rotations.  Then the level crossings
-    the oracle's scan brackets on both lifts g, -g of the Haar targets, n
-    steep and n near-identity (t = 10^U(-8, -2)) geodesic endpoints and
-    max(1, n // 10) pairs at each |A|, 1 - |A| = 1e-1 ... 1e-12: off B = 0,
-    the SU(2) cut locus, each lift crosses one level.  Last, with no
+    n Haar SU(2) targets, then n Haar rotations.  Then the loops the
+    oracle's scan samples for the Haar targets, n steep and n
+    near-identity (t = 10^U(-8, -2)) geodesic endpoints and max(1, n // 10)
+    pairs at each |A|, 1 - |A| = 1e-1 ... 1e-12: off B = 0, the SU(2) cut
+    locus, psi rises along the loop, so each lift crosses one level and
+    the oracle bisects for it; a loop that falls is counted.  Last, with no
     draw, the minimal times at the `_tiny_b_pairs` and their rotations.
-    A shot that raises ShootNoMatchError is left out of its record and
-    counted in one more, failing, record (`_failed_shots`).
+    Every shot's t_min is checked against the round-metric bound d_R*(1 -
+    4 eps) (`_round_distance`), and every SO(3) shot's against the SO(3)
+    diameter pi*sqrt(3).  A shot that raises ShootNoMatchError is left out
+    of its records and counted in one more, failing, record
+    (`_failed_shots`).
     """
     failed: list = []
     targets = [random_su2(rng) for _ in range(n)]
-    gaps = [r.t_min - distance_su2(g).t for g, r in _shots(shoot_min_time, targets, failed)]
+    haar = list(_shots(shoot_min_time, targets, failed))
     rotations = [random_so3(rng) for _ in range(n)]
-    gaps_so3 = [r.t_min - distance_so3(c).t for c, r in _shots(shoot_min_time_so3, rotations, failed)]
+    haar_so3 = list(_shots(shoot_min_time_so3, rotations, failed))
     for _ in range(n):
         beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.8, 3.5)
         t = rng.uniform(0.05, 0.97) * cut_time_bound(beta)
@@ -167,28 +172,50 @@ def check_oracle(rng: np.random.Generator, n: int) -> list[CheckResult]:
     for d in [10.0**-k for k in range(1, 13)] * max(1, n // 10):
         targets.append(_pair(d, math.sqrt((1.0 - d) * (1.0 + d)), *rng.uniform(-math.pi, math.pi, 2)))
         targets.append(_pair(1.0 - d, math.sqrt(d * (2.0 - d)), *rng.uniform(-math.pi, math.pi, 2)))
-    lifts = [h for g in targets for h in (g, g.negate())]
-    miscounts = sum(_crossing_count(h) != 1 for h in lifts)
+    loops = [_loop(scan_su2(math.hypot(g.a_re, g.a_im), math.hypot(g.b_re, g.b_im))) for g in targets]
+    falls = sum(sorted(loop) != loop for loop in loops)
     tiny = [g for k in _TINY_B_EXPONENTS for g in _tiny_b_pairs(k)]
-    gaps_tiny = [r.t_min - distance_su2(g).t for g, r in _shots(shoot_min_time, tiny, failed)]
-    gaps_tiny += [
-        r.t_min - distance_so3(c).t for c, r in _shots(shoot_min_time_so3, map(klein_omega, tiny), failed)
-    ]
+    tiny_su2 = list(_shots(shoot_min_time, tiny, failed))
+    tiny_so3 = list(_shots(shoot_min_time_so3, map(klein_omega, tiny), failed))
+    gaps_tiny = [r.t_min - distance_su2(g).t for g, r in tiny_su2] + [r.t_min - distance_so3(c).t for c, r in tiny_so3]
+    shots_so3 = haar_so3 + tiny_so3
+    d_rs = [_round_distance(g.a_re, g.a_im, g.b_re, g.b_im) for g, _ in haar + tiny_su2]
+    d_rs += [_round_distance(abs(a_re), a_im, b_re, b_im) for a_re, a_im, b_re, b_im in (cover_pair(c) for c, _ in shots_so3)]
+    t_mins = [r.t_min for _, r in haar + tiny_su2 + shots_so3]
+    below = sum(t < d_r * (1.0 - 4.0 * sys.float_info.epsilon) for t, d_r in zip(t_mins, d_rs))
     return [
-        CheckResult(f"oracle vs case analysis ({n} targets)", _worst(gaps), 1e-12),
-        CheckResult(f"SO(3) oracle vs case analysis ({n} rotations)", _worst(gaps_so3), 1e-12),
-        CheckResult(f"lifts off B = 0 with a crossing count other than one ({len(lifts)} lifts)", miscounts, 0),
+        CheckResult(f"oracle vs case analysis ({n} targets)", _worst([r.t_min - distance_su2(g).t for g, r in haar]), 1e-12),
+        CheckResult(
+            f"SO(3) oracle vs case analysis ({n} rotations)",
+            _worst([r.t_min - distance_so3(c).t for c, r in haar_so3]), 1e-12,
+        ),
+        CheckResult(f"sampled loops off B = 0 that fall ({len(loops)} loops)", falls, 0),
         CheckResult(
             f"oracle vs case analysis at |B| = 1e-36 ... 1e-308 ({len(tiny)} targets and their rotations)",
             _worst(gaps_tiny), 1e-12,
         ),
+        CheckResult(f"oracle shots below the round-metric bound d_R*(1 - 4 eps) ({len(t_mins)} shots)", below, 0),
+        CheckResult(
+            f"largest SO(3) oracle t_min, against the diameter pi*sqrt(3) ({len(shots_so3)} shots)",
+            max((r.t_min for _, r in shots_so3), default=0.0), SO3_DIAMETER_BOUND,
+        ),
     ] + _failed_shots(failed)
 
 
-def _crossing_count(h: SU2Element) -> int:
-    """The level crossings arg(A) + 2*pi*n that the oracle's scan brackets for the one lift h."""
-    psi = scan_su2(math.hypot(h.a_re, h.a_im), math.hypot(h.b_re, h.b_im))
-    return len(_brackets(psi, [math.atan2(h.a_im, h.a_re)]))
+def _round_distance(a_re: float, a_im: float, b_re: float, b_im: float) -> float:
+    """d_R = 2*atan2(hypot(Im A, |B|), Re A), the distance from the identity in the round metric of S^3.
+
+    The sub-Riemannian metric restricts the bi-invariant one, in which p1,
+    p2 and p3 are orthonormal, to the horizontal plane, so no horizontal
+    curve is shorter: d >= d_R on SU(2), and on SO(3) with |Re A| of
+    either lift.
+    """
+    return 2.0 * math.atan2(math.hypot(a_im, math.hypot(b_re, b_im)), a_re)
+
+
+def _loop(psi: tuple) -> list[float]:
+    """The closed loop of `scan_su2`'s rows psi: row 1's first sample is row 0's last."""
+    return psi[0] + psi[1][1:]
 
 
 def _shots(shoot, targets, failed: list) -> Iterator[tuple]:

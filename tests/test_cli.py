@@ -369,9 +369,9 @@ def test_verify_oracle_reports_a_failed_shot(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--n", "5")
     assert code == 1
     lines = out.splitlines()
-    assert len(lines) == 5
-    assert all(line.startswith("[PASS] oracle: ") for line in lines[:4])
-    assert lines[4] == "[FAIL] oracle: oracle shots with no root at the target - 1 (tol 0)"
+    assert len(lines) == 7
+    assert all(line.startswith("[PASS] oracle: ") for line in lines[:6])
+    assert lines[6] == "[FAIL] oracle: oracle shots with no root at the target - 1 (tol 0)"
 
 
 def test_entry_point_subprocess(child_env):
@@ -390,5 +390,5 @@ def test_package_runs_as_module(child_env):
     )
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 6
     assert all(line.startswith("[PASS] oracle: ") for line in lines)

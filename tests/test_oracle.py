@@ -25,9 +25,9 @@ from srdist.oracle import (
     shoot_min_time,
     shoot_min_time_so3,
 )
-from srdist.so3_distance import distance_so3
+from srdist.so3_distance import SO3_DIAMETER_BOUND, distance_so3
 from srdist.su2_distance import distance_su2
-from srdist.verify import _TINY_B_EXPONENTS, _crossing_count, _half_turn, _pair, _tiny_b_pairs
+from srdist.verify import _TINY_B_EXPONENTS, _half_turn, _loop, _pair, _round_distance, _tiny_b_pairs
 
 EPS = np.finfo(float).eps
 
@@ -92,12 +92,6 @@ _PHI0_BELOW_ZERO = (
 @pytest.mark.parametrize("g", _PHI0_BELOW_ZERO, ids=["short", "a_zero"])
 def test_phi0_just_below_zero_is_zero(phi0_of, g):
     assert phi0_of(g) == 0.0
-
-
-def test_nothing_to_refine_is_typed(monkeypatch):
-    monkeypatch.setattr(oracle, "_brackets", lambda psi, thetas: [])
-    with pytest.raises(ShootNoMatchError):
-        shoot_min_time(SU2Element(0.6, 0.0, 0.8, 0.0))
 
 
 def test_solve_stops_on_a_bracket_it_cannot_split(monkeypatch):
@@ -658,61 +652,85 @@ def _scan_and_lifts(g):
     return psi, [math.atan2(g.a_im, g.a_re), math.atan2(-g.a_im, -g.a_re)]
 
 
+def _rises(loop):
+    """Whether loop is non-decreasing but between two samples below the normal floor in magnitude.
+
+    Such falls are the w overflow of ROADMAP's small open defects: past
+    |beta| of about 9.5e153, w = s*(s + |beta|) is inf, and next to tau' =
+    0 the loops at |B| from about 1e-162 to 1e-154 fall from one subnormal
+    to another.
+    """
+    tiny = sys.float_info.min
+    return sorted(loop) == loop or all(p <= q or max(abs(p), abs(q)) < tiny for p, q in zip(loop, loop[1:]))
+
+
 def test_brackets_find_every_crossing():
-    # Every change of level < psi between neighbouring samples is a
-    # bracket, on rows that need not rise: random rows, rows that touch a
-    # level at their min, and the scans of Haar targets.  A non-decreasing
-    # row is searched by bisection and any other row walked, so the cases
-    # also hold non-decreasing rows with ties (levels on a tied value),
-    # rising rows with one descent (a level in it crosses three times),
-    # the tiny-|B| scans, whose rows at |B| = 1e-160 fall by a subnormal
-    # next to tau' = 0, and the scans at 1 - |A| = 1e-15, half of whose
-    # rows hold ties.
+    # On a rising loop (`_rises`) each lift's level, arg(A), or arg(A) +
+    # 2*pi when arg(A) lies below the loop's first sample, is crossed where
+    # level < psi changes between neighbouring samples: once, or never when
+    # the level is not below the loop's last sample, where `_brackets`
+    # raises.
+    # The loops are the scans of Haar targets, loops of integers with ties
+    # (levels on a tied value), the tiny-|B| scans, the scans at 1 - |A| =
+    # 1e-15, half of whose rows hold ties, and a scan at |B| = 1e-10 whose
+    # level arg(A) + 2*pi = 2*pi - 1e-20 rounds onto the loop's end.
     rng = np.random.default_rng(85)
-    cases = []
-    for _ in range(200):
-        thetas = rng.uniform(-math.pi, math.pi, 2).tolist()
-        cases.append(([rng.uniform(-math.pi, 2.5 * math.pi, 17).tolist() for _ in range(2)], thetas))
-    cases.append(([[0.0] * 17, [0.0, 1.0] * 8 + [0.0]], [0.0, math.pi]))  # a level at a row's min
-    for g in (random_su2(rng) for _ in range(50)):
-        cases.append(_scan_and_lifts(g))
+    cases = [_scan_and_lifts(random_su2(rng)) for _ in range(50)]
     for _ in range(50):
-        rows = [sorted(rng.integers(-3, 8, 17).astype(float).tolist()) for _ in range(2)]
-        cases.append((rows, rng.integers(-3, 4, 2).astype(float).tolist()))
-    for _ in range(50):
-        rows = [sorted(rng.uniform(-math.pi, 2.5 * math.pi, 17).tolist()) for _ in range(2)]
-        j = int(rng.integers(0, 16))
-        rows[0][j], rows[0][j + 1] = rows[0][j + 1], rows[0][j]
-        mid = 0.5 * (rows[0][j] + rows[0][j + 1])
-        cases.append((rows, [mid - math.tau * round(mid / math.tau), rng.uniform(-math.pi, math.pi)]))
+        loop = sorted(rng.integers(-3, 8, 33).astype(float).tolist())
+        cases.append(((loop[:17], loop[16:]), rng.integers(-3, 4, 2).astype(float).tolist()))
     cases += [_scan_and_lifts(g) for k in _TINY_B_EXPONENTS for g in _tiny_b_pairs(k)]
     d = 1e-15
     cases += [_scan_and_lifts(_pair(1.0 - d, math.sqrt(d * (2.0 - d)), *rng.uniform(-math.pi, math.pi, 2)))
               for _ in range(20)]
-    rows = [phases for psi, _ in cases for phases in psi]
-    assert sum(sorted(phases) != phases for phases in rows) > 200  # walked
-    assert sum(sorted(phases) == phases and len(set(phases)) < 17 for phases in rows) > 100  # bisected, with ties
+    cases.append(_scan_and_lifts(_pair(math.sqrt(1.0 - 1e-20), 1e-10, -1e-20, 0.7)))
+    loops = [_loop(psi) for psi, _ in cases]
+    assert all(_rises(loop) for loop in loops)
+    assert sum(len(set(loop)) < len(loop) for loop in loops) > 50  # ties
+    raised = 0
     for psi, thetas in cases:
-        expected = []
-        for row, phases in enumerate(psi):
-            for lift, theta in enumerate(thetas):
-                for n in (-1, 0, 1):
-                    level = theta + math.tau * n
-                    for j in range(16):
-                        if (level < phases[j]) != (level < phases[j + 1]):
-                            bracket = (oracle._TAU[j], oracle._TAU[j + 1], phases[j] - level, phases[j + 1] - level)
-                            expected.append((lift, row, n, bracket))
-        assert sorted(oracle._brackets(psi, thetas)) == sorted(expected)
+        loop, expected = _loop(psi), []
+        for lift, theta in enumerate(thetas):
+            n = int(theta < loop[0])
+            level = theta + math.tau * n
+            for j in range(len(loop) - 1):
+                if (level < loop[j]) != (level < loop[j + 1]):
+                    row, k = (0, j + 1) if j < oracle.LOOP_FLOOR else (1, j + 1 - oracle.LOOP_FLOOR)
+                    bracket = (oracle._TAU[k - 1], oracle._TAU[k], loop[j] - level, loop[j + 1] - level)
+                    expected.append((lift, row, n, bracket))
+        if len(expected) == len(thetas):
+            assert oracle._brackets(psi, thetas) == expected
+        else:
+            raised += 1
+            with pytest.raises(ShootNoMatchError, match="loop's end"):
+                oracle._brackets(psi, thetas)
+    assert raised >= 1
 
 
 def test_haar_scan_rows_rise():
     # psi rises strictly along the loop (dpsi/dtau' > 0, module docstring of
-    # oracle), so every sampled row of a Haar target is non-decreasing: the
-    # rows `_brackets` bisects.
+    # oracle), so every sampled row of a Haar target is non-decreasing.
     rng = np.random.default_rng(86)
     for g in (random_su2(rng) for _ in range(2000)):
         for phases in _scan_and_lifts(g)[0]:
             assert sorted(phases) == phases, g
+
+
+def test_scan_loops_rise_on_the_whole_input_family():
+    # scan_su2 reads |A| and |B| only, and a unit pair has |A| =
+    # sqrt(1 - |B|^2) up to rounding: 25,000 |B| log-spaced from the least
+    # normal float to 1 and 25,000 uniform on (0, 1], each with that |A|
+    # and its neighbouring floats.  Every loop is non-decreasing, the rise
+    # `_brackets` bisects, but for falls between two subnormal samples
+    # (`_rises`), and its rows meet bit-equal.
+    rng = np.random.default_rng(87)
+    abs_bs = np.logspace(math.log10(sys.float_info.min), 0.0, 25000).tolist() + (1.0 - rng.random(25000)).tolist()
+    for b in abs_bs:
+        a = math.sqrt((1.0 - b) * (1.0 + b))
+        for x in {math.nextafter(a, 0.0), a, math.nextafter(a, 2.0)}:
+            psi = oracle.scan_su2(x, b)
+            assert psi[0][-1].hex() == psi[1][0].hex(), (x, b)
+            assert _rises(_loop(psi)), (x, b)
 
 
 def test_brackets_hold_python_numbers():
@@ -758,11 +776,6 @@ def test_tiny_b_shoots_on_both_groups(k):
             assert len(res.minimizers) == 1, (k, g)
 
 
-def _round_distance(a_re, a_im, b_re, b_im):
-    """d_R = 2*atan2(hypot(Im A, |B|), Re A), the distance from the identity in the round metric of S^3."""
-    return 2.0 * math.atan2(math.hypot(a_im, math.hypot(b_re, b_im)), a_re)
-
-
 @pytest.mark.parametrize("kind", ["haar_su2", "haar_so3", "tiny_b_su2", "tiny_b_so3"])
 def test_t_min_respects_the_comparison_bound(kind):
     # The sub-Riemannian metric is the bi-invariant one, in which p1, p2
@@ -785,6 +798,38 @@ def test_t_min_respects_the_comparison_bound(kind):
             a_re, a_im, b_re, b_im = cover_pair(target)
             t, d_r = shoot_min_time_so3(target).t_min, _round_distance(abs(a_re), a_im, b_re, b_im)
         assert t >= d_r * (1.0 - 4.0 * EPS), (kind, target)
+
+
+# Pairs at |B| = 10^-k, k = 1, 10, ..., 307, arg B = 0.7 and arg A in 0,
+# +-3 and +-10^-k, k = 0, 5, ..., 320: where |B| is small and arg A lies
+# just below the loop's first sample, -pi/(2*w) at tau' = -pi/2, the
+# level arg(A) + 2*pi rounds onto the loop's end.
+_LOOP_END_GRID = [
+    _pair(math.sqrt((1.0 - b) * (1.0 + b)), b, alpha, 0.7)
+    for b in [10.0**-k for k in range(1, 308, 9)]
+    for alpha in [0.0, 3.0, -3.0] + [sign * 10.0**-k for k in range(0, 321, 5) for sign in (1.0, -1.0)]
+]
+
+
+def test_so3_shot_past_the_loop_end_raises():
+    # A lift whose level rounds onto the loop's end has no bracket, and the
+    # shot raises rather than answer with the other lift's root, about
+    # 2*pi, above the SO(3) diameter.  The shot either raises or matches
+    # the case analysis, except where |arg A| is below REFINED_TOL: there
+    # the 4-D gate cannot resolve arg A, and a root may come earlier than
+    # the distance (CHANGES.md, FOUND), so only its lateness is checked.
+    answered = 0
+    for g in _LOOP_END_GRID:
+        c = klein_omega(g)
+        try:
+            t = shoot_min_time_so3(c).t_min
+        except ShootNoMatchError:
+            continue
+        answered += 1
+        d = distance_so3(c).t
+        assert t <= SO3_DIAMETER_BOUND, g
+        assert t <= d + 1e-12 if abs(math.atan2(g.a_im, g.a_re)) <= REFINED_TOL else abs(t - d) <= 1e-12, g
+    assert answered >= 500
 
 
 def _steep_endpoints(n):
@@ -823,10 +868,12 @@ def test_each_lift_off_b_zero_crosses_one_level(kind):
     # The SU(2) cut locus is B = 0 (the paper's uniqueness theorem): psi
     # rises strictly along the loop and gains 2*pi, so each lift g and -g
     # crosses exactly one level arg(A) + 2*pi*n, and lists one minimizer.
-    # The oracle does not assume this; it solves every bracket it finds.
+    # The oracle bisects the loop for that one crossing; the sampled loop
+    # must rise for it to be the only one.
     for g in _uniqueness_targets(kind):
+        loop = _loop(_scan_and_lifts(g)[0])
+        assert sorted(loop) == loop, g
         for h in (g, g.negate()):
-            assert _crossing_count(h) == 1, h
             assert len(shoot_min_time(h).minimizers) == 1, h
 
 

@@ -2,7 +2,7 @@
 
 The README is an index: it states a contract per entry point and cites,
 for each figure, the test, check or layer-timer key that produces it.
-`citation_errors` checks four kinds of citation in a Markdown text:
+`citation_errors` checks five kinds of citation in a Markdown text:
 
 - `tests/<file>.py::<name>[::<name>]` names a test function, or a test
   class and its method, found by reading the file with `ast`;
@@ -12,10 +12,13 @@ for each figure, the test, check or layer-timer key that produces it.
   (`oracle.REFINED_TOL`) resolves by `getattr`, importing submodules on
   the way;
 - a backticked `oracle_layers:<key>` occurs as a string literal in
-  `benchmarks/oracle_layers.py`.
+  `benchmarks/oracle_layers.py`;
+- a backticked `BENCH_<n>.json:<dotted.key>` names a committed layer-timer
+  file and a path of keys into its JSON object (`ab._brackets.ratio`).
 """
 import ast
 import importlib
+import json
 import pkgutil
 import re
 import shlex
@@ -36,6 +39,7 @@ _EXTENSIONS = (".py", ".md", ".json", ".toml", ".yml")
 _SUBMODULES = {m.name for m in pkgutil.iter_modules(srdist.__path__)}
 _NAME = re.compile(r"(?:srdist|{})(?:\.\w+)+".format("|".join(sorted(_SUBMODULES))))
 _LAYER_KEY = re.compile(r"oracle_layers:(\w+)")
+_BENCH_KEY = re.compile(r"(BENCH_\d+\.json):(\w+(?:\.\w+)*)")
 
 
 def _test_exists(file: str, names: list[str]) -> bool:
@@ -72,6 +76,18 @@ def _layer_keys() -> set[str]:
     return {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
+def _bench_key_exists(file: str, dotted: str) -> bool:
+    path = ROOT / file
+    if not path.is_file():
+        return False
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    for key in dotted.split("."):
+        if not isinstance(obj, dict) or key not in obj:
+            return False
+        obj = obj[key]
+    return True
+
+
 def citation_errors(text: str) -> list[str]:
     """One message per citation in text that does not resolve."""
     errors = [
@@ -86,6 +102,8 @@ def citation_errors(text: str) -> list[str]:
                 errors.append(f"no name {m.group(0)}")
         elif (m := _LAYER_KEY.fullmatch(span)) and m.group(1) not in _layer_keys():
             errors.append(f"no oracle_layers key {m.group(1)}")
+        elif (m := _BENCH_KEY.fullmatch(span)) and not _bench_key_exists(m.group(1), m.group(2)):
+            errors.append(f"no BENCH key {span}")
     return errors
 
 
@@ -99,13 +117,16 @@ def test_each_fabricated_citation_is_reported():
     tests/test_oracle.py::TestAxis1Targets::test_nowhere; see
     `src/srdist/oracle.py` and `src/srdist/nowhere.py`, `oracle.REFINED_TOL`
     and `oracle.NOWHERE`, `oracle_layers:solves_per_shot` and
-    `oracle_layers:nowhere`.
+    `oracle_layers:nowhere`, `BENCH_42.json:ab._brackets.ratio`,
+    `BENCH_42.json:ab._brackets.nowhere` and `BENCH_1.json:stamp`.
     """
     assert citation_errors(text) == [
         "no test tests/test_oracle.py::TestAxis1Targets::test_nowhere",
         "no path src/srdist/nowhere.py",
         "no name oracle.NOWHERE",
         "no oracle_layers key nowhere",
+        "no BENCH key BENCH_42.json:ab._brackets.nowhere",
+        "no BENCH key BENCH_1.json:stamp",
     ]
 
 
