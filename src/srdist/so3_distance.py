@@ -29,9 +29,10 @@ import math
 from .algebra import SO3Element, _mul, cover_pair, lift_so3
 from .su2_distance import DistanceResult, distance_from_pair, distance_su2
 
-# Largest distance observed on SO(3): attained at diag(1, -1, -1), the
-# half turn about axis 1 (checked by dense scans over (|A|, arg A) of the
-# lift-minimum and by random sampling).
+# Largest distance on SO(3), attained at diag(1, -1, -1), the half turn
+# about axis 1: `verify.check_golden_values` holds that distance equal to
+# it to the bit, and `verify.check_metric_axioms` and `verify.check_oracle`
+# hold every sampled distance and SO(3) oracle time at or below it.
 SO3_DIAMETER_BOUND = math.pi * math.sqrt(3.0)
 
 

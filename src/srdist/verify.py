@@ -3,15 +3,22 @@
 Each check function takes its samples, or a `np.random.Generator` to draw
 them from, and returns `CheckResult` records.  The `verify` suites call
 them with `(np.random.default_rng(seed), n)`; `tests/test_acceptance.py`
-calls them with each criterion's own seed, count and tolerance:
+calls them with each criterion's own seed and count, so `srdist verify
+--suite all` runs every acceptance check.  A suite's later checks draw
+from its generator after its earlier ones:
 
-    suite               check function         acceptance criterion
-    submetry            check_submetry         2
-    oracle              check_oracle           3
-    geodesics           check_geodesics        4
-    lemmas              check_lemmas           5
-    br-counterexample   check_flawed_system    7
-    cutlocus            check_minimizers,      8
+    suite               check function           acceptance criterion
+    submetry            check_submetry           2
+                        check_metric_axioms      9
+    lemmas              check_lemmas             5
+                        check_golden_values      1
+                        check_branch_residuals   6
+    oracle              check_oracle             3
+    geodesics           check_geodesics          4
+                        check_cut_time           the SU(2) cut-time theorem
+                                                 (tests/test_geodesics.py)
+    br-counterexample   check_flawed_system      7
+    cutlocus            check_minimizers,        8
                         check_cover
 """
 from __future__ import annotations
@@ -23,14 +30,15 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .algebra import SO3Element, SU2Element, cover_pair, klein_omega, lift_so3, random_so3, random_su2
-from .cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3, in_cut_locus_su2_l2
-from .geodesics import GeodesicParams, cut_time_bound, endpoint_coords, geodesic_point, geodesic_point_exp
+from .algebra import SO3Element, SU2Element, cover_pair, klein_omega, lift_so3, random_so3, random_su2, so3_mul, su2_inv
+from .cutlocus import MEMBERSHIP_TOL, CutTag, classify_cut_locus_so3, conjugate_locus_so3, in_cut_locus_su2_l2
+from .geodesics import GeodesicParams, cut_time_bound, endpoint_coords, geodesic_point, geodesic_point_exp, geodesic_point_so3
 from .flawed_system import demonstrate_br_nonuniqueness
 from .oracle import REFINED_TOL, ShootNoMatchError, scan_su2, shoot_min_time, shoot_min_time_so3
-from .so3_distance import SO3_DIAMETER_BOUND, distance_so3, distance_so3_via_lifts, lift_distance_results
+from .so3_distance import SO3_DIAMETER_BOUND, distance_so3, distance_so3_pair, distance_so3_via_lifts, lift_distance_results
 from .su2_distance import (
-    DistanceResult, arg_long, arg_short, beta_domain_max, distance_su2, time_long, time_short,
+    DistanceCase, DistanceResult, arg_long, arg_short, beta_domain_max, distance_su2, distance_su2_pair,
+    time_long, time_short,
 )
 
 
@@ -92,6 +100,35 @@ def check_submetry(rng: np.random.Generator, n: int) -> list[CheckResult]:
     ]
 
 
+def check_metric_axioms(rng: np.random.Generator, n: int) -> list[CheckResult]:
+    """Triangle inequality, inverse symmetry and conjugation invariance, and the SO(3) diameter.
+
+    n triples of Haar SU(2) elements and n of Haar rotations.  The first of
+    each triple is also inverted, and the rotation is conjugated by a
+    rotation about axis 1 through U(0, 2*pi).  Every SO(3) distance from
+    the identity taken on the way is checked against pi*sqrt(3).
+    """
+    excess, inverse, conjugated, so3_ts = [], [], [], []
+    for _ in range(n):
+        g1, g2, g3 = (random_su2(rng) for _ in range(3))
+        c1, c2, c3 = (random_so3(rng) for _ in range(3))
+        excess.append(distance_su2_pair(g1, g3) - distance_su2_pair(g1, g2) - distance_su2_pair(g2, g3))
+        excess.append(distance_so3_pair(c1, c3) - distance_so3_pair(c1, c2) - distance_so3_pair(c2, c3))
+        r = _axis1_rotation(rng.uniform(0.0, math.tau))
+        t1, t_inv = distance_so3(c1).t, distance_so3(c1.transpose()).t
+        t_conj = distance_so3(so3_mul(so3_mul(r, c1), r.transpose())).t
+        inverse += [distance_su2(g1).t - distance_su2(su2_inv(g1)).t, t1 - t_inv]
+        conjugated.append(t_conj - t1)
+        so3_ts += [t1, t_inv, t_conj]
+    return [
+        CheckResult(f"triangle excess ({n} triples per group)", float(np.max(excess)), 1e-9),
+        CheckResult("inverse symmetry", _worst(inverse), 1e-10),
+        CheckResult("conjugation invariance about axis 1", _worst(conjugated), 1e-9),
+        CheckResult(f"largest SO(3) distance, against the diameter pi*sqrt(3) ({len(so3_ts)} rotations)",
+                    float(np.max(so3_ts)), SO3_DIAMETER_BOUND),
+    ]
+
+
 def check_lemmas(abs_as: Iterable[float], n_beta: int) -> list[CheckResult]:
     """Monotonicity, parity, identities and range endpoints of the branch functions.
 
@@ -127,6 +164,64 @@ def check_lemmas(abs_as: Iterable[float], n_beta: int) -> list[CheckResult]:
         CheckResult("defining identities", _worst(ident), 1e-12),
         CheckResult("range endpoints", _worst(ends), 1e-9),
     ]
+
+
+def check_golden_values() -> list[CheckResult]:
+    """Eight distances with closed forms, to 1e-9, and the two diameters to the bit.
+
+    The diameters are d(-1) = 2*pi on SU(2) and, on SO(3), d = pi*sqrt(3)
+    (`SO3_DIAMETER_BOUND`) at diag(1, -1, -1), the half turn about axis 1.
+    """
+    diameters = [
+        distance_su2(SU2Element(-1, 0, 0, 0)).t - math.tau,
+        distance_so3(SO3Element(np.diag([1.0, -1.0, -1.0]))).t - SO3_DIAMETER_BOUND,
+    ]
+    others = [
+        distance_su2(SU2Element(0, 0, 0.28, 0.96)).t - math.pi,
+        distance_su2(SU2Element(0, 1, 0, 0)).t - math.pi * math.sqrt(3.0),
+        distance_su2(SU2Element(0.6, 0, 0.8, 0)).t - 2 * math.asin(0.8),
+        distance_su2(SU2Element(-0.6, 0, 0.8, 0)).t - 2 * (math.pi - math.asin(0.8)),
+        distance_so3(SO3Element(np.diag([-1.0, 1.0, -1.0]))).t - math.pi,
+        distance_so3(_axis1_rotation(math.pi / 2)).t - math.pi * math.sqrt(7.0) / 2,
+    ]
+    return [
+        CheckResult("analytic golden values (8 values), worst |error|", _worst(diameters + others), 1e-9),
+        CheckResult("diameters 2*pi on SU(2) and pi*sqrt(3) on SO(3), to the bit", _worst(diameters), 0.0),
+    ]
+
+
+def _branch_residual(g: SU2Element, res: DistanceResult) -> float:
+    """Residual of res's (beta, t) in the equations of g's branch, SHORT or LONG."""
+    abs_a = math.hypot(g.a_re, g.a_im)
+    if res.case is DistanceCase.SHORT:
+        phase, sign, t = arg_short(res.beta, abs_a), 1.0, time_short(res.beta, abs_a)
+    else:
+        phase, sign, t = arg_long(res.beta, abs_a), -1.0, time_long(res.beta, abs_a)
+    return max(abs(math.cos(phase) - sign * g.a_re / abs_a), abs(math.sin(phase) - g.a_im / abs_a), abs(t - res.t))
+
+
+def check_branch_residuals(rng: np.random.Generator, n: int) -> list[CheckResult]:
+    """The distance's (beta, t) in the equations of its branch, on n SHORT or LONG draws per group.
+
+    Haar SU(2) elements and Haar rotations are drawn in turn until each
+    group has n on the SHORT or LONG branch.  A rotation's (beta, t) goes
+    into the equations of its canonical lift `lift_so3(c)[0]`, whose pair
+    `distance_so3` evaluates to the bit.
+    """
+    branches = (DistanceCase.SHORT, DistanceCase.LONG)
+    residuals, n_su2, n_so3 = [], 0, 0
+    while n_su2 < n or n_so3 < n:
+        g = random_su2(rng)
+        res = distance_su2(g)
+        if n_su2 < n and res.case in branches:
+            n_su2 += 1
+            residuals.append(_branch_residual(g, res))
+        c = random_so3(rng)
+        res = distance_so3(c)
+        if n_so3 < n and res.case in branches:
+            n_so3 += 1
+            residuals.append(_branch_residual(lift_so3(c)[0], res))
+    return [CheckResult(f"branch-equation residuals ({n} SHORT or LONG samples per group)", _worst(residuals), 1e-10)]
 
 
 # |B| = 10^-k of the fixed near-Loc targets: from where b* = |A|/|B| puts
@@ -241,6 +336,12 @@ def _minimizer_gap(expected: DistanceResult, found: tuple[float, float, float]) 
     if expected.phi0 is not None:
         gaps.append(math.remainder(phi0 - expected.phi0, math.tau))
     return _worst(gaps)
+
+
+def _axis1_rotation(psi: float) -> SO3Element:
+    """Rotation through psi about axis 1."""
+    c, s = math.cos(psi), math.sin(psi)
+    return SO3Element(np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]))
 
 
 def _half_turn(rng: np.random.Generator) -> SO3Element:
@@ -400,9 +501,53 @@ def check_geodesics(samples: Iterable[tuple[float, float, float]]) -> list[Check
     ]
 
 
+def _endpoint_det(phi0: float, beta: float, t: float) -> float:
+    """D(t) = det[q, dq/dphi0, dq/dbeta, dq/dt] of the endpoint q, the partials by central differences."""
+    x = np.array([phi0, beta, t])
+    columns = [endpoint_coords(*x)]
+    for i, h in enumerate((1e-6, 1e-6 * max(1.0, abs(beta)), 1e-6 * t)):
+        step = np.zeros(3)
+        step[i] = h
+        columns.append(np.subtract(endpoint_coords(*(x + step)), endpoint_coords(*(x - step))) / (2.0 * h))
+    return np.linalg.det(np.array(columns))
+
+
+def check_cut_time(params: Iterable[GeodesicParams]) -> list[CheckResult]:
+    """The SU(2) cut time 2*pi/s is each geodesic's cut time and its first conjugate time.
+
+    Per geodesic: the endpoint at 0.5, 0.9 and 0.999 of the cut time is at
+    distance t, and the endpoint at 1.01 of it at a distance below
+    t - 1e-9.  D (`_endpoint_det`) keeps one sign at 0.05 ... 0.999 of the
+    cut time and takes the other at 1.001 of it.  The SO(3) endpoint is a
+    nontrivial rotation about axis 1, on the conjugate locus, at the cut
+    time, and off it at 0.999 of it.  The last three records count the
+    geodesics that fail them.
+    """
+    gaps, late, det_flips, conjugate = [], 0, 0, 0
+    for p in params:
+        cut = cut_time_bound(p.beta)
+        gaps += [distance_su2(geodesic_point(p, f * cut)).t - f * cut for f in (0.5, 0.9, 0.999)]
+        t = 1.01 * cut
+        late += not t - distance_su2(geodesic_point(p, t)).t > 1e-9
+        before = {np.sign(_endpoint_det(p.phi0, p.beta, f * cut)) for f in (0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)}
+        after = np.sign(_endpoint_det(p.phi0, p.beta, 1.001 * cut))
+        det_flips += not (after != 0.0 and before == {-after})
+        on_at_cut = conjugate_locus_so3(geodesic_point_so3(p, cut))
+        conjugate += not on_at_cut or conjugate_locus_so3(geodesic_point_so3(p, 0.999 * cut))
+    return [
+        CheckResult(f"|distance - t| at 0.5, 0.9, 0.999 of the SU(2) cut time ({len(gaps) // 3} geodesics)",
+                    _worst(gaps), 1e-12),
+        CheckResult("geodesics with t - distance <= 1e-9 at 1.01 of the cut time", late, 0),
+        CheckResult("geodesics whose endpoint-map determinant does not change sign once, at the cut time",
+                    det_flips, 0),
+        CheckResult("geodesics off the conjugate locus at the cut time, or on it at 0.999 of it", conjugate, 0),
+    ]
+
+
 def _lemma_suite(rng: np.random.Generator, n: int) -> list[CheckResult]:
     n_abs = max(4, math.isqrt(n))
-    return check_lemmas(rng.uniform(0.05, 0.95, n_abs), max(4, n // n_abs))
+    lemmas = check_lemmas(rng.uniform(0.05, 0.95, n_abs), max(4, n // n_abs))
+    return lemmas + check_golden_values() + check_branch_residuals(rng, n)
 
 
 def _random_geodesics(rng: np.random.Generator, n: int) -> Iterator[tuple[float, float, float]]:
@@ -411,13 +556,20 @@ def _random_geodesics(rng: np.random.Generator, n: int) -> Iterator[tuple[float,
         yield phi0, beta, rng.uniform(0.0, cut_time_bound(beta))
 
 
+def _cut_time_params(rng: np.random.Generator, n: int) -> Iterator[GeodesicParams]:
+    """n geodesics with beta alternately N(0, 5^2) and U(-50, 50), and phi0 uniform."""
+    for k in range(n):
+        beta = rng.normal(0.0, 5.0) if k % 2 == 0 else rng.uniform(-50.0, 50.0)
+        yield GeodesicParams(rng.uniform(0.0, math.tau), beta)
+
+
 SUITES: dict[str, Callable[[np.random.Generator, int], list[CheckResult]]] = {
-    "submetry": check_submetry,
+    "submetry": lambda rng, n: check_submetry(rng, n) + check_metric_axioms(rng, n),
     "lemmas": _lemma_suite,
     "oracle": check_oracle,
     "br-counterexample": lambda rng, n: check_flawed_system(),
     "cutlocus": lambda rng, n: check_minimizers(rng, n) + check_cover(rng, n),
-    "geodesics": lambda rng, n: check_geodesics(_random_geodesics(rng, n)),
+    "geodesics": lambda rng, n: check_geodesics(_random_geodesics(rng, n)) + check_cut_time(_cut_time_params(rng, n)),
 }
 
 

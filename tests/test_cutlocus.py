@@ -11,8 +11,7 @@ from srdist.cutlocus import (
     conjugate_locus_so3,
     in_cut_locus_su2_l2,
 )
-from srdist.verify import _half_turn, _loc_band_pair
-from test_so3_distance import axis1_rotation
+from srdist.verify import _axis1_rotation, _half_turn, _loc_band_pair
 
 
 def test_identity_not_cut():
@@ -32,7 +31,7 @@ def test_half_turns_are_sym():
 
 def test_axis1_rotation_is_loc():
     for psi in (0.3, 1.0, 2.8, -1.2):
-        res = classify_cut_locus_so3(axis1_rotation(psi))
+        res = classify_cut_locus_so3(_axis1_rotation(psi))
         assert res.tag is CutTag.LOC
         # the covering pair of an axis-1 rotation has B = 0 exactly
         assert res.witness == "|B| = 0.000e+00"
@@ -64,7 +63,7 @@ def test_cover_predicate_loc_branch():
 
 def test_conjugate_locus():
     assert not conjugate_locus_so3(SO3Element.identity())
-    assert conjugate_locus_so3(axis1_rotation(1.1))
+    assert conjugate_locus_so3(_axis1_rotation(1.1))
     assert conjugate_locus_so3(SO3Element(np.diag([1.0, -1.0, -1.0])))
     assert not conjugate_locus_so3(SO3Element(np.diag([-1.0, 1.0, -1.0])))
     rng = np.random.default_rng(45)

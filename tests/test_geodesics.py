@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from srdist.algebra import InvalidElementError, SU2Element, klein_omega
-from srdist.cutlocus import conjugate_locus_so3
 from srdist.geodesics import (
     GeodesicParams,
     cut_time_bound,
@@ -15,6 +14,7 @@ from srdist.geodesics import (
 )
 from srdist.so3_distance import distance_so3
 from srdist.su2_distance import distance_su2
+from srdist.verify import _cut_time_params, check_cut_time
 
 
 def _components(g):
@@ -133,23 +133,18 @@ def test_huge_beta_does_not_overflow():
     assert np.linalg.norm(_components(g)) == pytest.approx(1.0, abs=1e-15)
 
 
+def _assert_cut_time(params):
+    checks = check_cut_time(params)
+    assert all(c.passed for c in checks), [f"{c.name} {c.detail}" for c in checks]
+
+
 def test_su2_cut_time_is_exact():
     # Before 2*pi/s the geodesic is minimizing, so its endpoint is at
     # distance t; just past it a shorter geodesic reaches the endpoint.
     rng = np.random.default_rng(3)
     betas = np.concatenate([rng.normal(0.0, 2.0, 150), rng.uniform(-20.0, 20.0, 150)])
     phi0s = rng.uniform(0.0, math.tau, 300)
-    before, after = 0.0, math.inf
-    for phi0, beta in zip(phi0s, betas):
-        p = GeodesicParams(phi0, beta)
-        cut = cut_time_bound(beta)
-        for frac in (0.5, 0.9, 0.999):
-            t = frac * cut
-            before = max(before, abs(distance_su2(geodesic_point(p, t)).t - t))
-        t = 1.01 * cut
-        after = min(after, t - distance_su2(geodesic_point(p, t)).t)
-    assert before <= 1e-12
-    assert after > 1e-9
+    _assert_cut_time(GeodesicParams(phi0, beta) for phi0, beta in zip(phi0s, betas))
 
 
 def test_short_geodesics_are_minimizing():
@@ -198,32 +193,12 @@ def test_geodesics_never_beat_the_distance():
         assert distance_su2(geodesic_point(p, t)).t <= t + 1e-9
 
 
-def _endpoint_det(phi0, beta, t):
-    # D(t) = det[q, dq/dphi0, dq/dbeta, dq/dt], the partials by central differences.
-    x = np.array([phi0, beta, t])
-    columns = [endpoint_coords(*x)]
-    for i, h in enumerate((1e-6, 1e-6 * max(1.0, abs(beta)), 1e-6 * t)):
-        step = np.zeros(3)
-        step[i] = h
-        columns.append(np.subtract(endpoint_coords(*(x + step)), endpoint_coords(*(x - step))) / (2.0 * h))
-    return np.linalg.det(np.array(columns))
-
-
 def test_first_conjugate_time_is_the_su2_cut_time():
     # D keeps one sign up to the cut time and changes it just after, so the
     # first conjugate time is the SU(2) cut time; there the SO(3) endpoint
     # is a nontrivial rotation about axis 1 (the conjugate locus), and just
     # before it is not.
-    rng = np.random.default_rng(16)
-    for k in range(300):
-        beta = rng.normal(0.0, 5.0) if k % 2 == 0 else rng.uniform(-50.0, 50.0)
-        p = GeodesicParams(rng.uniform(0.0, math.tau), beta)
-        cut = cut_time_bound(beta)
-        before = {np.sign(_endpoint_det(p.phi0, beta, f * cut)) for f in (0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)}
-        after = np.sign(_endpoint_det(p.phi0, beta, 1.001 * cut))
-        assert after != 0.0 and before == {-after}, (p, before, after)
-        assert conjugate_locus_so3(geodesic_point_so3(p, cut)), p
-        assert not conjugate_locus_so3(geodesic_point_so3(p, 0.999 * cut)), p
+    _assert_cut_time(_cut_time_params(np.random.default_rng(16), 300))
 
 
 def test_exp_route_at_huge_beta():

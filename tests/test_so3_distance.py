@@ -24,12 +24,7 @@ from srdist.so3_distance import (
     lift_distance_results,
 )
 from srdist.su2_distance import DistanceCase, distance_su2
-from srdist.verify import _half_turn, _pair
-
-
-def axis1_rotation(psi):
-    c, s = math.cos(psi), math.sin(psi)
-    return SO3Element(np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]]))
+from srdist.verify import _axis1_rotation, _half_turn, _pair
 
 
 def test_identity():
@@ -47,20 +42,19 @@ def test_half_turn_orthogonal_axis():
 
 def test_half_turn_axis1_is_diameter():
     res = distance_so3(SO3Element(np.diag([1.0, -1.0, -1.0])))
-    assert res.t == pytest.approx(math.pi * math.sqrt(3.0), abs=1e-12)
     assert res.case is DistanceCase.ABS_A_ONE
-    assert res.t == pytest.approx(SO3_DIAMETER_BOUND, abs=1e-12)
+    assert res.t == SO3_DIAMETER_BOUND == math.pi * math.sqrt(3.0)
 
 
 def test_quarter_turn_axis1():
-    res = distance_so3(axis1_rotation(math.pi / 2))
+    res = distance_so3(_axis1_rotation(math.pi / 2))
     assert res.t == pytest.approx(math.pi * math.sqrt(7.0) / 2.0, abs=1e-12)
     assert res.case is DistanceCase.ABS_A_ONE
 
 
 def test_axis1_rotations_monotone_in_angle():
     angles = np.linspace(0.05, math.pi, 40)
-    dists = [distance_so3(axis1_rotation(a)).t for a in angles]
+    dists = [distance_so3(_axis1_rotation(a)).t for a in angles]
     assert all(x < y for x, y in zip(dists, dists[1:]))
     assert dists[-1] == pytest.approx(SO3_DIAMETER_BOUND, abs=1e-9)
 
@@ -169,7 +163,7 @@ def test_direct_route_is_independent_of_lifts(monkeypatch):
         math.pi * math.sqrt(3.0), abs=1e-15
     )
     assert distance_so3(SO3Element(np.diag([-1.0, 1.0, -1.0]))).t == math.pi
-    assert distance_so3(axis1_rotation(math.pi / 2)).t == pytest.approx(
+    assert distance_so3(_axis1_rotation(math.pi / 2)).t == pytest.approx(
         math.pi * math.sqrt(7.0) / 2.0, abs=1e-15
     )
     res = distance_so3(boundary)
@@ -186,7 +180,7 @@ def test_so3_entry_points_build_no_su2_element(monkeypatch):
     # (`algebra.cover_pair`): none builds an SU(2) element on the way.
     rng = np.random.default_rng(41)
     rotations = [random_so3(rng) for _ in range(20)] + [_half_turn(rng) for _ in range(10)]
-    rotations += [axis1_rotation(psi) for psi in (1e-3, 0.3, -1.0, 2.5, math.pi)]
+    rotations += [_axis1_rotation(psi) for psi in (1e-3, 0.3, -1.0, 2.5, math.pi)]
 
     def forbidden(*args):
         raise AssertionError("an SO(3) entry point built an SU(2) element")
